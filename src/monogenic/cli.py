@@ -13,10 +13,10 @@ import os
 import sys
 
 from . import fock, gauss, serialize, transform, verify
+from .clifford import BoundsError
 from .poly import CliffordPolynomial, DegreeCapError, set_degree_cap
 from .serialize import SchemaError
 from .transform import NotMonogenicError
-from .verify import BoundsError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1

@@ -4,8 +4,20 @@ Elements are sparse sums of basis blades e_A, where A is a strictly
 increasing subset of {1, ..., n}, with Gaussian-rational coefficients.
 The generators satisfy e_i e_j + e_j e_i = -2 delta_ij, so each e_i
 squares to -1.  Blades are stored internally as bitmasks over at most
-16 generator slots; the product sign is a merge transposition count
-plus one -1 factor per repeated generator.
+16 generator slots.
+
+Product sign: e_A e_B = (-1)^s e_{A xor B}, where s counts one swap for
+each generator of A above each generator of B, plus one factor
+e_j^2 = -1 for each generator in both.  Bit j of the sign mask q_A is
+the parity of A's generators above j, xor A's own bit j, so
+s = popcount(q_A & B) mod 2: O(1) per blade pair once q_A is known.
+
+Products of multivectors accumulate integer numerators: each operand is
+put over the lcm of its coefficient denominators, the real and imaginary
+numerators of every blade pair are added into their output blade, and
+each output coefficient is reduced once at the end.  When an operand
+has a single blade, every output blade comes from exactly one pair, so
+the pairs are multiplied as Gaussian rationals instead.
 
 Everything here is immutable after construction and every operation is
 pure, so values can be shared freely between threads.
@@ -13,7 +25,9 @@ pure, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 MAX_DIMENSION = 16
@@ -23,6 +37,15 @@ RationalLike = Union[int, Fraction]
 
 class DimensionMismatchError(ValueError):
     """Operands live in Clifford algebras of different dimension."""
+
+
+class BoundsError(ValueError):
+    """A parameter lies outside its documented range."""
+
+
+def _check_dimension(n: int) -> None:
+    if not 1 <= n <= MAX_DIMENSION:
+        raise BoundsError(f"dimension must be in [1, {MAX_DIMENSION}], got {n}")
 
 
 class GaussianRational:
@@ -45,7 +68,7 @@ class GaussianRational:
         return not self.is_zero()
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self.re, -self.im)
 
     def abs_sq(self) -> Fraction:
         """|z|^2 = re^2 + im^2, an exact nonnegative rational."""
@@ -55,7 +78,7 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _gaussian(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -63,7 +86,7 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _gaussian(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other) -> "GaussianRational":
         other = _coerce(other)
@@ -72,18 +95,18 @@ class GaussianRational:
         return other - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def __mul__(self, other) -> "GaussianRational":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.im and not other.im:  # common real-only fast path
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        re, im, ore, oim = self.re, self.im, other.re, other.im
+        if not im:  # real factors are the common case: skip the zero products
+            return _gaussian(re * ore, re * oim if oim else _ZERO)
+        if not oim:
+            return _gaussian(re * ore, im * ore)
+        return _gaussian(re * ore - im * oim, re * oim + im * ore)
 
     __rmul__ = __mul__
 
@@ -108,6 +131,18 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
+def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
+    """GaussianRational from parts that are already Fractions, which
+    `__init__` would wrap again."""
+    out = object.__new__(GaussianRational)
+    out.re = re
+    out.im = im
+    return out
+
+
+_ZERO = Fraction(0)
+
+
 def _coerce(value) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
@@ -125,13 +160,12 @@ I = GaussianRational(0, 1)
 
 def mask_from_indices(indices: Iterable[int], n: int) -> int:
     """Bitmask for a blade given its strictly increasing index tuple."""
-    if not 1 <= n <= MAX_DIMENSION:
-        raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {n}")
+    _check_dimension(n)
     mask = 0
     prev = 0
     for i in indices:
-        if not isinstance(i, int) or not 1 <= i <= n:
-            raise ValueError(f"generator index {i} out of range [1, {n}]")
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n:
+            raise ValueError(f"generator index {i!r} must be an int in [1, {n}]")
         if i <= prev:
             raise ValueError(f"blade indices must be strictly increasing, got {tuple(indices)}")
         mask |= 1 << (i - 1)
@@ -143,25 +177,81 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _mask_product(a: int, b: int) -> tuple[int, int]:
-    """Sign and bitmask of e_A * e_B.
+def _sign_mask(a: int) -> int:
+    """q_A with e_A e_B = (-1)^popcount(q_A & B) e_{A xor B}.
 
-    Transpositions needed to interleave B into A, counted wordwise,
-    plus one sign flip per common generator (e_i^2 = -1).
+    Bit j is the parity of A's bits above j (suffix xor of a >> 1 over
+    the 16 slots), xor A's own bit j.
     """
-    swaps = 0
-    t = a >> 1
-    while t:
-        swaps += (t & b).bit_count()
-        t >>= 1
-    swaps += (a & b).bit_count()
-    return (-1 if swaps & 1 else 1), a ^ b
+    q = a >> 1
+    q ^= q >> 1
+    q ^= q >> 2
+    q ^= q >> 4
+    q ^= q >> 8
+    return q ^ a
 
 
 def blade_product(a: Iterable[int], b: Iterable[int], n: int) -> tuple[int, tuple[int, ...]]:
     """Product of two basis blades: e_a * e_b = sign * e_c."""
-    sign, mask = _mask_product(mask_from_indices(a, n), mask_from_indices(b, n))
-    return sign, indices_from_mask(mask)
+    ma, mb = mask_from_indices(a, n), mask_from_indices(b, n)
+    sign = -1 if (_sign_mask(ma) & mb).bit_count() & 1 else 1
+    return sign, indices_from_mask(ma ^ mb)
+
+
+def _single_blade_product(a: dict[int, GaussianRational],
+                          b: dict[int, GaussianRational]) -> dict[int, GaussianRational]:
+    """Product when a or b has one blade.
+
+    Each output blade then comes from exactly one pair, so nothing is
+    summed, and no coefficient is zero (a product of nonzero Gaussian
+    rationals is nonzero).
+    """
+    data: dict[int, GaussianRational] = {}
+    for ma, va in a.items():
+        q = _sign_mask(ma)
+        for mb, vb in b.items():
+            value = va * vb
+            data[ma ^ mb] = -value if (q & mb).bit_count() & 1 else value
+    return data
+
+
+def _over_common_denominator(coeffs: dict[int, GaussianRational]) -> tuple[int, list]:
+    """(d, [(mask, re*d, im*d)]) with d the lcm of every part's
+    denominator, so the numerators are integers."""
+    den = lcm(*[v.re.denominator for v in coeffs.values()],
+              *[v.im.denominator for v in coeffs.values()])
+    return den, [(m, v.re.numerator * (den // v.re.denominator),
+                  v.im.numerator * (den // v.im.denominator)) for m, v in coeffs.items()]
+
+
+def _accumulated_product(a: dict[int, GaussianRational],
+                         b: dict[int, GaussianRational]) -> dict[int, GaussianRational]:
+    """Integer multiply-accumulate over all blade pairs, one reduction per
+    output part; blades whose sum cancels are left out."""
+    da, left = _over_common_denominator(a)
+    db, right = _over_common_denominator(b)
+    re_acc: defaultdict[int, int] = defaultdict(int)
+    im_acc: defaultdict[int, int] = defaultdict(int)
+    for ma, ar, ai in left:
+        q = _sign_mask(ma)
+        for mb, br, bi in right:
+            re = ar * br - ai * bi
+            im = ar * bi + ai * br
+            mask = ma ^ mb
+            if (q & mb).bit_count() & 1:
+                re_acc[mask] -= re
+                im_acc[mask] -= im
+            else:
+                re_acc[mask] += re
+                im_acc[mask] += im
+    den = da * db
+    data: dict[int, GaussianRational] = {}
+    for mask, re in re_acc.items():
+        im = im_acc[mask]
+        if re or im:
+            data[mask] = _gaussian(Fraction(re, den) if re else _ZERO,
+                                   Fraction(im, den) if im else _ZERO)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +268,7 @@ class CliffordNumber:
     __slots__ = ("n", "_coeffs")
 
     def __init__(self, n: int, coeffs: Mapping[tuple[int, ...], object] | None = None):
-        if not 1 <= n <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {n}")
+        _check_dimension(n)
         self.n = n
         data: dict[int, GaussianRational] = {}
         if coeffs:
@@ -196,9 +285,14 @@ class CliffordNumber:
 
     @classmethod
     def _from_masks(cls, n: int, data: dict[int, GaussianRational]) -> "CliffordNumber":
+        return cls._from_nonzero(n, {m: v for m, v in data.items() if v})
+
+    @classmethod
+    def _from_nonzero(cls, n: int, data: dict[int, GaussianRational]) -> "CliffordNumber":
+        """Adopt `data` as is: every value must be nonzero."""
         out = cls.__new__(cls)
         out.n = n
-        out._coeffs = {m: v for m, v in data.items() if v}
+        out._coeffs = data
         return out
 
     @classmethod
@@ -261,16 +355,12 @@ class CliffordNumber:
     def __mul__(self, other) -> "CliffordNumber":
         if isinstance(other, CliffordNumber):
             self._check_dim(other)
-            data: dict[int, GaussianRational] = {}
-            for ma, va in self._coeffs.items():
-                for mb, vb in other._coeffs.items():
-                    sign, mask = _mask_product(ma, mb)
-                    value = va * vb
-                    if sign < 0:
-                        value = -value
-                    acc = data.get(mask)
-                    data[mask] = value if acc is None else acc + value
-            return CliffordNumber._from_masks(self.n, data)
+            a, b = self._coeffs, other._coeffs
+            if len(a) == 1 or len(b) == 1:
+                data = _single_blade_product(a, b)
+            else:
+                data = _accumulated_product(a, b)
+            return CliffordNumber._from_nonzero(self.n, data)
         scalar = _coerce(other)
         if scalar is NotImplemented:
             return NotImplemented
@@ -310,9 +400,20 @@ class CliffordNumber:
         return CliffordNumber._from_masks(self.n, data)
 
     def inner(self, other: "CliffordNumber") -> GaussianRational:
-        """Hermitian inner product (self, other) = [conj(self) * other]_0."""
+        """Hermitian inner product (self, other) = [conj(self) * other]_0.
+
+        conj(e_A) e_B has a scalar part only when A = B, and there it is
+        1, so this is the sum of conj(a_A) * b_A over the shared blades.
+        """
         self._check_dim(other)
-        return (self.hermitian_conj() * other).scalar_part()
+        re = im = _ZERO
+        b = other._coeffs
+        for mask, va in self._coeffs.items():
+            vb = b.get(mask)
+            if vb is not None:
+                re += va.re * vb.re + va.im * vb.im
+                im += va.re * vb.im - va.im * vb.re
+        return _gaussian(re, im)
 
     def norm_sq(self) -> Fraction:
         """(self, self) = sum of |coefficient|^2; exact and nonnegative."""

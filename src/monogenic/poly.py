@@ -47,7 +47,7 @@ class MultiIndex(tuple):
     def __new__(cls, entries: Sequence[int]):
         entries = tuple(entries)
         for b in entries:
-            if not isinstance(b, int) or b < 0:
+            if isinstance(b, bool) or not isinstance(b, int) or b < 0:
                 raise ValueError(f"multi-index entries must be nonnegative ints, got {entries}")
         return super().__new__(cls, entries)
 

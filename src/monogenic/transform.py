@@ -17,6 +17,7 @@ README section "Status of the isometry identities").
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Iterator, Mapping, Sequence, Union
 
 from .clifford import CliffordNumber, DimensionMismatchError
@@ -40,17 +41,10 @@ def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     k = 0
     while term:
         sign = (-1) ** k if inverse else 1
-        total = total + term * Fraction(sign, 2 ** k * _factorial(k))
+        total = total + term * Fraction(sign, 2 ** k * factorial(k))
         term = term.laplacian()
         k += 1
     return total
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
 
 
 def hermite(n: int, beta: Sequence[int]) -> CliffordPolynomial:
@@ -77,7 +71,7 @@ def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
     k = 0
     while term:
         x0k = CliffordPolynomial.monomial(n, k, (0,) * n)
-        total = total + x0k * term * Fraction((-1) ** k, _factorial(k))
+        total = total + x0k * term * Fraction((-1) ** k, factorial(k))
         term = term.dirac()
         k += 1
     return total

@@ -108,6 +108,12 @@ def test_bounds_exit_3(capsys):
     assert code == 3
     code, _, _ = run(capsys, ["verify", "--max-degree", "9"])
     assert code == 3
+    # the C_n dimension bound (n <= 16) is a parameter bound too
+    beta17 = ",".join(["0"] * 16 + ["1"])
+    for command in ("pbasis", "hermite"):
+        code, out, err = run(capsys, [command, "--n", "17", "--beta", beta17])
+        assert code == 3
+        assert out == "" and "dimension" in err
 
 
 def test_degree_cap_env_var(capsys, monkeypatch):
@@ -143,6 +149,21 @@ def test_verify_degenerate_degree_zero(capsys):
                                 "--trials", "5", "--format", "text"])
     assert code == 0
     assert "all checks passed" in out
+
+
+def test_verify_round_trip_regression_visible_at_n2(capsys, monkeypatch):
+    # At n = 2 the isometry is known to fail; a broken inverse transform
+    # must still be reported as a round-trip failure, not hidden behind it.
+    # Seed 4 is one whose first trial already breaks the isometry.
+    import monogenic.verify as verify_module
+    monkeypatch.setattr(verify_module, "sb_inverse", lambda F: F.restrict() * 2)
+    code, out, _ = run(capsys, ["verify", "--n", "2", "--max-degree", "2",
+                                "--trials", "10", "--seed", "4"])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    check = checks["segal-bargmann isometry and round trip"]
+    assert check["status"] == "fail"
+    assert "round trip failed" in check["witness"]
 
 
 def test_verify_n2_reports_broken_orthogonality(capsys):

@@ -1,6 +1,7 @@
 """Clifford algebra core: blade products, ring axioms, conjugation, inner product."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monogenic import CliffordNumber, DimensionMismatchError, GaussianRational, blade_product
-from monogenic.clifford import I, indices_from_mask
+from monogenic.clifford import BoundsError, I, indices_from_mask
 
 from oracles import naive_blade_product
 
@@ -53,11 +54,26 @@ def test_blade_index_out_of_range():
         blade_product((0,), (1,), 2)
 
 
+def test_bool_generator_index_rejected():
+    # True == 1 as an int, but a boolean is not a generator index
+    with pytest.raises(ValueError):
+        CliffordNumber(2, {(True,): 1})
+    with pytest.raises(ValueError):
+        blade_product((False, 1), (1,), 2)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_blade_product_matches_naive_reduction(n):
     all_blades = [indices_from_mask(m) for m in range(2 ** n)]
     for a, b in itertools.product(all_blades, repeat=2):
         assert blade_product(a, b, n) == naive_blade_product(a, b)
+
+
+def test_blade_product_matches_naive_reduction_n16_random():
+    rng = random.Random(16)
+    for _ in range(2000):
+        a, b = (indices_from_mask(rng.randrange(2 ** 16)) for _ in range(2))
+        assert blade_product(a, b, 16) == naive_blade_product(a, b)
 
 
 # -- ring operations ---------------------------------------------------------
@@ -181,3 +197,76 @@ def test_dimension_bound():
         CliffordNumber.zero(17)
     with pytest.raises(ValueError):
         CliffordNumber.zero(0)
+
+
+# -- dense products against a per-pair oracle --------------------------------
+
+PRIMES_TO_97 = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+
+
+def _dense(rng, n, blades, complex_parts=True):
+    """Seeded multivector whose part denominators are primes up to 97, so
+    a common denominator of all its coefficients is a large lcm."""
+    def part():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 200), rng.choice(PRIMES_TO_97))
+    coeffs = {}
+    for mask in rng.sample(range(2 ** n), blades):
+        coeffs[indices_from_mask(mask)] = GaussianRational(
+            part(), part() if complex_parts and rng.random() < 0.8 else 0)
+    return CliffordNumber(n, coeffs)
+
+
+def _oracle_product(x, y):
+    """{blade: (re, im)} of x*y as plain Fraction sums over every blade
+    pair, signs from the naive generator-word reduction."""
+    acc = {}
+    for a, va in x.terms():
+        for b, vb in y.terms():
+            sign, c = naive_blade_product(a, b)
+            re, im = acc.get(c, (Fraction(0), Fraction(0)))
+            acc[c] = (re + sign * (va.re * vb.re - va.im * vb.im),
+                      im + sign * (va.re * vb.im + va.im * vb.re))
+    return {c: v for c, v in acc.items() if v != (0, 0)}
+
+
+@pytest.mark.parametrize("n,blades", [(8, 64), (12, 40), (16, 32)])
+def test_dense_products_match_per_pair_oracle(n, blades):
+    rng = random.Random(1000 + n)
+    x, y = _dense(rng, n, blades), _dense(rng, n, blades)
+    real = _dense(rng, n, blades, complex_parts=False)
+    single = _dense(rng, n, 1)
+    for lhs, rhs in [(x, y), (y, x), (x, real), (real, y), (real, real),
+                     (single, x), (x, single)]:
+        got = {c: (v.re, v.im) for c, v in (lhs * rhs).terms()}
+        assert got == _oracle_product(lhs, rhs)
+
+
+def test_dense_product_cancellation_is_pruned():
+    # (a + b)(a - b) = a^2 - b^2 + ba - ab; both sides must come out with
+    # no zero coefficients stored, and a*b - a*b must be the canonical zero
+    rng = random.Random(3)
+    a, b = _dense(rng, 8, 40), _dense(rng, 8, 40)
+    lhs = (a + b) * (a - b)
+    assert lhs == a * a - b * b + b * a - a * b
+    assert all(v for _, v in lhs.terms())
+    assert (a * b - a * b).is_zero()
+
+
+@pytest.mark.parametrize("n,blades", [(8, 64), (16, 32)])
+def test_inner_matches_conj_product_scalar_part(n, blades):
+    rng = random.Random(2000 + n)
+    x, y = _dense(rng, n, blades), _dense(rng, n, blades)
+    for lhs, rhs in [(x, y), (y, x), (x, x), (x, x * y)]:
+        assert lhs.inner(rhs) == (lhs.hermitian_conj() * rhs).scalar_part()
+
+
+@given(clifford_st(3), clifford_st(3))
+def test_inner_matches_conj_product_random(a, b):
+    assert a.inner(b) == (a.hermitian_conj() * b).scalar_part()
+
+
+def test_dimension_bound_is_a_bounds_error():
+    with pytest.raises(BoundsError):
+        CliffordNumber.zero(17)
+    with pytest.raises(BoundsError):
+        blade_product((1,), (1,), 17)

@@ -60,6 +60,12 @@ def test_multi_index_accessors():
         MultiIndex((1, -1))
 
 
+def test_multi_index_rejects_bool():
+    # True == 1 as an int; the JSON parser rejects it, so the type does too
+    with pytest.raises(ValueError):
+        MultiIndex([True, 0])
+
+
 # -- evaluation --------------------------------------------------------------
 
 def test_eval_examples():
