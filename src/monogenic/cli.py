@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 verification failure, 2 input/schema error,
 3 bounds exceeded, 4 domain precondition (non-monogenic input).
-The MONOGENIC_MAX_DEGREE environment variable overrides the total-degree cap.
+The MONOGENIC_MAX_DEGREE environment variable overrides the total-degree cap
+for the duration of one `main` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import os
 import sys
@@ -202,6 +204,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # a copied context drops the cap that MONOGENIC_MAX_DEGREE sets when main returns
+    return contextvars.copy_context().run(_main, argv)
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     cap = os.environ.get("MONOGENIC_MAX_DEGREE")
     if cap is not None:

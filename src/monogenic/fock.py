@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .clifford import CliffordNumber, DimensionMismatchError
+from .clifford import CliffordNumber, DimensionMismatchError, _check_dimension
 from .poly import CliffordPolynomial, MultiIndex
 from .transform import NotMonogenicError, ck_extend
 
@@ -22,8 +22,7 @@ class FockElement:
     __slots__ = ("n", "_entries")
 
     def __init__(self, n: int, entries: Mapping[Sequence[int], CliffordNumber] | None = None):
-        if n < 1:
-            raise ValueError("ambient dimension must be at least 1")
+        _check_dimension(n)
         self.n = n
         data: dict[MultiIndex, CliffordNumber] = {}
         if entries:

@@ -7,18 +7,39 @@ Dirac operator multiplies by generators on the left, so D(x^beta c)
 has coefficient e_j * c.
 
 Polynomials with no x0 dependence model functions on R^n.
+
+The Dirac operator, the Laplacian and the Cauchy-Riemann operator
+d0 + D run on integer numerators.  The input is put over the lcm of all
+its part denominators once; derivatives only multiply by integers, so a
+whole chain of them keeps that one denominator, and each output part
+becomes a `Fraction` once at the end.  Numerators are keyed by
+(x0-power, multi-index) and then by blade mask.  Left multiplication by
+a generator is a signed blade permutation, not a product:
+e_j e_B = (-1)^popcount(B & low_j) e_{B xor bit_j}, where bit_j is the
+mask of e_j and low_j the mask of e_1, ..., e_j (one swap for each
+generator of B below j, and e_j^2 = -1 when j is in B).
+
+The total-degree cap lives in a context variable, so a cap set in one
+thread is not seen by another.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .clifford import CliffordNumber, DimensionMismatchError, GaussianRational
+from .clifford import (
+    _ZERO,
+    CliffordNumber,
+    DimensionMismatchError,
+    GaussianRational,
+    _check_dimension,
+    _gaussian,
+)
 
-_DEFAULT_DEGREE_CAP = 12
-_degree_cap = _DEFAULT_DEGREE_CAP
+_degree_cap: ContextVar[int] = ContextVar("degree_cap", default=12)
 
 
 class DegreeCapError(ValueError):
@@ -26,19 +47,19 @@ class DegreeCapError(ValueError):
 
 
 def get_degree_cap() -> int:
-    return _degree_cap
+    return _degree_cap.get()
 
 
 def set_degree_cap(cap: int) -> None:
-    """Raise or lower the total-degree bound (default 12).
+    """Raise or lower the total-degree bound (default 12) in the current
+    context; other threads keep their own.
 
     The cap exists to keep exact sweeps from exploding; exceeding it is
     always an explicit error, never a silent truncation.
     """
-    global _degree_cap
     if cap < 0:
         raise ValueError("degree cap must be nonnegative")
-    _degree_cap = cap
+    _degree_cap.set(cap)
 
 
 class MultiIndex(tuple):
@@ -73,9 +94,9 @@ class CliffordPolynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, Sequence[int]], CliffordNumber] | None = None):
-        if n < 1:
-            raise ValueError("ambient dimension must be at least 1")
+        _check_dimension(n)
         self.n = n
+        cap = _degree_cap.get()
         data: dict[TermKey, CliffordNumber] = {}
         if terms:
             for (k0, beta), coeff in terms.items():
@@ -86,9 +107,8 @@ class CliffordPolynomial:
                     raise ValueError(f"multi-index {tuple(beta)} has length {len(beta)}, expected {n}")
                 if coeff.n != n:
                     raise DimensionMismatchError(f"coefficient in C_{coeff.n} inside C_{n} polynomial")
-                if k0 + beta.degree > _degree_cap:
-                    raise DegreeCapError(
-                        f"total degree {k0 + beta.degree} exceeds cap {_degree_cap}")
+                if k0 + beta.degree > cap:
+                    raise DegreeCapError(f"total degree {k0 + beta.degree} exceeds cap {cap}")
                 key = (k0, beta)
                 if key in data:
                     raise ValueError(f"duplicate term {key}")
@@ -99,10 +119,10 @@ class CliffordPolynomial:
     @classmethod
     def _raw(cls, n: int, data: dict[TermKey, CliffordNumber]) -> "CliffordPolynomial":
         # internal: keys already canonical; prune zeros, re-check the cap
+        cap = _degree_cap.get()
         for (k0, beta) in data:
-            if k0 + beta.degree > _degree_cap:
-                raise DegreeCapError(
-                    f"total degree {k0 + beta.degree} exceeds cap {_degree_cap}")
+            if k0 + beta.degree > cap:
+                raise DegreeCapError(f"total degree {k0 + beta.degree} exceeds cap {cap}")
         out = cls.__new__(cls)
         out.n = n
         out._terms = {k: v for k, v in data.items() if v}
@@ -259,26 +279,26 @@ class CliffordPolynomial:
 
     def dirac(self) -> "CliffordPolynomial":
         """D f = sum_j e_j * d_j f, with e_j acting on the left of coefficients."""
-        out = CliffordPolynomial.zero(self.n)
-        for j in range(1, self.n + 1):
-            df = self.partial(j)
-            e_j = CliffordNumber.basis(self.n, j)
-            out = out + CliffordPolynomial._raw(
-                self.n, {k: e_j * v for k, v in df._terms.items()})
-        return out
+        den, data = _numerators(self)
+        out: _Numerators = {}
+        _dirac_into(out, data)
+        return _from_numerators(self.n, out, den)
 
     def laplacian(self) -> "CliffordPolynomial":
         """Laplacian over x1..xn only; x0 is excluded."""
-        out = CliffordPolynomial.zero(self.n)
-        for j in range(1, self.n + 1):
-            out = out + self.partial(j).partial(j)
-        return out
+        den, data = _numerators(self)
+        out: _Numerators = {}
+        _laplacian_into(out, data)
+        return _from_numerators(self.n, out, den)
 
     def cauchy_riemann(self) -> "CliffordPolynomial":
-        return self.partial(0) + self.dirac()
+        den, data = _numerators(self)
+        return _from_numerators(self.n, _cauchy_riemann(data), den)
 
     def is_monogenic(self) -> bool:
-        return self.cauchy_riemann().is_zero()
+        _, data = _numerators(self)
+        return not any(re or im for blades in _cauchy_riemann(data).values()
+                       for re, im in blades.values())
 
     def restrict(self) -> "CliffordPolynomial":
         """Substitute x0 = 0."""
@@ -298,3 +318,104 @@ class CliffordPolynomial:
                 scale *= x ** b
             total = total + coeff * scale
         return total
+
+
+# -- integer-numerator kernel ------------------------------------------------
+#
+# Numerators: {(k0, beta): {blade mask: (re, im)}} with integer re, im over
+# a denominator carried next to the map.  Accumulators may hold zero pairs
+# and empty blade maps until `_pruned` or `_from_numerators` drops them.
+
+_Numerators = dict[tuple[int, tuple[int, ...]], dict[int, tuple[int, int]]]
+
+
+def _numerators(f: CliffordPolynomial) -> tuple[int, _Numerators]:
+    """(den, numerators of f) with den the lcm of every part denominator."""
+    parts = [v for coeff in f._terms.values() for v in coeff._coeffs.values()]
+    den = math.lcm(*{v.re.denominator for v in parts}, *{v.im.denominator for v in parts})
+    data = {}
+    for key, coeff in f._terms.items():
+        data[key] = {m: (v.re.numerator * (den // v.re.denominator),
+                         v.im.numerator * (den // v.im.denominator))
+                     for m, v in coeff._coeffs.items()}
+    return den, data
+
+
+def _add_scaled(acc: dict[int, tuple[int, int]], blades: dict[int, tuple[int, int]],
+                c: int) -> None:
+    """acc += c * blades."""
+    for mask, (re, im) in blades.items():
+        prev = acc.get(mask)
+        if prev is None:
+            acc[mask] = (c * re, c * im)
+        else:
+            acc[mask] = (prev[0] + c * re, prev[1] + c * im)
+
+
+def _dirac_into(out: _Numerators, data: _Numerators) -> None:
+    """out += sum_j e_j d_j data, e_j applied as a signed blade permutation."""
+    for (k0, beta), blades in data.items():
+        for j, b in enumerate(beta):
+            if not b:
+                continue
+            key = (k0, beta[:j] + (b - 1,) + beta[j + 1:])
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = {}
+            bit = 1 << j
+            low = (bit << 1) - 1
+            for mask, (re, im) in blades.items():
+                c = -b if (mask & low).bit_count() & 1 else b
+                target = mask ^ bit
+                prev = acc.get(target)
+                if prev is None:
+                    acc[target] = (c * re, c * im)
+                else:
+                    acc[target] = (prev[0] + c * re, prev[1] + c * im)
+
+
+def _laplacian_into(out: _Numerators, data: _Numerators) -> None:
+    """out += sum_j d_j^2 data."""
+    for (k0, beta), blades in data.items():
+        for j, b in enumerate(beta):
+            if b < 2:
+                continue
+            key = (k0, beta[:j] + (b - 2,) + beta[j + 1:])
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = {}
+            _add_scaled(acc, blades, b * (b - 1))
+
+
+def _cauchy_riemann(data: _Numerators) -> _Numerators:
+    """d0 data + D data, unpruned."""
+    out: _Numerators = {}
+    for (k0, beta), blades in data.items():
+        if k0:
+            _add_scaled(out.setdefault((k0 - 1, beta), {}), blades, k0)
+    _dirac_into(out, data)
+    return out
+
+
+def _pruned(data: _Numerators) -> _Numerators:
+    """Drop zero pairs, then keys left without a blade."""
+    out = {}
+    for key, blades in data.items():
+        kept = {m: v for m, v in blades.items() if v[0] or v[1]}
+        if kept:
+            out[key] = kept
+    return out
+
+
+def _from_numerators(n: int, data: _Numerators, den: int) -> CliffordPolynomial:
+    """The polynomial data / den: one Fraction per nonzero part, and the
+    degree cap checked by `_raw`."""
+    terms: dict[TermKey, CliffordNumber] = {}
+    for (k0, beta), blades in data.items():
+        coeffs = {m: _gaussian(Fraction(re, den) if re else _ZERO,
+                               Fraction(im, den) if im else _ZERO)
+                  for m, (re, im) in blades.items() if re or im}
+        if coeffs:
+            # entries come from a valid MultiIndex, so skip re-validation
+            terms[(k0, tuple.__new__(MultiIndex, beta))] = CliffordNumber._from_nonzero(n, coeffs)
+    return CliffordPolynomial._raw(n, terms)

@@ -7,6 +7,14 @@ the result to the unique monogenic polynomial on R^{n+1} restricting to
 it.  Both factors are finite sums on polynomials (the Laplacian and the
 Dirac operator are nilpotent there), so everything is exact.
 
+Both series run on the integer numerators of `poly`: the input is put
+over one denominator den, the chain Lap^k f (or D^k f) is derived on
+integers, and each output part becomes a `Fraction` once.  With K the
+last k whose term is nonzero, the heat series is summed over
+den * 2^K * K!, term k weighted by (+-1)^k 2^(K-k) K!/k!; the C-K
+series is written over den * K!, term k weighted by (-1)^k K!/k! and
+placed at x0-power k (the input is x0-free, so no two terms meet).
+
 Probabilists' Hermite polynomials are the preimages of the monomials
 under the heat operator; their monogenic images are the basis
 P_beta = ck_extend(x^beta).  For n = 1 that basis is orthogonal with
@@ -18,14 +26,35 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
-from .clifford import CliffordNumber, DimensionMismatchError
-from .poly import CliffordPolynomial, MultiIndex
+from .clifford import CliffordNumber, DimensionMismatchError, _check_dimension
+from .poly import (
+    CliffordPolynomial,
+    MultiIndex,
+    _Numerators,
+    _add_scaled,
+    _dirac_into,
+    _from_numerators,
+    _laplacian_into,
+    _numerators,
+    _pruned,
+)
 
 
 class NotMonogenicError(ValueError):
     """Input must satisfy the generalized Cauchy-Riemann equation."""
+
+
+def _chain(data: _Numerators, step: Callable[[_Numerators, _Numerators], None]) -> list[_Numerators]:
+    """[data, step(data), step(step(data)), ...] up to the last nonzero term."""
+    chain = []
+    while data:
+        chain.append(data)
+        nxt: _Numerators = {}
+        step(nxt, data)
+        data = _pruned(nxt)
+    return chain
 
 
 def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
@@ -36,15 +65,17 @@ def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     """
     if not f.is_x0_free():
         raise ValueError("heat operator acts on x0-free polynomials")
-    total = CliffordPolynomial.zero(f.n)
-    term = f
-    k = 0
-    while term:
-        sign = (-1) ** k if inverse else 1
-        total = total + term * Fraction(sign, 2 ** k * factorial(k))
-        term = term.laplacian()
-        k += 1
-    return total
+    den, data = _numerators(f)
+    chain = _chain(data, _laplacian_into)
+    top = max(len(chain) - 1, 0)
+    total: _Numerators = {}
+    for k, term in enumerate(chain):
+        weight = 2 ** (top - k) * (factorial(top) // factorial(k))
+        if inverse and k & 1:
+            weight = -weight
+        for key, blades in term.items():
+            _add_scaled(total.setdefault(key, {}), blades, weight)
+    return _from_numerators(f.n, total, den * 2 ** top * factorial(top))
 
 
 def hermite(n: int, beta: Sequence[int]) -> CliffordPolynomial:
@@ -65,16 +96,17 @@ def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
     restricting to f at x0 = 0, via sum_k (-x0)^k D^k f / k!."""
     if not f.is_x0_free():
         raise ValueError("C-K extension starts from an x0-free polynomial")
-    n = f.n
-    total = CliffordPolynomial.zero(n)
-    term = f
-    k = 0
-    while term:
-        x0k = CliffordPolynomial.monomial(n, k, (0,) * n)
-        total = total + x0k * term * Fraction((-1) ** k, factorial(k))
-        term = term.dirac()
-        k += 1
-    return total
+    den, data = _numerators(f)
+    chain = _chain(data, _dirac_into)
+    top = max(len(chain) - 1, 0)
+    total: _Numerators = {}
+    for k, term in enumerate(chain):
+        weight = factorial(top) // factorial(k)
+        if k & 1:
+            weight = -weight
+        for (_, beta), blades in term.items():
+            _add_scaled(total.setdefault((k, beta), {}), blades, weight)
+    return _from_numerators(f.n, total, den * factorial(top))
 
 
 def restrict(F: CliffordPolynomial) -> CliffordPolynomial:
@@ -97,8 +129,7 @@ class HermiteExpansion:
     __slots__ = ("n", "_coeffs")
 
     def __init__(self, n: int, coeffs: Mapping[Sequence[int], CliffordNumber] | None = None):
-        if n < 1:
-            raise ValueError("ambient dimension must be at least 1")
+        _check_dimension(n)
         self.n = n
         data: dict[MultiIndex, CliffordNumber] = {}
         if coeffs:

@@ -3,17 +3,24 @@
 Each oracle deliberately recomputes a quantity by a route the library
 does not use: naive generator-by-generator blade reduction, the
 per-coordinate Hermite recurrence, the 1-D moment recurrence, a direct
-power-expansion evaluator, and Gram tables of the monogenic basis that
-integrate the materialised product conj(P_alpha) * P_beta instead of
-going through `gauss`.  The last route also feeds an exact row
+power-expansion evaluator, the polynomial operators composed from
+`partial` and Clifford products with one `Fraction` per coefficient per
+step (the Dirac operator, the Laplacian, the Cauchy-Riemann operator,
+and the heat and Cauchy-Kowalevski series built on them), and Gram
+tables of the monogenic basis that integrate the materialised product
+conj(P_alpha) * P_beta instead of going through `gauss`.  The last route also feeds an exact row
 reduction that decides whether *any* moment functional on R^{n+1} makes
 the basis orthogonal with squared norms beta!.
 """
 
 from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
 from monogenic import CliffordNumber, CliffordPolynomial, MultiIndex, p_basis
+
+# denominators for seeded test data whose common denominator is a large lcm
+PRIMES_TO_97 = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
 
 
 def naive_blade_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -58,6 +65,54 @@ def hermite_recurrence(n: int, beta: tuple[int, ...]) -> CliffordPolynomial:
             h_prev, h_curr = h_curr, h_next
         result = result * h_curr
     return result
+
+
+def naive_dirac(f: CliffordPolynomial) -> CliffordPolynomial:
+    """sum_j e_j * d_j f, each e_j applied as a constant polynomial on the left."""
+    n = f.n
+    out = CliffordPolynomial.zero(n)
+    for j in range(1, n + 1):
+        out = out + CliffordPolynomial.constant(CliffordNumber.basis(n, j)) * f.partial(j)
+    return out
+
+
+def naive_laplacian(f: CliffordPolynomial) -> CliffordPolynomial:
+    """sum_j d_j d_j f over x1..xn."""
+    out = CliffordPolynomial.zero(f.n)
+    for j in range(1, f.n + 1):
+        out = out + f.partial(j).partial(j)
+    return out
+
+
+def naive_cauchy_riemann(f: CliffordPolynomial) -> CliffordPolynomial:
+    return f.partial(0) + naive_dirac(f)
+
+
+def naive_heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
+    """sum_k (+-1)^k Lap^k f / (2^k k!), one polynomial per term."""
+    total = CliffordPolynomial.zero(f.n)
+    term = f
+    k = 0
+    while term:
+        sign = (-1) ** k if inverse else 1
+        total = total + term * Fraction(sign, 2 ** k * factorial(k))
+        term = naive_laplacian(term)
+        k += 1
+    return total
+
+
+def naive_ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
+    """sum_k (-x0)^k D^k f / k! by polynomial products."""
+    n = f.n
+    total = CliffordPolynomial.zero(n)
+    term = f
+    k = 0
+    while term:
+        x0k = CliffordPolynomial.monomial(n, k, (0,) * n)
+        total = total + x0k * term * Fraction((-1) ** k, factorial(k))
+        term = naive_dirac(term)
+        k += 1
+    return total
 
 
 def moment_recurrence(k: int, variance: Fraction) -> Fraction:

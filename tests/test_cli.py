@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from monogenic import p_basis
+from monogenic import get_degree_cap, p_basis
 from monogenic.cli import main
 from monogenic.serialize import poly_from_json, poly_to_json
 
@@ -103,7 +103,7 @@ def test_non_monogenic_exit_4(capsys, tmp_path):
     assert code == 4
 
 
-def test_bounds_exit_3(capsys):
+def test_bounds_exit_3(capsys, tmp_path):
     code, _, _ = run(capsys, ["verify", "--n", "5"])
     assert code == 3
     code, _, _ = run(capsys, ["verify", "--max-degree", "9"])
@@ -114,19 +114,29 @@ def test_bounds_exit_3(capsys):
         code, out, err = run(capsys, [command, "--n", "17", "--beta", beta17])
         assert code == 3
         assert out == "" and "dimension" in err
+    # and so is the dimension of input files
+    for argv, blob in ((["transform"], {"n": 17, "terms": []}),
+                       (["transform", "--hermite"], {"n": 17, "coeffs": []}),
+                       (["fock-inverse"], {"n": 17, "entries": []})):
+        path = tmp_path / "n17.json"
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, argv + ["--input", str(path)])
+        assert code == 3
+        assert out == "" and "dimension" in err
 
 
 def test_degree_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv("MONOGENIC_MAX_DEGREE", "3")
-    try:
-        code, _, _ = run(capsys, ["hermite", "--n", "1", "--beta", "5"])
-        assert code == 3
-        monkeypatch.setenv("MONOGENIC_MAX_DEGREE", "junk")
-        code, _, _ = run(capsys, ["hermite", "--n", "1", "--beta", "2"])
-        assert code == 2
-    finally:
-        from monogenic import set_degree_cap
-        set_degree_cap(12)
+    code, _, _ = run(capsys, ["hermite", "--n", "1", "--beta", "5"])
+    assert code == 3
+    # the variable sets the cap for one main call, not for the process
+    monkeypatch.setenv("MONOGENIC_MAX_DEGREE", "20")
+    code, _, _ = run(capsys, ["hermite", "--n", "1", "--beta", "15"])
+    assert code == 0
+    assert get_degree_cap() == 12
+    monkeypatch.setenv("MONOGENIC_MAX_DEGREE", "junk")
+    code, _, _ = run(capsys, ["hermite", "--n", "1", "--beta", "2"])
+    assert code == 2
 
 
 def test_verify_n1_passes_and_is_deterministic(capsys):
@@ -164,6 +174,26 @@ def test_verify_round_trip_regression_visible_at_n2(capsys, monkeypatch):
     check = checks["segal-bargmann isometry and round trip"]
     assert check["status"] == "fail"
     assert "round trip failed" in check["witness"]
+
+
+def test_verify_checks_every_round_trip_at_n2(capsys, monkeypatch):
+    # seed 4 fails the isometry at trial 0; the round trip of all ten
+    # trials is still checked, and the isometry witness is still reported
+    import monogenic.verify as verify_module
+    calls = []
+    original = verify_module.sb_inverse
+
+    def counting(F):
+        calls.append(F)
+        return original(F)
+
+    monkeypatch.setattr(verify_module, "sb_inverse", counting)
+    code, out, _ = run(capsys, ["verify", "--n", "2", "--seed", "4", "--trials", "10"])
+    assert code == 1
+    assert len(calls) == 10
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    witness = checks["segal-bargmann isometry and round trip"]["witness"]
+    assert witness.startswith("trial 0: ") and "round trip" not in witness
 
 
 def test_verify_n2_reports_broken_orthogonality(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from monogenic import CliffordNumber, DimensionMismatchError, GaussianRational, blade_product
 from monogenic.clifford import BoundsError, I, indices_from_mask
 
-from oracles import naive_blade_product
+from oracles import PRIMES_TO_97, naive_blade_product
 
 
 def blades_st(n):
@@ -200,9 +200,6 @@ def test_dimension_bound():
 
 
 # -- dense products against a per-pair oracle --------------------------------
-
-PRIMES_TO_97 = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
-
 
 def _dense(rng, n, blades, complex_parts=True):
     """Seeded multivector whose part denominators are primes up to 97, so

@@ -1,5 +1,6 @@
 """Polynomial ring and calculus: partials, Dirac, Laplacian, monogenicity."""
 
+import threading
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,32 @@ def test_degree_cap_enforced():
             f * var(n, 1)  # product would have degree 14
     finally:
         set_degree_cap(12)
+
+
+def test_degree_cap_is_per_thread():
+    seen = []
+
+    def set_and_read():
+        set_degree_cap(3)
+        seen.append(get_degree_cap())
+
+    def read():
+        seen.append(get_degree_cap())
+
+    thread = threading.Thread(target=set_and_read)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert get_degree_cap() == 12
+    set_degree_cap(20)
+    try:
+        thread = threading.Thread(target=read)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    finally:
+        set_degree_cap(12)
+    assert seen == [3, 12]
 
 
 def test_zero_degree_convention():
