@@ -318,8 +318,9 @@ class CliffordNumber:
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], GaussianRational]]:
         """Canonically ordered (indices, coefficient) pairs: by grade, then lex."""
-        for mask in sorted(self._coeffs, key=lambda m: (m.bit_count(), indices_from_mask(m))):
-            yield indices_from_mask(mask), self._coeffs[mask]
+        items = [(indices_from_mask(m), v) for m, v in self._coeffs.items()]
+        items.sort(key=lambda item: (len(item[0]), item[0]))
+        yield from items
 
     def coefficient(self, indices: Iterable[int]) -> GaussianRational:
         return self._coeffs.get(mask_from_indices(indices, self.n), GaussianRational())

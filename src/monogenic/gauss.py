@@ -7,9 +7,7 @@ Two probability measures appear:
   variance 1/2.
 
 Integration is purely symbolic: a monomial integrates to the product of
-its 1-D moments, so a polynomial pairing is a finite exact sum.  An
-optional floating-point mode evaluates the same sums in doubles for
-large-degree smoke tests.
+its 1-D moments, so a polynomial pairing is a finite exact sum.
 """
 
 from __future__ import annotations
@@ -103,23 +101,3 @@ def inner_mu(f: CliffordPolynomial, g: CliffordPolynomial) -> GaussianRational:
     """<F, G> over R^{n+1}: scalar part of the MU_TILDE pairing."""
     return clifford_pairing(f, g, Measure.MU_TILDE).scalar_part()
 
-
-def inner_float(f: CliffordPolynomial, g: CliffordPolynomial,
-                measure: Measure) -> complex:
-    """Floating-point evaluation of the same inner-product sum.
-
-    Smoke-test path only; the exact route is the result of record.
-    """
-    _check_args(f, g, measure)
-    total = 0.0 + 0.0j
-    fconj = f.hermitian_conj()
-    for k0a, ba, ca in fconj.terms():
-        for k0b, bb, cb in g.terms():
-            k0 = k0a + k0b
-            if k0 % 2:
-                continue
-            combined = tuple(x + y for x, y in zip(ba, bb))
-            if any(b % 2 for b in combined):
-                continue
-            total += complex((ca * cb).scalar_part()) * float(moment(measure, k0, combined))
-    return total

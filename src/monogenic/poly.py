@@ -81,6 +81,51 @@ class MultiIndex(tuple):
         return math.prod(math.factorial(b) for b in self)
 
 
+class _MultiIndexMap:
+    """Finite sparse map beta -> CliffordNumber over C_n, zeros pruned.
+
+    The container shared by Hermite expansions and Fock elements; each
+    subclass sets `_noun` = (member, kind) for its dimension errors.
+    """
+
+    __slots__ = ("n", "_data")
+    _noun: tuple[str, str]
+
+    def __init__(self, n: int, data: Mapping[Sequence[int], CliffordNumber] | None = None):
+        _check_dimension(n)
+        self.n = n
+        out: dict[MultiIndex, CliffordNumber] = {}
+        if data:
+            for beta, value in data.items():
+                beta = MultiIndex(beta)
+                if len(beta) != n:
+                    raise ValueError(f"multi-index length {len(beta)} != dimension {n}")
+                if value.n != n:
+                    member, kind = self._noun
+                    raise DimensionMismatchError(f"C_{value.n} {member} in C_{n} {kind}")
+                if beta in out:
+                    raise ValueError(f"duplicate multi-index {tuple(beta)}")
+                if value:
+                    out[beta] = value
+        self._data = out
+
+    def _items(self) -> Iterator[tuple[MultiIndex, CliffordNumber]]:
+        """(beta, value) pairs sorted by (degree, beta)."""
+        for beta in sorted(self._data, key=lambda b: (b.degree, b)):
+            yield beta, self._data[beta]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self._data == other._data
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{tuple(b)}: {v!r}" for b, v in self._items())
+        return f"{type(self).__name__}(n={self.n}, {{{inner}}})"
+
+
 def _add_indices(a: Sequence[int], b: Sequence[int]) -> MultiIndex:
     return MultiIndex(tuple(x + y for x, y in zip(a, b)))
 

@@ -14,7 +14,7 @@ from typing import Any
 
 from .clifford import CliffordNumber, GaussianRational
 from .fock import FockElement
-from .poly import CliffordPolynomial, MultiIndex
+from .poly import CliffordPolynomial, MultiIndex, _MultiIndexMap
 from .transform import HermiteExpansion
 
 
@@ -120,56 +120,54 @@ def poly_from_json(data: Any) -> CliffordPolynomial:
     return CliffordPolynomial(n, terms)
 
 
-# -- HermiteExpansion -------------------------------------------------------
+# -- HermiteExpansion and FockElement ---------------------------------------
 
-def expansion_to_json(f: HermiteExpansion) -> dict:
+# field name -> (class, object noun, entry noun) for the {"n", field} wire shape
+_INDEX_MAPS = {
+    "coeffs": (HermiteExpansion, "expansion", "expansion entry"),
+    "entries": (FockElement, "Fock element", "Fock entry"),
+}
+
+
+def _index_map_to_json(container: _MultiIndexMap, field: str) -> dict:
     return {
-        "n": f.n,
-        "coeffs": [
+        "n": container.n,
+        field: [
             {"beta": list(beta), "value": clifford_to_json(value)}
-            for beta, value in f.coefficients()
+            for beta, value in container._items()
         ],
     }
 
 
-def expansion_from_json(data: Any) -> HermiteExpansion:
+def _index_map_from_json(data: Any, field: str) -> _MultiIndexMap:
+    cls, noun, entry_noun = _INDEX_MAPS[field]
     n = _parse_dimension(data)
-    _require(set(data) == {"n", "coeffs"} and isinstance(data["coeffs"], list),
-             "expansion must have exactly the fields n and coeffs")
-    coeffs: dict[MultiIndex, CliffordNumber] = {}
-    for item in data["coeffs"]:
-        _require(isinstance(item, dict) and set(item) == {"beta", "value"},
-                 f"expansion entry must have keys beta/value, got {item!r}")
-        beta = _parse_beta(item["beta"], n)
-        _require(beta not in coeffs, f"duplicate multi-index {tuple(beta)}")
-        coeffs[beta] = clifford_from_json(item["value"], n)
-    return HermiteExpansion(n, coeffs)
-
-
-# -- FockElement ------------------------------------------------------------
-
-def fock_to_json(alpha: FockElement) -> dict:
-    return {
-        "n": alpha.n,
-        "entries": [
-            {"beta": list(beta), "value": clifford_to_json(value)}
-            for beta, value in alpha.entries()
-        ],
-    }
-
-
-def fock_from_json(data: Any) -> FockElement:
-    n = _parse_dimension(data)
-    _require(set(data) == {"n", "entries"} and isinstance(data["entries"], list),
-             "Fock element must have exactly the fields n and entries")
+    _require(set(data) == {"n", field} and isinstance(data[field], list),
+             f"{noun} must have exactly the fields n and {field}")
     entries: dict[MultiIndex, CliffordNumber] = {}
-    for item in data["entries"]:
+    for item in data[field]:
         _require(isinstance(item, dict) and set(item) == {"beta", "value"},
-                 f"Fock entry must have keys beta/value, got {item!r}")
+                 f"{entry_noun} must have keys beta/value, got {item!r}")
         beta = _parse_beta(item["beta"], n)
         _require(beta not in entries, f"duplicate multi-index {tuple(beta)}")
         entries[beta] = clifford_from_json(item["value"], n)
-    return FockElement(n, entries)
+    return cls(n, entries)
+
+
+def expansion_to_json(f: HermiteExpansion) -> dict:
+    return _index_map_to_json(f, "coeffs")
+
+
+def expansion_from_json(data: Any) -> HermiteExpansion:
+    return _index_map_from_json(data, "coeffs")
+
+
+def fock_to_json(alpha: FockElement) -> dict:
+    return _index_map_to_json(alpha, "entries")
+
+
+def fock_from_json(data: Any) -> FockElement:
+    return _index_map_from_json(data, "entries")
 
 
 # -- plain text -------------------------------------------------------------
@@ -193,24 +191,22 @@ def clifford_to_text(value: CliffordNumber) -> str:
     return " + ".join(parts)
 
 
-def poly_to_text(f: CliffordPolynomial) -> str:
-    """Aligned term table: one row per monomial."""
-    rows = [("x0", "beta", "coeff")]
-    for k0, beta, coeff in f.terms():
-        rows.append((str(k0), ",".join(map(str, beta)), clifford_to_text(coeff)))
+def _table(rows: list[tuple[str, ...]]) -> str:
+    """Left-aligned columns under a header row; no body reads as zero."""
     if len(rows) == 1:
-        rows.append(("-", "-", "0"))
-    widths = [max(len(r[c]) for r in rows) for c in range(3)]
+        rows.append(("-",) * (len(rows[0]) - 1) + ("0",))
+    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                      for row in rows)
+
+
+def poly_to_text(f: CliffordPolynomial) -> str:
+    """Aligned term table: one row per monomial."""
+    return _table([("x0", "beta", "coeff")] + [
+        (str(k0), ",".join(map(str, beta)), clifford_to_text(coeff))
+        for k0, beta, coeff in f.terms()])
 
 
 def fock_to_text(alpha: FockElement) -> str:
-    rows = [("beta", "value")]
-    for beta, value in alpha.entries():
-        rows.append((",".join(map(str, beta)), clifford_to_text(value)))
-    if len(rows) == 1:
-        rows.append(("-", "0"))
-    widths = [max(len(r[c]) for r in rows) for c in range(2)]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-                     for row in rows)
+    return _table([("beta", "value")] + [
+        (",".join(map(str, beta)), clifford_to_text(value)) for beta, value in alpha.entries()])

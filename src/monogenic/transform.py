@@ -20,18 +20,23 @@ under the heat operator; their monogenic images are the basis
 P_beta = ck_extend(x^beta).  For n = 1 that basis is orthogonal with
 squared norms beta!; for n >= 2 it is not, under any measure (see the
 README section "Status of the isometry identities").
+
+A Hermite expansion sum_beta H_beta w_beta is the sparse beta -> C_n map
+of `poly` that Fock elements share.  Its heat image is the polynomial
+sum_beta x^beta w_beta, read off without a series: `sb_transform` only
+C-K extends it, and `to_polynomial` applies the inverse heat once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Sequence, Union
 
-from .clifford import CliffordNumber, DimensionMismatchError, _check_dimension
 from .poly import (
     CliffordPolynomial,
     MultiIndex,
+    _MultiIndexMap,
     _Numerators,
     _add_scaled,
     _dirac_into,
@@ -122,38 +127,17 @@ def p_basis(n: int, beta: Sequence[int]) -> CliffordPolynomial:
     return ck_extend(CliffordPolynomial.monomial(n, 0, beta))
 
 
-class HermiteExpansion:
+class HermiteExpansion(_MultiIndexMap):
     """Finite expansion f = sum_beta H_beta * w_beta with right
     Clifford coefficients w_beta."""
 
-    __slots__ = ("n", "_coeffs")
+    __slots__ = ()
+    _noun = ("coefficient", "expansion")
 
-    def __init__(self, n: int, coeffs: Mapping[Sequence[int], CliffordNumber] | None = None):
-        _check_dimension(n)
-        self.n = n
-        data: dict[MultiIndex, CliffordNumber] = {}
-        if coeffs:
-            for beta, value in coeffs.items():
-                beta = MultiIndex(beta)
-                if len(beta) != n:
-                    raise ValueError(f"multi-index length {len(beta)} != dimension {n}")
-                if value.n != n:
-                    raise DimensionMismatchError(f"C_{value.n} coefficient in C_{n} expansion")
-                if beta in data:
-                    raise ValueError(f"duplicate multi-index {tuple(beta)}")
-                if value:
-                    data[beta] = value
-        self._coeffs = data
-
-    def coefficients(self) -> Iterator[tuple[MultiIndex, CliffordNumber]]:
-        for beta in sorted(self._coeffs, key=lambda b: (b.degree, b)):
-            yield beta, self._coeffs[beta]
+    coefficients = _MultiIndexMap._items
 
     def to_polynomial(self) -> CliffordPolynomial:
-        total = CliffordPolynomial.zero(self.n)
-        for beta, value in self._coeffs.items():
-            total = total + hermite(self.n, beta) * value
-        return total
+        return heat(_heat_image(self), inverse=True)
 
     @classmethod
     def from_polynomial(cls, f: CliffordPolynomial) -> "HermiteExpansion":
@@ -168,31 +152,25 @@ class HermiteExpansion:
     def norm_sq(self) -> Fraction:
         """sum_beta beta! * |w_beta|^2, the Gaussian squared norm."""
         total = Fraction(0)
-        for beta, value in self._coeffs.items():
+        for beta, value in self._data.items():
             total += beta.factorial * value.norm_sq()
         return total
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HermiteExpansion):
-            return NotImplemented
-        return self.n == other.n and self._coeffs == other._coeffs
 
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{tuple(b)}: {v!r}" for b, v in self.coefficients())
-        return f"HermiteExpansion(n={self.n}, {{{inner}}})"
+def _heat_image(f: HermiteExpansion) -> CliffordPolynomial:
+    """heat(f) = sum_beta x^beta * w_beta, read off the coefficients."""
+    return CliffordPolynomial(f.n, {(0, beta): value for beta, value in f._data.items()})
 
 
 def sb_transform(f: Union[HermiteExpansion, CliffordPolynomial]) -> CliffordPolynomial:
-    """The Segal-Bargmann transform in factorized form.
+    """The Segal-Bargmann transform in factorized form, ck_extend(heat(f)).
 
-    Accepts either an x0-free polynomial or a Hermite expansion; in
-    either case the result is ck_extend(heat(f)), which sends each
-    H_beta * w to the monogenic basis element times w.
+    A Hermite expansion needs no heat series: heat(H_beta) = x^beta, so
+    it is extended straight from sum_beta x^beta * w_beta, which sends
+    each H_beta * w to the monogenic basis element times w.
     """
     if isinstance(f, HermiteExpansion):
-        f = f.to_polynomial()
+        return ck_extend(_heat_image(f))
     return ck_extend(heat(f))
 
 

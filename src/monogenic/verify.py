@@ -3,7 +3,9 @@
 Random inputs come from Python's `random.Random` (Mersenne Twister)
 seeded explicitly, with numerators and denominators drawn from [-4, 4],
 so a report is a pure function of (seed, parameters).  Checks run in a
-fixed order and every failure carries a witness.
+fixed order and every failure carries a witness.  A check draws the
+inputs of all its trials before it checks any, so the random stream the
+next check reads does not depend on where an earlier check failed.
 """
 
 from __future__ import annotations
@@ -75,24 +77,23 @@ def rand_poly(rng: random.Random, n: int, max_degree: int,
     return total
 
 
-def rand_hermite_expansion(rng: random.Random, n: int, max_degree: int,
-                           max_terms: int = 3) -> HermiteExpansion:
-    coeffs: dict[MultiIndex, CliffordNumber] = {}
+def _rand_index_map(cls, rng: random.Random, n: int, max_degree: int, max_terms: int):
+    data: dict[MultiIndex, CliffordNumber] = {}
     for _ in range(rng.randint(1, max_terms)):
         beta = rand_multi_index(rng, n, max_degree)
         value = rand_clifford(rng, n)
-        coeffs[beta] = coeffs[beta] + value if beta in coeffs else value
-    return HermiteExpansion(n, {b: v for b, v in coeffs.items()})
+        data[beta] = data[beta] + value if beta in data else value
+    return cls(n, data)
+
+
+def rand_hermite_expansion(rng: random.Random, n: int, max_degree: int,
+                           max_terms: int = 3) -> HermiteExpansion:
+    return _rand_index_map(HermiteExpansion, rng, n, max_degree, max_terms)
 
 
 def rand_fock_element(rng: random.Random, n: int, max_degree: int,
                       max_terms: int = 3) -> FockElement:
-    entries: dict[MultiIndex, CliffordNumber] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        beta = rand_multi_index(rng, n, max_degree)
-        value = rand_clifford(rng, n)
-        entries[beta] = entries[beta] + value if beta in entries else value
-    return FockElement(n, {b: v for b, v in entries.items()})
+    return _rand_index_map(FockElement, rng, n, max_degree, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +174,7 @@ def _check_algebra_relations(n: int) -> CheckResult:
 def _check_dirac_squared(rng: random.Random, n: int, max_degree: int,
                          trials: int) -> CheckResult:
     name = "dirac squared equals minus laplacian"
-    for t in range(trials):
-        f = rand_poly(rng, n, max_degree)
+    for t, f in enumerate([rand_poly(rng, n, max_degree) for _ in range(trials)]):
         if f.dirac().dirac() != -f.laplacian():
             return CheckResult(name, False, f"trial {t}: f = {f!r}")
     return CheckResult(name, True)
@@ -183,8 +183,7 @@ def _check_dirac_squared(rng: random.Random, n: int, max_degree: int,
 def _check_ck_extension(rng: random.Random, n: int, max_degree: int,
                         trials: int) -> CheckResult:
     name = "cauchy-kowalevski extension is monogenic and restricts back"
-    for t in range(trials):
-        f = rand_poly(rng, n, max_degree)
+    for t, f in enumerate([rand_poly(rng, n, max_degree) for _ in range(trials)]):
         F = ck_extend(f)
         if not F.is_monogenic():
             return CheckResult(name, False, f"trial {t}: extension of {f!r} not monogenic")
@@ -230,9 +229,9 @@ def _check_sb_isometry(rng: random.Random, n: int, max_degree: int,
     name = "segal-bargmann isometry and round trip"
     deg = min(max_degree, 4)
     isometry_failure = None
-    for t in range(trials):
-        f = rand_hermite_expansion(rng, n, deg)
-        h = rand_hermite_expansion(rng, n, deg)
+    pairs = [(rand_hermite_expansion(rng, n, deg), rand_hermite_expansion(rng, n, deg))
+             for _ in range(trials)]
+    for t, (f, h) in enumerate(pairs):
         Ff = sb_transform(f)
         # the round trip holds for every n, so it is checked on every trial;
         # the isometry holds only for n = 1, and its first failure is kept
@@ -250,8 +249,8 @@ def _check_taylor_isometry(rng: random.Random, n: int, max_degree: int,
                            trials: int) -> CheckResult:
     name = "taylor map isometry"
     deg = min(max_degree, 4)
-    for t in range(trials):
-        F = sb_transform(rand_hermite_expansion(rng, n, deg))
+    for t, f in enumerate([rand_hermite_expansion(rng, n, deg) for _ in range(trials)]):
+        F = sb_transform(f)
         if fock_norm_sq(taylor_map(F)) != inner_mu(F, F).re:
             return CheckResult(name, False, f"trial {t}: F = {F!r}")
     return CheckResult(name, True)
@@ -260,11 +259,12 @@ def _check_taylor_isometry(rng: random.Random, n: int, max_degree: int,
 def _check_round_trips(rng: random.Random, n: int, max_degree: int,
                        trials: int) -> CheckResult:
     name = "taylor map round trips in both directions"
-    for t in range(trials):
-        alpha = rand_fock_element(rng, n, max_degree)
+    draws = [(rand_fock_element(rng, n, max_degree), rand_poly(rng, n, max_degree))
+             for _ in range(trials)]
+    for t, (alpha, f) in enumerate(draws):
         if taylor_map(fock_to_monogenic(alpha)) != alpha:
             return CheckResult(name, False, f"trial {t}: alpha = {alpha!r}")
-        F = ck_extend(rand_poly(rng, n, max_degree))
+        F = ck_extend(f)
         if fock_to_monogenic(taylor_map(F)) != F:
             return CheckResult(name, False, f"trial {t}: F = {F!r}")
     return CheckResult(name, True)
@@ -274,8 +274,7 @@ def _check_triad(rng: random.Random, n: int, max_degree: int,
                  trials: int) -> CheckResult:
     name = "triad closure: fock norm of transformed input matches source norm"
     deg = min(max_degree, 4)
-    for t in range(trials):
-        f = rand_hermite_expansion(rng, n, deg)
+    for t, f in enumerate([rand_hermite_expansion(rng, n, deg) for _ in range(trials)]):
         lhs = fock_norm_sq(taylor_map(sb_transform(f)))
         rhs = inner_rho(f.to_polynomial(), f.to_polynomial()).re
         if lhs != rhs:

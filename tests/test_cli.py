@@ -1,8 +1,13 @@
 """CLI surface: subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monogenic import get_degree_cap, p_basis
 from monogenic.cli import main
@@ -208,3 +213,125 @@ def test_verify_n2_reports_broken_orthogonality(capsys):
     for c in report["checks"]:
         if c["status"] == "fail":
             assert c["witness"]
+
+
+def test_verify_draws_do_not_depend_on_earlier_failures(monkeypatch):
+    # A broken Fock norm fails the taylor check at trial 0; the round-trip
+    # check after it must still be fed the same random Fock elements.
+    import monogenic.verify as verify_module
+    from monogenic.serialize import fock_to_json
+    original_draw, original_norm = verify_module.rand_fock_element, verify_module.fock_norm_sq
+
+    def drawn_elements():
+        drawn = []
+
+        def recording(*args, **kwargs):
+            alpha = original_draw(*args, **kwargs)
+            drawn.append(fock_to_json(alpha))
+            return alpha
+
+        monkeypatch.setattr(verify_module, "rand_fock_element", recording)
+        report = verify_module.run_verification(n=1, max_degree=4, trials=10, seed=0)
+        return drawn, {c.name: c for c in report.checks}
+
+    clean, clean_checks = drawn_elements()
+    assert all(c.passed for c in clean_checks.values())
+    monkeypatch.setattr(verify_module, "fock_norm_sq", lambda alpha: original_norm(alpha) + 1)
+    broken, broken_checks = drawn_elements()
+    assert broken_checks["taylor map isometry"].detail.startswith("trial 0: ")
+    assert len(clean) == 10
+    assert broken == clean
+
+
+# -- fuzz: arbitrary and near-valid JSON through every input-reading command --
+
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.floats(allow_nan=False)
+    | st.sampled_from(["1", "-1/2", "2/4", "1/0", "01", "-0", "x", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["n", "terms", "coeffs", "entries", "x0", "beta", "coeff", "value",
+                         "blade", "re", "im", "extra"]), inner, max_size=4),
+    max_leaves=8)
+
+
+@st.composite
+def _document(draw, n, field):
+    """A valid wire object in C_n of degree <= 11, under the default cap 12."""
+    def rational():
+        return str(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4))))
+
+    items = []
+    for _ in range(draw(st.integers(0, 3))):
+        blades = draw(st.sets(st.frozensets(st.integers(1, n)), max_size=3))
+        item = {"beta": draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                "value": [{"blade": sorted(b), "re": rational(), "im": rational()}
+                          for b in blades]}
+        if field == "terms":
+            item = {"x0": draw(st.sampled_from([0, 0, 0, 1, 2])), "beta": item["beta"],
+                    "coeff": item["value"]}
+        items.append(item)
+    return {"n": n, field: items}
+
+
+def _nodes(doc):
+    """(container, key) of every value below the root."""
+    keys = doc.keys() if isinstance(doc, dict) else range(len(doc))
+    for key in keys:
+        yield doc, key
+        if isinstance(doc[key], (dict, list)):
+            yield from _nodes(doc[key])
+
+
+_COMMANDS = [(["ck"], "terms"), (["transform"], "terms"), (["transform", "--hermite"], "coeffs"),
+             (["inverse"], "terms"), (["taylor"], "terms"), (["fock-inverse"], "entries"),
+             (["inner", "--measure", "rho"], "terms"), (["inner", "--measure", "mu"], "terms")]
+
+
+@st.composite
+def _requests(draw):
+    """argv and input texts: valid, valid with one node replaced or dropped,
+    arbitrary JSON, or arbitrary text."""
+    argv, field = draw(st.sampled_from(_COMMANDS))
+    texts = []
+    for _ in range(2 if argv[0] == "inner" else 1):
+        kind = draw(st.sampled_from(["valid", "valid", "mutated", "mutated", "junk", "text"]))
+        if kind == "text":
+            texts.append(draw(st.text(max_size=12)))
+            continue
+        doc = draw(_junk) if kind == "junk" else draw(_document(draw(st.integers(1, 3)), field))
+        nodes = list(_nodes(doc)) if isinstance(doc, (dict, list)) else []
+        if kind == "mutated" and nodes:
+            container, key = draw(st.sampled_from(nodes))
+            if isinstance(container, dict) and draw(st.booleans()):
+                del container[key]
+            else:
+                container[key] = draw(_junk)
+        texts.append(json.dumps(doc))
+    return argv, texts
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_requests())
+def test_fuzzed_json_input_maps_to_an_exit_code(fuzz_dir, request):
+    argv, texts = request
+    paths = []
+    for i, text in enumerate(texts):
+        path = fuzz_dir / f"input{i}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    if argv[0] == "inner":
+        argv = argv + ["--lhs", paths[0], "--rhs", paths[1]]
+    else:
+        argv = argv + ["--input", paths[0]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())

@@ -19,7 +19,6 @@ from monogenic import (
     moment,
     p_basis,
 )
-from monogenic.gauss import inner_float
 
 from oracles import moment_recurrence
 
@@ -169,11 +168,3 @@ def test_sesquilinearity_in_scalars(f, g, a, b):
 def test_conjugate_symmetry(f, g):
     assert inner_rho(f, g) == inner_rho(g, f).conjugate()
 
-
-@given(x0_free_poly_st(2), x0_free_poly_st(2))
-@settings(max_examples=30)
-def test_float_mode_tracks_exact_value(f, g):
-    exact = inner_rho(f, g)
-    approx = inner_float(f, g, Measure.RHO)
-    target = complex(Fraction(exact.re)) + 1j * complex(Fraction(exact.im))
-    assert abs(approx - target) <= 1e-12 * max(1.0, abs(target))
