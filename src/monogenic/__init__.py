@@ -7,7 +7,7 @@ from .clifford import (
     blade_product,
 )
 from .fock import FockElement, fock_norm_sq, fock_to_function, fock_to_monogenic, taylor_map
-from .gauss import Measure, clifford_pairing, inner_mu, inner_rho, moment
+from .gauss import Measure, clifford_pairing, gram, inner_mu, inner_rho, moment
 from .poly import CliffordPolynomial, DegreeCapError, MultiIndex, get_degree_cap, set_degree_cap
 from .transform import (
     HermiteExpansion,
@@ -39,6 +39,7 @@ __all__ = [
     "fock_to_function",
     "fock_to_monogenic",
     "get_degree_cap",
+    "gram",
     "heat",
     "hermite",
     "inner_mu",

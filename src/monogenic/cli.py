@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import fock, gauss, serialize, transform, verify
+from . import fock, gauss, serialize, transform
 from .clifford import BoundsError
 from .poly import CliffordPolynomial, DegreeCapError, set_degree_cap
 from .serialize import SchemaError
@@ -181,6 +181,8 @@ def _cmd_inner(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # imported here: only this command needs it, and it is slow to import
+
     report = verify.run_verification(n=args.n, max_degree=args.max_degree,
                                      trials=args.trials, seed=args.seed)
     if args.format == "text":

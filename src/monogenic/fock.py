@@ -39,12 +39,6 @@ class FockElement(_MultiIndexMap):
     def grades(self) -> list[int]:
         return sorted({b.degree for b in self._data})
 
-    def is_zero(self) -> bool:
-        return not self._data
-
-    def __bool__(self) -> bool:
-        return bool(self._data)
-
     def __add__(self, other) -> "FockElement":
         if not isinstance(other, FockElement):
             return NotImplemented

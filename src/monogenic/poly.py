@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .clifford import (
     _ZERO,
@@ -113,6 +113,12 @@ class _MultiIndexMap:
         """(beta, value) pairs sorted by (degree, beta)."""
         for beta in sorted(self._data, key=lambda b: (b.degree, b)):
             yield beta, self._data[beta]
+
+    def is_zero(self) -> bool:
+        return not self._data
+
+    def __bool__(self) -> bool:
+        return bool(self._data)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -374,12 +380,15 @@ class CliffordPolynomial:
 _Numerators = dict[tuple[int, tuple[int, ...]], dict[int, tuple[int, int]]]
 
 
-def _numerators(f: CliffordPolynomial) -> tuple[int, _Numerators]:
-    """(den, numerators of f) with den the lcm of every part denominator."""
-    parts = [v for coeff in f._terms.values() for v in coeff._coeffs.values()]
+def _numerators(f: CliffordPolynomial,
+                keys: Iterable[TermKey] | None = None) -> tuple[int, _Numerators]:
+    """(den, numerators of f) with den the lcm of every part denominator;
+    given `keys`, of those terms of f only."""
+    terms = f._terms if keys is None else {key: f._terms[key] for key in keys}
+    parts = [v for coeff in terms.values() for v in coeff._coeffs.values()]
     den = math.lcm(*{v.re.denominator for v in parts}, *{v.im.denominator for v in parts})
     data = {}
-    for key, coeff in f._terms.items():
+    for key, coeff in terms.items():
         data[key] = {m: (v.re.numerator * (den // v.re.denominator),
                          v.im.numerator * (den // v.im.denominator))
                      for m, v in coeff._coeffs.items()}

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .clifford import BoundsError, CliffordNumber, GaussianRational, indices_from_mask
 from .fock import FockElement, fock_norm_sq, fock_to_monogenic, taylor_map
-from .gauss import Measure, clifford_pairing, inner_mu, inner_rho
+from .gauss import Measure, gram, inner_mu, inner_rho
 from .poly import CliffordPolynomial, MultiIndex
 from .transform import HermiteExpansion, ck_extend, hermite, p_basis, sb_inverse, sb_transform
 
@@ -195,10 +195,10 @@ def _check_ck_extension(rng: random.Random, n: int, max_degree: int,
 def _check_hermite_table(n: int, max_degree: int) -> CheckResult:
     name = "hermite orthogonality table"
     betas = list(multi_indices(n, max_degree))
-    polys = {beta: hermite(n, beta) for beta in betas}
-    for a in betas:
-        for b in betas:
-            value = inner_rho(polys[a], polys[b])
+    polys = [hermite(n, beta) for beta in betas]
+    for a, row in zip(betas, gram(polys, polys, Measure.RHO)):
+        for b, pairing in zip(betas, row):
+            value = pairing.scalar_part()
             expected = GaussianRational(b.factorial if a == b else 0)
             if value != expected:
                 return CheckResult(name, False,
@@ -209,16 +209,15 @@ def _check_hermite_table(n: int, max_degree: int) -> CheckResult:
 def _check_pbasis_table(n: int, max_degree: int) -> CheckResult:
     name = "monogenic basis orthogonality (scalar and full pairing)"
     betas = list(multi_indices(n, max_degree))
-    polys = {beta: p_basis(n, beta) for beta in betas}
-    for a in betas:
-        for b in betas:
-            pairing = clifford_pairing(polys[a], polys[b], Measure.MU_TILDE)
+    polys = [p_basis(n, beta) for beta in betas]
+    for a, f, row in zip(betas, polys, gram(polys, polys, Measure.MU_TILDE)):
+        for b, g, pairing in zip(betas, polys, row):
             expected = (CliffordNumber.scalar(n, b.factorial)
                         if a == b else CliffordNumber.zero(n))
             if pairing != expected:
                 return CheckResult(name, False,
                                    f"pairing(P_{tuple(a)}, P_{tuple(b)}) = {pairing!r}")
-            if pairing.scalar_part() != inner_mu(polys[a], polys[b]):
+            if pairing.scalar_part() != inner_mu(f, g):
                 return CheckResult(name, False,
                                    f"scalar pairing disagrees at ({tuple(a)}, {tuple(b)})")
     return CheckResult(name, True)
@@ -233,13 +232,14 @@ def _check_sb_isometry(rng: random.Random, n: int, max_degree: int,
              for _ in range(trials)]
     for t, (f, h) in enumerate(pairs):
         Ff = sb_transform(f)
+        pf = f.to_polynomial()
         # the round trip holds for every n, so it is checked on every trial;
         # the isometry holds only for n = 1, and its first failure is kept
-        if sb_inverse(Ff) != f.to_polynomial():
+        if sb_inverse(Ff) != pf:
             return CheckResult(name, False, f"trial {t}: round trip failed for {f!r}")
         if isometry_failure is None:
             lhs = inner_mu(Ff, sb_transform(h))
-            rhs = inner_rho(f.to_polynomial(), h.to_polynomial())
+            rhs = inner_rho(pf, h.to_polynomial())
             if lhs != rhs:
                 isometry_failure = CheckResult(name, False, f"trial {t}: {lhs!r} != {rhs!r}")
     return isometry_failure or CheckResult(name, True)
@@ -276,7 +276,8 @@ def _check_triad(rng: random.Random, n: int, max_degree: int,
     deg = min(max_degree, 4)
     for t, f in enumerate([rand_hermite_expansion(rng, n, deg) for _ in range(trials)]):
         lhs = fock_norm_sq(taylor_map(sb_transform(f)))
-        rhs = inner_rho(f.to_polynomial(), f.to_polynomial()).re
+        pf = f.to_polynomial()
+        rhs = inner_rho(pf, pf).re
         if lhs != rhs:
             return CheckResult(name, False, f"trial {t}: {lhs} != {rhs}")
     return CheckResult(name, True)

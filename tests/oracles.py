@@ -6,9 +6,11 @@ per-coordinate Hermite recurrence, the 1-D moment recurrence, a direct
 power-expansion evaluator, the polynomial operators composed from
 `partial` and Clifford products with one `Fraction` per coefficient per
 step (the Dirac operator, the Laplacian, the Cauchy-Riemann operator,
-and the heat and Cauchy-Kowalevski series built on them), and Gram
-tables of the monogenic basis that integrate the materialised product
-conj(P_alpha) * P_beta instead of going through `gauss`.  The last route also feeds an exact row
+and the heat and Cauchy-Kowalevski series built on them), a Gaussian
+pairing that sums Clifford products of conjugated terms weighted by
+recurrence moments, and Gram tables of the monogenic basis that
+integrate the materialised product conj(P_alpha) * P_beta instead of
+going through `gauss`.  The last route also feeds an exact row
 reduction that decides whether *any* moment functional on R^{n+1} makes
 the basis orthogonal with squared norms beta!.
 """
@@ -17,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from monogenic import CliffordNumber, CliffordPolynomial, MultiIndex, p_basis
+from monogenic import CliffordNumber, CliffordPolynomial, Measure, MultiIndex, p_basis
 
 # denominators for seeded test data whose common denominator is a large lcm
 PRIMES_TO_97 = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
@@ -124,6 +126,23 @@ def moment_recurrence(k: int, variance: Fraction) -> Fraction:
         value *= (k - 1) * variance
         k -= 2
     return value
+
+
+def naive_clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
+                           measure: Measure) -> CliffordNumber:
+    """Integral of conj(f) * g, one term pair at a time in `Fraction`s:
+    each Clifford product conj(c_a) * c_b weighted by the moments of the
+    combined exponents (variance 1 under RHO, 1/2 under MU_TILDE)."""
+    variance = Fraction(1) if measure is Measure.RHO else Fraction(1, 2)
+    total = CliffordNumber.zero(f.n)
+    for k0a, ba, ca in f.hermitian_conj().terms():
+        for k0b, bb, cb in g.terms():
+            weight = moment_recurrence(k0a + k0b, variance)
+            for x, y in zip(ba, bb):
+                weight *= moment_recurrence(x + y, variance)
+            if weight:
+                total = total + (ca * cb) * weight
+    return total
 
 
 def expand_eval(f: CliffordPolynomial, x0: Fraction, xs: list[Fraction]) -> CliffordNumber:

@@ -3,15 +3,24 @@
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monogenic
 from monogenic import get_degree_cap, p_basis
 from monogenic.cli import main
 from monogenic.serialize import poly_from_json, poly_to_json
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def write_poly(tmp_path, name, f):
@@ -199,6 +208,45 @@ def test_verify_checks_every_round_trip_at_n2(capsys, monkeypatch):
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     witness = checks["segal-bargmann isometry and round trip"]["witness"]
     assert witness.startswith("trial 0: ") and "round trip" not in witness
+
+
+def test_verify_expands_each_hermite_expansion_once_per_trial(capsys, monkeypatch):
+    # the isometry and triad checks reuse one to_polynomial() per expansion
+    import monogenic.verify as verify_module
+    expanded = []
+    original = verify_module.HermiteExpansion.to_polynomial
+
+    def counting(self):
+        expanded.append(self)
+        return original(self)
+
+    monkeypatch.setattr(verify_module.HermiteExpansion, "to_polynomial", counting)
+    code, _, _ = run(capsys, ["verify", "--n", "1", "--trials", "10", "--seed", "4"])
+    assert code == 0
+    # the n = 1 isometry holds, so each sb trial expands f and h, each triad trial f
+    assert len(expanded) == 30
+    assert max(Counter(map(id, expanded)).values()) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_report_is_pinned(capsys, n):
+    # the full report, witnesses included, as recorded before the Gram
+    # tables moved to the integer kernel; only the timing may differ
+    code, out, _ = run(capsys, ["verify", "--n", str(n), "--max-degree", "4",
+                                "--trials", "20", "--seed", "0"])
+    assert code == 1
+    out, count = re.subn(r', "elapsed_seconds": [0-9.e+-]+', "", out)
+    assert count == 1
+    assert out == (DATA / f"verify_n{n}_deg4_trials20_seed0.json").read_text()
+
+
+def test_importing_the_cli_leaves_verify_unloaded():
+    src = str(Path(monogenic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, monogenic.cli; print('monogenic.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_n2_reports_broken_orthogonality(capsys):

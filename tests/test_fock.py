@@ -11,6 +11,7 @@ from monogenic import (
     DimensionMismatchError,
     FockElement,
     GaussianRational,
+    HermiteExpansion,
     NotMonogenicError,
     ck_extend,
     fock_norm_sq,
@@ -40,6 +41,18 @@ def test_construction_and_grades():
     assert alpha.grade(1).entry((1, 0)) == CliffordNumber.scalar(n, 2)
     assert alpha.grade(1).entry((0, 1)).is_zero()
     assert alpha.entry((5, 5)).is_zero()
+
+
+@pytest.mark.parametrize("cls", [FockElement, HermiteExpansion])
+def test_zero_map_is_falsy(cls):
+    # both share the multi-index container, so both get its zero test
+    n = 2
+    for zero in (cls(n), cls(n, {(1, 0): CliffordNumber.zero(n)})):
+        assert not zero
+        assert zero.is_zero()
+    one = cls(n, {(1, 0): sc(n, 1)})
+    assert one
+    assert not one.is_zero()
 
 
 def test_validation():

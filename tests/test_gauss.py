@@ -1,5 +1,6 @@
 """Exact Gaussian moments and inner products for both measures."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from monogenic import (
     GaussianRational,
     Measure,
     clifford_pairing,
+    gram,
     hermite,
     inner_mu,
     inner_rho,
@@ -20,7 +22,9 @@ from monogenic import (
     p_basis,
 )
 
-from oracles import moment_recurrence
+from monogenic.clifford import indices_from_mask
+
+from oracles import PRIMES_TO_97, moment_recurrence, naive_clifford_pairing
 
 
 def var(n, i):
@@ -168,3 +172,94 @@ def test_sesquilinearity_in_scalars(f, g, a, b):
 def test_conjugate_symmetry(f, g):
     assert inner_rho(f, g) == inner_rho(g, f).conjugate()
 
+
+
+# -- the integer kernel against the Fraction oracle ---------------------------
+
+INNER = {Measure.RHO: inner_rho, Measure.MU_TILDE: inner_mu}
+
+
+def rand_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice(PRIMES_TO_97[:10]))
+
+
+def rand_pairing_poly(rng, n, max_degree, max_terms, x0):
+    """Up to max_terms terms, x0-powers up to 2 when x0 is set, coefficients
+    with up to three blades and complex parts over small prime denominators."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        k0 = rng.randint(0, 2) if x0 else 0
+        beta = [0] * n
+        for _ in range(rng.randint(0, max_degree - k0)):
+            beta[rng.randrange(n)] += 1
+        coeffs = {indices_from_mask(rng.randrange(2 ** n)):
+                  GaussianRational(rand_rational(rng), rand_rational(rng))
+                  for _ in range(rng.randint(1, 3))}
+        terms[k0, tuple(beta)] = CliffordNumber(n, coeffs)
+    return CliffordPolynomial(n, terms)
+
+
+def assert_matches_oracle(polys, measure):
+    table = [[naive_clifford_pairing(f, g, measure) for g in polys] for f in polys]
+    for f, row in zip(polys, table):
+        for g, expected in zip(polys, row):
+            assert clifford_pairing(f, g, measure) == expected
+            assert INNER[measure](f, g) == expected.scalar_part()
+    assert list(gram(polys, polys, measure)) == table
+    return table
+
+
+@pytest.mark.parametrize("measure", [Measure.RHO, Measure.MU_TILDE], ids=["rho", "mu"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pairings_match_naive_oracle(n, measure):
+    rng = random.Random(10 * n + (measure is Measure.MU_TILDE))
+    x0 = measure is Measure.MU_TILDE
+    polys = [rand_pairing_poly(rng, n, 4, 5, x0) for _ in range(6)]
+    polys.append(CliffordPolynomial.zero(n))
+    table = assert_matches_oracle(polys, measure)
+    # the draws exercise what they are meant to
+    coeffs = [c for f in polys for _, _, c in f.terms()]
+    assert any(len(list(c.terms())) > 1 for c in coeffs)
+    assert any(v.im for c in coeffs for _, v in c.terms())
+    assert any(not f.is_x0_free() for f in polys) == x0
+    assert any(v for row in table for v in row)
+    assert all(not v for v in table[-1]) and all(not row[-1] for row in table)
+
+
+@pytest.mark.parametrize("measure", [Measure.RHO, Measure.MU_TILDE], ids=["rho", "mu"])
+def test_sparse_pairings_at_n8_match_naive_oracle(measure):
+    rng = random.Random(8)
+    polys = [rand_pairing_poly(rng, 8, 3, 3, measure is Measure.MU_TILDE) for _ in range(5)]
+    assert_matches_oracle(polys, measure)
+
+
+def test_zero_operands():
+    n = 3
+    zero = CliffordPolynomial.zero(n)
+    p = p_basis(n, (1, 1, 0))
+    for measure in Measure:
+        assert clifford_pairing(zero, zero, measure) == CliffordNumber.zero(n)
+    assert clifford_pairing(zero, p, Measure.MU_TILDE) == CliffordNumber.zero(n)
+    assert clifford_pairing(p, zero, Measure.MU_TILDE) == CliffordNumber.zero(n)
+    assert inner_mu(p, zero) == GaussianRational(0)
+    assert inner_rho(zero, hermite(n, (2, 0, 0))) == GaussianRational(0)
+    assert list(gram([zero], [p, zero], Measure.MU_TILDE)) == [[CliffordNumber.zero(n)] * 2]
+
+
+def test_gram_rows_are_lazy():
+    def rows_requested():
+        yield p_basis(2, (1, 0))
+        raise AssertionError("second row computed before it was asked for")
+
+    rows = gram(rows_requested(), [p_basis(2, (0, 1)), p_basis(2, (1, 0))], Measure.MU_TILDE)
+    assert next(rows) == [CliffordNumber.blade(2, (1, 2), Fraction(-1, 2)), CliffordNumber.one(2)]
+
+
+def test_gram_edges_and_errors():
+    p = p_basis(2, (1, 0))
+    assert list(gram([], [p], Measure.MU_TILDE)) == []
+    assert list(gram([p], [], Measure.MU_TILDE)) == [[]]
+    with pytest.raises(DimensionMismatchError):
+        next(gram([p], [p_basis(3, (1, 0, 0))], Measure.MU_TILDE))
+    with pytest.raises(ValueError):
+        next(gram([var(2, 1)], [p], Measure.RHO))
