@@ -1,7 +1,8 @@
 """Command-line interface: compute objects, serialize them, verify identities.
 
-Exit codes: 0 success, 1 verification failure, 2 input/schema error,
-3 bounds exceeded, 4 domain precondition (non-monogenic input).
+Exit codes: 0 success, 1 verification failure, 2 input/schema error or
+an unwritable --output path, 3 bounds exceeded, 4 domain precondition
+(non-monogenic input).
 The MONOGENIC_MAX_DEGREE environment variable overrides the total-degree cap
 for the duration of one `main` call.
 """
@@ -40,14 +41,17 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"cannot read JSON from {path}: {exc}")
 
 
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write to {args.output}: {exc}")
     else:
         print(text)
 

@@ -15,9 +15,9 @@ s = popcount(q_A & B) mod 2: O(1) per blade pair once q_A is known.
 Products of multivectors accumulate integer numerators: each operand is
 put over the lcm of its coefficient denominators, the real and imaginary
 numerators of every blade pair are added into their output blade, and
-each output coefficient is reduced once at the end.  When an operand
-has a single blade, every output blade comes from exactly one pair, so
-the pairs are multiplied as Gaussian rationals instead.
+each output coefficient is reduced once at the end.  The two ends of
+that codec, `_over_common_denominator` and `_gaussian_over`, also serve
+the polynomial calculus of `poly` and the Gaussian pairing of `gauss`.
 
 Everything here is immutable after construction and every operation is
 pure, so values can be shared freely between threads.
@@ -198,43 +198,33 @@ def blade_product(a: Iterable[int], b: Iterable[int], n: int) -> tuple[int, tupl
     return sign, indices_from_mask(ma ^ mb)
 
 
-def _single_blade_product(a: dict[int, GaussianRational],
-                          b: dict[int, GaussianRational]) -> dict[int, GaussianRational]:
-    """Product when a or b has one blade.
-
-    Each output blade then comes from exactly one pair, so nothing is
-    summed, and no coefficient is zero (a product of nonzero Gaussian
-    rationals is nonzero).
-    """
-    data: dict[int, GaussianRational] = {}
-    for ma, va in a.items():
-        q = _sign_mask(ma)
-        for mb, vb in b.items():
-            value = va * vb
-            data[ma ^ mb] = -value if (q & mb).bit_count() & 1 else value
-    return data
+def _over_common_denominator(
+        maps: list[Mapping[int, GaussianRational]]) -> tuple[int, list[dict[int, tuple[int, int]]]]:
+    """(d, [{mask: (re*d, im*d)} per map]) with d the lcm of every part's
+    denominator in all the maps, so the numerators are integers."""
+    parts = [v for coeffs in maps for v in coeffs.values()]
+    den = lcm(*{v.re.denominator for v in parts}, *{v.im.denominator for v in parts})
+    return den, [{m: (v.re.numerator * (den // v.re.denominator),
+                      v.im.numerator * (den // v.im.denominator)) for m, v in coeffs.items()}
+                 for coeffs in maps]
 
 
-def _over_common_denominator(coeffs: dict[int, GaussianRational]) -> tuple[int, list]:
-    """(d, [(mask, re*d, im*d)]) with d the lcm of every part's
-    denominator, so the numerators are integers."""
-    den = lcm(*[v.re.denominator for v in coeffs.values()],
-              *[v.im.denominator for v in coeffs.values()])
-    return den, [(m, v.re.numerator * (den // v.re.denominator),
-                  v.im.numerator * (den // v.im.denominator)) for m, v in coeffs.items()]
+def _gaussian_over(re: int, im: int, den: int) -> GaussianRational:
+    """(re + im*i) / den from integer numerators: one Fraction per nonzero part."""
+    return _gaussian(Fraction(re, den) if re else _ZERO, Fraction(im, den) if im else _ZERO)
 
 
 def _accumulated_product(a: dict[int, GaussianRational],
                          b: dict[int, GaussianRational]) -> dict[int, GaussianRational]:
     """Integer multiply-accumulate over all blade pairs, one reduction per
     output part; blades whose sum cancels are left out."""
-    da, left = _over_common_denominator(a)
-    db, right = _over_common_denominator(b)
+    da, (left,) = _over_common_denominator([a])
+    db, (right,) = _over_common_denominator([b])
     re_acc: defaultdict[int, int] = defaultdict(int)
     im_acc: defaultdict[int, int] = defaultdict(int)
-    for ma, ar, ai in left:
+    for ma, (ar, ai) in left.items():
         q = _sign_mask(ma)
-        for mb, br, bi in right:
+        for mb, (br, bi) in right.items():
             re = ar * br - ai * bi
             im = ar * bi + ai * br
             mask = ma ^ mb
@@ -249,8 +239,7 @@ def _accumulated_product(a: dict[int, GaussianRational],
     for mask, re in re_acc.items():
         im = im_acc[mask]
         if re or im:
-            data[mask] = _gaussian(Fraction(re, den) if re else _ZERO,
-                                   Fraction(im, den) if im else _ZERO)
+            data[mask] = _gaussian_over(re, im, den)
     return data
 
 
@@ -356,12 +345,8 @@ class CliffordNumber:
     def __mul__(self, other) -> "CliffordNumber":
         if isinstance(other, CliffordNumber):
             self._check_dim(other)
-            a, b = self._coeffs, other._coeffs
-            if len(a) == 1 or len(b) == 1:
-                data = _single_blade_product(a, b)
-            else:
-                data = _accumulated_product(a, b)
-            return CliffordNumber._from_nonzero(self.n, data)
+            return CliffordNumber._from_nonzero(
+                self.n, _accumulated_product(self._coeffs, other._coeffs))
         scalar = _coerce(other)
         if scalar is NotImplemented:
             return NotImplemented

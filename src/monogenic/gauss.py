@@ -18,16 +18,17 @@ bitmask of odd entries in (k0, beta): two monomials multiply to one with
 only even exponents exactly when their signatures are equal, so only
 terms of one bucket ever meet.  A single pairing buckets the term keys
 of both operands first and puts only the terms of shared buckets over
-one denominator (`poly._numerators`); in a Gram table most term pairs,
-and most whole entries, share no bucket at all.  The left operand is
-conjugated in numerators: imaginary part negated, blade e_A signed by
-(-1)^(k(k+1)/2) for k generators.  Each left term meets the sum of the
-right terms in its bucket, each weighted by the integer moment of the
-pair, which under MU_TILDE is scaled by 2^(D - |e|/2) so that one 2^D
-(2D the top combined degree) is the common denominator.  Blade products
-take the sign (-1)^popcount(q_A & B) of `clifford._sign_mask`, real and
-imaginary numerators are accumulated per output blade, and each output
-part becomes one `Fraction` at the end.
+one denominator (`clifford._over_common_denominator`); in a Gram table
+most term pairs, and most whole entries, share no bucket at all.  The
+left operand is conjugated in numerators: imaginary part negated, blade
+e_A signed by (-1)^(k(k+1)/2) for k generators.  Each left term meets
+the sum of the right terms in its bucket, each weighted by the integer
+moment of the pair, which under MU_TILDE is scaled by 2^(D - |e|/2) so
+that one 2^D (2D the top combined degree) is the common denominator.
+Blade products take the sign (-1)^popcount(q_A & B) of
+`clifford._sign_mask`, real and imaginary numerators are accumulated per
+output blade, and each output part becomes one `Fraction` at the end
+(`clifford._gaussian_over`).
 
 The scalar products `inner_rho` and `inner_mu` need only the grade-0
 part.  conj(e_A) e_B has a scalar part only when A = B, and there it is
@@ -44,14 +45,14 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .clifford import (
-    _ZERO,
     CliffordNumber,
     DimensionMismatchError,
     GaussianRational,
-    _gaussian,
+    _gaussian_over,
+    _over_common_denominator,
     _sign_mask,
 )
-from .poly import CliffordPolynomial, MultiIndex, _numerators
+from .poly import CliffordPolynomial, MultiIndex
 
 
 class Measure(enum.Enum):
@@ -130,20 +131,23 @@ def _shapes(f: CliffordPolynomial, measure: Measure) -> _Shapes:
 def _prepare(f: CliffordPolynomial, shapes: _Shapes, conj: bool) -> _Operand:
     """The terms of f listed in `shapes`, over one denominator; with
     `conj` their Hermitian conjugates instead."""
-    den, data = _numerators(f, [key for bucket in shapes.values() for key, _, _ in bucket])
+    den, numerators = _over_common_denominator(
+        [f._terms[key]._coeffs for bucket in shapes.values() for key, _, _ in bucket])
+    numerators = iter(numerators)  # in the order of `shapes`
     buckets = {}
     top = 0
     for signature, bucket in shapes.items():
         prepared = []
-        for key, exponents, degree in bucket:
+        for _, exponents, degree in bucket:
             if degree > top:
                 top = degree
+            data = next(numerators)
             if conj:
                 # (-1)^(k(k+1)/2) is -1 exactly when bit 1 of k + 1 is set
                 blades = [(mask, -re, im) if (mask.bit_count() + 1) & 2 else (mask, re, -im)
-                          for mask, (re, im) in data[key].items()]
+                          for mask, (re, im) in data.items()]
             else:
-                blades = [(mask, re, im) for mask, (re, im) in data[key].items()]
+                blades = [(mask, re, im) for mask, (re, im) in data.items()]
             prepared.append((exponents, degree, blades))
         buckets[signature] = prepared
     return _Operand(f.n, den, top, buckets)
@@ -222,8 +226,7 @@ def _pairing(left: _Operand, right: _Operand, measure: Measure) -> CliffordNumbe
     for mask, re in re_acc.items():
         im = im_acc[mask]
         if re or im:
-            data[mask] = _gaussian(Fraction(re, den) if re else _ZERO,
-                                   Fraction(im, den) if im else _ZERO)
+            data[mask] = _gaussian_over(re, im, den)
     return CliffordNumber._from_nonzero(left.n, data)
 
 
@@ -238,8 +241,7 @@ def _scalar_pairing(left: _Operand, right: _Operand, measure: Measure) -> Gaussi
                 sr, si = slot
                 re += ar * sr + ai * si
                 im += ar * si - ai * sr
-    den = _denominator(left, right, measure)
-    return _gaussian(Fraction(re, den) if re else _ZERO, Fraction(im, den) if im else _ZERO)
+    return _gaussian_over(re, im, _denominator(left, right, measure))
 
 
 def clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,

@@ -28,15 +28,15 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .clifford import (
-    _ZERO,
     CliffordNumber,
     DimensionMismatchError,
     GaussianRational,
     _check_dimension,
-    _gaussian,
+    _gaussian_over,
+    _over_common_denominator,
 )
 
 _degree_cap: ContextVar[int] = ContextVar("degree_cap", default=12)
@@ -380,19 +380,10 @@ class CliffordPolynomial:
 _Numerators = dict[tuple[int, tuple[int, ...]], dict[int, tuple[int, int]]]
 
 
-def _numerators(f: CliffordPolynomial,
-                keys: Iterable[TermKey] | None = None) -> tuple[int, _Numerators]:
-    """(den, numerators of f) with den the lcm of every part denominator;
-    given `keys`, of those terms of f only."""
-    terms = f._terms if keys is None else {key: f._terms[key] for key in keys}
-    parts = [v for coeff in terms.values() for v in coeff._coeffs.values()]
-    den = math.lcm(*{v.re.denominator for v in parts}, *{v.im.denominator for v in parts})
-    data = {}
-    for key, coeff in terms.items():
-        data[key] = {m: (v.re.numerator * (den // v.re.denominator),
-                         v.im.numerator * (den // v.im.denominator))
-                     for m, v in coeff._coeffs.items()}
-    return den, data
+def _numerators(f: CliffordPolynomial) -> tuple[int, _Numerators]:
+    """(den, numerators of f) with den the lcm of every part denominator."""
+    den, blades = _over_common_denominator([coeff._coeffs for coeff in f._terms.values()])
+    return den, dict(zip(f._terms, blades))
 
 
 def _add_scaled(acc: dict[int, tuple[int, int]], blades: dict[int, tuple[int, int]],
@@ -466,9 +457,7 @@ def _from_numerators(n: int, data: _Numerators, den: int) -> CliffordPolynomial:
     degree cap checked by `_raw`."""
     terms: dict[TermKey, CliffordNumber] = {}
     for (k0, beta), blades in data.items():
-        coeffs = {m: _gaussian(Fraction(re, den) if re else _ZERO,
-                               Fraction(im, den) if im else _ZERO)
-                  for m, (re, im) in blades.items() if re or im}
+        coeffs = {m: _gaussian_over(re, im, den) for m, (re, im) in blades.items() if re or im}
         if coeffs:
             # entries come from a valid MultiIndex, so skip re-validation
             terms[(k0, tuple.__new__(MultiIndex, beta))] = CliffordNumber._from_nonzero(n, coeffs)

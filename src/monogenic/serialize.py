@@ -25,10 +25,6 @@ class SchemaError(ValueError):
 _RATIONAL_RE = re.compile(r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
 
 
-def format_fraction(value: Fraction) -> str:
-    return str(value)
-
-
 def parse_fraction(text: Any) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise SchemaError(f"malformed rational {text!r}")

@@ -35,7 +35,6 @@ from typing import Callable, Sequence, Union
 
 from .poly import (
     CliffordPolynomial,
-    MultiIndex,
     _MultiIndexMap,
     _Numerators,
     _add_scaled,
@@ -90,9 +89,6 @@ def hermite(n: int, beta: Sequence[int]) -> CliffordPolynomial:
     the normalization under which the heat operator sends H_beta back
     to x^beta and the Gaussian squared norm is beta!.
     """
-    beta = MultiIndex(beta)
-    if len(beta) != n:
-        raise ValueError(f"multi-index length {len(beta)} != dimension {n}")
     return heat(CliffordPolynomial.monomial(n, 0, beta), inverse=True)
 
 
@@ -121,9 +117,6 @@ def restrict(F: CliffordPolynomial) -> CliffordPolynomial:
 
 def p_basis(n: int, beta: Sequence[int]) -> CliffordPolynomial:
     """Monogenic basis element: the C-K extension of the monomial x^beta."""
-    beta = MultiIndex(beta)
-    if len(beta) != n:
-        raise ValueError(f"multi-index length {len(beta)} != dimension {n}")
     return ck_extend(CliffordPolynomial.monomial(n, 0, beta))
 
 

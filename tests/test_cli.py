@@ -95,6 +95,23 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert blob["n"] == 1
 
 
+def test_unwritable_output_exit_2(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "out.json", tmp_path):
+        code, out, err = run(capsys, ["hermite", "--n", "1", "--beta", "2",
+                                      "--output", str(target)])
+        assert code == 2
+        assert out == "" and err.startswith("error: cannot write")
+
+
+def test_deeply_nested_json_exit_2(capsys, tmp_path):
+    # deeper than the interpreter's recursion limit, which json.load hits
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, ["ck", "--input", str(deep)])
+    assert code == 2
+    assert out == "" and "error" in err
+
+
 def test_schema_error_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 2, "terms": [{"x0": 0, "beta": [0, 0], "coeff": [{"blade": [2, 1], "re": "1", "im": "0"}]}]}')
@@ -123,9 +140,11 @@ def test_bounds_exit_3(capsys, tmp_path):
     code, _, _ = run(capsys, ["verify", "--max-degree", "9"])
     assert code == 3
     # the C_n dimension bound (n <= 16) is a parameter bound too
+    # whatever the length of the multi-index
     beta17 = ",".join(["0"] * 16 + ["1"])
-    for command in ("pbasis", "hermite"):
-        code, out, err = run(capsys, [command, "--n", "17", "--beta", beta17])
+    for command, n, beta in (("pbasis", "17", beta17), ("hermite", "17", beta17),
+                             ("pbasis", "17", "1"), ("hermite", "0", "1")):
+        code, out, err = run(capsys, [command, "--n", n, "--beta", beta])
         assert code == 3
         assert out == "" and "dimension" in err
     # and so is the dimension of input files
