@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 input/schema error or
 an unwritable --output path, 3 bounds exceeded, 4 domain precondition
-(non-monogenic input).
+(non-monogenic input).  The --output path is checked before any work;
+a command that exits 2-4 leaves an existing --output file unchanged.
 The MONOGENIC_MAX_DEGREE environment variable overrides the total-degree cap
 for the duration of one `main` call.
 """
@@ -54,6 +55,18 @@ def _emit(args, text: str) -> None:
             raise ValueError(f"cannot write to {args.output}: {exc}")
     else:
         print(text)
+
+
+def _claim_output(path: str) -> bool:
+    """Check that --output can be opened for writing before any work is
+    done, without changing an existing file; True when the path was
+    created here and must go again if the command fails."""
+    created = not os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write to {path}: {exc}")
+    return created
 
 
 def _emit_poly(args, f: CliffordPolynomial) -> None:
@@ -223,17 +236,21 @@ def _main(argv) -> int:
         except ValueError:
             print(f"bad MONOGENIC_MAX_DEGREE value {cap!r}", file=sys.stderr)
             return EXIT_INPUT
+    created = False
     try:
+        if args.output:
+            created = _claim_output(args.output)
         return _HANDLERS[args.command](args)
     except NotMonogenicError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        code, message = EXIT_DOMAIN, exc
     except (DegreeCapError, BoundsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUNDS
+        code, message = EXIT_BOUNDS, exc
     except (SchemaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, message = EXIT_INPUT, exc
+    if created:
+        os.remove(args.output)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def run() -> None:

@@ -16,8 +16,12 @@ Products of multivectors accumulate integer numerators: each operand is
 put over the lcm of its coefficient denominators, the real and imaginary
 numerators of every blade pair are added into their output blade, and
 each output coefficient is reduced once at the end.  The two ends of
-that codec, `_over_common_denominator` and `_gaussian_over`, also serve
-the polynomial calculus of `poly` and the Gaussian pairing of `gauss`.
+that codec serve more than the product.  `_over_common_denominator`
+also converts coefficients once where they enter integer storage: the
+`CliffordPolynomial` constructor and `fock.fock_to_function`.
+`_gaussian_over` builds the Fractions where numerators leave it:
+polynomial `terms()` and `coefficient()`, `fock.taylor_map`, and the
+pairings of `gauss`.
 
 Everything here is immutable after construction and every operation is
 pure, so values can be shared freely between threads.
@@ -214,12 +218,10 @@ def _gaussian_over(re: int, im: int, den: int) -> GaussianRational:
     return _gaussian(Fraction(re, den) if re else _ZERO, Fraction(im, den) if im else _ZERO)
 
 
-def _accumulated_product(a: dict[int, GaussianRational],
-                         b: dict[int, GaussianRational]) -> dict[int, GaussianRational]:
-    """Integer multiply-accumulate over all blade pairs, one reduction per
-    output part; blades whose sum cancels are left out."""
-    da, (left,) = _over_common_denominator([a])
-    db, (right,) = _over_common_denominator([b])
+def _product_numerators(left: Mapping[int, tuple[int, int]], right: Mapping[int, tuple[int, int]]
+                        ) -> tuple[defaultdict[int, int], defaultdict[int, int]]:
+    """Integer multiply-accumulate over all blade pairs of two numerator
+    maps: (re, im) numerators per output blade, cancelled ones included."""
     re_acc: defaultdict[int, int] = defaultdict(int)
     im_acc: defaultdict[int, int] = defaultdict(int)
     for ma, (ar, ai) in left.items():
@@ -234,6 +236,16 @@ def _accumulated_product(a: dict[int, GaussianRational],
             else:
                 re_acc[mask] += re
                 im_acc[mask] += im
+    return re_acc, im_acc
+
+
+def _accumulated_product(a: dict[int, GaussianRational],
+                         b: dict[int, GaussianRational]) -> dict[int, GaussianRational]:
+    """The product of two blade maps over integers, one reduction per
+    output part; blades whose sum cancels are left out."""
+    da, (left,) = _over_common_denominator([a])
+    db, (right,) = _over_common_denominator([b])
+    re_acc, im_acc = _product_numerators(left, right)
     den = da * db
     data: dict[int, GaussianRational] = {}
     for mask, re in re_acc.items():

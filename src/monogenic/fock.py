@@ -12,10 +12,16 @@ sum_beta x^beta alpha(e^beta) / beta!.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .clifford import CliffordNumber, DimensionMismatchError
-from .poly import CliffordPolynomial, MultiIndex, _MultiIndexMap
+from .clifford import (
+    CliffordNumber,
+    DimensionMismatchError,
+    _gaussian_over,
+    _over_common_denominator,
+)
+from .poly import CliffordPolynomial, MultiIndex, _MultiIndexMap, _reduced
 from .transform import NotMonogenicError, ck_extend
 
 
@@ -66,21 +72,38 @@ def taylor_map(F: CliffordPolynomial) -> FockElement:
     the origin: entry(beta) = d^beta F(0, 0).
 
     x-derivatives at x0 = 0 factor through restriction, so the entry is
-    beta! times the monomial coefficient of x^beta in F(0, x).
+    beta! times the monomial coefficient of x^beta in F(0, x), read off
+    the x0-free numerators of F.  The precondition is not re-checked on
+    a result of `ck_extend`, which is monogenic by construction.
     """
-    if not F.is_monogenic():
+    if not F._monogenic and not F.is_monogenic():
         raise NotMonogenicError("the Taylor map is defined on monogenic polynomials")
+    n, den = F.n, F._den
     entries = {}
-    for _, beta, coeff in F.restrict().terms():
-        entries[beta] = coeff * beta.factorial
-    return FockElement(F.n, entries)
+    for (k0, beta), blades in F._num.items():
+        if k0:
+            continue
+        beta = tuple.__new__(MultiIndex, beta)
+        w = beta.factorial
+        entries[beta] = CliffordNumber._from_nonzero(
+            n, {m: _gaussian_over(re * w, im * w, den) for m, (re, im) in blades.items()})
+    out = FockElement(n)
+    out._data = entries
+    return out
 
 
 def fock_to_function(alpha: FockElement) -> CliffordPolynomial:
     """Evaluate alpha against the exponential tensors:
-    f(x) = sum_beta x^beta * alpha(e^beta) / beta!."""
-    return CliffordPolynomial(alpha.n, {(0, beta): value * Fraction(1, beta.factorial)
-                                        for beta, value in alpha._data.items()})
+    f(x) = sum_beta x^beta * alpha(e^beta) / beta!, put over one
+    denominator: that of the values times lcm(beta!)."""
+    betas = list(alpha._data)
+    den, blades = _over_common_denominator([alpha._data[beta]._coeffs for beta in betas])
+    common = lcm(*(beta.factorial for beta in betas))
+    data = {}
+    for beta, values in zip(betas, blades):
+        w = common // beta.factorial
+        data[(0, beta)] = {m: (re * w, im * w) for m, (re, im) in values.items()}
+    return _reduced(alpha.n, den * common, data)
 
 
 def fock_to_monogenic(alpha: FockElement) -> CliffordPolynomial:

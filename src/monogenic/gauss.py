@@ -17,9 +17,10 @@ polynomial calculus.  Terms are bucketed by parity signature, the
 bitmask of odd entries in (k0, beta): two monomials multiply to one with
 only even exponents exactly when their signatures are equal, so only
 terms of one bucket ever meet.  A single pairing buckets the term keys
-of both operands first and puts only the terms of shared buckets over
-one denominator (`clifford._over_common_denominator`); in a Gram table
-most term pairs, and most whole entries, share no bucket at all.  The
+of both operands first and reads only the terms of shared buckets off
+the stored numerators of `poly`, each operand over its one stored
+denominator; no operand is converted.  In a Gram table most term pairs,
+and most whole entries, share no bucket at all.  The
 left operand is conjugated in numerators: imaginary part negated, blade
 e_A signed by (-1)^(k(k+1)/2) for k generators.  Each left term meets
 the sum of the right terms in its bucket, each weighted by the integer
@@ -49,7 +50,6 @@ from .clifford import (
     DimensionMismatchError,
     GaussianRational,
     _gaussian_over,
-    _over_common_denominator,
     _sign_mask,
 )
 from .poly import CliffordPolynomial, MultiIndex
@@ -111,7 +111,7 @@ def _shapes(f: CliffordPolynomial, measure: Measure) -> _Shapes:
     (k0, *beta), set when that entry is odd."""
     rho = measure is Measure.RHO
     out: _Shapes = {}
-    for key in f._terms:
+    for key in f._num:
         k0, beta = key
         if k0 and rho:
             raise ValueError("the R^n measure requires x0-free polynomials")
@@ -129,28 +129,25 @@ def _shapes(f: CliffordPolynomial, measure: Measure) -> _Shapes:
 
 
 def _prepare(f: CliffordPolynomial, shapes: _Shapes, conj: bool) -> _Operand:
-    """The terms of f listed in `shapes`, over one denominator; with
-    `conj` their Hermitian conjugates instead."""
-    den, numerators = _over_common_denominator(
-        [f._terms[key]._coeffs for bucket in shapes.values() for key, _, _ in bucket])
-    numerators = iter(numerators)  # in the order of `shapes`
+    """The terms of f listed in `shapes`, read off its stored numerators;
+    with `conj` their Hermitian conjugates instead."""
+    num = f._num
     buckets = {}
     top = 0
     for signature, bucket in shapes.items():
         prepared = []
-        for _, exponents, degree in bucket:
+        for key, exponents, degree in bucket:
             if degree > top:
                 top = degree
-            data = next(numerators)
             if conj:
                 # (-1)^(k(k+1)/2) is -1 exactly when bit 1 of k + 1 is set
                 blades = [(mask, -re, im) if (mask.bit_count() + 1) & 2 else (mask, re, -im)
-                          for mask, (re, im) in data.items()]
+                          for mask, (re, im) in num[key].items()]
             else:
-                blades = [(mask, re, im) for mask, (re, im) in data.items()]
+                blades = [(mask, re, im) for mask, (re, im) in num[key].items()]
             prepared.append((exponents, degree, blades))
         buckets[signature] = prepared
-    return _Operand(f.n, den, top, buckets)
+    return _Operand(f.n, f._den, top, buckets)
 
 
 def _check_dimensions(f: CliffordPolynomial, g: CliffordPolynomial) -> None:

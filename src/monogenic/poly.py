@@ -1,23 +1,37 @@
 """Clifford-valued polynomials on R^{n+1} and their exact calculus.
 
-A polynomial is a sparse map (x0-power, multi-index) -> CliffordNumber.
-Scalar variables commute with Clifford coefficients, and coefficients
-sit on the RIGHT of their monomial: f = sum x0^k0 * x^beta * c.  The
-Dirac operator multiplies by generators on the left, so D(x^beta c)
-has coefficient e_j * c.
+A polynomial is a sparse sum f = sum x0^k0 * x^beta * c with C_n
+coefficients c.  Scalar variables commute with Clifford coefficients,
+and coefficients sit on the RIGHT of their monomial.  The Dirac operator
+multiplies by generators on the left, so D(x^beta c) has coefficient
+e_j * c.
 
 Polynomials with no x0 dependence model functions on R^n.
 
-The Dirac operator, the Laplacian and the Cauchy-Riemann operator
-d0 + D run on integer numerators.  The input is put over the lcm of all
-its part denominators once; derivatives only multiply by integers, so a
-whole chain of them keeps that one denominator, and each output part
-becomes a `Fraction` once at the end.  Numerators are keyed by
-(x0-power, multi-index) and then by blade mask.  Left multiplication by
-a generator is a signed blade permutation, not a product:
-e_j e_B = (-1)^popcount(B & low_j) e_{B xor bit_j}, where bit_j is the
-mask of e_j and low_j the mask of e_1, ..., e_j (one swap for each
-generator of B below j, and e_j^2 = -1 when j is in B).
+Storage.  A polynomial is stored only as integer numerators over one
+denominator: `_den` and `_num` = {(k0, beta): {blade mask: (re, im)}}.
+The pair is always reduced: den > 0, gcd(den, every numerator) = 1, no
+zero pair and no key without a blade.  That form is unique, so `==`
+compares integers.  The constructor puts its CliffordNumber coefficients
+over the lcm of their part denominators once (that is already reduced);
+`terms()`, `coefficient()` and everything printed build one `Fraction`
+per nonzero part at that boundary.  Every operation (`+`, `-`, the
+module actions, `hermitian_conj`, `restrict`, `partial`, the Dirac
+operator, the Laplacian, the Cauchy-Riemann operator d0 + D, and in
+`transform` the heat and C-K series) works on the numerators and
+reduces its result once (`_reduced`).  Derivatives only multiply by
+integers, so a whole chain of them keeps one denominator.  Left
+multiplication by a generator is a signed blade permutation, not a
+product: e_j e_B = (-1)^popcount(B & low_j) e_{B xor bit_j}, where
+bit_j is the mask of e_j and low_j the mask of e_1, ..., e_j (one swap
+for each generator of B below j, and e_j^2 = -1 when j is in B).
+
+The mark.  `ck_extend` builds monogenic polynomials by construction and
+sets the private `_monogenic` slot on its result before returning it;
+every other constructor, `_raw` included, leaves it False, and nothing
+changes it later.  `taylor_map` and `sb_inverse` skip their monogenicity
+precondition only on a marked value.  `is_monogenic()` never reads the
+mark: it always runs the Cauchy-Riemann kernel.
 
 The total-degree cap lives in a context variable, so a cap set in one
 thread is not seen by another.
@@ -28,6 +42,7 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 from .clifford import (
@@ -37,6 +52,7 @@ from .clifford import (
     _check_dimension,
     _gaussian_over,
     _over_common_denominator,
+    _product_numerators,
 )
 
 _degree_cap: ContextVar[int] = ContextVar("degree_cap", default=12)
@@ -132,27 +148,28 @@ class _MultiIndexMap:
         return f"{type(self).__name__}(n={self.n}, {{{inner}}})"
 
 
-def _add_indices(a: Sequence[int], b: Sequence[int]) -> MultiIndex:
-    return MultiIndex(tuple(x + y for x, y in zip(a, b)))
+TermKey = tuple[int, tuple[int, ...]]
 
-
-TermKey = tuple[int, MultiIndex]
+# Numerators: {(k0, beta): {blade mask: (re, im)}} with integer re, im over
+# a denominator carried next to the map.  Accumulators may hold zero pairs
+# and empty blade maps until `_pruned` or `_reduced` drops them.
+_Numerators = dict[TermKey, dict[int, tuple[int, int]]]
 
 
 class CliffordPolynomial:
-    """Sparse C_n-valued polynomial in x0, x1, ..., xn."""
+    """Sparse C_n-valued polynomial in x0, x1, ..., xn, stored as reduced
+    integer numerators `_num` over one denominator `_den`."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_den", "_num", "_monogenic")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, Sequence[int]], CliffordNumber] | None = None):
         _check_dimension(n)
-        self.n = n
         cap = _degree_cap.get()
-        data: dict[TermKey, CliffordNumber] = {}
+        data: dict[TermKey, dict] = {}
         if terms:
             for (k0, beta), coeff in terms.items():
-                if not isinstance(k0, int) or k0 < 0:
-                    raise ValueError(f"x0 exponent must be a nonnegative int, got {k0}")
+                if isinstance(k0, bool) or not isinstance(k0, int) or k0 < 0:
+                    raise ValueError(f"x0 exponent must be a nonnegative int, got {k0!r}")
                 beta = MultiIndex(beta)
                 if len(beta) != n:
                     raise ValueError(f"multi-index {tuple(beta)} has length {len(beta)}, expected {n}")
@@ -164,19 +181,26 @@ class CliffordPolynomial:
                 if key in data:
                     raise ValueError(f"duplicate term {key}")
                 if coeff:
-                    data[key] = coeff
-        self._terms = data
+                    data[key] = coeff._coeffs
+        # over the lcm of the part denominators, which is already reduced
+        den, blades = _over_common_denominator(list(data.values()))
+        self.n = n
+        self._den = den
+        self._num = dict(zip(data, blades))
+        self._monogenic = False
 
     @classmethod
-    def _raw(cls, n: int, data: dict[TermKey, CliffordNumber]) -> "CliffordPolynomial":
-        # internal: keys already canonical; prune zeros, re-check the cap
+    def _raw(cls, n: int, den: int, num: _Numerators) -> "CliffordPolynomial":
+        """Adopt num / den, which must be reduced; re-check the degree cap."""
         cap = _degree_cap.get()
-        for (k0, beta) in data:
-            if k0 + beta.degree > cap:
-                raise DegreeCapError(f"total degree {k0 + beta.degree} exceeds cap {cap}")
+        for k0, beta in num:
+            if k0 + sum(beta) > cap:
+                raise DegreeCapError(f"total degree {k0 + sum(beta)} exceeds cap {cap}")
         out = cls.__new__(cls)
         out.n = n
-        out._terms = {k: v for k, v in data.items() if v}
+        out._den = den
+        out._num = num
+        out._monogenic = False
         return out
 
     @classmethod
@@ -212,36 +236,42 @@ class CliffordPolynomial:
 
     def terms(self) -> Iterator[tuple[int, MultiIndex, CliffordNumber]]:
         """Terms sorted by (total degree, k0, beta lexicographic)."""
-        for k0, beta in sorted(self._terms, key=lambda t: (t[0] + t[1].degree, t[0], t[1])):
-            yield k0, beta, self._terms[(k0, beta)]
+        n, den, num = self.n, self._den, self._num
+        for key in sorted(num, key=lambda t: (t[0] + sum(t[1]), t[0], t[1])):
+            k0, beta = key
+            # entries come from a valid MultiIndex, so skip re-validation
+            yield k0, tuple.__new__(MultiIndex, beta), _coefficient(n, num[key], den)
 
     def coefficient(self, k0: int, beta: Sequence[int]) -> CliffordNumber:
-        return self._terms.get((k0, MultiIndex(beta)), CliffordNumber.zero(self.n))
+        blades = self._num.get((k0, MultiIndex(beta)))
+        if blades is None:
+            return CliffordNumber.zero(self.n)
+        return _coefficient(self.n, blades, self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def is_x0_free(self) -> bool:
-        return all(k0 == 0 for k0, _ in self._terms)
+        return all(k0 == 0 for k0, _ in self._num)
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is -1 by convention."""
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(k0 + beta.degree for k0, beta in self._terms)
+        return max(k0 + sum(beta) for k0, beta in self._num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return self.n == other.n and self._den == other._den and self._num == other._num
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
         for k0, beta, coeff in self.terms():
@@ -257,45 +287,48 @@ class CliffordPolynomial:
         if self.n != other.n:
             raise DimensionMismatchError(f"polynomials over C_{self.n} vs C_{other.n}")
 
+    def _combine(self, other: "CliffordPolynomial", sign: int) -> "CliffordPolynomial":
+        """self + sign * other over lcm of the two denominators."""
+        self._check_dim(other)
+        den = math.lcm(self._den, other._den)
+        data: _Numerators = {}
+        for poly, c in ((self, den // self._den), (other, sign * (den // other._den))):
+            for key, blades in poly._num.items():
+                _add_scaled(data.setdefault(key, {}), blades, c)
+        return _reduced(self.n, den, data)
+
     def __add__(self, other) -> "CliffordPolynomial":
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        self._check_dim(other)
-        data = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = data.get(key)
-            data[key] = coeff if acc is None else acc + coeff
-        return CliffordPolynomial._raw(self.n, data)
+        return self._combine(other, 1)
 
     def __sub__(self, other) -> "CliffordPolynomial":
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "CliffordPolynomial":
-        return CliffordPolynomial._raw(self.n, {k: -v for k, v in self._terms.items()})
+        return CliffordPolynomial._raw(self.n, self._den, {
+            key: {m: (-re, -im) for m, (re, im) in blades.items()}
+            for key, blades in self._num.items()})
 
     def __mul__(self, other) -> "CliffordPolynomial":
-        if isinstance(other, CliffordPolynomial):
-            self._check_dim(other)
-            data: dict[TermKey, CliffordNumber] = {}
-            for (k0a, ba), ca in self._terms.items():
-                for (k0b, bb), cb in other._terms.items():
-                    key = (k0a + k0b, _add_indices(ba, bb))
-                    coeff = ca * cb
-                    acc = data.get(key)
-                    data[key] = coeff if acc is None else acc + coeff
-            return CliffordPolynomial._raw(self.n, data)
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            other = CliffordNumber.scalar(self.n, other)
         if isinstance(other, CliffordNumber):
             # right module action: every coefficient picks up `other` on the right
             if other.n != self.n:
                 raise DimensionMismatchError(f"C_{other.n} constant on C_{self.n} polynomial")
-            return CliffordPolynomial._raw(
-                self.n, {k: v * other for k, v in self._terms.items()})
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return CliffordPolynomial._raw(
-                self.n, {k: v * other for k, v in self._terms.items()})
-        return NotImplemented
+            other = CliffordPolynomial.constant(other)
+        if not isinstance(other, CliffordPolynomial):
+            return NotImplemented
+        self._check_dim(other)
+        data: _Numerators = {}
+        for (k0a, ba), a in self._num.items():
+            for (k0b, bb), b in other._num.items():
+                key = (k0a + k0b, tuple(x + y for x, y in zip(ba, bb)))
+                _product_into(data.setdefault(key, {}), a, b)
+        return _reduced(self.n, self._den * other._den, data)
 
     def __rmul__(self, other) -> "CliffordPolynomial":
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -303,9 +336,13 @@ class CliffordPolynomial:
         return NotImplemented
 
     def hermitian_conj(self) -> "CliffordPolynomial":
-        """Termwise Hermitian conjugation (monomials are real scalars)."""
-        return CliffordPolynomial._raw(
-            self.n, {k: v.hermitian_conj() for k, v in self._terms.items()})
+        """Termwise Hermitian conjugation (monomials are real scalars): the
+        imaginary part negated, then blade e_A signed by (-1)^(k(k+1)/2)
+        for k generators, which is -1 exactly when bit 1 of k + 1 is set."""
+        return CliffordPolynomial._raw(self.n, self._den, {
+            key: {m: (-re, im) if (m.bit_count() + 1) & 2 else (re, -im)
+                  for m, (re, im) in blades.items()}
+            for key, blades in self._num.items()})
 
     # -- calculus --------------------------------------------------------
 
@@ -313,48 +350,43 @@ class CliffordPolynomial:
         """Formal partial derivative along axis i (0 means x0)."""
         if not 0 <= i <= self.n:
             raise ValueError(f"axis {i} out of range [0, {self.n}]")
-        data: dict[TermKey, CliffordNumber] = {}
-        for (k0, beta), coeff in self._terms.items():
+        data: _Numerators = {}
+        for (k0, beta), blades in self._num.items():
             if i == 0:
-                if k0 == 0:
-                    continue
-                data[(k0 - 1, beta)] = coeff * k0
-            else:
-                b = beta[i - 1]
-                if b == 0:
-                    continue
-                new_beta = list(beta)
-                new_beta[i - 1] = b - 1
-                data[(k0, MultiIndex(new_beta))] = coeff * b
-        return CliffordPolynomial._raw(self.n, data)
+                if k0:
+                    _add_scaled(data.setdefault((k0 - 1, beta), {}), blades, k0)
+                continue
+            b = beta[i - 1]
+            if b:
+                key = (k0, beta[:i - 1] + (b - 1,) + beta[i:])
+                _add_scaled(data.setdefault(key, {}), blades, b)
+        return _reduced(self.n, self._den, data)
 
     def dirac(self) -> "CliffordPolynomial":
         """D f = sum_j e_j * d_j f, with e_j acting on the left of coefficients."""
-        den, data = _numerators(self)
         out: _Numerators = {}
-        _dirac_into(out, data)
-        return _from_numerators(self.n, out, den)
+        _dirac_into(out, self._num)
+        return _reduced(self.n, self._den, out)
 
     def laplacian(self) -> "CliffordPolynomial":
         """Laplacian over x1..xn only; x0 is excluded."""
-        den, data = _numerators(self)
         out: _Numerators = {}
-        _laplacian_into(out, data)
-        return _from_numerators(self.n, out, den)
+        _laplacian_into(out, self._num)
+        return _reduced(self.n, self._den, out)
 
     def cauchy_riemann(self) -> "CliffordPolynomial":
-        den, data = _numerators(self)
-        return _from_numerators(self.n, _cauchy_riemann(data), den)
+        return _reduced(self.n, self._den, _cauchy_riemann(self._num))
 
     def is_monogenic(self) -> bool:
-        _, data = _numerators(self)
-        return not any(re or im for blades in _cauchy_riemann(data).values()
+        """Whether d0 f + D f = 0, always computed (never read off the mark
+        that `ck_extend` leaves)."""
+        return not any(re or im for blades in _cauchy_riemann(self._num).values()
                        for re, im in blades.values())
 
     def restrict(self) -> "CliffordPolynomial":
         """Substitute x0 = 0."""
-        return CliffordPolynomial._raw(
-            self.n, {k: v for k, v in self._terms.items() if k[0] == 0})
+        return _reduced(self.n, self._den,
+                        {key: blades for key, blades in self._num.items() if key[0] == 0})
 
     def evaluate(self, x0, xs: Sequence) -> CliffordNumber:
         """Exact evaluation at a rational point (x0, x1, ..., xn)."""
@@ -363,27 +395,20 @@ class CliffordPolynomial:
         x0 = Fraction(x0)
         xs = [Fraction(x) for x in xs]
         total = CliffordNumber.zero(self.n)
-        for (k0, beta), coeff in self._terms.items():
+        for (k0, beta), blades in self._num.items():
             scale = x0 ** k0
             for x, b in zip(xs, beta):
                 scale *= x ** b
-            total = total + coeff * scale
+            total = total + _coefficient(self.n, blades, self._den) * scale
         return total
 
 
 # -- integer-numerator kernel ------------------------------------------------
-#
-# Numerators: {(k0, beta): {blade mask: (re, im)}} with integer re, im over
-# a denominator carried next to the map.  Accumulators may hold zero pairs
-# and empty blade maps until `_pruned` or `_from_numerators` drops them.
 
-_Numerators = dict[tuple[int, tuple[int, ...]], dict[int, tuple[int, int]]]
-
-
-def _numerators(f: CliffordPolynomial) -> tuple[int, _Numerators]:
-    """(den, numerators of f) with den the lcm of every part denominator."""
-    den, blades = _over_common_denominator([coeff._coeffs for coeff in f._terms.values()])
-    return den, dict(zip(f._terms, blades))
+def _coefficient(n: int, blades: dict[int, tuple[int, int]], den: int) -> CliffordNumber:
+    """The CliffordNumber blades / den: one Fraction per nonzero part."""
+    return CliffordNumber._from_nonzero(
+        n, {m: _gaussian_over(re, im, den) for m, (re, im) in blades.items()})
 
 
 def _add_scaled(acc: dict[int, tuple[int, int]], blades: dict[int, tuple[int, int]],
@@ -395,6 +420,15 @@ def _add_scaled(acc: dict[int, tuple[int, int]], blades: dict[int, tuple[int, in
             acc[mask] = (c * re, c * im)
         else:
             acc[mask] = (prev[0] + c * re, prev[1] + c * im)
+
+
+def _product_into(acc: dict[int, tuple[int, int]], a: dict[int, tuple[int, int]],
+                  b: dict[int, tuple[int, int]]) -> None:
+    """acc += a * b, the Clifford product of two numerator maps."""
+    re_acc, im_acc = _product_numerators(a, b)
+    for mask, re in re_acc.items():
+        prev = acc.get(mask)
+        acc[mask] = (re, im_acc[mask]) if prev is None else (prev[0] + re, prev[1] + im_acc[mask])
 
 
 def _dirac_into(out: _Numerators, data: _Numerators) -> None:
@@ -452,13 +486,17 @@ def _pruned(data: _Numerators) -> _Numerators:
     return out
 
 
-def _from_numerators(n: int, data: _Numerators, den: int) -> CliffordPolynomial:
-    """The polynomial data / den: one Fraction per nonzero part, and the
-    degree cap checked by `_raw`."""
-    terms: dict[TermKey, CliffordNumber] = {}
-    for (k0, beta), blades in data.items():
-        coeffs = {m: _gaussian_over(re, im, den) for m, (re, im) in blades.items() if re or im}
-        if coeffs:
-            # entries come from a valid MultiIndex, so skip re-validation
-            terms[(k0, tuple.__new__(MultiIndex, beta))] = CliffordNumber._from_nonzero(n, coeffs)
-    return CliffordPolynomial._raw(n, terms)
+def _reduced(n: int, den: int, data: _Numerators) -> CliffordPolynomial:
+    """The polynomial data / den in reduced form: `_pruned`, then den and
+    every numerator divided by their gcd; the degree cap checked by `_raw`."""
+    out = _pruned(data)
+    g = den
+    for blades in out.values():
+        if g == 1:
+            break
+        g = math.gcd(g, *chain.from_iterable(blades.values()))
+    if g != 1:
+        den //= g
+        out = {key: {m: (re // g, im // g) for m, (re, im) in blades.items()}
+               for key, blades in out.items()}
+    return CliffordPolynomial._raw(n, den, out)

@@ -7,13 +7,15 @@ the result to the unique monogenic polynomial on R^{n+1} restricting to
 it.  Both factors are finite sums on polynomials (the Laplacian and the
 Dirac operator are nilpotent there), so everything is exact.
 
-Both series run on the integer numerators of `poly`: the input is put
-over one denominator den, the chain Lap^k f (or D^k f) is derived on
-integers, and each output part becomes a `Fraction` once.  With K the
+Both series run on the stored integer numerators of `poly`, over the
+input's denominator den: the chain Lap^k f (or D^k f) is derived on
+integers, and the result is reduced once.  With K the
 last k whose term is nonzero, the heat series is summed over
 den * 2^K * K!, term k weighted by (+-1)^k 2^(K-k) K!/k!; the C-K
 series is written over den * K!, term k weighted by (-1)^k K!/k! and
 placed at x0-power k (the input is x0-free, so no two terms meet).
+The C-K result carries the "monogenic by construction" mark of `poly`,
+so `sb_inverse` does not check it again.
 
 Probabilists' Hermite polynomials are the preimages of the monomials
 under the heat operator; their monogenic images are the basis
@@ -39,10 +41,9 @@ from .poly import (
     _Numerators,
     _add_scaled,
     _dirac_into,
-    _from_numerators,
     _laplacian_into,
-    _numerators,
     _pruned,
+    _reduced,
 )
 
 
@@ -69,8 +70,7 @@ def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     """
     if not f.is_x0_free():
         raise ValueError("heat operator acts on x0-free polynomials")
-    den, data = _numerators(f)
-    chain = _chain(data, _laplacian_into)
+    chain = _chain(f._num, _laplacian_into)
     top = max(len(chain) - 1, 0)
     total: _Numerators = {}
     for k, term in enumerate(chain):
@@ -79,7 +79,7 @@ def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
             weight = -weight
         for key, blades in term.items():
             _add_scaled(total.setdefault(key, {}), blades, weight)
-    return _from_numerators(f.n, total, den * 2 ** top * factorial(top))
+    return _reduced(f.n, f._den * 2 ** top * factorial(top), total)
 
 
 def hermite(n: int, beta: Sequence[int]) -> CliffordPolynomial:
@@ -97,8 +97,7 @@ def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
     restricting to f at x0 = 0, via sum_k (-x0)^k D^k f / k!."""
     if not f.is_x0_free():
         raise ValueError("C-K extension starts from an x0-free polynomial")
-    den, data = _numerators(f)
-    chain = _chain(data, _dirac_into)
+    chain = _chain(f._num, _dirac_into)
     top = max(len(chain) - 1, 0)
     total: _Numerators = {}
     for k, term in enumerate(chain):
@@ -107,7 +106,9 @@ def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
             weight = -weight
         for (_, beta), blades in term.items():
             _add_scaled(total.setdefault((k, beta), {}), blades, weight)
-    return _from_numerators(f.n, total, den * factorial(top))
+    F = _reduced(f.n, f._den * factorial(top), total)
+    F._monogenic = True  # read by the preconditions of `sb_inverse` and `taylor_map`
+    return F
 
 
 def restrict(F: CliffordPolynomial) -> CliffordPolynomial:
@@ -169,6 +170,6 @@ def sb_transform(f: Union[HermiteExpansion, CliffordPolynomial]) -> CliffordPoly
 
 def sb_inverse(F: CliffordPolynomial) -> CliffordPolynomial:
     """Inverse transform: restrict to x0 = 0, then apply inverse heat."""
-    if not F.is_monogenic():
+    if not F._monogenic and not F.is_monogenic():
         raise NotMonogenicError("inverse transform is defined on monogenic polynomials")
     return heat(F.restrict(), inverse=True)

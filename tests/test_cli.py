@@ -103,6 +103,38 @@ def test_unwritable_output_exit_2(capsys, tmp_path):
         assert out == "" and err.startswith("error: cannot write")
 
 
+def test_unwritable_output_fails_before_the_work(capsys, tmp_path, monkeypatch):
+    from monogenic import verify
+
+    def fail(**kwargs):
+        raise AssertionError("the command ran before its --output path was checked")
+
+    monkeypatch.setattr(verify, "run_verification", fail)
+    code, out, err = run(capsys, ["verify", "--n", "3", "--max-degree", "6", "--trials", "100",
+                                  "--output", str(tmp_path / "missing" / "x.json")])
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot write")
+
+
+def test_failed_command_leaves_output_untouched(capsys, tmp_path):
+    target = tmp_path / "out.json"
+    target.write_bytes(b"previous bytes\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 2}')
+    nonmonogenic = write_poly(tmp_path, "x1.json", monogenic.CliffordPolynomial.variable(2, 1))
+    for argv, expected in ((["ck", "--input", str(bad)], 2),
+                           (["hermite", "--n", "17", "--beta", "1"], 3),
+                           (["inverse", "--input", nonmonogenic], 4)):
+        code, out, _ = run(capsys, argv + ["--output", str(target)])
+        assert code == expected
+        assert target.read_bytes() == b"previous bytes\n"
+    # a path that did not exist before a failed command does not exist after it
+    fresh = tmp_path / "fresh.json"
+    code, _, _ = run(capsys, ["ck", "--input", str(bad), "--output", str(fresh)])
+    assert code == 2
+    assert not fresh.exists()
+
+
 def test_deeply_nested_json_exit_2(capsys, tmp_path):
     # deeper than the interpreter's recursion limit, which json.load hits
     deep = tmp_path / "deep.json"

@@ -1,13 +1,18 @@
 """The integer-numerator kernel (Dirac, Laplacian, Cauchy-Riemann, heat and
-C-K extension) against the Fraction-per-step compositions in `oracles`.
+C-K extension) against the Fraction-per-step compositions in `oracles`,
+and the stored form of polynomials: reduced numerators over one
+denominator, and the "monogenic by construction" mark of `ck_extend`.
 
 Inputs are seeded: n = 1..8, x0 terms, total degree up to the cap, part
 denominators drawn from the primes up to 97, complex coefficients, and in
 every coefficient the full blade, which holds generators above and below
-each j.
+each j.  Each seeded polynomial also reaches the oracles through
+`restrict`, `partial`, `hermitian_conj`, `+`, `-` and scalar `*`, so
+operands built by every numerator operation are covered.
 """
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -17,13 +22,21 @@ from monogenic import (
     CliffordNumber,
     CliffordPolynomial,
     DegreeCapError,
+    FockElement,
     GaussianRational,
+    NotMonogenicError,
     ck_extend,
+    fock_to_monogenic,
     get_degree_cap,
     heat,
+    hermite,
     p_basis,
+    sb_inverse,
+    sb_transform,
     set_degree_cap,
+    taylor_map,
 )
+from monogenic import poly
 from monogenic.clifford import indices_from_mask
 
 from oracles import (
@@ -62,16 +75,29 @@ def _poly(rng, n, degree, terms, x0=True):
     return CliffordPolynomial(n, data)
 
 
+def _scalar(rng):
+    return rng.choice([rng.randint(-9, 9), _part(rng), GaussianRational(_part(rng), _part(rng))])
+
+
+def _derived(rng, f, g, x0=True):
+    """f, and f through each numerator operation; g is a second operand.
+    With x0 unset every input is x0-free, and so is every output."""
+    n = f.n
+    axis = rng.randint(0 if x0 else 1, n)
+    return [f, f.restrict(), f.partial(axis), f.hermitian_conj(),
+            f + g, f - g, f * _scalar(rng), _scalar(rng) * g]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_derivatives_match_oracles(n):
     rng = random.Random(100 + n)
     for degree in (get_degree_cap(), 9, 7, 5, 3, 1):
-        f = _poly(rng, n, degree, terms=4)
-        assert f.dirac() == naive_dirac(f)
-        assert f.laplacian() == naive_laplacian(f)
-        cr = naive_cauchy_riemann(f)
-        assert f.cauchy_riemann() == cr
-        assert f.is_monogenic() == cr.is_zero()
+        for f in _derived(rng, _poly(rng, n, degree, terms=4), _poly(rng, n, degree, terms=2)):
+            assert f.dirac() == naive_dirac(f)
+            assert f.laplacian() == naive_laplacian(f)
+            cr = naive_cauchy_riemann(f)
+            assert f.cauchy_riemann() == cr
+            assert f.is_monogenic() == cr.is_zero()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -79,11 +105,142 @@ def test_heat_and_ck_extend_match_oracles(n):
     rng = random.Random(200 + n)
     for degree in (get_degree_cap(), 10, 8, 5, 2, 0):
         f = _poly(rng, n, degree, terms=3, x0=False)
-        assert heat(f) == naive_heat(f)
-        assert heat(f, inverse=True) == naive_heat(f, inverse=True)
-        F = ck_extend(f)
-        assert F == naive_ck_extend(f)
-        assert F.is_monogenic()
+        g = _poly(rng, n, degree, terms=2, x0=False)
+        for f in _derived(rng, f, g, x0=False):
+            assert heat(f) == naive_heat(f)
+            assert heat(f, inverse=True) == naive_heat(f, inverse=True)
+            F = ck_extend(f)
+            assert F == naive_ck_extend(f)
+            assert F.is_monogenic()
+
+
+def _coefficients(f):
+    return {(k0, tuple(beta)): c for k0, beta, c in f.terms()}
+
+
+def _from_coefficients(n, data):
+    return CliffordPolynomial(n, {key: c for key, c in data.items() if c})
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ring_operations_match_coefficientwise_arithmetic(n):
+    # each numerator operation against the same operation on the CliffordNumber
+    # coefficients that terms() returns
+    rng = random.Random(300 + n)
+    for degree in (6, 3, 0):
+        f, g = _poly(rng, n, degree, terms=4), _poly(rng, n, degree, terms=3)
+        cf, cg = _coefficients(f), _coefficients(g)
+        zero = CliffordNumber.zero(n)
+        for sign, result in ((1, f + g), (-1, f - g)):
+            expected = {key: cf.get(key, zero) + sign * cg.get(key, zero) for key in cf.keys() | cg}
+            assert result == _from_coefficients(n, expected)
+        s = _scalar(rng)
+        assert f * s == s * f == _from_coefficients(n, {k: c * s for k, c in cf.items()})
+        c = _coeff(rng, n)
+        assert f * c == _from_coefficients(n, {k: v * c for k, v in cf.items()})
+        assert -f == _from_coefficients(n, {k: -v for k, v in cf.items()})
+        assert f.hermitian_conj() == _from_coefficients(
+            n, {k: v.hermitian_conj() for k, v in cf.items()})
+        assert f.restrict() == _from_coefficients(n, {k: v for k, v in cf.items() if k[0] == 0})
+        product = {}
+        for (ka, ba), va in cf.items():
+            for (kb, bb), vb in cg.items():
+                key = (ka + kb, tuple(x + y for x, y in zip(ba, bb)))
+                product[key] = product.get(key, zero) + va * vb
+        assert f * g == _from_coefficients(n, product)
+        for axis in range(n + 1):
+            expected = {}
+            for (k0, beta), v in cf.items():
+                e = k0 if axis == 0 else beta[axis - 1]
+                if e:
+                    key = (k0 - 1, beta) if axis == 0 else (
+                        k0, beta[:axis - 1] + (e - 1,) + beta[axis:])
+                    expected[key] = v * e
+            assert f.partial(axis) == _from_coefficients(n, expected)
+
+
+def _is_reduced(f):
+    """den > 0, gcd(den, every numerator) = 1, no zero pair, no empty key."""
+    parts = [x for blades in f._num.values() for pair in blades.values() for x in pair]
+    return (type(f._den) is int and f._den > 0 and all(type(x) is int for x in parts)
+            and math.gcd(f._den, *parts) == 1 and all(f._num.values())
+            and all(re or im for blades in f._num.values() for re, im in blades.values()))
+
+
+def _results(rng, f, g, h):
+    """A polynomial from every operation on f, g and the x0-free h."""
+    n = f.n
+    s = _scalar(rng)
+    alpha = FockElement(n, {beta: c for (_, beta), c in _coefficients(h).items()})
+    return [
+        f, g, h, CliffordPolynomial.zero(n), f + g, f - g, f + g - g, g - g, -f, f * g,
+        f * _coeff(rng, n), f * s, f * 6 * Fraction(1, 6), f * 0, 3 * f, f * Fraction(1, 6),
+        f.hermitian_conj(), f.hermitian_conj().hermitian_conj(), f.restrict(),
+        f.partial(0), f.partial(n), f.dirac(), f.laplacian(), f.cauchy_riemann(),
+        f.dirac().dirac(), -f.laplacian(), heat(h), heat(heat(h), inverse=True),
+        heat(h, inverse=True), ck_extend(h), ck_extend(h).restrict(),
+        hermite(n, [2 if j < 3 else 0 for j in range(n)]),
+        p_basis(n, [1 if j < 5 else 0 for j in range(n)]), sb_transform(h),
+        sb_inverse(sb_transform(h)), fock_to_monogenic(alpha),
+        fock_to_monogenic(taylor_map(ck_extend(h))),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_result_is_reduced_and_equality_is_termwise(n):
+    rng = random.Random(400 + n)
+    f, g = _poly(rng, n, 5, terms=4), _poly(rng, n, 4, terms=3)
+    h = _poly(rng, n, 5, terms=3, x0=False)
+    results = _results(rng, f, g, h)
+    for r in results:
+        assert _is_reduced(r), r
+    for a in results:
+        for b in results:
+            assert (a == b) == (list(a.terms()) == list(b.terms()))
+    # identities make some of those pairs equal, so both outcomes of == occur
+    assert f + g - g == f == f.hermitian_conj().hermitian_conj() == f * 6 * Fraction(1, 6)
+    assert f.dirac().dirac() == -f.laplacian()
+    assert heat(heat(h), inverse=True) == h == ck_extend(h).restrict()
+
+
+def test_the_monogenic_mark_does_not_leak():
+    rng = random.Random(7)
+    n = 3
+    F = ck_extend(_poly(rng, n, 5, terms=3, x0=False))
+    assert F._monogenic
+    G = ck_extend(_poly(rng, n, 4, terms=2, x0=False))
+    for derived in (F + G, F - G, -F, F.restrict(), F * 2, 2 * F, F * Fraction(1, 3),
+                    F * CliffordNumber.basis(n, 1), F * G, F.hermitian_conj(),
+                    F.partial(1), F.dirac(), heat(F.restrict()), CliffordPolynomial(n, dict(
+                        ((k0, beta), c) for k0, beta, c in F.terms()))):
+        assert not derived._monogenic
+    assert F._monogenic and G._monogenic
+    bump = CliffordPolynomial.monomial(n, 0, (1, 0, 0), CliffordNumber.basis(n, 2))
+    for broken in (F + bump, F - bump, bump + F):
+        assert not broken.is_monogenic()
+        with pytest.raises(NotMonogenicError):
+            taylor_map(broken)
+        with pytest.raises(NotMonogenicError):
+            sb_inverse(broken)
+
+
+def test_is_monogenic_computes_on_marked_values(monkeypatch):
+    calls = []
+    kernel = poly._cauchy_riemann
+
+    def counting(data):
+        calls.append(1)
+        return kernel(data)
+
+    monkeypatch.setattr(poly, "_cauchy_riemann", counting)
+    F = ck_extend(_poly(random.Random(8), 3, 5, terms=3, x0=False))
+    assert F._monogenic
+    assert F.is_monogenic()
+    assert len(calls) == 1
+    # the preconditions of the Taylor map and the inverse transform read the mark
+    taylor_map(F)
+    sb_inverse(F)
+    assert len(calls) == 1
 
 
 def test_zero_polynomial():

@@ -67,6 +67,14 @@ def test_multi_index_rejects_bool():
         MultiIndex([True, 0])
 
 
+def test_x0_exponent_rejects_bool():
+    # True == 1, but its canonical JSON would read "x0": true, which the parser rejects
+    with pytest.raises(ValueError):
+        CliffordPolynomial(1, {(True, (0,)): CliffordNumber.one(1)})
+    with pytest.raises(ValueError):
+        CliffordPolynomial.monomial(1, True, (2,))
+
+
 # -- evaluation --------------------------------------------------------------
 
 def test_eval_examples():
