@@ -18,9 +18,9 @@ numerators of every blade pair are added into their output blade, and
 each output coefficient is reduced once at the end.  The two ends of
 that codec serve more than the product.  `_over_common_denominator`
 also converts coefficients once where they enter integer storage: the
-`CliffordPolynomial` constructor and `fock.fock_to_function`.
-`_gaussian_over` builds the Fractions where numerators leave it:
-polynomial `terms()` and `coefficient()`, `fock.taylor_map`, and the
+`CliffordPolynomial` constructor, which also builds Hermite expansions
+and Fock elements.  `_gaussian_over` builds the Fractions where
+numerators leave it: polynomial `terms()` and `coefficient()`, and the
 pairings of `gauss`.
 
 Everything here is immutable after construction and every operation is

@@ -16,26 +16,26 @@ Pairings run on integer numerators, like the Clifford product and the
 polynomial calculus.  Terms are bucketed by parity signature, the
 bitmask of odd entries in (k0, beta): two monomials multiply to one with
 only even exponents exactly when their signatures are equal, so only
-terms of one bucket ever meet.  A single pairing buckets the term keys
-of both operands first and reads only the terms of shared buckets off
-the stored numerators of `poly`, each operand over its one stored
-denominator; no operand is converted.  In a Gram table most term pairs,
-and most whole entries, share no bucket at all.  The
-left operand is conjugated in numerators: imaginary part negated, blade
-e_A signed by (-1)^(k(k+1)/2) for k generators.  Each left term meets
-the sum of the right terms in its bucket, each weighted by the integer
-moment of the pair, which under MU_TILDE is scaled by 2^(D - |e|/2) so
-that one 2^D (2D the top combined degree) is the common denominator.
-Blade products take the sign (-1)^popcount(q_A & B) of
-`clifford._sign_mask`, real and imaginary numerators are accumulated per
-output blade, and each output part becomes one `Fraction` at the end
-(`clifford._gaussian_over`).
+terms of one bucket ever meet.  Each operand is grouped into buckets
+once, by reference: the blade dicts are the stored numerators of
+`poly`, read in place over the operand's one stored denominator and
+never copied or written.  In a Gram table most term pairs, and most
+whole entries, share no bucket at all.  Each left term meets the sum of
+the right terms in its bucket, each weighted by the integer moment of
+the pair, which under MU_TILDE is scaled by 2^(D - |e|/2) so that one
+2^D (2D the top combined degree) is the common denominator.  The left
+blades are conjugated as they are read: imaginary part negated, blade
+e_A signed by (-1)^(k(k+1)/2) for k generators.  Blade products take
+the sign (-1)^popcount(q_A & B) of `clifford._sign_mask`, real and
+imaginary numerators are accumulated per output blade, and each output
+part becomes one `Fraction` at the end (`clifford._gaussian_over`).
 
 The scalar products `inner_rho` and `inner_mu` need only the grade-0
 part.  conj(e_A) e_B has a scalar part only when A = B, and there it is
-1, so they sum conj(a_A) b_A over shared blades and form no other blade
-pair.  `gram` yields the pairings of every f of one list with every g
-of another, row by row, and prepares each operand once, whole.
+1, so they sum conj(a_A) b_A over shared blades, form no other blade
+pair and conjugate no blade.  `gram` yields the pairings of every f of
+one list with every g of another, row by row, and groups each operand
+once.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .clifford import (
     _gaussian_over,
     _sign_mask,
 )
-from .poly import CliffordPolynomial, MultiIndex
+from .poly import CliffordPolynomial
 
 
 class Measure(enum.Enum):
@@ -86,68 +86,32 @@ def moment(measure: Measure, k0: int, beta: Sequence[int]) -> Fraction:
     return Fraction(total, 2 ** (sum(exponents) // 2))
 
 
-# Terms of an operand by parity signature, before any arithmetic:
-# {signature: [(term key, exponents (k0, *beta), total degree)]}
-_Shapes = dict[int, list[tuple[tuple[int, MultiIndex], tuple[int, ...], int]]]
-
-
-class _Operand:
-    """Terms of a polynomial as integer numerators over `den`, bucketed by
-    signature: {signature: [(exponents, degree, [(mask, re, im)])]}, with
-    `top` the largest total degree among them."""
-
-    __slots__ = ("n", "den", "top", "buckets")
-
-    def __init__(self, n: int, den: int, top: int,
-                 buckets: dict[int, list[tuple[tuple[int, ...], int, list[tuple[int, int, int]]]]]):
-        self.n = n
-        self.den = den
-        self.top = top
-        self.buckets = buckets
-
-
-def _shapes(f: CliffordPolynomial, measure: Measure) -> _Shapes:
-    """The terms of f bucketed by parity signature: one bit per entry of
-    (k0, *beta), set when that entry is odd."""
+def _operand(f: CliffordPolynomial, measure: Measure) -> tuple[int, int, dict]:
+    """(den, top, {signature: [(exponents, degree, blades)]}): the terms of f
+    grouped by parity signature, one bit per entry of exponents = (k0, *beta)
+    set when that entry is odd, with top the largest total degree of f.
+    `blades` is the stored numerator dict of the term, shared between
+    threads with f, so it is read and never written."""
     rho = measure is Measure.RHO
-    out: _Shapes = {}
-    for key in f._num:
-        k0, beta = key
+    buckets: dict = {}
+    top = 0
+    for (k0, beta), blades in f._num.items():
         if k0 and rho:
             raise ValueError("the R^n measure requires x0-free polynomials")
         exponents = (k0, *beta)
         signature = 0
         for e in exponents:
             signature = signature << 1 | e & 1
-        shape = (key, exponents, k0 + sum(beta))
-        bucket = out.get(signature)
+        degree = k0 + sum(beta)
+        if degree > top:
+            top = degree
+        term = (exponents, degree, blades)
+        bucket = buckets.get(signature)
         if bucket is None:
-            out[signature] = [shape]
+            buckets[signature] = [term]
         else:
-            bucket.append(shape)
-    return out
-
-
-def _prepare(f: CliffordPolynomial, shapes: _Shapes, conj: bool) -> _Operand:
-    """The terms of f listed in `shapes`, read off its stored numerators;
-    with `conj` their Hermitian conjugates instead."""
-    num = f._num
-    buckets = {}
-    top = 0
-    for signature, bucket in shapes.items():
-        prepared = []
-        for key, exponents, degree in bucket:
-            if degree > top:
-                top = degree
-            if conj:
-                # (-1)^(k(k+1)/2) is -1 exactly when bit 1 of k + 1 is set
-                blades = [(mask, -re, im) if (mask.bit_count() + 1) & 2 else (mask, re, -im)
-                          for mask, (re, im) in num[key].items()]
-            else:
-                blades = [(mask, re, im) for mask, (re, im) in num[key].items()]
-            prepared.append((exponents, degree, blades))
-        buckets[signature] = prepared
-    return _Operand(f.n, f._den, top, buckets)
+            bucket.append(term)
+    return f._den, top, buckets
 
 
 def _check_dimensions(f: CliffordPolynomial, g: CliffordPolynomial) -> None:
@@ -155,25 +119,16 @@ def _check_dimensions(f: CliffordPolynomial, g: CliffordPolynomial) -> None:
         raise DimensionMismatchError(f"polynomials over C_{f.n} vs C_{g.n}")
 
 
-def _prepare_pair(f: CliffordPolynomial, g: CliffordPolynomial, measure: Measure,
-                  conj: bool) -> tuple[_Operand, _Operand]:
-    """Both operands of one pairing, keeping only the terms that meet a
-    term of the other operand (same signature)."""
-    _check_dimensions(f, g)
-    sf, sg = _shapes(f, measure), _shapes(g, measure)
-    shared = sf.keys() & sg.keys()
-    return (_prepare(f, {s: sf[s] for s in shared}, conj),
-            _prepare(g, {s: sg[s] for s in shared}, False))
-
-
-def _weighted_sums(left: _Operand, right: _Operand, measure: Measure):
+def _weighted_sums(left: tuple, right: tuple, measure: Measure):
     """Yield (left blades, {mask: [re, im]}) per left term: the sum of
     the right operand's terms in its bucket, each weighted by the integer
     moment of the pair (times 2^D under MU_TILDE, see `_denominator`)."""
-    half = left.top + right.top >> 1
+    _, top_a, buckets_a = left
+    _, top_b, buckets_b = right
+    half = top_a + top_b >> 1
     table = _unit_moments(2 * half)
-    for signature, terms in left.buckets.items():
-        partners = right.buckets.get(signature)
+    for signature, terms in buckets_a.items():
+        partners = buckets_b.get(signature)
         if partners is None:
             continue
         for ea, da, blades_a in terms:
@@ -184,7 +139,7 @@ def _weighted_sums(left: _Operand, right: _Operand, measure: Measure):
                     w *= table[x + y]
                 if measure is Measure.MU_TILDE:
                     w <<= half - (da + db >> 1)
-                for mb, br, bi in blades_b:
+                for mb, (br, bi) in blades_b.items():
                     slot = acc.get(mb)
                     if slot is None:
                         acc[mb] = [w * br, w * bi]
@@ -194,21 +149,27 @@ def _weighted_sums(left: _Operand, right: _Operand, measure: Measure):
             yield blades_a, acc
 
 
-def _denominator(left: _Operand, right: _Operand, measure: Measure) -> int:
+def _denominator(left: tuple, right: tuple, measure: Measure) -> int:
     """den(left) * den(right), times 2^D under MU_TILDE with 2D the top
     combined degree rounded down to even."""
-    den = left.den * right.den
+    den = left[0] * right[0]
     if measure is Measure.MU_TILDE:
-        den <<= left.top + right.top >> 1
+        den <<= left[1] + right[1] >> 1
     return den
 
 
-def _pairing(left: _Operand, right: _Operand, measure: Measure) -> CliffordNumber:
-    """Integral of left * right, the left operand prepared conjugated."""
+def _pairing(n: int, left: tuple, right: tuple, measure: Measure) -> CliffordNumber:
+    """Integral of conj(left) * right; each left blade is conjugated as it
+    is read: imaginary part negated, blade e_A signed by (-1)^(k(k+1)/2)
+    for k generators, which is -1 exactly when bit 1 of k + 1 is set."""
     re_acc: dict[int, int] = {}
     im_acc: dict[int, int] = {}
     for blades_a, sums in _weighted_sums(left, right, measure):
-        for ma, ar, ai in blades_a:
+        for ma, (ar, ai) in blades_a.items():
+            if (ma.bit_count() + 1) & 2:
+                ar = -ar
+            else:
+                ai = -ai
             q = _sign_mask(ma)
             for mb, (sr, si) in sums.items():
                 re = ar * sr - ai * si
@@ -224,15 +185,18 @@ def _pairing(left: _Operand, right: _Operand, measure: Measure) -> CliffordNumbe
         im = im_acc[mask]
         if re or im:
             data[mask] = _gaussian_over(re, im, den)
-    return CliffordNumber._from_nonzero(left.n, data)
+    return CliffordNumber._from_nonzero(n, data)
 
 
-def _scalar_pairing(left: _Operand, right: _Operand, measure: Measure) -> GaussianRational:
-    """Scalar part of the integral of conj(left) * right, the left operand
-    prepared as is: sum of conj(a_A) b_A over shared blades."""
+def _scalar_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
+                    measure: Measure) -> GaussianRational:
+    """Scalar part of the integral of conj(f) * g: sum of conj(a_A) b_A
+    over shared blades, since conj(e_A) e_A = 1."""
+    _check_dimensions(f, g)
+    left, right = _operand(f, measure), _operand(g, measure)
     re = im = 0
     for blades_a, sums in _weighted_sums(left, right, measure):
-        for ma, ar, ai in blades_a:
+        for ma, (ar, ai) in blades_a.items():
             slot = sums.get(ma)
             if slot is not None:
                 sr, si = slot
@@ -246,33 +210,34 @@ def clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
     """Full Clifford-valued pairing: integral of conj(f) * g.
 
     The product is never materialized as a polynomial, and only terms
-    that meet a term of the other operand are put over integers.
+    of shared parity buckets meet.
     """
-    return _pairing(*_prepare_pair(f, g, measure, True), measure)
+    _check_dimensions(f, g)
+    return _pairing(f.n, _operand(f, measure), _operand(g, measure), measure)
 
 
 def gram(fs: Iterable[CliffordPolynomial], gs: Sequence[CliffordPolynomial],
          measure: Measure) -> Iterator[list[CliffordNumber]]:
     """Rows [clifford_pairing(f, g, measure) for g in gs], one per f in fs.
 
-    Rows are computed as they are consumed.  Each operand is prepared
-    once, whole: every g before the first row, each f for its own row.
+    Rows are computed as they are consumed.  Each operand is grouped
+    once: every g before the first row, each f for its own row.
     """
     right = None
     for f in fs:
         for g in gs:
             _check_dimensions(f, g)
         if right is None:
-            right = [_prepare(g, _shapes(g, measure), False) for g in gs]
-        left = _prepare(f, _shapes(f, measure), True)
-        yield [_pairing(left, r, measure) for r in right]
+            right = [_operand(g, measure) for g in gs]
+        left = _operand(f, measure)
+        yield [_pairing(f.n, left, r, measure) for r in right]
 
 
 def inner_rho(f: CliffordPolynomial, g: CliffordPolynomial) -> GaussianRational:
     """<f, g> over R^n: scalar part of the RHO pairing."""
-    return _scalar_pairing(*_prepare_pair(f, g, Measure.RHO, False), Measure.RHO)
+    return _scalar_pairing(f, g, Measure.RHO)
 
 
 def inner_mu(f: CliffordPolynomial, g: CliffordPolynomial) -> GaussianRational:
     """<F, G> over R^{n+1}: scalar part of the MU_TILDE pairing."""
-    return _scalar_pairing(*_prepare_pair(f, g, Measure.MU_TILDE, False), Measure.MU_TILDE)
+    return _scalar_pairing(f, g, Measure.MU_TILDE)

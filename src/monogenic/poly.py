@@ -26,6 +26,14 @@ product: e_j e_B = (-1)^popcount(B & low_j) e_{B xor bit_j}, where
 bit_j is the mask of e_j and low_j the mask of e_1, ..., e_j (one swap
 for each generator of B below j, and e_j^2 = -1 when j is in B).
 
+Containers.  Hermite expansions and Fock elements share
+`_MultiIndexMap`, which stores one x0-free polynomial sum_beta x^beta
+v_beta in this form (v_beta = w_beta for an expansion, alpha(e^beta)
+for a Fock element, unscaled).  Their maps and norms read its
+numerators in place; their entries, repr and JSON read its `terms()`
+and `coefficient()`.  Building one checks the degree cap like any
+polynomial.
+
 The mark.  `ck_extend` builds monogenic polynomials by construction and
 sets the private `_monogenic` slot on its result before returning it;
 every other constructor, `_raw` included, leaves it False, and nothing
@@ -98,48 +106,47 @@ class MultiIndex(tuple):
 
 
 class _MultiIndexMap:
-    """Finite sparse map beta -> CliffordNumber over C_n, zeros pruned.
+    """Finite sparse map beta -> C_n, the container shared by Hermite
+    expansions and Fock elements.
 
-    The container shared by Hermite expansions and Fock elements; each
-    subclass sets `_noun` = (member, kind) for its dimension errors.
+    It stores one x0-free polynomial sum_beta x^beta v_beta built by the
+    `CliffordPolynomial` constructor, which validates the entries, prunes
+    zeros and checks the degree cap; entries are read back through its
+    `terms()` and `coefficient()`.
     """
 
-    __slots__ = ("n", "_data")
-    _noun: tuple[str, str]
+    __slots__ = ("_poly",)
 
     def __init__(self, n: int, data: Mapping[Sequence[int], CliffordNumber] | None = None):
-        _check_dimension(n)
-        self.n = n
-        out: dict[MultiIndex, CliffordNumber] = {}
-        if data:
-            for beta, value in data.items():
-                beta = MultiIndex(beta)
-                if len(beta) != n:
-                    raise ValueError(f"multi-index length {len(beta)} != dimension {n}")
-                if value.n != n:
-                    member, kind = self._noun
-                    raise DimensionMismatchError(f"C_{value.n} {member} in C_{n} {kind}")
-                if beta in out:
-                    raise ValueError(f"duplicate multi-index {tuple(beta)}")
-                if value:
-                    out[beta] = value
-        self._data = out
+        self._poly = CliffordPolynomial(n, {(0, beta): value for beta, value in data.items()}
+                                        if data else None)
+
+    @classmethod
+    def _of(cls, f: "CliffordPolynomial"):
+        """The container storing the x0-free polynomial f as it is."""
+        out = cls.__new__(cls)
+        out._poly = f
+        return out
+
+    @property
+    def n(self) -> int:
+        return self._poly.n
 
     def _items(self) -> Iterator[tuple[MultiIndex, CliffordNumber]]:
         """(beta, value) pairs sorted by (degree, beta)."""
-        for beta in sorted(self._data, key=lambda b: (b.degree, b)):
-            yield beta, self._data[beta]
+        for _, beta, value in self._poly.terms():
+            yield beta, value
 
     def is_zero(self) -> bool:
-        return not self._data
+        return not self._poly
 
     def __bool__(self) -> bool:
-        return bool(self._data)
+        return bool(self._poly)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.n == other.n and self._data == other._data
+        return self._poly == other._poly
 
     __hash__ = None
 

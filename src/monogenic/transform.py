@@ -24,15 +24,17 @@ squared norms beta!; for n >= 2 it is not, under any measure (see the
 README section "Status of the isometry identities").
 
 A Hermite expansion sum_beta H_beta w_beta is the sparse beta -> C_n map
-of `poly` that Fock elements share.  Its heat image is the polynomial
-sum_beta x^beta w_beta, read off without a series: `sb_transform` only
-C-K extends it, and `to_polynomial` applies the inverse heat once.
+of `poly` that Fock elements share.  It stores its heat image, the
+polynomial sum_beta x^beta w_beta: `sb_transform` only C-K extends the
+stored polynomial, `to_polynomial` applies the inverse heat to it once,
+`from_polynomial` stores heat(f), and `norm_sq` is one integer sum over
+its numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Sequence, Union
 
 from .poly import (
@@ -126,12 +128,11 @@ class HermiteExpansion(_MultiIndexMap):
     Clifford coefficients w_beta."""
 
     __slots__ = ()
-    _noun = ("coefficient", "expansion")
 
     coefficients = _MultiIndexMap._items
 
     def to_polynomial(self) -> CliffordPolynomial:
-        return heat(_heat_image(self), inverse=True)
+        return heat(self._poly, inverse=True)
 
     @classmethod
     def from_polynomial(cls, f: CliffordPolynomial) -> "HermiteExpansion":
@@ -140,31 +141,26 @@ class HermiteExpansion(_MultiIndexMap):
         The heat operator carries H_beta to x^beta, so the expansion
         coefficients are just the monomial coefficients of heat(f).
         """
-        smoothed = heat(f)
-        return cls(f.n, {beta: coeff for _, beta, coeff in smoothed.terms()})
+        return cls._of(heat(f))
 
     def norm_sq(self) -> Fraction:
-        """sum_beta beta! * |w_beta|^2, the Gaussian squared norm."""
-        total = Fraction(0)
-        for beta, value in self._data.items():
-            total += beta.factorial * value.norm_sq()
-        return total
-
-
-def _heat_image(f: HermiteExpansion) -> CliffordPolynomial:
-    """heat(f) = sum_beta x^beta * w_beta, read off the coefficients."""
-    return CliffordPolynomial(f.n, {(0, beta): value for beta, value in f._data.items()})
+        """sum_beta beta! * |w_beta|^2, the Gaussian squared norm: one
+        integer sum over the squared stored denominator."""
+        f = self._poly
+        total = sum(prod(map(factorial, beta)) * sum(re * re + im * im for re, im in blades.values())
+                    for (_, beta), blades in f._num.items())
+        return Fraction(total, f._den * f._den)
 
 
 def sb_transform(f: Union[HermiteExpansion, CliffordPolynomial]) -> CliffordPolynomial:
     """The Segal-Bargmann transform in factorized form, ck_extend(heat(f)).
 
     A Hermite expansion needs no heat series: heat(H_beta) = x^beta, so
-    it is extended straight from sum_beta x^beta * w_beta, which sends
-    each H_beta * w to the monogenic basis element times w.
+    its stored polynomial sum_beta x^beta * w_beta is extended as it is,
+    which sends each H_beta * w to the monogenic basis element times w.
     """
     if isinstance(f, HermiteExpansion):
-        return ck_extend(_heat_image(f))
+        return ck_extend(f._poly)
     return ck_extend(heat(f))
 
 

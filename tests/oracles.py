@@ -8,7 +8,8 @@ power-expansion evaluator, the polynomial operators composed from
 step (the Dirac operator, the Laplacian, the Cauchy-Riemann operator,
 and the heat and Cauchy-Kowalevski series built on them), a Gaussian
 pairing that sums Clifford products of conjugated terms weighted by
-recurrence moments, and Gram tables of the monogenic basis that
+recurrence moments, both squared container norms and both Taylor-side
+maps summed or scaled one `Fraction` entry at a time, and Gram tables of the monogenic basis that
 integrate the materialised product conj(P_alpha) * P_beta instead of
 going through `gauss`.  The last route also feeds an exact row
 reduction that decides whether *any* moment functional on R^{n+1} makes
@@ -19,7 +20,15 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from monogenic import CliffordNumber, CliffordPolynomial, Measure, MultiIndex, p_basis
+from monogenic import (
+    CliffordNumber,
+    CliffordPolynomial,
+    FockElement,
+    HermiteExpansion,
+    Measure,
+    MultiIndex,
+    p_basis,
+)
 
 # denominators for seeded test data whose common denominator is a large lcm
 PRIMES_TO_97 = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
@@ -157,6 +166,34 @@ def expand_eval(f: CliffordPolynomial, x0: Fraction, xs: list[Fraction]) -> Clif
                 scale = scale * x
         total = total + scale * coeff
     return total
+
+
+def naive_expansion_norm_sq(f: HermiteExpansion) -> Fraction:
+    """sum_beta beta! * |w_beta|^2, one `Fraction` per entry."""
+    total = Fraction(0)
+    for beta, value in f.coefficients():
+        total += beta.factorial * value.norm_sq()
+    return total
+
+
+def naive_fock_norm_sq(alpha: FockElement) -> Fraction:
+    """sum_beta |alpha(e^beta)|^2 / beta!, one `Fraction` per entry."""
+    total = Fraction(0)
+    for beta, value in alpha.entries():
+        total += value.norm_sq() / beta.factorial
+    return total
+
+
+def naive_taylor_map(F: CliffordPolynomial) -> dict:
+    """{beta: beta! * coefficient of x^beta in F(0, x)}, one Clifford
+    scalar product per entry."""
+    return {beta: coeff * beta.factorial for k0, beta, coeff in F.terms() if not k0}
+
+
+def naive_fock_to_function(alpha: FockElement) -> dict:
+    """{(0, beta): alpha(e^beta) / beta!}, one Clifford scalar product per
+    entry."""
+    return {(0, beta): value * Fraction(1, beta.factorial) for beta, value in alpha.entries()}
 
 
 def _conj_products(n: int, betas: Sequence[MultiIndex]):

@@ -188,6 +188,15 @@ def test_bounds_exit_3(capsys, tmp_path):
         code, out, err = run(capsys, argv + ["--input", str(path)])
         assert code == 3
         assert out == "" and "dimension" in err
+    # and so is the degree cap, for both multi-index containers
+    beta13 = {"beta": [13, 0], "value": [{"blade": [], "re": "1", "im": "0"}]}
+    for argv, blob in ((["fock-inverse"], {"n": 2, "entries": [beta13]}),
+                       (["transform", "--hermite"], {"n": 2, "coeffs": [beta13]})):
+        path = tmp_path / "deg13.json"
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, argv + ["--input", str(path)])
+        assert code == 3
+        assert out == "" and err == "error: total degree 13 exceeds cap 12\n"
 
 
 def test_degree_cap_env_var(capsys, monkeypatch):

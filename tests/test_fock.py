@@ -8,6 +8,7 @@ import pytest
 from monogenic import (
     CliffordNumber,
     CliffordPolynomial,
+    DegreeCapError,
     DimensionMismatchError,
     FockElement,
     GaussianRational,
@@ -62,6 +63,9 @@ def test_validation():
         FockElement(2, {(1, 0): CliffordNumber.one(3)})
     with pytest.raises(DimensionMismatchError):
         FockElement(2) + FockElement(3)
+    # the degree cap is checked when a container is built
+    with pytest.raises(DegreeCapError):
+        FockElement(2, {(13, 0): CliffordNumber.one(2)})
 
 
 def test_addition_prunes_zeros():

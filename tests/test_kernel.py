@@ -6,7 +6,9 @@ denominator, and the "monogenic by construction" mark of `ck_extend`.
 Inputs are seeded: n = 1..8, x0 terms, total degree up to the cap, part
 denominators drawn from the primes up to 97, complex coefficients, and in
 every coefficient the full blade, which holds generators above and below
-each j.  Each seeded polynomial also reaches the oracles through
+each j.  The same inputs, read as Hermite expansions and Fock elements,
+check both squared norms, `taylor_map` and `fock_to_function` against
+their one-`Fraction`-per-entry oracles.  Each seeded polynomial also reaches the oracles through
 `restrict`, `partial`, `hermitian_conj`, `+`, `-` and scalar `*`, so
 operands built by every numerator operation are covered.
 """
@@ -24,8 +26,11 @@ from monogenic import (
     DegreeCapError,
     FockElement,
     GaussianRational,
+    HermiteExpansion,
     NotMonogenicError,
     ck_extend,
+    fock_norm_sq,
+    fock_to_function,
     fock_to_monogenic,
     get_degree_cap,
     heat,
@@ -44,8 +49,12 @@ from oracles import (
     naive_cauchy_riemann,
     naive_ck_extend,
     naive_dirac,
+    naive_expansion_norm_sq,
+    naive_fock_norm_sq,
+    naive_fock_to_function,
     naive_heat,
     naive_laplacian,
+    naive_taylor_map,
 )
 
 
@@ -157,6 +166,22 @@ def test_ring_operations_match_coefficientwise_arithmetic(n):
                         k0, beta[:axis - 1] + (e - 1,) + beta[axis:])
                     expected[key] = v * e
             assert f.partial(axis) == _from_coefficients(n, expected)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_container_maps_match_oracles(n):
+    rng = random.Random(300 + n)
+    for degree in (get_degree_cap(), 9, 6, 3, 0):
+        data = {beta: c for _, beta, c in _poly(rng, n, degree, terms=4, x0=False).terms()}
+        other = {beta: c for _, beta, c in _poly(rng, n, degree, terms=2, x0=False).terms()}
+        alpha, h = FockElement(n, data), HermiteExpansion(n, data)
+        assert h.norm_sq() == naive_expansion_norm_sq(h)
+        for a in (alpha, alpha + FockElement(n, other), *map(alpha.grade, alpha.grades())):
+            assert fock_norm_sq(a) == naive_fock_norm_sq(a)
+            assert _coefficients(fock_to_function(a)) == naive_fock_to_function(a)
+        f, g = ck_extend(h.to_polynomial()), sb_transform(HermiteExpansion(n, other))
+        for F in (f, f + g):
+            assert dict(taylor_map(F).entries()) == naive_taylor_map(F)
 
 
 def _is_reduced(f):

@@ -1,7 +1,10 @@
-"""Guards for the tooling next to the library: the benchmark's tracer."""
+"""Guards for the tooling next to the library: the benchmark's tracer,
+and the library's stdlib-only imports."""
 
+import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +28,21 @@ def test_tracer_target_is_defined_where_it_is_wrapped(layer, path, name):
     for part in cls_path:
         owner = getattr(owner, part)
     assert attr in owner.__dict__, f"{name}: {path} is not defined on monogenic.{layer}"
+
+
+def test_library_imports_only_the_standard_library():
+    # the library is stdlib-only at runtime; relative imports stay inside it
+    package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
