@@ -12,16 +12,23 @@ e_j^2 = -1 for each generator in both.  Bit j of the sign mask q_A is
 the parity of A's generators above j, xor A's own bit j, so
 s = popcount(q_A & B) mod 2: O(1) per blade pair once q_A is known.
 
-Products of multivectors accumulate integer numerators: each operand is
-put over the lcm of its coefficient denominators, the real and imaginary
-numerators of every blade pair are added into their output blade, and
-each output coefficient is reduced once at the end.  The two ends of
-that codec serve more than the product.  `_over_common_denominator`
-also converts coefficients once where they enter integer storage: the
-`CliffordPolynomial` constructor, which also builds Hermite expansions
-and Fock elements.  `_gaussian_over` builds the Fractions where
-numerators leave it: polynomial `terms()` and `coefficient()`, and the
-pairings of `gauss`.
+A CliffordNumber is stored as integer numerators over one denominator:
+`_den` and `_blades` = {blade mask: (re, im)}, reduced (den > 0,
+gcd(den, every numerator) = 1, no zero pair).  That is exactly the form
+one term of a `CliffordPolynomial` takes, and it is unique, so `==`
+compares integers.  Every operation works on the numerators and the
+module-level helpers here serve the polynomial kernels too: `+` scales
+both operands to the lcm of their denominators (`_add_scaled`), the
+product multiplies the denominators and accumulates the real and
+imaginary numerators of every blade pair into their output blade
+(`_product_numerators`), `hermitian_conj` applies `_conjugated`, and
+`inner` sums conj(a_A) b_A over shared blades (`_shared_blade_sum`).
+Results that can share a factor with the denominator are reduced once
+by the reducing constructor; the others are adopted as they are.
+Coefficients become `Fraction`s only where they are read back
+(`terms()`, `coefficient()`, `scalar_part()`, `inner()`), one per
+nonzero part (`_gaussian_over`), and `_part_text` prints a part from
+its numerator with one gcd.
 
 Everything here is immutable after construction and every operation is
 pure, so values can be shared freely between threads.
@@ -29,9 +36,9 @@ pure, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 MAX_DIMENSION = 16
@@ -106,10 +113,6 @@ class GaussianRational:
         if other is NotImplemented:
             return NotImplemented
         re, im, ore, oim = self.re, self.im, other.re, other.im
-        if not im:  # real factors are the common case: skip the zero products
-            return _gaussian(re * ore, re * oim if oim else _ZERO)
-        if not oim:
-            return _gaussian(re * ore, im * ore)
         return _gaussian(re * ore - im * oim, re * oim + im * ore)
 
     __rmul__ = __mul__
@@ -121,7 +124,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # equal to a real rational, so hashed like it
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __complex__(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
@@ -202,15 +206,23 @@ def blade_product(a: Iterable[int], b: Iterable[int], n: int) -> tuple[int, tupl
     return sign, indices_from_mask(ma ^ mb)
 
 
-def _over_common_denominator(
-        maps: list[Mapping[int, GaussianRational]]) -> tuple[int, list[dict[int, tuple[int, int]]]]:
-    """(d, [{mask: (re*d, im*d)} per map]) with d the lcm of every part's
-    denominator in all the maps, so the numerators are integers."""
-    parts = [v for coeffs in maps for v in coeffs.values()]
+# ---------------------------------------------------------------------------
+# Integer numerators
+# ---------------------------------------------------------------------------
+
+# {blade mask: (re, im)} with integer parts over a denominator kept beside
+# the map.  Accumulators may hold zero pairs until a reduction drops them.
+_Blades = dict[int, tuple[int, int]]
+
+
+def _over_common_denominator(values: Mapping[int, GaussianRational]) -> tuple[int, _Blades]:
+    """(d, {mask: (re*d, im*d)}) with d the lcm of every part's
+    denominator, so the numerators are integers; the lcm of reduced
+    fractions leaves them reduced."""
+    parts = values.values()
     den = lcm(*{v.re.denominator for v in parts}, *{v.im.denominator for v in parts})
-    return den, [{m: (v.re.numerator * (den // v.re.denominator),
-                      v.im.numerator * (den // v.im.denominator)) for m, v in coeffs.items()}
-                 for coeffs in maps]
+    return den, {m: (v.re.numerator * (den // v.re.denominator),
+                     v.im.numerator * (den // v.im.denominator)) for m, v in values.items()}
 
 
 def _gaussian_over(re: int, im: int, den: int) -> GaussianRational:
@@ -218,41 +230,60 @@ def _gaussian_over(re: int, im: int, den: int) -> GaussianRational:
     return _gaussian(Fraction(re, den) if re else _ZERO, Fraction(im, den) if im else _ZERO)
 
 
-def _product_numerators(left: Mapping[int, tuple[int, int]], right: Mapping[int, tuple[int, int]]
-                        ) -> tuple[defaultdict[int, int], defaultdict[int, int]]:
-    """Integer multiply-accumulate over all blade pairs of two numerator
-    maps: (re, im) numerators per output blade, cancelled ones included."""
-    re_acc: defaultdict[int, int] = defaultdict(int)
-    im_acc: defaultdict[int, int] = defaultdict(int)
+def _part_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, with one gcd and no Fraction."""
+    if not num:
+        return "0"
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _add_scaled(acc: _Blades, blades: _Blades, c: int) -> None:
+    """acc += c * blades."""
+    for mask, (re, im) in blades.items():
+        prev = acc.get(mask)
+        if prev is None:
+            acc[mask] = (c * re, c * im)
+        else:
+            acc[mask] = (prev[0] + c * re, prev[1] + c * im)
+
+
+def _conjugated(blades: _Blades) -> _Blades:
+    """Hermitian conjugate of a numerator map: imaginary part negated, then
+    blade e_A signed by (-1)^(k(k+1)/2) for k generators, which is -1
+    exactly when bit 1 of k + 1 is set."""
+    return {m: (-re, im) if (m.bit_count() + 1) & 2 else (re, -im)
+            for m, (re, im) in blades.items()}
+
+
+def _shared_blade_sum(pairs: Iterable[tuple[Mapping, Mapping]]) -> tuple[int, int]:
+    """(re, im) numerators of the sum of conj(a_A) * b_A over the blades
+    shared by the maps of each (left, right) pair: conj(e_A) e_B has a
+    scalar part only when A = B, and there it is 1."""
+    re = im = 0
+    for left, right in pairs:
+        for mask, (ar, ai) in left.items():
+            slot = right.get(mask)
+            if slot is not None:
+                br, bi = slot
+                re += ar * br + ai * bi
+                im += ar * bi - ai * br
+    return re, im
+
+
+def _product_numerators(acc: _Blades, left: _Blades, right: _Blades) -> None:
+    """acc += left * right: integer multiply-accumulate over all blade
+    pairs of two numerator maps, cancelled blades left in as zero pairs."""
     for ma, (ar, ai) in left.items():
         q = _sign_mask(ma)
         for mb, (br, bi) in right.items():
             re = ar * br - ai * bi
             im = ar * bi + ai * br
-            mask = ma ^ mb
             if (q & mb).bit_count() & 1:
-                re_acc[mask] -= re
-                im_acc[mask] -= im
-            else:
-                re_acc[mask] += re
-                im_acc[mask] += im
-    return re_acc, im_acc
-
-
-def _accumulated_product(a: dict[int, GaussianRational],
-                         b: dict[int, GaussianRational]) -> dict[int, GaussianRational]:
-    """The product of two blade maps over integers, one reduction per
-    output part; blades whose sum cancels are left out."""
-    da, (left,) = _over_common_denominator([a])
-    db, (right,) = _over_common_denominator([b])
-    re_acc, im_acc = _product_numerators(left, right)
-    den = da * db
-    data: dict[int, GaussianRational] = {}
-    for mask, re in re_acc.items():
-        im = im_acc[mask]
-        if re or im:
-            data[mask] = _gaussian_over(re, im, den)
-    return data
+                re, im = -re, -im
+            mask = ma ^ mb
+            prev = acc.get(mask)
+            acc[mask] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +291,18 @@ def _accumulated_product(a: dict[int, GaussianRational],
 # ---------------------------------------------------------------------------
 
 class CliffordNumber:
-    """Element of C_n as a sparse blade -> GaussianRational map.
+    """Element of C_n, stored as reduced integer numerators `_blades` =
+    {blade mask: (re, im)} over one denominator `_den`.
 
-    Zero coefficients are never stored; the empty map is the canonical
-    zero, so `==` on the coefficient maps is semantic equality.
+    Zero pairs are never stored and gcd(den, every numerator) = 1, so
+    the form is unique: the empty map over 1 is the canonical zero, and
+    `==` compares integers.
     """
 
-    __slots__ = ("n", "_coeffs")
+    __slots__ = ("n", "_den", "_blades")
 
     def __init__(self, n: int, coeffs: Mapping[tuple[int, ...], object] | None = None):
         _check_dimension(n)
-        self.n = n
         data: dict[int, GaussianRational] = {}
         if coeffs:
             for indices, value in coeffs.items():
@@ -282,19 +314,30 @@ class CliffordNumber:
                     raise ValueError(f"duplicate blade {indices}")
                 if gr:
                     data[mask] = gr
-        self._coeffs = data
+        self.n = n
+        self._den, self._blades = _over_common_denominator(data)
 
     @classmethod
-    def _from_masks(cls, n: int, data: dict[int, GaussianRational]) -> "CliffordNumber":
-        return cls._from_nonzero(n, {m: v for m, v in data.items() if v})
-
-    @classmethod
-    def _from_nonzero(cls, n: int, data: dict[int, GaussianRational]) -> "CliffordNumber":
-        """Adopt `data` as is: every value must be nonzero."""
+    def _raw(cls, n: int, den: int, blades: _Blades) -> "CliffordNumber":
+        """Adopt blades / den, which must already be reduced."""
         out = cls.__new__(cls)
         out.n = n
-        out._coeffs = data
+        out._den = den
+        out._blades = blades
         return out
+
+    @classmethod
+    def _reduced(cls, n: int, den: int, blades: _Blades) -> "CliffordNumber":
+        """blades / den in reduced form: zero pairs dropped, then den and
+        every numerator divided by their gcd."""
+        kept = {m: v for m, v in blades.items() if v[0] or v[1]}
+        if not kept:
+            return cls._raw(n, 1, kept)
+        g = gcd(den, *chain.from_iterable(kept.values()))
+        if g != 1:
+            den //= g
+            kept = {m: (re // g, im // g) for m, (re, im) in kept.items()}
+        return cls._raw(n, den, kept)
 
     @classmethod
     def zero(cls, n: int) -> "CliffordNumber":
@@ -317,20 +360,27 @@ class CliffordNumber:
         """The generator e_i."""
         return cls(n, {(i,): 1})
 
+    def _sorted(self) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
+        """(indices, (re, im)) pairs in canonical order: by grade, then lex."""
+        items = [(indices_from_mask(m), v) for m, v in self._blades.items()]
+        items.sort(key=lambda item: (len(item[0]), item[0]))
+        return items
+
     def terms(self) -> Iterator[tuple[tuple[int, ...], GaussianRational]]:
         """Canonically ordered (indices, coefficient) pairs: by grade, then lex."""
-        items = [(indices_from_mask(m), v) for m, v in self._coeffs.items()]
-        items.sort(key=lambda item: (len(item[0]), item[0]))
-        yield from items
+        den = self._den
+        for indices, (re, im) in self._sorted():
+            yield indices, _gaussian_over(re, im, den)
 
     def coefficient(self, indices: Iterable[int]) -> GaussianRational:
-        return self._coeffs.get(mask_from_indices(indices, self.n), GaussianRational())
+        slot = self._blades.get(mask_from_indices(indices, self.n))
+        return GaussianRational() if slot is None else _gaussian_over(*slot, self._den)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._blades
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._blades)
 
     def _check_dim(self, other: "CliffordNumber") -> None:
         if self.n != other.n:
@@ -340,11 +390,11 @@ class CliffordNumber:
         if not isinstance(other, CliffordNumber):
             return NotImplemented
         self._check_dim(other)
-        data = dict(self._coeffs)
-        for mask, value in other._coeffs.items():
-            acc = data.get(mask)
-            data[mask] = value if acc is None else acc + value
-        return CliffordNumber._from_masks(self.n, data)
+        den = lcm(self._den, other._den)
+        acc: _Blades = {}
+        _add_scaled(acc, self._blades, den // self._den)
+        _add_scaled(acc, other._blades, den // other._den)
+        return CliffordNumber._reduced(self.n, den, acc)
 
     def __sub__(self, other) -> "CliffordNumber":
         if not isinstance(other, CliffordNumber):
@@ -352,18 +402,21 @@ class CliffordNumber:
         return self + (-other)
 
     def __neg__(self) -> "CliffordNumber":
-        return CliffordNumber._from_masks(self.n, {m: -v for m, v in self._coeffs.items()})
+        return CliffordNumber._raw(
+            self.n, self._den, {m: (-re, -im) for m, (re, im) in self._blades.items()})
 
     def __mul__(self, other) -> "CliffordNumber":
         if isinstance(other, CliffordNumber):
             self._check_dim(other)
-            return CliffordNumber._from_nonzero(
-                self.n, _accumulated_product(self._coeffs, other._coeffs))
-        scalar = _coerce(other)
-        if scalar is NotImplemented:
-            return NotImplemented
-        return CliffordNumber._from_masks(
-            self.n, {m: v * scalar for m, v in self._coeffs.items()})
+            den, right = other._den, other._blades
+        else:
+            scalar = _coerce(other)
+            if scalar is NotImplemented:
+                return NotImplemented
+            den, right = _over_common_denominator({0: scalar})
+        acc: _Blades = {}
+        _product_numerators(acc, self._blades, right)
+        return CliffordNumber._reduced(self.n, self._den * den, acc)
 
     def __rmul__(self, other) -> "CliffordNumber":
         # scalars are central, so left and right scaling agree
@@ -376,11 +429,11 @@ class CliffordNumber:
         """The k-vector part: keep blades with exactly k generators."""
         if k < 0:
             raise ValueError("grade must be nonnegative")
-        return CliffordNumber._from_masks(
-            self.n, {m: v for m, v in self._coeffs.items() if m.bit_count() == k})
+        return CliffordNumber._reduced(
+            self.n, self._den, {m: v for m, v in self._blades.items() if m.bit_count() == k})
 
     def scalar_part(self) -> GaussianRational:
-        return self._coeffs.get(0, GaussianRational())
+        return self.coefficient(())
 
     def hermitian_conj(self) -> "CliffordNumber":
         """Antilinear antiautomorphism with e_i -> -e_i.
@@ -388,49 +441,31 @@ class CliffordNumber:
         On a grade-k blade the reversal and the per-generator minus
         signs combine to (-1)^(k(k+1)/2); scalars are complex-conjugated.
         """
-        data = {}
-        for mask, value in self._coeffs.items():
-            k = mask.bit_count()
-            value = value.conjugate()
-            if (k * (k + 1) // 2) & 1:
-                value = -value
-            data[mask] = value
-        return CliffordNumber._from_masks(self.n, data)
+        return CliffordNumber._raw(self.n, self._den, _conjugated(self._blades))
 
     def inner(self, other: "CliffordNumber") -> GaussianRational:
-        """Hermitian inner product (self, other) = [conj(self) * other]_0.
-
-        conj(e_A) e_B has a scalar part only when A = B, and there it is
-        1, so this is the sum of conj(a_A) * b_A over the shared blades.
-        """
+        """Hermitian inner product (self, other) = [conj(self) * other]_0,
+        the sum of conj(a_A) * b_A over the shared blades."""
         self._check_dim(other)
-        re = im = _ZERO
-        b = other._coeffs
-        for mask, va in self._coeffs.items():
-            vb = b.get(mask)
-            if vb is not None:
-                re += va.re * vb.re + va.im * vb.im
-                im += va.re * vb.im - va.im * vb.re
-        return _gaussian(re, im)
+        return _gaussian_over(*_shared_blade_sum([(self._blades, other._blades)]),
+                              self._den * other._den)
 
     def norm_sq(self) -> Fraction:
         """(self, self) = sum of |coefficient|^2; exact and nonnegative."""
-        total = Fraction(0)
-        for value in self._coeffs.values():
-            total += value.abs_sq()
-        return total
+        return Fraction(sum(re * re + im * im for re, im in self._blades.values()),
+                        self._den * self._den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = CliffordNumber.scalar(self.n, other)
         if not isinstance(other, CliffordNumber):
             return NotImplemented
-        return self.n == other.n and self._coeffs == other._coeffs
+        return self.n == other.n and self._den == other._den and self._blades == other._blades
 
     __hash__ = None  # mutable-looking container semantics; not hashable
 
     def __repr__(self) -> str:
-        if not self._coeffs:
+        if not self._blades:
             return "0"
         parts = []
         for indices, value in self.terms():

@@ -27,15 +27,18 @@ the pair, which under MU_TILDE is scaled by 2^(D - |e|/2) so that one
 blades are conjugated as they are read: imaginary part negated, blade
 e_A signed by (-1)^(k(k+1)/2) for k generators.  Blade products take
 the sign (-1)^popcount(q_A & B) of `clifford._sign_mask`, real and
-imaginary numerators are accumulated per output blade, and each output
-part becomes one `Fraction` at the end (`clifford._gaussian_over`).
+imaginary numerators are accumulated per output blade, and the
+accumulated numerators over the one denominator become the
+`CliffordNumber` result through its reducing constructor: one gcd, and
+no `Fraction`.
 
 The scalar products `inner_rho` and `inner_mu` need only the grade-0
 part.  conj(e_A) e_B has a scalar part only when A = B, and there it is
-1, so they sum conj(a_A) b_A over shared blades, form no other blade
-pair and conjugate no blade.  `gram` yields the pairings of every f of
-one list with every g of another, row by row, and groups each operand
-once.
+1, so they sum conj(a_A) b_A over shared blades
+(`clifford._shared_blade_sum`, which `CliffordNumber.inner` uses too),
+form no other blade pair and conjugate no blade.  `gram` yields the
+pairings of every f of one list with every g of another, row by row,
+and groups each operand once.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .clifford import (
     DimensionMismatchError,
     GaussianRational,
     _gaussian_over,
+    _shared_blade_sum,
     _sign_mask,
 )
 from .poly import CliffordPolynomial
@@ -162,8 +166,7 @@ def _pairing(n: int, left: tuple, right: tuple, measure: Measure) -> CliffordNum
     """Integral of conj(left) * right; each left blade is conjugated as it
     is read: imaginary part negated, blade e_A signed by (-1)^(k(k+1)/2)
     for k generators, which is -1 exactly when bit 1 of k + 1 is set."""
-    re_acc: dict[int, int] = {}
-    im_acc: dict[int, int] = {}
+    acc: dict[int, tuple[int, int]] = {}
     for blades_a, sums in _weighted_sums(left, right, measure):
         for ma, (ar, ai) in blades_a.items():
             if (ma.bit_count() + 1) & 2:
@@ -177,15 +180,9 @@ def _pairing(n: int, left: tuple, right: tuple, measure: Measure) -> CliffordNum
                 if (q & mb).bit_count() & 1:
                     re, im = -re, -im
                 mask = ma ^ mb
-                re_acc[mask] = re_acc.get(mask, 0) + re
-                im_acc[mask] = im_acc.get(mask, 0) + im
-    den = _denominator(left, right, measure)
-    data = {}
-    for mask, re in re_acc.items():
-        im = im_acc[mask]
-        if re or im:
-            data[mask] = _gaussian_over(re, im, den)
-    return CliffordNumber._from_nonzero(n, data)
+                prev = acc.get(mask)
+                acc[mask] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    return CliffordNumber._reduced(n, _denominator(left, right, measure), acc)
 
 
 def _scalar_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
@@ -194,14 +191,7 @@ def _scalar_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
     over shared blades, since conj(e_A) e_A = 1."""
     _check_dimensions(f, g)
     left, right = _operand(f, measure), _operand(g, measure)
-    re = im = 0
-    for blades_a, sums in _weighted_sums(left, right, measure):
-        for ma, (ar, ai) in blades_a.items():
-            slot = sums.get(ma)
-            if slot is not None:
-                sr, si = slot
-                re += ar * sr + ai * si
-                im += ar * si - ai * sr
+    re, im = _shared_blade_sum(_weighted_sums(left, right, measure))
     return _gaussian_over(re, im, _denominator(left, right, measure))
 
 

@@ -12,13 +12,13 @@ Storage.  A polynomial is stored only as integer numerators over one
 denominator: `_den` and `_num` = {(k0, beta): {blade mask: (re, im)}}.
 The pair is always reduced: den > 0, gcd(den, every numerator) = 1, no
 zero pair and no key without a blade.  That form is unique, so `==`
-compares integers.  The constructor puts its CliffordNumber coefficients
-over the lcm of their part denominators once (that is already reduced);
-`terms()`, `coefficient()` and everything printed build one `Fraction`
-per nonzero part at that boundary.  Every operation (`+`, `-`, the
-module actions, `hermitian_conj`, `restrict`, `partial`, the Dirac
-operator, the Laplacian, the Cauchy-Riemann operator d0 + D, and in
-`transform` the heat and C-K series) works on the numerators and
+compares integers.  Each term is kept in the form a `CliffordNumber`
+takes, so the constructor scales the numerators its coefficients hold to
+the lcm of their denominators (which keeps them reduced), and `terms()`
+and `coefficient()` reduce the one term they return.  Every operation
+(`+`, `-`, the module actions, `hermitian_conj`, `restrict`, `partial`,
+the Dirac operator, the Laplacian, the Cauchy-Riemann operator d0 + D,
+and in `transform` the heat and C-K series) works on the numerators and
 reduces its result once (`_reduced`).  Derivatives only multiply by
 integers, so a whole chain of them keeps one denominator.  Left
 multiplication by a generator is a signed blade permutation, not a
@@ -57,9 +57,9 @@ from .clifford import (
     CliffordNumber,
     DimensionMismatchError,
     GaussianRational,
+    _add_scaled,
     _check_dimension,
-    _gaussian_over,
-    _over_common_denominator,
+    _conjugated,
     _product_numerators,
 )
 
@@ -81,8 +81,8 @@ def set_degree_cap(cap: int) -> None:
     The cap exists to keep exact sweeps from exploding; exceeding it is
     always an explicit error, never a silent truncation.
     """
-    if cap < 0:
-        raise ValueError("degree cap must be nonnegative")
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+        raise ValueError(f"degree cap must be a nonnegative int, got {cap!r}")
     _degree_cap.set(cap)
 
 
@@ -172,7 +172,7 @@ class CliffordPolynomial:
     def __init__(self, n: int, terms: Mapping[tuple[int, Sequence[int]], CliffordNumber] | None = None):
         _check_dimension(n)
         cap = _degree_cap.get()
-        data: dict[TermKey, dict] = {}
+        data: dict[TermKey, CliffordNumber] = {}
         if terms:
             for (k0, beta), coeff in terms.items():
                 if isinstance(k0, bool) or not isinstance(k0, int) or k0 < 0:
@@ -188,12 +188,14 @@ class CliffordPolynomial:
                 if key in data:
                     raise ValueError(f"duplicate term {key}")
                 if coeff:
-                    data[key] = coeff._coeffs
-        # over the lcm of the part denominators, which is already reduced
-        den, blades = _over_common_denominator(list(data.values()))
+                    data[key] = coeff
+        # scaled to the lcm of reduced denominators, the numerators stay reduced
+        den = math.lcm(*(coeff._den for coeff in data.values()))
         self.n = n
         self._den = den
-        self._num = dict(zip(data, blades))
+        self._num = {}
+        for key, coeff in data.items():
+            _add_scaled(self._num.setdefault(key, {}), coeff._blades, den // coeff._den)
         self._monogenic = False
 
     @classmethod
@@ -247,13 +249,13 @@ class CliffordPolynomial:
         for key in sorted(num, key=lambda t: (t[0] + sum(t[1]), t[0], t[1])):
             k0, beta = key
             # entries come from a valid MultiIndex, so skip re-validation
-            yield k0, tuple.__new__(MultiIndex, beta), _coefficient(n, num[key], den)
+            yield k0, tuple.__new__(MultiIndex, beta), CliffordNumber._reduced(n, den, num[key])
 
     def coefficient(self, k0: int, beta: Sequence[int]) -> CliffordNumber:
         blades = self._num.get((k0, MultiIndex(beta)))
         if blades is None:
             return CliffordNumber.zero(self.n)
-        return _coefficient(self.n, blades, self._den)
+        return CliffordNumber._reduced(self.n, self._den, blades)
 
     def is_zero(self) -> bool:
         return not self._num
@@ -334,7 +336,7 @@ class CliffordPolynomial:
         for (k0a, ba), a in self._num.items():
             for (k0b, bb), b in other._num.items():
                 key = (k0a + k0b, tuple(x + y for x, y in zip(ba, bb)))
-                _product_into(data.setdefault(key, {}), a, b)
+                _product_numerators(data.setdefault(key, {}), a, b)
         return _reduced(self.n, self._den * other._den, data)
 
     def __rmul__(self, other) -> "CliffordPolynomial":
@@ -343,13 +345,10 @@ class CliffordPolynomial:
         return NotImplemented
 
     def hermitian_conj(self) -> "CliffordPolynomial":
-        """Termwise Hermitian conjugation (monomials are real scalars): the
-        imaginary part negated, then blade e_A signed by (-1)^(k(k+1)/2)
-        for k generators, which is -1 exactly when bit 1 of k + 1 is set."""
+        """Termwise Hermitian conjugation (monomials are real scalars), the
+        rule `CliffordNumber.hermitian_conj` applies."""
         return CliffordPolynomial._raw(self.n, self._den, {
-            key: {m: (-re, im) if (m.bit_count() + 1) & 2 else (re, -im)
-                  for m, (re, im) in blades.items()}
-            for key, blades in self._num.items()})
+            key: _conjugated(blades) for key, blades in self._num.items()})
 
     # -- calculus --------------------------------------------------------
 
@@ -406,37 +405,11 @@ class CliffordPolynomial:
             scale = x0 ** k0
             for x, b in zip(xs, beta):
                 scale *= x ** b
-            total = total + _coefficient(self.n, blades, self._den) * scale
+            total = total + CliffordNumber._reduced(self.n, self._den, blades) * scale
         return total
 
 
 # -- integer-numerator kernel ------------------------------------------------
-
-def _coefficient(n: int, blades: dict[int, tuple[int, int]], den: int) -> CliffordNumber:
-    """The CliffordNumber blades / den: one Fraction per nonzero part."""
-    return CliffordNumber._from_nonzero(
-        n, {m: _gaussian_over(re, im, den) for m, (re, im) in blades.items()})
-
-
-def _add_scaled(acc: dict[int, tuple[int, int]], blades: dict[int, tuple[int, int]],
-                c: int) -> None:
-    """acc += c * blades."""
-    for mask, (re, im) in blades.items():
-        prev = acc.get(mask)
-        if prev is None:
-            acc[mask] = (c * re, c * im)
-        else:
-            acc[mask] = (prev[0] + c * re, prev[1] + c * im)
-
-
-def _product_into(acc: dict[int, tuple[int, int]], a: dict[int, tuple[int, int]],
-                  b: dict[int, tuple[int, int]]) -> None:
-    """acc += a * b, the Clifford product of two numerator maps."""
-    re_acc, im_acc = _product_numerators(a, b)
-    for mask, re in re_acc.items():
-        prev = acc.get(mask)
-        acc[mask] = (re, im_acc[mask]) if prev is None else (prev[0] + re, prev[1] + im_acc[mask])
-
 
 def _dirac_into(out: _Numerators, data: _Numerators) -> None:
     """out += sum_j e_j d_j data, e_j applied as a signed blade permutation."""

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .clifford import CliffordNumber, GaussianRational
+from .clifford import CliffordNumber, GaussianRational, _part_text
 from .fock import FockElement
 from .poly import CliffordPolynomial, MultiIndex, _MultiIndexMap
 from .transform import HermiteExpansion
@@ -62,9 +62,11 @@ def _parse_beta(data: Any, n: int) -> MultiIndex:
 # -- CliffordNumber ---------------------------------------------------------
 
 def clifford_to_json(value: CliffordNumber) -> list[dict]:
+    """Each part printed from its stored numerator: one gcd, no Fraction."""
+    den = value._den
     return [
-        {"blade": list(indices), "re": str(coeff.re), "im": str(coeff.im)}
-        for indices, coeff in value.terms()
+        {"blade": list(indices), "re": _part_text(re, den), "im": _part_text(im, den)}
+        for indices, (re, im) in value._sorted()
     ]
 
 

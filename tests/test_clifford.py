@@ -1,6 +1,7 @@
 """Clifford algebra core: blade products, ring axioms, conjugation, inner product."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monogenic import CliffordNumber, DimensionMismatchError, GaussianRational, blade_product
-from monogenic.clifford import BoundsError, I, indices_from_mask
+from monogenic.clifford import BoundsError, I, _part_text, indices_from_mask
 
 from oracles import PRIMES_TO_97, naive_blade_product
 
@@ -30,6 +31,24 @@ def clifford_st(n):
     return st.builds(
         lambda d: CliffordNumber(n, d),
         st.dictionaries(blades_st(n), gaussian_st(), max_size=4))
+
+
+# -- Gaussian rationals ------------------------------------------------------
+
+@pytest.mark.parametrize("value, plain", [
+    (GaussianRational(1), 1), (GaussianRational(0), 0), (GaussianRational(-7), -7),
+    (GaussianRational(Fraction(1, 2)), Fraction(1, 2)),
+    (GaussianRational(Fraction(-3, 97)), Fraction(-3, 97))])
+def test_real_gaussian_hashes_like_the_equal_rational(value, plain):
+    assert value == plain
+    assert hash(value) == hash(plain)
+    assert len({value, plain}) == 1
+
+
+def test_gaussian_hash_separates_conjugates():
+    z = GaussianRational(1, 2)
+    assert hash(z) == hash(GaussianRational(Fraction(2, 2), Fraction(4, 2)))
+    assert len({z, z.conjugate(), z}) == 2
 
 
 # -- blade products ----------------------------------------------------------
@@ -267,3 +286,95 @@ def test_dimension_bound_is_a_bounds_error():
         CliffordNumber.zero(17)
     with pytest.raises(BoundsError):
         blade_product((1,), (1,), 17)
+
+
+# -- the stored form: reduced integer numerators ------------------------------
+
+def _assert_reduced(x):
+    """den > 0, integer parts, no zero pair, gcd(den, every numerator) = 1."""
+    assert isinstance(x, CliffordNumber)
+    assert type(x._den) is int and x._den > 0
+    for mask, pair in x._blades.items():
+        assert type(mask) is int and 0 <= mask < 2 ** x.n
+        assert type(pair) is tuple and len(pair) == 2
+        assert all(type(part) is int for part in pair)
+        assert pair != (0, 0)
+    assert math.gcd(x._den, *itertools.chain.from_iterable(x._blades.values())) == 1
+
+
+def _seeded_values(seed):
+    """Seeded Clifford numbers at n = 1..8 over primes to 97, with the
+    results of every ring operation on them, cancellations included."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(1, 9):
+        a = _dense(rng, n, min(2 ** n, 12))
+        b = _dense(rng, n, min(2 ** n, 6), complex_parts=False)
+        c = CliffordNumber.blade(n, (n,), Fraction(-7, 97))
+        s = Fraction(rng.randint(-99, 99), rng.choice(PRIMES_TO_97))
+        z = GaussianRational(0, Fraction(1, rng.choice(PRIMES_TO_97)))
+        out += [a, b, c, a + b, a - b, b - a, a - a, (a + b) - b, -a, -(a - a),
+                a * b, b * a, a * c, a * b - a * b, a * s, s * a, a * z, z * a, a * 0,
+                a * GaussianRational(0), a.hermitian_conj(), (a * b).hermitian_conj(),
+                *(a.grade(k) for k in range(n + 2)), *((a * b).grade(k) for k in range(n + 1))]
+    return out
+
+
+def test_every_operation_returns_the_reduced_form():
+    for x in _seeded_values(10):
+        _assert_reduced(x)
+
+
+def test_zero_is_stored_canonically():
+    for zero in (CliffordNumber.zero(3), CliffordNumber(3, {(1,): 0}),
+                 CliffordNumber(3, {(): Fraction(1, 97)}) * 0,
+                 CliffordNumber(3, {(2,): Fraction(5, 7)}).grade(0)):
+        assert zero._den == 1 and zero._blades == {}
+
+
+def test_pairings_and_polynomial_terms_are_reduced():
+    from monogenic import gauss, transform, verify
+    from monogenic.gauss import Measure
+    rng = random.Random(11)
+    ps = [transform.p_basis(2, beta) for beta in verify.multi_indices(2, 3)]
+    fs = [verify.rand_poly(rng, 3, 4, max_terms=4) for _ in range(8)]
+    for f in ps + fs:
+        for k0, beta, coeff in f.terms():
+            _assert_reduced(coeff)
+            _assert_reduced(f.coefficient(k0, beta))
+            assert f.coefficient(k0, beta) == coeff
+    for group in (ps, fs):
+        for f in group:
+            for g in group:
+                for measure in Measure:
+                    if measure is Measure.RHO and not (f.is_x0_free() and g.is_x0_free()):
+                        continue
+                    _assert_reduced(gauss.clifford_pairing(f, g, measure))
+
+
+def test_equality_agrees_with_the_terms():
+    values = _seeded_values(12)
+    seen = [(x.n, list(x.terms())) for x in values]
+    for x, x_seen in zip(values, seen):
+        for y, y_seen in zip(values, seen):
+            assert (x == y) is (x_seen == y_seen)
+
+
+def test_hermitian_conj_against_the_reversed_generator_word():
+    # conj(e_A) is the reversed word of -e_i; its sign comes from the naive
+    # reduction, and every coefficient is complex-conjugated
+    for x in _seeded_values(13):
+        conj = x.hermitian_conj()
+        for indices, value in x.terms():
+            sign, blade = naive_blade_product(tuple(reversed(indices)), ())
+            assert blade == indices
+            expected = value.conjugate() * (sign * (-1) ** len(indices))
+            assert conj.coefficient(indices) == expected
+        assert len(list(conj.terms())) == len(list(x.terms()))
+
+
+@pytest.mark.parametrize("num", [0, 1, -1, 97, -97, 194, -291, 12345, -99991, 2 ** 70 + 1])
+@pytest.mark.parametrize("den", [1, 2, 97, 89 * 97, 3 * 97, 2 ** 20, math.prod(PRIMES_TO_97)])
+def test_part_text_matches_fraction_str(num, den):
+    assert _part_text(num, den) == str(Fraction(num, den))
+    assert _part_text(num * den, den) == str(num)

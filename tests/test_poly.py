@@ -226,6 +226,14 @@ def test_degree_cap_enforced():
         set_degree_cap(12)
 
 
+@pytest.mark.parametrize("cap", [True, False, 2.5, 3.0, Fraction(3), "3", -1])
+def test_degree_cap_rejects_non_int(cap):
+    # a bool or a non-integer cap would be stored and then printed as "cap 2.5"
+    with pytest.raises(ValueError):
+        set_degree_cap(cap)
+    assert get_degree_cap() == 12
+
+
 def test_degree_cap_is_per_thread():
     seen = []
 
