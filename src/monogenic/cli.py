@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 input/schema error or
 an unwritable --output path, 3 bounds exceeded, 4 domain precondition
-(non-monogenic input).  The --output path is checked before any work;
+(non-monogenic input).  A rational past the interpreter's int-string
+digit limit is an input error when read and a bound exceeded when a
+result would print it.  The --output path is checked before any work;
 a command that exits 2-4 leaves an existing --output file unchanged.
 The MONOGENIC_MAX_DEGREE environment variable overrides the total-degree cap
 for the duration of one `main` call.
@@ -17,7 +19,7 @@ import os
 import sys
 
 from . import fock, gauss, serialize, transform
-from .clifford import BoundsError
+from .clifford import BoundsError, _part_text
 from .poly import CliffordPolynomial, DegreeCapError, set_degree_cap
 from .serialize import SchemaError
 from .transform import NotMonogenicError
@@ -193,7 +195,10 @@ def _cmd_inner(args) -> int:
     if args.format == "text":
         _emit(args, serialize.scalar_to_text(value))
     else:
-        _emit(args, json.dumps({"re": str(value.re), "im": str(value.im)}))
+        # printed like every JSON part, so a part past the digit limit is a bound
+        re, im = value.re, value.im
+        _emit(args, json.dumps({"re": _part_text(re.numerator, re.denominator),
+                                "im": _part_text(im.numerator, im.denominator)}))
     return EXIT_OK
 
 

@@ -30,9 +30,9 @@ Containers.  Hermite expansions and Fock elements share
 `_MultiIndexMap`, which stores one x0-free polynomial sum_beta x^beta
 v_beta in this form (v_beta = w_beta for an expansion, alpha(e^beta)
 for a Fock element, unscaled).  Their maps and norms read its
-numerators in place; their entries, repr and JSON read its `terms()`
-and `coefficient()`.  Building one checks the degree cap like any
-polynomial.
+numerators in place, and so do their JSON and text printers; their
+entries and repr read its `terms()` and `coefficient()`.  Building one
+checks the degree cap like any polynomial.
 
 The mark.  `ck_extend` builds monogenic polynomials by construction and
 sets the private `_monogenic` slot on its result before returning it;
@@ -51,7 +51,7 @@ import math
 from contextvars import ContextVar
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .clifford import (
     CliffordNumber,
@@ -157,6 +157,16 @@ class _MultiIndexMap:
 
 TermKey = tuple[int, tuple[int, ...]]
 
+
+def _check_degree_cap(keys: Iterable[TermKey]) -> None:
+    """DegreeCapError for the first (k0, beta) whose total degree exceeds
+    the cap of the current context."""
+    cap = _degree_cap.get()
+    for k0, beta in keys:
+        if k0 + sum(beta) > cap:
+            raise DegreeCapError(f"total degree {k0 + sum(beta)} exceeds cap {cap}")
+
+
 # Numerators: {(k0, beta): {blade mask: (re, im)}} with integer re, im over
 # a denominator carried next to the map.  Accumulators may hold zero pairs
 # and empty blade maps until `_pruned` or `_reduced` drops them.
@@ -201,10 +211,7 @@ class CliffordPolynomial:
     @classmethod
     def _raw(cls, n: int, den: int, num: _Numerators) -> "CliffordPolynomial":
         """Adopt num / den, which must be reduced; re-check the degree cap."""
-        cap = _degree_cap.get()
-        for k0, beta in num:
-            if k0 + sum(beta) > cap:
-                raise DegreeCapError(f"total degree {k0 + sum(beta)} exceeds cap {cap}")
+        _check_degree_cap(num)
         out = cls.__new__(cls)
         out.n = n
         out._den = den
@@ -245,11 +252,10 @@ class CliffordPolynomial:
 
     def terms(self) -> Iterator[tuple[int, MultiIndex, CliffordNumber]]:
         """Terms sorted by (total degree, k0, beta lexicographic)."""
-        n, den, num = self.n, self._den, self._num
-        for key in sorted(num, key=lambda t: (t[0] + sum(t[1]), t[0], t[1])):
-            k0, beta = key
+        n, den = self.n, self._den
+        for (k0, beta), blades in _sorted_terms(self._num):
             # entries come from a valid MultiIndex, so skip re-validation
-            yield k0, tuple.__new__(MultiIndex, beta), CliffordNumber._reduced(n, den, num[key])
+            yield k0, tuple.__new__(MultiIndex, beta), CliffordNumber._reduced(n, den, blades)
 
     def coefficient(self, k0: int, beta: Sequence[int]) -> CliffordNumber:
         blades = self._num.get((k0, MultiIndex(beta)))
@@ -454,6 +460,13 @@ def _cauchy_riemann(data: _Numerators) -> _Numerators:
             _add_scaled(out.setdefault((k0 - 1, beta), {}), blades, k0)
     _dirac_into(out, data)
     return out
+
+
+def _sorted_terms(num: _Numerators) -> list[tuple[TermKey, dict[int, tuple[int, int]]]]:
+    """(key, blades) pairs in the canonical term order: total degree, then
+    k0, then beta lexicographically."""
+    keys = sorted(num, key=lambda key: (key[0] + sum(key[1]), key[0], key[1]))
+    return [(key, num[key]) for key in keys]
 
 
 def _pruned(data: _Numerators) -> _Numerators:

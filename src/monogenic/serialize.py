@@ -1,20 +1,40 @@
-"""Canonical JSON wire format for all value types.
+"""Canonical JSON wire format for all value types, and the text tables.
 
 Rationals travel as reduced "p/q" strings (bare "p" when q = 1, "-"
 only in front).  Serialization is canonical: terms are emitted in a
 fixed sort order, so parse(serialize(x)) == x bit-exactly and equal
 values serialize to identical bytes.
+
+Both directions work on the stored form, integer numerators over one
+denominator, and build no object per term.  A printer sorts the keys of
+a polynomial or container once (total degree, k0, beta), the blades of
+each term by `clifford._blade_order`, and prints every part from its
+numerator and the shared denominator with `clifford._part_text`, which
+reduces it with one gcd.  A parser splits each "p/q" into two ints,
+rejects exactly the texts that `str(Fraction(text))` would not print
+back, turns blade lists into masks, and scales every part to the lcm of
+all the part denominators of the value: one lcm per polynomial,
+container or Clifford number, which leaves the numerators reduced.
+Error messages are formatted only when a check fails.
+
+Integers and text convert only up to the interpreter's digit limit,
+`sys.get_int_max_str_digits()` (4300 digits by default; this module
+never changes it).  Reading a longer part is a SchemaError; a result
+with a longer part cannot be printed, a BoundsError.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from sys import get_int_max_str_digits
 from typing import Any
 
-from .clifford import CliffordNumber, GaussianRational, _part_text
+from .clifford import (CliffordNumber, GaussianRational, _Blades, _check_dimension, _part_text,
+                       _sorted_blades)
 from .fock import FockElement
-from .poly import CliffordPolynomial, MultiIndex, _MultiIndexMap
+from .poly import CliffordPolynomial, MultiIndex, _check_degree_cap, _reduced, _sorted_terms
 from .transform import HermiteExpansion
 
 
@@ -24,132 +44,148 @@ class SchemaError(ValueError):
 
 _RATIONAL_RE = re.compile(r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
 
+# the parts of one Clifford value: {blade mask: (p_re, q_re, p_im, q_im)}
+_Parts = dict[int, tuple[int, int, int, int]]
 
-def parse_fraction(text: Any) -> Fraction:
+
+def _parse_part(text: Any) -> tuple[int, int]:
+    """(p, q) of a rational written the way str(Fraction(p, q)) writes it."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise SchemaError(f"malformed rational {text!r}")
-    value = Fraction(text)
-    if str(value) != text:
+    num, slash, den = text.partition("/")
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError:
+        raise SchemaError(f"rational exceeds the {get_int_max_str_digits()}-digit int limit") from None
+    # "3/1", "4/2", "0/7", "-0", and a trailing newline, which `$` matches before
+    if slash and (q == 1 or gcd(p, q) != 1) or not p and num[0] == "-" or text[-1] == "\n":
         raise SchemaError(f"rational {text!r} is not in lowest terms")
-    return value
+    return p, q
 
 
-def _require(cond: bool, message: str) -> None:
+def parse_fraction(text: Any) -> Fraction:
+    return Fraction(*_parse_part(text))
+
+
+def _require(cond: bool, message: str, *args: Any) -> None:
     if not cond:
-        raise SchemaError(message)
+        raise SchemaError(message.format(*args))
 
 
-def _parse_blade(data: Any, n: int) -> tuple[int, ...]:
-    _require(isinstance(data, list), f"blade must be a list, got {data!r}")
-    prev = 0
+def _parse_blade(data: Any, n: int) -> int:
+    """The mask of a strictly increasing list of generator indices."""
+    _require(isinstance(data, list), "blade must be a list, got {!r}", data)
+    mask = 0
     for i in data:
-        _require(isinstance(i, int) and not isinstance(i, bool), f"blade index {i!r} not an int")
-        _require(1 <= i <= n, f"blade index {i} out of range [1, {n}]")
-        _require(i > prev, f"blade indices must be strictly increasing, got {data}")
-        prev = i
-    return tuple(data)
+        _require(isinstance(i, int) and not isinstance(i, bool), "blade index {!r} not an int", i)
+        _require(1 <= i <= n, "blade index {} out of range [1, {}]", i, n)
+        # the highest index so far is the bit length of the mask
+        _require(i > mask.bit_length(), "blade indices must be strictly increasing, got {}", data)
+        mask |= 1 << (i - 1)
+    return mask
 
 
 def _parse_beta(data: Any, n: int) -> MultiIndex:
     _require(isinstance(data, list) and len(data) == n,
-             f"multi-index must be a list of {n} ints, got {data!r}")
+             "multi-index must be a list of {} ints, got {!r}", n, data)
     for b in data:
         _require(isinstance(b, int) and not isinstance(b, bool) and b >= 0,
-                 f"multi-index entry {b!r} must be a nonnegative int")
+                 "multi-index entry {!r} must be a nonnegative int", b)
     return MultiIndex(data)
+
+
+def _parse_parts(data: Any, n: int) -> _Parts:
+    """The parts of one Clifford value; n is bounds-checked once the value
+    has been read."""
+    _require(isinstance(data, list), "Clifford value must be a list of terms, got {!r}", data)
+    parts: _Parts = {}
+    for item in data:
+        _require(isinstance(item, dict) and item.keys() == {"blade", "re", "im"},
+                 "Clifford term must have keys blade/re/im, got {!r}", item)
+        mask = _parse_blade(item["blade"], n)
+        _require(mask not in parts, "duplicate blade {}", item["blade"])
+        parts[mask] = (*_parse_part(item["re"]), *_parse_part(item["im"]))
+    _check_dimension(n)
+    return parts
+
+
+def _over_lcm(values: dict[Any, _Parts]) -> tuple[int, dict[Any, _Blades]]:
+    """(den, {key: numerators}) with den the lcm of every part denominator
+    of every value, which leaves the numerators of reduced parts reduced."""
+    den = lcm(*{q for parts in values.values() for _, qr, _, qi in parts.values() for q in (qr, qi)})
+    return den, {key: {m: (pr * (den // qr), pi * (den // qi))
+                       for m, (pr, qr, pi, qi) in parts.items()}
+                 for key, parts in values.items()}
+
+
+def _blades_json(blades: _Blades, den: int) -> list[dict]:
+    return [{"blade": list(indices), "re": _part_text(re, den), "im": _part_text(im, den)}
+            for indices, (re, im) in _sorted_blades(blades)]
 
 
 # -- CliffordNumber ---------------------------------------------------------
 
 def clifford_to_json(value: CliffordNumber) -> list[dict]:
-    """Each part printed from its stored numerator: one gcd, no Fraction."""
-    den = value._den
-    return [
-        {"blade": list(indices), "re": _part_text(re, den), "im": _part_text(im, den)}
-        for indices, (re, im) in value._sorted()
-    ]
+    return _blades_json(value._blades, value._den)
 
 
 def clifford_from_json(data: Any, n: int) -> CliffordNumber:
-    _require(isinstance(data, list), f"Clifford value must be a list of terms, got {data!r}")
-    coeffs: dict[tuple[int, ...], GaussianRational] = {}
-    for item in data:
-        _require(isinstance(item, dict) and set(item) == {"blade", "re", "im"},
-                 f"Clifford term must have keys blade/re/im, got {item!r}")
-        blade = _parse_blade(item["blade"], n)
-        _require(blade not in coeffs, f"duplicate blade {list(blade)}")
-        coeffs[blade] = GaussianRational(parse_fraction(item["re"]), parse_fraction(item["im"]))
-    return CliffordNumber(n, coeffs)
+    den, num = _over_lcm({0: _parse_parts(data, n)})
+    return CliffordNumber._reduced(n, den, num[0])
 
 
-# -- CliffordPolynomial -----------------------------------------------------
+# -- polynomials and the multi-index containers -----------------------------
 
-def poly_to_json(f: CliffordPolynomial) -> dict:
-    return {
-        "n": f.n,
-        "terms": [
-            {"x0": k0, "beta": list(beta), "coeff": clifford_to_json(coeff)}
-            for k0, beta, coeff in f.terms()
-        ],
-    }
-
-
-def _parse_dimension(data: Any) -> int:
-    _require(isinstance(data, dict) and "n" in data, "object must carry an 'n' field")
-    n = data["n"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, f"bad dimension {n!r}")
-    return n
-
-
-def poly_from_json(data: Any) -> CliffordPolynomial:
-    n = _parse_dimension(data)
-    _require(set(data) == {"n", "terms"} and isinstance(data["terms"], list),
-             "polynomial must have exactly the fields n and terms")
-    terms: dict[tuple[int, MultiIndex], CliffordNumber] = {}
-    for item in data["terms"]:
-        _require(isinstance(item, dict) and set(item) == {"x0", "beta", "coeff"},
-                 f"polynomial term must have keys x0/beta/coeff, got {item!r}")
-        k0 = item["x0"]
-        _require(isinstance(k0, int) and not isinstance(k0, bool) and k0 >= 0,
-                 f"x0 exponent {k0!r} must be a nonnegative int")
-        beta = _parse_beta(item["beta"], n)
-        _require((k0, beta) not in terms, f"duplicate term x0^{k0} * x^{tuple(beta)}")
-        terms[(k0, beta)] = clifford_from_json(item["coeff"], n)
-    return CliffordPolynomial(n, terms)
-
-
-# -- HermiteExpansion and FockElement ---------------------------------------
-
-# field name -> (class, object noun, entry noun) for the {"n", field} wire shape
-_INDEX_MAPS = {
-    "coeffs": (HermiteExpansion, "expansion", "expansion entry"),
-    "entries": (FockElement, "Fock element", "Fock entry"),
+# field name -> (object noun, entry noun, entry keys, duplicate-key message,
+# container class or None for a polynomial) for the {"n", field} wire shape
+_INDEX_ENTRY = ("beta", "value"), "duplicate multi-index {1}"
+_SHAPES = {
+    "terms": ("polynomial", "polynomial term", ("x0", "beta", "coeff"),
+              "duplicate term x0^{} * x^{}", None),
+    "coeffs": ("expansion", "expansion entry", *_INDEX_ENTRY, HermiteExpansion),
+    "entries": ("Fock element", "Fock entry", *_INDEX_ENTRY, FockElement),
 }
 
 
-def _index_map_to_json(container: _MultiIndexMap, field: str) -> dict:
-    return {
-        "n": container.n,
-        field: [
-            {"beta": list(beta), "value": clifford_to_json(value)}
-            for beta, value in container._items()
-        ],
-    }
-
-
-def _index_map_from_json(data: Any, field: str) -> _MultiIndexMap:
-    cls, noun, entry_noun = _INDEX_MAPS[field]
-    n = _parse_dimension(data)
-    _require(set(data) == {"n", field} and isinstance(data[field], list),
-             f"{noun} must have exactly the fields n and {field}")
-    entries: dict[MultiIndex, CliffordNumber] = {}
+def _from_json(data: Any, field: str) -> CliffordPolynomial | HermiteExpansion | FockElement:
+    """The value of a {"n", field} object, over the lcm of every part
+    denominator; the dimension, then the degree cap (on zero terms too),
+    are checked after every entry has been read."""
+    noun, entry_noun, keys, duplicate, cls = _SHAPES[field]
+    _require(isinstance(data, dict) and "n" in data, "object must carry an 'n' field")
+    n = data["n"]
+    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "bad dimension {!r}", n)
+    _require(data.keys() == {"n", field} and isinstance(data[field], list),
+             "{} must have exactly the fields n and {}", noun, field)
+    terms: dict[tuple[int, MultiIndex], _Parts] = {}
     for item in data[field]:
-        _require(isinstance(item, dict) and set(item) == {"beta", "value"},
-                 f"{entry_noun} must have keys beta/value, got {item!r}")
+        _require(isinstance(item, dict) and item.keys() == set(keys),
+                 "{} must have keys {}, got {!r}", entry_noun, "/".join(keys), item)
+        k0 = item.get("x0", 0)
+        _require(isinstance(k0, int) and not isinstance(k0, bool) and k0 >= 0,
+                 "x0 exponent {!r} must be a nonnegative int", k0)
         beta = _parse_beta(item["beta"], n)
-        _require(beta not in entries, f"duplicate multi-index {tuple(beta)}")
-        entries[beta] = clifford_from_json(item["value"], n)
-    return cls(n, entries)
+        _require((k0, beta) not in terms, duplicate, k0, tuple(beta))
+        terms[k0, beta] = _parse_parts(item[keys[-1]], n)
+    _check_dimension(n)
+    _check_degree_cap(terms)
+    f = _reduced(n, *_over_lcm(terms))
+    return f if cls is None else cls._of(f)
+
+
+def poly_to_json(f: CliffordPolynomial) -> dict:
+    return {"n": f.n, "terms": [{"x0": k0, "beta": list(beta), "coeff": _blades_json(blades, f._den)}
+                                for (k0, beta), blades in _sorted_terms(f._num)]}
+
+
+def poly_from_json(data: Any) -> CliffordPolynomial:
+    return _from_json(data, "terms")
+
+
+def _index_map_to_json(container: HermiteExpansion | FockElement, field: str) -> dict:
+    f = container._poly
+    return {"n": f.n, field: [{"beta": list(beta), "value": _blades_json(blades, f._den)}
+                              for (_, beta), blades in _sorted_terms(f._num)]}
 
 
 def expansion_to_json(f: HermiteExpansion) -> dict:
@@ -157,7 +193,7 @@ def expansion_to_json(f: HermiteExpansion) -> dict:
 
 
 def expansion_from_json(data: Any) -> HermiteExpansion:
-    return _index_map_from_json(data, "coeffs")
+    return _from_json(data, "coeffs")
 
 
 def fock_to_json(alpha: FockElement) -> dict:
@@ -165,28 +201,32 @@ def fock_to_json(alpha: FockElement) -> dict:
 
 
 def fock_from_json(data: Any) -> FockElement:
-    return _index_map_from_json(data, "entries")
+    return _from_json(data, "entries")
 
 
 # -- plain text -------------------------------------------------------------
 
+def _complex_text(re: int, im: int, den: int) -> str:
+    """(re + im*i) / den as "p/q", or "p/q + r/s i" with the sign of im;
+    every part written with its denominator, "/1" too."""
+    re_text, im_text = (text if "/" in text else text + "/1"
+                        for text in (_part_text(re, den), _part_text(abs(im), den)))
+    return f"{re_text} {'+' if im > 0 else '-'} {im_text} i" if im else re_text
+
+
 def scalar_to_text(value: GaussianRational) -> str:
-    re_part = f"{value.re.numerator}/{value.re.denominator}"
-    if not value.im:
-        return re_part
-    sign = "+" if value.im > 0 else "-"
-    im = abs(value.im)
-    return f"{re_part} {sign} {im.numerator}/{im.denominator} i"
+    den = lcm(value.re.denominator, value.im.denominator)
+    return _complex_text(int(value.re * den), int(value.im * den), den)
+
+
+def _blades_text(blades: _Blades, den: int) -> str:
+    return " + ".join(f"({_complex_text(re, im, den)}) "
+                      + ("e" + "".join(map(str, indices)) if indices else "1")
+                      for indices, (re, im) in _sorted_blades(blades)) or "0"
 
 
 def clifford_to_text(value: CliffordNumber) -> str:
-    if value.is_zero():
-        return "0"
-    parts = []
-    for indices, coeff in value.terms():
-        blade = "e" + "".join(str(i) for i in indices) if indices else "1"
-        parts.append(f"({scalar_to_text(coeff)}) {blade}")
-    return " + ".join(parts)
+    return _blades_text(value._blades, value._den)
 
 
 def _table(rows: list[tuple[str, ...]]) -> str:
@@ -198,13 +238,15 @@ def _table(rows: list[tuple[str, ...]]) -> str:
                      for row in rows)
 
 
+def _text_rows(f: CliffordPolynomial) -> list[tuple[str, str, str]]:
+    return [(str(k0), ",".join(map(str, beta)), _blades_text(blades, f._den))
+            for (k0, beta), blades in _sorted_terms(f._num)]
+
+
 def poly_to_text(f: CliffordPolynomial) -> str:
     """Aligned term table: one row per monomial."""
-    return _table([("x0", "beta", "coeff")] + [
-        (str(k0), ",".join(map(str, beta)), clifford_to_text(coeff))
-        for k0, beta, coeff in f.terms()])
+    return _table([("x0", "beta", "coeff")] + _text_rows(f))
 
 
 def fock_to_text(alpha: FockElement) -> str:
-    return _table([("beta", "value")] + [
-        (",".join(map(str, beta)), clifford_to_text(value)) for beta, value in alpha.entries()])
+    return _table([("beta", "value")] + [row[1:] for row in _text_rows(alpha._poly)])

@@ -13,9 +13,12 @@ maps summed or scaled one `Fraction` entry at a time, and Gram tables of the mon
 integrate the materialised product conj(P_alpha) * P_beta instead of
 going through `gauss`.  The last route also feeds an exact row
 reduction that decides whether *any* moment functional on R^{n+1} makes
-the basis orthogonal with squared norms beta!.
+the basis orthogonal with squared norms beta!.  Last, the JSON and text
+wire codec as it worked one `CliffordNumber`, `GaussianRational` and
+`Fraction` per term.
 """
 
+import re
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
@@ -24,11 +27,13 @@ from monogenic import (
     CliffordNumber,
     CliffordPolynomial,
     FockElement,
+    GaussianRational,
     HermiteExpansion,
     Measure,
     MultiIndex,
     p_basis,
 )
+from monogenic.serialize import SchemaError, _table
 
 # denominators for seeded test data whose common denominator is a large lcm
 PRIMES_TO_97 = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
@@ -282,3 +287,153 @@ def _axpy(row: dict, other: dict, c: Fraction) -> None:
             row[u] = y
         else:
             row.pop(u, None)
+
+
+# -- the wire codec through per-term objects ----------------------------------
+#
+# The JSON and text codec as it read and wrote values one `CliffordNumber`,
+# `GaussianRational` and `Fraction` per term, kept as the reference the
+# numerator codec of `monogenic.serialize` is compared against: the same
+# bytes out, the same values in, the same error for the same input.
+
+_RATIONAL_RE = re.compile(r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
+
+
+def oracle_parse_fraction(text) -> Fraction:
+    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+        raise SchemaError(f"malformed rational {text!r}")
+    value = Fraction(text)
+    if str(value) != text:
+        raise SchemaError(f"rational {text!r} is not in lowest terms")
+    return value
+
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise SchemaError(message)
+
+
+def _oracle_blade(data, n: int) -> tuple[int, ...]:
+    _require(isinstance(data, list), f"blade must be a list, got {data!r}")
+    prev = 0
+    for i in data:
+        _require(isinstance(i, int) and not isinstance(i, bool), f"blade index {i!r} not an int")
+        _require(1 <= i <= n, f"blade index {i} out of range [1, {n}]")
+        _require(i > prev, f"blade indices must be strictly increasing, got {data}")
+        prev = i
+    return tuple(data)
+
+
+def _oracle_beta(data, n: int) -> MultiIndex:
+    _require(isinstance(data, list) and len(data) == n,
+             f"multi-index must be a list of {n} ints, got {data!r}")
+    for b in data:
+        _require(isinstance(b, int) and not isinstance(b, bool) and b >= 0,
+                 f"multi-index entry {b!r} must be a nonnegative int")
+    return MultiIndex(data)
+
+
+def _oracle_dimension(data) -> int:
+    _require(isinstance(data, dict) and "n" in data, "object must carry an 'n' field")
+    n = data["n"]
+    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, f"bad dimension {n!r}")
+    return n
+
+
+def oracle_clifford_to_json(value: CliffordNumber) -> list[dict]:
+    return [{"blade": list(indices), "re": str(coeff.re), "im": str(coeff.im)}
+            for indices, coeff in value.terms()]
+
+
+def oracle_clifford_from_json(data, n: int) -> CliffordNumber:
+    _require(isinstance(data, list), f"Clifford value must be a list of terms, got {data!r}")
+    coeffs: dict[tuple[int, ...], GaussianRational] = {}
+    for item in data:
+        _require(isinstance(item, dict) and set(item) == {"blade", "re", "im"},
+                 f"Clifford term must have keys blade/re/im, got {item!r}")
+        blade = _oracle_blade(item["blade"], n)
+        _require(blade not in coeffs, f"duplicate blade {list(blade)}")
+        coeffs[blade] = GaussianRational(oracle_parse_fraction(item["re"]),
+                                         oracle_parse_fraction(item["im"]))
+    return CliffordNumber(n, coeffs)
+
+
+def oracle_poly_to_json(f: CliffordPolynomial) -> dict:
+    return {"n": f.n, "terms": [
+        {"x0": k0, "beta": list(beta), "coeff": oracle_clifford_to_json(coeff)}
+        for k0, beta, coeff in f.terms()]}
+
+
+def oracle_poly_from_json(data) -> CliffordPolynomial:
+    n = _oracle_dimension(data)
+    _require(set(data) == {"n", "terms"} and isinstance(data["terms"], list),
+             "polynomial must have exactly the fields n and terms")
+    terms: dict[tuple[int, MultiIndex], CliffordNumber] = {}
+    for item in data["terms"]:
+        _require(isinstance(item, dict) and set(item) == {"x0", "beta", "coeff"},
+                 f"polynomial term must have keys x0/beta/coeff, got {item!r}")
+        k0 = item["x0"]
+        _require(isinstance(k0, int) and not isinstance(k0, bool) and k0 >= 0,
+                 f"x0 exponent {k0!r} must be a nonnegative int")
+        beta = _oracle_beta(item["beta"], n)
+        _require((k0, beta) not in terms, f"duplicate term x0^{k0} * x^{tuple(beta)}")
+        terms[(k0, beta)] = oracle_clifford_from_json(item["coeff"], n)
+    return CliffordPolynomial(n, terms)
+
+
+# field name -> (class, object noun, entry noun) for the {"n", field} wire shape
+ORACLE_INDEX_MAPS = {
+    "coeffs": (HermiteExpansion, "expansion", "expansion entry"),
+    "entries": (FockElement, "Fock element", "Fock entry"),
+}
+
+
+def oracle_index_map_to_json(container, field: str) -> dict:
+    return {"n": container.n, field: [
+        {"beta": list(beta), "value": oracle_clifford_to_json(value)}
+        for beta, value in container._items()]}
+
+
+def oracle_index_map_from_json(data, field: str):
+    cls, noun, entry_noun = ORACLE_INDEX_MAPS[field]
+    n = _oracle_dimension(data)
+    _require(set(data) == {"n", field} and isinstance(data[field], list),
+             f"{noun} must have exactly the fields n and {field}")
+    entries: dict[MultiIndex, CliffordNumber] = {}
+    for item in data[field]:
+        _require(isinstance(item, dict) and set(item) == {"beta", "value"},
+                 f"{entry_noun} must have keys beta/value, got {item!r}")
+        beta = _oracle_beta(item["beta"], n)
+        _require(beta not in entries, f"duplicate multi-index {tuple(beta)}")
+        entries[beta] = oracle_clifford_from_json(item["value"], n)
+    return cls(n, entries)
+
+
+def oracle_scalar_to_text(value: GaussianRational) -> str:
+    re_part = f"{value.re.numerator}/{value.re.denominator}"
+    if not value.im:
+        return re_part
+    sign = "+" if value.im > 0 else "-"
+    im = abs(value.im)
+    return f"{re_part} {sign} {im.numerator}/{im.denominator} i"
+
+
+def oracle_clifford_to_text(value: CliffordNumber) -> str:
+    if value.is_zero():
+        return "0"
+    parts = []
+    for indices, coeff in value.terms():
+        blade = "e" + "".join(str(i) for i in indices) if indices else "1"
+        parts.append(f"({oracle_scalar_to_text(coeff)}) {blade}")
+    return " + ".join(parts)
+
+
+def oracle_poly_to_text(f: CliffordPolynomial) -> str:
+    return _table([("x0", "beta", "coeff")] + [
+        (str(k0), ",".join(map(str, beta)), oracle_clifford_to_text(coeff))
+        for k0, beta, coeff in f.terms()])
+
+
+def oracle_fock_to_text(alpha: FockElement) -> str:
+    return _table([("beta", "value")] + [
+        (",".join(map(str, beta)), oracle_clifford_to_text(value)) for beta, value in alpha.entries()])

@@ -199,6 +199,97 @@ def test_bounds_exit_3(capsys, tmp_path):
         assert out == "" and err == "error: total degree 13 exceeds cap 12\n"
 
 
+_DIM17 = "error: dimension must be in [1, 16], got 17\n"
+_GOOD_PART = {"blade": [1], "re": "1", "im": "0"}
+_FAULTS = {
+    "noncanonical": ([{"blade": [1], "re": "2/4", "im": "0"}],
+                     "error: rational '2/4' is not in lowest terms\n"),
+    "duplicate blade": ([_GOOD_PART, {"blade": [1], "re": "2", "im": "0"}],
+                        "error: duplicate blade [1]\n"),
+    "above cap": ([_GOOD_PART], _DIM17),
+}
+
+
+def _two_fault_document(field, fault, second):
+    """An n = 17 object whose first (or, with `second`, second) entry
+    carries `fault`; an entry above the cap has beta_1 = 13."""
+    coeffs = [[_GOOD_PART], _FAULTS[fault][0]] if second else [_FAULTS[fault][0]]
+    items = []
+    for i, coeff in enumerate(coeffs):
+        beta = [0] * 17
+        beta[i] = 13 if fault == "above cap" else 1
+        items.append({"x0": 0, "beta": beta, "coeff": coeff} if field == "terms"
+                     else {"beta": beta, "value": coeff})
+    return {"n": 17, field: items}
+
+
+@pytest.mark.parametrize("argv, field", [(["transform"], "terms"),
+                                         (["transform", "--hermite"], "coeffs"),
+                                         (["fock-inverse"], "entries")])
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+@pytest.mark.parametrize("second", [False, True])
+def test_error_precedence_of_two_fault_inputs(capsys, tmp_path, argv, field, fault, second):
+    # n = 17 is reported once the first entry's value has been read: a
+    # fault inside that value comes first (exit 2), a fault in any later
+    # entry after it (exit 3), and the degree cap after every other check
+    path = tmp_path / "two-faults.json"
+    path.write_text(json.dumps(_two_fault_document(field, fault, second)))
+    code, out, err = run(capsys, argv + ["--input", str(path)])
+    message = _DIM17 if second else _FAULTS[fault][1]
+    assert (code, out, err) == (3 if message == _DIM17 else 2, "", message)
+
+
+def test_degree_cap_is_checked_after_the_schema_and_on_zero_terms(capsys, tmp_path):
+    over = {"x0": 13, "beta": [0], "coeff": []}
+    bad = {"x0": 0, "beta": [1], "coeff": [{"blade": [], "re": "01", "im": "0"}]}
+    zero_part = [{"blade": [], "re": "0", "im": "0"}]
+    for argv, blob, expected in (
+            (["transform"], {"n": 1, "terms": [over, bad]},
+             (2, "error: malformed rational '01'\n")),
+            (["transform"], {"n": 1, "terms": [over]},
+             (3, "error: total degree 13 exceeds cap 12\n")),
+            (["transform"], {"n": 1, "terms": [dict(over, coeff=zero_part)]},
+             (3, "error: total degree 13 exceeds cap 12\n")),
+            (["fock-inverse"], {"n": 1, "entries": [{"beta": [13], "value": zero_part}]},
+             (3, "error: total degree 13 exceeds cap 12\n"))):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, argv + ["--input", str(path)])
+        assert (code, out, err) == expected[:1] + ("",) + expected[1:]
+
+
+def test_rationals_past_the_digit_limit(capsys, tmp_path):
+    # the interpreter converts int <-> str only up to a digit limit: a longer
+    # rational in the input is malformed input, a result that would print a
+    # longer one is a bound exceeded, and an existing --output file stays
+    limit = sys.get_int_max_str_digits()
+    unreadable = (2, f"error: rational exceeds the {limit}-digit int limit\n")
+    unprintable = (3, f"error: coefficient exceeds the {limit}-digit limit of int conversion\n")
+    target = tmp_path / "out.json"
+    target.write_bytes(b"previous bytes\n")
+    path = tmp_path / "big.json"
+
+    def poly(n, beta, blade, digits):
+        path.write_text(json.dumps({"n": n, "terms": [{"x0": 0, "beta": beta, "coeff": [
+            {"blade": blade, "re": digits, "im": "0"}]}]}))
+
+    # a 4300-digit part is accepted, but its transform has longer ones;
+    # the inner product of a (limit - 300)-digit constant with itself too
+    for digits, expected in (("1" * (limit + 700), unreadable), ("9" * limit, unprintable)):
+        poly(2, [6, 6], [1], digits)
+        for fmt in ("json", "text"):
+            argv = ["transform", "--input", str(path), "--format", fmt, "--output", str(target)]
+            code, out, err = run(capsys, argv)
+            assert (code, err) == expected
+            assert out == "" and target.read_bytes() == b"previous bytes\n"
+    poly(1, [0], [], "9" * (limit - 300))
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, ["inner", "--measure", "rho", "--lhs", str(path), "--rhs",
+                                      str(path), "--format", fmt, "--output", str(target)])
+        assert (code, err) == unprintable
+        assert out == "" and target.read_bytes() == b"previous bytes\n"
+
+
 def test_degree_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv("MONOGENIC_MAX_DEGREE", "3")
     code, _, _ = run(capsys, ["hermite", "--n", "1", "--beta", "5"])

@@ -1,5 +1,5 @@
 """Guards for the tooling next to the library: the benchmark's tracer,
-and the library's stdlib-only imports."""
+the library's stdlib-only imports, and the numerator-only wire codec."""
 
 import ast
 import importlib
@@ -46,3 +46,42 @@ def test_library_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def _calls_outside(node, allowed, where="<module>"):
+    """(enclosing function, call) for every call below node, skipping the
+    bodies of the functions named in allowed."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            if child.name not in allowed:
+                yield from _calls_outside(child, allowed, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield where, child
+        yield from _calls_outside(child, allowed, where)
+
+
+def test_codec_builds_no_per_term_objects():
+    # the wire codec reads and writes stored numerators: outside the public
+    # scalar helpers and `clifford_from_json`, serialize constructs no
+    # Fraction, GaussianRational or CliffordNumber and reads no per-term view
+    path = Path(__file__).resolve().parent.parent / "src" / "monogenic" / "serialize.py"
+    tree = ast.parse(path.read_text(), str(path))
+    classes = {"Fraction", "GaussianRational", "CliffordNumber"}
+    views = {"terms", "entries", "coefficients", "_items", "coefficient", "entry", "scalar_part"}
+
+    def offenders(allowed):
+        found = []
+        for where, call in _calls_outside(tree, allowed):
+            func = call.func
+            if isinstance(func, ast.Name) and func.id in classes:
+                found.append(f"{where}: {func.id}(...)")
+            elif isinstance(func, ast.Attribute) and (
+                    func.attr in views or isinstance(func.value, ast.Name) and func.value.id in classes):
+                found.append(f"{where}: .{func.attr}(...)")
+        return found
+
+    assert offenders({"parse_fraction", "scalar_to_text", "clifford_from_json"}) == []
+    # the scan sees the calls those functions make
+    assert offenders(set()) == ["parse_fraction: Fraction(...)",
+                                "clifford_from_json: ._reduced(...)"]
