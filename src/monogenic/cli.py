@@ -1,5 +1,12 @@
 """Command-line interface: compute objects, serialize them, verify identities.
 
+Every command is one entry of `_COMMANDS`: its help line, its argument
+specs and a compute function, which reads the command's input files and
+returns one result.  `build_parser` adds the entries in table order, each
+followed by the shared --format and --output flags, and `_run` prints a
+result by its type through `_PRINTERS` (polynomial, Fock element or
+scalar); a verify report prints itself and exits 1 when a check failed.
+
 Exit codes: 0 success, 1 verification failure, 2 input/schema error or
 an unwritable --output path, 3 bounds exceeded, 4 domain precondition
 (non-monogenic input).  A rational past the interpreter's int-string
@@ -19,7 +26,7 @@ import os
 import sys
 
 from . import fock, gauss, serialize, transform
-from .clifford import BoundsError, _part_text
+from .clifford import BoundsError, GaussianRational, _part_text
 from .poly import CliffordPolynomial, DegreeCapError, set_degree_cap
 from .serialize import SchemaError
 from .transform import NotMonogenicError
@@ -48,6 +55,10 @@ def _read_json(path: str):
         raise SchemaError(f"cannot read JSON from {path}: {exc}")
 
 
+def _poly(path: str) -> CliffordPolynomial:
+    return serialize.poly_from_json(_read_json(path))
+
+
 def _emit(args, text: str) -> None:
     if args.output:
         try:
@@ -71,16 +82,66 @@ def _claim_output(path: str) -> bool:
     return created
 
 
-def _emit_poly(args, f: CliffordPolynomial) -> None:
-    if args.format == "text":
-        _emit(args, serialize.poly_to_text(f))
-    else:
-        _emit(args, json.dumps(serialize.poly_to_json(f)))
+def _verify(args):
+    from . import verify  # imported here: only this command needs it, and it is slow to import
+
+    return verify.run_verification(n=args.n, max_degree=args.max_degree,
+                                   trials=args.trials, seed=args.seed)
 
 
-def _add_io_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--output", help="write to file instead of stdout")
+def _scalar_json(value: GaussianRational) -> dict:
+    # printed like every JSON part, so a part past the digit limit is a bound
+    re, im = value.re, value.im
+    return {"re": _part_text(re.numerator, re.denominator),
+            "im": _part_text(im.numerator, im.denominator)}
+
+
+_N = ("--n", {"type": int, "required": True})
+_INPUT = ("--input", {"required": True})
+_IO_FLAGS = [("--format", {"choices": ("json", "text"), "default": "json"}),
+             ("--output", {"help": "write to file instead of stdout"})]
+
+# command -> (help, argument specs, compute)
+_COMMANDS = {
+    "hermite": ("Hermite basis polynomial for a multi-index",
+                [_N, ("--beta", {"required": True, "help": "comma-separated multi-index, e.g. 2,0"})],
+                lambda args: transform.hermite(args.n, _parse_beta(args.beta))),
+    "pbasis": ("monogenic basis polynomial for a multi-index",
+               [_N, ("--beta", {"required": True})],
+               lambda args: transform.p_basis(args.n, _parse_beta(args.beta))),
+    "ck": ("Cauchy-Kowalevski extension of an x0-free polynomial",
+           [("--input", {"required": True, "help": "polynomial JSON file, or - for stdin"})],
+           lambda args: transform.ck_extend(_poly(args.input))),
+    "transform": ("apply the Segal-Bargmann transform",
+                  [_INPUT, ("--hermite", {"action": "store_true", "help":
+                            "treat the input as a Hermite expansion instead of a polynomial"})],
+                  lambda args: transform.sb_transform(
+                      (serialize.expansion_from_json if args.hermite else serialize.poly_from_json)(
+                          _read_json(args.input)))),
+    "inverse": ("invert the transform on a monogenic polynomial", [_INPUT],
+                lambda args: transform.sb_inverse(_poly(args.input))),
+    "taylor": ("Taylor map of a monogenic polynomial", [_INPUT],
+               lambda args: fock.taylor_map(_poly(args.input))),
+    "fock-inverse": ("monogenic polynomial of a Fock element", [_INPUT],
+                     lambda args: fock.fock_to_monogenic(
+                         serialize.fock_from_json(_read_json(args.input)))),
+    "inner": ("exact Gaussian inner product of two polynomials",
+              [("--measure", {"choices": ("rho", "mu"), "required": True}),
+               ("--lhs", {"required": True}), ("--rhs", {"required": True})],
+              lambda args: (gauss.inner_rho if args.measure == "rho" else gauss.inner_mu)(
+                  _poly(args.lhs), _poly(args.rhs))),
+    "verify": ("run the full identity verification suite",
+               [("--n", {"type": int, "default": 2}), ("--max-degree", {"type": int, "default": 4}),
+                ("--trials", {"type": int, "default": 100}), ("--seed", {"type": int, "default": 0})],
+               _verify),
+}
+
+# result type -> (text printer, JSON printer)
+_PRINTERS = {
+    CliffordPolynomial: (serialize.poly_to_text, serialize.poly_to_json),
+    fock.FockElement: (serialize.fock_to_text, serialize.fock_to_json),
+    GaussianRational: (serialize.scalar_to_text, _scalar_json),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,143 +149,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="monogenic",
         description="Exact Clifford-valued Segal-Bargmann transform and Taylor isomorphism")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hermite", help="Hermite basis polynomial for a multi-index")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", required=True, help="comma-separated multi-index, e.g. 2,0")
-    _add_io_flags(p)
-
-    p = sub.add_parser("pbasis", help="monogenic basis polynomial for a multi-index")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", required=True)
-    _add_io_flags(p)
-
-    p = sub.add_parser("ck", help="Cauchy-Kowalevski extension of an x0-free polynomial")
-    p.add_argument("--input", required=True, help="polynomial JSON file, or - for stdin")
-    _add_io_flags(p)
-
-    p = sub.add_parser("transform", help="apply the Segal-Bargmann transform")
-    p.add_argument("--input", required=True)
-    p.add_argument("--hermite", action="store_true",
-                   help="treat the input as a Hermite expansion instead of a polynomial")
-    _add_io_flags(p)
-
-    p = sub.add_parser("inverse", help="invert the transform on a monogenic polynomial")
-    p.add_argument("--input", required=True)
-    _add_io_flags(p)
-
-    p = sub.add_parser("taylor", help="Taylor map of a monogenic polynomial")
-    p.add_argument("--input", required=True)
-    _add_io_flags(p)
-
-    p = sub.add_parser("fock-inverse", help="monogenic polynomial of a Fock element")
-    p.add_argument("--input", required=True)
-    _add_io_flags(p)
-
-    p = sub.add_parser("inner", help="exact Gaussian inner product of two polynomials")
-    p.add_argument("--measure", choices=("rho", "mu"), required=True)
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-    _add_io_flags(p)
-
-    p = sub.add_parser("verify", help="run the full identity verification suite")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    _add_io_flags(p)
-
+    for name, (summary, specs, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, options in specs + _IO_FLAGS:
+            p.add_argument(flag, **options)
     return parser
 
 
-def _cmd_hermite(args) -> int:
-    _emit_poly(args, transform.hermite(args.n, _parse_beta(args.beta)))
-    return EXIT_OK
-
-
-def _cmd_pbasis(args) -> int:
-    _emit_poly(args, transform.p_basis(args.n, _parse_beta(args.beta)))
-    return EXIT_OK
-
-
-def _cmd_ck(args) -> int:
-    f = serialize.poly_from_json(_read_json(args.input))
-    _emit_poly(args, transform.ck_extend(f))
-    return EXIT_OK
-
-
-def _cmd_transform(args) -> int:
-    data = _read_json(args.input)
-    if args.hermite:
-        f = serialize.expansion_from_json(data)
-    else:
-        f = serialize.poly_from_json(data)
-    _emit_poly(args, transform.sb_transform(f))
-    return EXIT_OK
-
-
-def _cmd_inverse(args) -> int:
-    F = serialize.poly_from_json(_read_json(args.input))
-    _emit_poly(args, transform.sb_inverse(F))
-    return EXIT_OK
-
-
-def _cmd_taylor(args) -> int:
-    F = serialize.poly_from_json(_read_json(args.input))
-    alpha = fock.taylor_map(F)
-    if args.format == "text":
-        _emit(args, serialize.fock_to_text(alpha))
-    else:
-        _emit(args, json.dumps(serialize.fock_to_json(alpha)))
-    return EXIT_OK
-
-
-def _cmd_fock_inverse(args) -> int:
-    alpha = serialize.fock_from_json(_read_json(args.input))
-    _emit_poly(args, fock.fock_to_monogenic(alpha))
-    return EXIT_OK
-
-
-def _cmd_inner(args) -> int:
-    f = serialize.poly_from_json(_read_json(args.lhs))
-    g = serialize.poly_from_json(_read_json(args.rhs))
-    if args.measure == "rho":
-        value = gauss.inner_rho(f, g)
-    else:
-        value = gauss.inner_mu(f, g)
-    if args.format == "text":
-        _emit(args, serialize.scalar_to_text(value))
-    else:
-        # printed like every JSON part, so a part past the digit limit is a bound
-        re, im = value.re, value.im
-        _emit(args, json.dumps({"re": _part_text(re.numerator, re.denominator),
-                                "im": _part_text(im.numerator, im.denominator)}))
-    return EXIT_OK
-
-
-def _cmd_verify(args) -> int:
-    from . import verify  # imported here: only this command needs it, and it is slow to import
-
-    report = verify.run_verification(n=args.n, max_degree=args.max_degree,
-                                     trials=args.trials, seed=args.seed)
-    if args.format == "text":
-        _emit(args, report.to_text())
-    else:
-        _emit(args, json.dumps(report.to_json()))
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
-
-
-_HANDLERS = {
-    "hermite": _cmd_hermite,
-    "pbasis": _cmd_pbasis,
-    "ck": _cmd_ck,
-    "transform": _cmd_transform,
-    "inverse": _cmd_inverse,
-    "taylor": _cmd_taylor,
-    "fock-inverse": _cmd_fock_inverse,
-    "inner": _cmd_inner,
-    "verify": _cmd_verify,
-}
+def _run(args) -> int:
+    """Read and compute through the command's table entry, then print the
+    result by its type; a failed verify report exits 1."""
+    result = _COMMANDS[args.command][2](args)
+    if type(result) in _PRINTERS:
+        to_text, to_json = _PRINTERS[type(result)]
+        text = to_text(result) if args.format == "text" else json.dumps(to_json(result))
+        code = EXIT_OK
+    else:  # a verify report
+        text = result.to_text() if args.format == "text" else json.dumps(result.to_json())
+        code = EXIT_OK if result.passed else EXIT_VERIFY_FAILED
+    _emit(args, text)
+    return code
 
 
 def main(argv=None) -> int:
@@ -245,7 +189,7 @@ def _main(argv) -> int:
     try:
         if args.output:
             created = _claim_output(args.output)
-        return _HANDLERS[args.command](args)
+        return _run(args)
     except NotMonogenicError as exc:
         code, message = EXIT_DOMAIN, exc
     except (DegreeCapError, BoundsError) as exc:

@@ -480,16 +480,18 @@ def _pruned(data: _Numerators) -> _Numerators:
 
 
 def _reduced(n: int, den: int, data: _Numerators) -> CliffordPolynomial:
-    """The polynomial data / den in reduced form: `_pruned`, then den and
-    every numerator divided by their gcd; the degree cap checked by `_raw`."""
-    out = _pruned(data)
+    """The polynomial data / den in reduced form: den and every numerator
+    divided by their gcd (zero pairs leave it unchanged), with zero pairs
+    and then keys left without a blade dropped in the same pass; the
+    degree cap checked by `_raw`."""
     g = den
-    for blades in out.values():
+    for blades in data.values():
         if g == 1:
             break
         g = math.gcd(g, *chain.from_iterable(blades.values()))
-    if g != 1:
-        den //= g
-        out = {key: {m: (re // g, im // g) for m, (re, im) in blades.items()}
-               for key, blades in out.items()}
-    return CliffordPolynomial._raw(n, den, out)
+    out = {}
+    for key, blades in data.items():
+        kept = {m: (re // g, im // g) for m, (re, im) in blades.items() if re or im}
+        if kept:
+            out[key] = kept
+    return CliffordPolynomial._raw(n, den // g, out)

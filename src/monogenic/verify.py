@@ -2,10 +2,21 @@
 
 Random inputs come from Python's `random.Random` (Mersenne Twister)
 seeded explicitly, with numerators and denominators drawn from [-4, 4],
-so a report is a pure function of (seed, parameters).  Checks run in a
-fixed order and every failure carries a witness.  A check draws the
-inputs of all its trials before it checks any, so the random stream the
-next check reads does not depend on where an earlier check failed.
+so a report is a pure function of (seed, parameters).
+
+Every check is one entry of `_IDENTITIES`, in report order: a name, a
+draw and its witnesses.  One runner, `_check`, applies an entry.  It
+draws the inputs of all trials from the shared generator before it
+checks any, so the random stream the next check reads does not depend
+on where an earlier check failed.  It then runs each witness over all
+trials and reports the first failure, prefixed `trial t:`.  Witness
+precedence follows: a witness that tests two conditions reports the
+first failing trial, and within a trial its first condition (C-K
+extension: not monogenic before a restriction mismatch; Fock round
+trips: the alpha side before the F side); the Segal-Bargmann entry has
+two witnesses, so a round-trip failure in any trial comes before an
+isometry failure.  The entries without a draw (the algebra relations
+and both Gram tables) are checked once, with no trial prefix.
 """
 
 from __future__ import annotations
@@ -148,11 +159,15 @@ class VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# identities: draws and witnesses
 # ---------------------------------------------------------------------------
+# A draw makes the inputs of one trial from (rng, n, max_degree).  A witness
+# maps them to a failure text, or to None when the identity holds; the
+# witness of an entry without a draw reads (n, max_degree) once instead.
+# Both look up the generators and maps of this module when they run, so a
+# test can replace one of those names.
 
-def _check_algebra_relations(n: int) -> CheckResult:
-    name = "clifford generator relations and associativity"
+def _algebra_relations(n: int, max_degree: int) -> str | None:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             e_i = CliffordNumber.basis(n, i)
@@ -160,126 +175,140 @@ def _check_algebra_relations(n: int) -> CheckResult:
             anti = e_i * e_j + e_j * e_i
             expected = CliffordNumber.scalar(n, -2) if i == j else CliffordNumber.zero(n)
             if anti != expected:
-                return CheckResult(name, False, f"e_{i} e_{j} + e_{j} e_{i} = {anti!r}")
+                return f"e_{i} e_{j} + e_{j} e_{i} = {anti!r}"
     blades = [CliffordNumber.blade(n, indices_from_mask(m)) for m in range(2 ** n)]
     for a in blades:
         for b in blades:
             ab = a * b
             for c in blades:
-                if (ab) * c != a * (b * c):
-                    return CheckResult(name, False, f"associativity broken on {a!r}, {b!r}, {c!r}")
-    return CheckResult(name, True)
+                if ab * c != a * (b * c):
+                    return f"associativity broken on {a!r}, {b!r}, {c!r}"
+    return None
 
 
-def _check_dirac_squared(rng: random.Random, n: int, max_degree: int,
-                         trials: int) -> CheckResult:
-    name = "dirac squared equals minus laplacian"
-    for t, f in enumerate([rand_poly(rng, n, max_degree) for _ in range(trials)]):
-        if f.dirac().dirac() != -f.laplacian():
-            return CheckResult(name, False, f"trial {t}: f = {f!r}")
-    return CheckResult(name, True)
-
-
-def _check_ck_extension(rng: random.Random, n: int, max_degree: int,
-                        trials: int) -> CheckResult:
-    name = "cauchy-kowalevski extension is monogenic and restricts back"
-    for t, f in enumerate([rand_poly(rng, n, max_degree) for _ in range(trials)]):
-        F = ck_extend(f)
-        if not F.is_monogenic():
-            return CheckResult(name, False, f"trial {t}: extension of {f!r} not monogenic")
-        if F.restrict() != f:
-            return CheckResult(name, False, f"trial {t}: restriction mismatch for {f!r}")
-    return CheckResult(name, True)
-
-
-def _check_hermite_table(n: int, max_degree: int) -> CheckResult:
-    name = "hermite orthogonality table"
+def _gram_entries(basis, measure: Measure, n: int, max_degree: int):
+    """(alpha, f, beta, g, pairing(f, g)) over the basis table up to max_degree."""
     betas = list(multi_indices(n, max_degree))
-    polys = [hermite(n, beta) for beta in betas]
-    for a, row in zip(betas, gram(polys, polys, Measure.RHO)):
-        for b, pairing in zip(betas, row):
-            value = pairing.scalar_part()
-            expected = GaussianRational(b.factorial if a == b else 0)
-            if value != expected:
-                return CheckResult(name, False,
-                                   f"<H_{tuple(a)}, H_{tuple(b)}> = {value!r}, expected {expected!r}")
-    return CheckResult(name, True)
-
-
-def _check_pbasis_table(n: int, max_degree: int) -> CheckResult:
-    name = "monogenic basis orthogonality (scalar and full pairing)"
-    betas = list(multi_indices(n, max_degree))
-    polys = [p_basis(n, beta) for beta in betas]
-    for a, f, row in zip(betas, polys, gram(polys, polys, Measure.MU_TILDE)):
+    polys = [basis(n, beta) for beta in betas]
+    for a, f, row in zip(betas, polys, gram(polys, polys, measure)):
         for b, g, pairing in zip(betas, polys, row):
-            expected = (CliffordNumber.scalar(n, b.factorial)
-                        if a == b else CliffordNumber.zero(n))
-            if pairing != expected:
-                return CheckResult(name, False,
-                                   f"pairing(P_{tuple(a)}, P_{tuple(b)}) = {pairing!r}")
-            if pairing.scalar_part() != inner_mu(f, g):
-                return CheckResult(name, False,
-                                   f"scalar pairing disagrees at ({tuple(a)}, {tuple(b)})")
-    return CheckResult(name, True)
+            yield a, f, b, g, pairing
 
 
-def _check_sb_isometry(rng: random.Random, n: int, max_degree: int,
-                       trials: int) -> CheckResult:
-    name = "segal-bargmann isometry and round trip"
-    deg = min(max_degree, 4)
-    isometry_failure = None
-    pairs = [(rand_hermite_expansion(rng, n, deg), rand_hermite_expansion(rng, n, deg))
-             for _ in range(trials)]
-    for t, (f, h) in enumerate(pairs):
-        Ff = sb_transform(f)
-        pf = f.to_polynomial()
-        # the round trip holds for every n, so it is checked on every trial;
-        # the isometry holds only for n = 1, and its first failure is kept
-        if sb_inverse(Ff) != pf:
-            return CheckResult(name, False, f"trial {t}: round trip failed for {f!r}")
-        if isometry_failure is None:
-            lhs = inner_mu(Ff, sb_transform(h))
-            rhs = inner_rho(pf, h.to_polynomial())
-            if lhs != rhs:
-                isometry_failure = CheckResult(name, False, f"trial {t}: {lhs!r} != {rhs!r}")
-    return isometry_failure or CheckResult(name, True)
+def _hermite_table(n: int, max_degree: int) -> str | None:
+    for a, _, b, _, pairing in _gram_entries(hermite, Measure.RHO, n, max_degree):
+        value = pairing.scalar_part()
+        expected = GaussianRational(b.factorial if a == b else 0)
+        if value != expected:
+            return f"<H_{tuple(a)}, H_{tuple(b)}> = {value!r}, expected {expected!r}"
+    return None
 
 
-def _check_taylor_isometry(rng: random.Random, n: int, max_degree: int,
-                           trials: int) -> CheckResult:
-    name = "taylor map isometry"
-    deg = min(max_degree, 4)
-    for t, f in enumerate([rand_hermite_expansion(rng, n, deg) for _ in range(trials)]):
-        F = sb_transform(f)
-        if fock_norm_sq(taylor_map(F)) != inner_mu(F, F).re:
-            return CheckResult(name, False, f"trial {t}: F = {F!r}")
-    return CheckResult(name, True)
+def _pbasis_table(n: int, max_degree: int) -> str | None:
+    for a, f, b, g, pairing in _gram_entries(p_basis, Measure.MU_TILDE, n, min(max_degree, 4)):
+        expected = CliffordNumber.scalar(n, b.factorial) if a == b else CliffordNumber.zero(n)
+        if pairing != expected:
+            return f"pairing(P_{tuple(a)}, P_{tuple(b)}) = {pairing!r}"
+        if pairing.scalar_part() != inner_mu(f, g):
+            return f"scalar pairing disagrees at ({tuple(a)}, {tuple(b)})"
+    return None
 
 
-def _check_round_trips(rng: random.Random, n: int, max_degree: int,
-                       trials: int) -> CheckResult:
-    name = "taylor map round trips in both directions"
-    draws = [(rand_fock_element(rng, n, max_degree), rand_poly(rng, n, max_degree))
-             for _ in range(trials)]
-    for t, (alpha, f) in enumerate(draws):
-        if taylor_map(fock_to_monogenic(alpha)) != alpha:
-            return CheckResult(name, False, f"trial {t}: alpha = {alpha!r}")
-        F = ck_extend(f)
-        if fock_to_monogenic(taylor_map(F)) != F:
-            return CheckResult(name, False, f"trial {t}: F = {F!r}")
-    return CheckResult(name, True)
+def _draw_poly(rng: random.Random, n: int, max_degree: int) -> CliffordPolynomial:
+    return rand_poly(rng, n, max_degree)
 
 
-def _check_triad(rng: random.Random, n: int, max_degree: int,
-                 trials: int) -> CheckResult:
-    name = "triad closure: fock norm of transformed input matches source norm"
-    deg = min(max_degree, 4)
-    for t, f in enumerate([rand_hermite_expansion(rng, n, deg) for _ in range(trials)]):
-        lhs = fock_norm_sq(taylor_map(sb_transform(f)))
-        pf = f.to_polynomial()
-        rhs = inner_rho(pf, pf).re
-        if lhs != rhs:
-            return CheckResult(name, False, f"trial {t}: {lhs} != {rhs}")
+def _draw_expansion(rng: random.Random, n: int, max_degree: int) -> HermiteExpansion:
+    return rand_hermite_expansion(rng, n, min(max_degree, 4))
+
+
+def _draw_sb(rng: random.Random, n: int, max_degree: int):
+    # f's transform and polynomial are kept with it: both witnesses read them
+    f, h = _draw_expansion(rng, n, max_degree), _draw_expansion(rng, n, max_degree)
+    return f, sb_transform(f), f.to_polynomial(), h
+
+
+def _draw_fock_pair(rng: random.Random, n: int, max_degree: int):
+    return rand_fock_element(rng, n, max_degree), rand_poly(rng, n, max_degree)
+
+
+def _dirac_squared(f: CliffordPolynomial) -> str | None:
+    return f"f = {f!r}" if f.dirac().dirac() != -f.laplacian() else None
+
+
+def _ck_extension(f: CliffordPolynomial) -> str | None:
+    F = ck_extend(f)
+    if not F.is_monogenic():
+        return f"extension of {f!r} not monogenic"
+    if F.restrict() != f:
+        return f"restriction mismatch for {f!r}"
+    return None
+
+
+def _sb_round_trip(drawn) -> str | None:
+    f, Ff, pf, _ = drawn
+    return f"round trip failed for {f!r}" if sb_inverse(Ff) != pf else None
+
+
+def _sb_isometry(drawn) -> str | None:
+    _, Ff, pf, h = drawn
+    lhs = inner_mu(Ff, sb_transform(h))
+    rhs = inner_rho(pf, h.to_polynomial())
+    return f"{lhs!r} != {rhs!r}" if lhs != rhs else None
+
+
+def _taylor_isometry(f: HermiteExpansion) -> str | None:
+    F = sb_transform(f)
+    return f"F = {F!r}" if fock_norm_sq(taylor_map(F)) != inner_mu(F, F).re else None
+
+
+def _fock_round_trips(drawn) -> str | None:
+    alpha, f = drawn
+    if taylor_map(fock_to_monogenic(alpha)) != alpha:
+        return f"alpha = {alpha!r}"
+    F = ck_extend(f)
+    if fock_to_monogenic(taylor_map(F)) != F:
+        return f"F = {F!r}"
+    return None
+
+
+def _triad(f: HermiteExpansion) -> str | None:
+    lhs = fock_norm_sq(taylor_map(sb_transform(f)))
+    pf = f.to_polynomial()
+    rhs = inner_rho(pf, pf).re
+    return f"{lhs} != {rhs}" if lhs != rhs else None
+
+
+# (name, draw, witnesses) in report order.  The witnesses of an entry run in
+# turn, each over all trials, so the Segal-Bargmann round trip (true for
+# every n) takes precedence over the isometry (true for n = 1 only).
+_IDENTITIES = [
+    ("clifford generator relations and associativity", None, (_algebra_relations,)),
+    ("dirac squared equals minus laplacian", _draw_poly, (_dirac_squared,)),
+    ("cauchy-kowalevski extension is monogenic and restricts back", _draw_poly, (_ck_extension,)),
+    ("hermite orthogonality table", None, (_hermite_table,)),
+    ("monogenic basis orthogonality (scalar and full pairing)", None, (_pbasis_table,)),
+    ("segal-bargmann isometry and round trip", _draw_sb, (_sb_round_trip, _sb_isometry)),
+    ("taylor map isometry", _draw_expansion, (_taylor_isometry,)),
+    ("taylor map round trips in both directions", _draw_fock_pair, (_fock_round_trips,)),
+    ("triad closure: fock norm of transformed input matches source norm", _draw_expansion,
+     (_triad,)),
+]
+
+
+def _check(name: str, draw, witnesses, rng: random.Random, n: int, max_degree: int,
+           trials: int) -> CheckResult:
+    """One entry of `_IDENTITIES`: every trial drawn before any is checked,
+    then the first failure of the first failing witness, with its trial."""
+    if draw is None:
+        detail = witnesses[0](n, max_degree)
+        return CheckResult(name, detail is None, detail or "")
+    drawn = [draw(rng, n, max_degree) for _ in range(trials)]
+    for witness in witnesses:
+        for t, inputs in enumerate(drawn):
+            detail = witness(inputs)
+            if detail is not None:
+                return CheckResult(name, False, f"trial {t}: {detail}")
     return CheckResult(name, True)
 
 
@@ -301,14 +330,6 @@ def run_verification(n: int = 2, max_degree: int = 4, trials: int = 100,
     report = VerifyReport(suite="monogenic-verify", n=n, max_degree=max_degree,
                           trials=trials, seed=seed)
     start = time.perf_counter()
-    report.checks.append(_check_algebra_relations(n))
-    report.checks.append(_check_dirac_squared(rng, n, max_degree, trials))
-    report.checks.append(_check_ck_extension(rng, n, max_degree, trials))
-    report.checks.append(_check_hermite_table(n, max_degree))
-    report.checks.append(_check_pbasis_table(n, min(max_degree, 4)))
-    report.checks.append(_check_sb_isometry(rng, n, max_degree, trials))
-    report.checks.append(_check_taylor_isometry(rng, n, max_degree, trials))
-    report.checks.append(_check_round_trips(rng, n, max_degree, trials))
-    report.checks.append(_check_triad(rng, n, max_degree, trials))
+    report.checks = [_check(*entry, rng, n, max_degree, trials) for entry in _IDENTITIES]
     report.elapsed = time.perf_counter() - start
     return report

@@ -442,6 +442,159 @@ def test_verify_draws_do_not_depend_on_earlier_failures(monkeypatch):
     assert broken == clean
 
 
+# -- witness precedence of the checks that test two conditions per trial --
+
+def _recorder(draw, values):
+    """draw, appending every value it returns to values."""
+    def recording(*args, **kwargs):
+        values.append(draw(*args, **kwargs))
+        return values[-1]
+    return recording
+
+
+def _ck_check_detail(monkeypatch, faults):
+    """Detail of the C-K check when the extension of trial t is spoiled by
+    faults[t]: "monogenic" adds x0 (restriction kept, not monogenic),
+    "restriction" adds 1 (monogenic, restriction changed), "both" adds both."""
+    import monogenic.verify as verify_module
+    from monogenic import CliffordNumber, CliffordPolynomial
+    original_extend, drawn = verify_module.ck_extend, []
+
+    def spoiled(f):
+        # the C-K check extends the second batch of three drawn polynomials
+        F = original_extend(f)
+        fault = next((faults.get(t, "") for t, g in enumerate(drawn[3:6]) if g is f), "")
+        one = CliffordNumber.scalar(f.n, 1)
+        if fault in ("monogenic", "both"):
+            F = F + CliffordPolynomial.monomial(f.n, 1, [0] * f.n, one)
+        if fault in ("restriction", "both"):
+            F = F + CliffordPolynomial.constant(one)
+        return F
+
+    monkeypatch.setattr(verify_module, "rand_poly", _recorder(verify_module.rand_poly, drawn))
+    monkeypatch.setattr(verify_module, "ck_extend", spoiled)
+    report = verify_module.run_verification(n=1, max_degree=3, trials=3, seed=0)
+    check, = [c for c in report.checks if c.name.startswith("cauchy-kowalevski")]
+    assert len(drawn) == 9  # dirac, C-K and round-trip checks, three trials each
+    assert not check.passed
+    return check.detail
+
+
+def test_ck_check_reports_non_monogenic_before_restriction_in_one_trial(monkeypatch):
+    detail = _ck_check_detail(monkeypatch, {1: "both"})
+    assert detail.startswith("trial 1: extension of ") and detail.endswith(" not monogenic")
+
+
+@pytest.mark.parametrize("faults, expected", [
+    ({0: "restriction", 1: "monogenic"}, "trial 0: restriction mismatch for "),
+    ({0: "monogenic", 1: "restriction"}, "trial 0: extension of "),
+    ({1: "restriction", 2: "both"}, "trial 1: restriction mismatch for "),
+])
+def test_ck_check_reports_the_first_failing_trial(monkeypatch, faults, expected):
+    assert _ck_check_detail(monkeypatch, faults).startswith(expected)
+
+
+def _round_trip_check_detail(monkeypatch, faults):
+    """Detail of the Fock round-trip check when fock_to_monogenic is off by
+    one on the sides named in faults[t]: "alpha" (the map of a drawn
+    element) or "F" (the map of the Taylor coefficients of ck_extend(f))."""
+    import monogenic.verify as verify_module
+    from monogenic import CliffordNumber, CliffordPolynomial
+    original_map, elements, polys = verify_module.fock_to_monogenic, [], []
+
+    def spoiled(alpha):
+        F = original_map(alpha)
+        # the alpha side maps a drawn element; the F side maps back to
+        # ck_extend(f) for the f of its trial, one of the last three polynomials drawn
+        trial = next((t for t, a in enumerate(elements) if a is alpha), None)
+        side = "F" if trial is None else "alpha"
+        if trial is None:
+            trial = next(t for t, f in enumerate(polys[-3:]) if F.restrict() == f)
+        if side in faults.get(trial, ()):
+            F = F + CliffordPolynomial.constant(CliffordNumber.scalar(F.n, 1))
+        return F
+
+    monkeypatch.setattr(verify_module, "rand_fock_element",
+                        _recorder(verify_module.rand_fock_element, elements))
+    monkeypatch.setattr(verify_module, "rand_poly", _recorder(verify_module.rand_poly, polys))
+    monkeypatch.setattr(verify_module, "fock_to_monogenic", spoiled)
+    report = verify_module.run_verification(n=1, max_degree=3, trials=3, seed=0)
+    check, = [c for c in report.checks if c.name.startswith("taylor map round trips")]
+    assert len(elements) == 3 and len(set(map(repr, polys[-3:]))) == 3
+    assert not check.passed
+    return check.detail
+
+
+@pytest.mark.parametrize("faults, expected", [
+    ({0: ("alpha", "F")}, "trial 0: alpha = "),
+    ({1: ("F",)}, "trial 1: F = "),
+    ({0: ("F",), 1: ("alpha",)}, "trial 0: F = "),
+    ({1: ("alpha",), 2: ("F",)}, "trial 1: alpha = "),
+])
+def test_round_trip_check_reports_the_alpha_side_first(monkeypatch, faults, expected):
+    assert _round_trip_check_detail(monkeypatch, faults).startswith(expected)
+
+
+# -- the parser surface, read from the parser rather than its help layout --
+
+_SUBCOMMANDS = {
+    "hermite": "Hermite basis polynomial for a multi-index",
+    "pbasis": "monogenic basis polynomial for a multi-index",
+    "ck": "Cauchy-Kowalevski extension of an x0-free polynomial",
+    "transform": "apply the Segal-Bargmann transform",
+    "inverse": "invert the transform on a monogenic polynomial",
+    "taylor": "Taylor map of a monogenic polynomial",
+    "fock-inverse": "monogenic polynomial of a Fock element",
+    "inner": "exact Gaussian inner product of two polynomials",
+    "verify": "run the full identity verification suite",
+}
+# (flags, dest, type, default, choices, required, action, help)
+_HELP = (("-h", "--help"), "help", None, "==SUPPRESS==", None, False, "_HelpAction",
+         "show this help message and exit")
+_IO = [(("--format",), "format", None, "json", ("json", "text"), False, "_StoreAction", None),
+       (("--output",), "output", None, None, None, False, "_StoreAction",
+        "write to file instead of stdout")]
+_INPUT = (("--input",), "input", None, None, None, True, "_StoreAction", None)
+_ARGUMENTS = {
+    "hermite": [(("--n",), "n", "int", None, None, True, "_StoreAction", None),
+                (("--beta",), "beta", None, None, None, True, "_StoreAction",
+                 "comma-separated multi-index, e.g. 2,0")],
+    "pbasis": [(("--n",), "n", "int", None, None, True, "_StoreAction", None),
+               (("--beta",), "beta", None, None, None, True, "_StoreAction", None)],
+    "ck": [(("--input",), "input", None, None, None, True, "_StoreAction",
+            "polynomial JSON file, or - for stdin")],
+    "transform": [_INPUT, (("--hermite",), "hermite", None, False, None, False, "_StoreTrueAction",
+                           "treat the input as a Hermite expansion instead of a polynomial")],
+    "inverse": [_INPUT],
+    "taylor": [_INPUT],
+    "fock-inverse": [_INPUT],
+    "inner": [(("--measure",), "measure", None, None, ("rho", "mu"), True, "_StoreAction", None),
+              (("--lhs",), "lhs", None, None, None, True, "_StoreAction", None),
+              (("--rhs",), "rhs", None, None, None, True, "_StoreAction", None)],
+    "verify": [(("--n",), "n", "int", 2, None, False, "_StoreAction", None),
+               (("--max-degree",), "max_degree", "int", 4, None, False, "_StoreAction", None),
+               (("--trials",), "trials", "int", 100, None, False, "_StoreAction", None),
+               (("--seed",), "seed", "int", 0, None, False, "_StoreAction", None)],
+}
+
+
+def test_parser_surface_is_pinned():
+    import argparse
+    from monogenic.cli import build_parser
+    parser = build_parser()
+    assert (parser.prog, parser.description) == (
+        "monogenic", "Exact Clifford-valued Segal-Bargmann transform and Taylor isomorphism")
+    sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("command", True)
+    assert {a.dest: a.help for a in sub._choices_actions} == _SUBCOMMANDS
+    assert list(sub.choices) == list(_SUBCOMMANDS)
+    for name, subparser in sub.choices.items():
+        surface = [(tuple(a.option_strings), a.dest, a.type.__name__ if a.type else None,
+                    a.default, a.choices, a.required, type(a).__name__, a.help)
+                   for a in subparser._actions]
+        assert surface == [_HELP, *_ARGUMENTS[name], *_IO], name
+
+
 # -- fuzz: arbitrary and near-valid JSON through every input-reading command --
 
 _junk = st.recursive(

@@ -1,5 +1,6 @@
 """Guards for the tooling next to the library: the benchmark's tracer,
-the library's stdlib-only imports, and the numerator-only wire codec."""
+the library's stdlib-only imports, the numerator-only wire codec, and the
+README's list of CLI commands."""
 
 import ast
 import importlib
@@ -85,3 +86,15 @@ def test_codec_builds_no_per_term_objects():
     # the scan sees the calls those functions make
     assert offenders(set()) == ["parse_fraction: Fraction(...)",
                                 "clifford_from_json: ._reduced(...)"]
+
+
+def test_readme_cli_block_names_every_subcommand():
+    # the README's CLI code block shows one `monogenic <command>` line per
+    # subcommand of the parser, no more and no fewer
+    import argparse
+    from monogenic.cli import build_parser
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = [line.split()[1] for line in block.splitlines() if line.startswith("monogenic ")]
+    sub, = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(shown) == sorted(sub.choices)
