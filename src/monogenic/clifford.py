@@ -16,15 +16,22 @@ A CliffordNumber is stored as integer numerators over one denominator:
 `_den` and `_blades` = {blade mask: (re, im)}, reduced (den > 0,
 gcd(den, every numerator) = 1, no zero pair).  That is exactly the form
 one term of a `CliffordPolynomial` takes, and it is unique, so `==`
-compares integers.  Every operation works on the numerators and the
-module-level helpers here serve the polynomial kernels too: `+` scales
-both operands to the lcm of their denominators (`_add_scaled`), the
-product multiplies the denominators and accumulates the real and
-imaginary numerators of every blade pair into their output blade
+compares integers.  Every operation works on the numerators, and each
+rule of that form is written once, in a module-level helper here that
+the polynomial, series and pairing kernels call too: `+` scales both
+operands to the lcm of their denominators (`_add_scaled`), the product
+multiplies the denominators and accumulates the real and imaginary
+numerators of every blade pair into their output blade
 (`_product_numerators`), `hermitian_conj` applies `_conjugated`, and
 `inner` sums conj(a_A) b_A over shared blades (`_shared_blade_sum`).
 Results that can share a factor with the denominator are reduced once
-by the reducing constructor; the others are adopted as they are.
+by `_reduce`, which takes a map {key: blade map} so that one body
+reduces a number (`CliffordNumber._reduced`, one key), a polynomial
+(`poly._reduced`) and prunes the operator series of `transform`; the
+others are adopted as they are.  The Gaussian pairings of `gauss`
+conjugate and multiply through `_conjugated` and
+`_product_numerators`, so the product sign (`_sign_mask`) and the
+conjugation sign are stated only in this module.
 Coefficients become `Fraction`s only where they are read back
 (`terms()`, `coefficient()`, `scalar_part()`, `inner()`), one per
 nonzero part (`_gaussian_over`).
@@ -302,6 +309,27 @@ def _shared_blade_sum(pairs: Iterable[tuple[Mapping, Mapping]]) -> tuple[int, in
     return re, im
 
 
+def _reduce(den: int, maps: Mapping) -> tuple[int, dict]:
+    """(den, maps) reduced: den and every numerator of {key: {mask: (re, im)}}
+    divided by their gcd, zero pairs and then keys left without a blade
+    dropped in one pass.  The gcd stops at 1, and then nothing is divided;
+    an all-zero map reduces to (1, {})."""
+    g = den
+    for blades in maps.values():
+        if g == 1:
+            break
+        g = gcd(g, *chain.from_iterable(blades.values()))
+    out = {}
+    for key, blades in maps.items():
+        if g == 1:
+            kept = {m: v for m, v in blades.items() if v[0] or v[1]}
+        else:
+            kept = {m: (re // g, im // g) for m, (re, im) in blades.items() if re or im}
+        if kept:
+            out[key] = kept
+    return den // g, out
+
+
 def _product_numerators(acc: _Blades, left: _Blades, right: _Blades) -> None:
     """acc += left * right: integer multiply-accumulate over all blade
     pairs of two numerator maps, cancelled blades left in as zero pairs."""
@@ -359,16 +387,9 @@ class CliffordNumber:
 
     @classmethod
     def _reduced(cls, n: int, den: int, blades: _Blades) -> "CliffordNumber":
-        """blades / den in reduced form: zero pairs dropped, then den and
-        every numerator divided by their gcd."""
-        kept = {m: v for m, v in blades.items() if v[0] or v[1]}
-        if not kept:
-            return cls._raw(n, 1, kept)
-        g = gcd(den, *chain.from_iterable(kept.values()))
-        if g != 1:
-            den //= g
-            kept = {m: (re // g, im // g) for m, (re, im) in kept.items()}
-        return cls._raw(n, den, kept)
+        """blades / den in reduced form (`_reduce`)."""
+        den, maps = _reduce(den, {0: blades})
+        return cls._raw(n, den, maps.get(0, {}))
 
     @classmethod
     def zero(cls, n: int) -> "CliffordNumber":

@@ -20,17 +20,16 @@ terms of one bucket ever meet.  Each operand is grouped into buckets
 once, by reference: the blade dicts are the stored numerators of
 `poly`, read in place over the operand's one stored denominator and
 never copied or written.  In a Gram table most term pairs, and most
-whole entries, share no bucket at all.  Each left term meets the sum of
-the right terms in its bucket, each weighted by the integer moment of
-the pair, which under MU_TILDE is scaled by 2^(D - |e|/2) so that one
-2^D (2D the top combined degree) is the common denominator.  The left
-blades are conjugated as they are read: imaginary part negated, blade
-e_A signed by (-1)^(k(k+1)/2) for k generators.  Blade products take
-the sign (-1)^popcount(q_A & B) of `clifford._sign_mask`, real and
-imaginary numerators are accumulated per output blade, and the
-accumulated numerators over the one denominator become the
-`CliffordNumber` result through its reducing constructor: one gcd, and
-no `Fraction`.
+whole entries, share no bucket at all; such an entry is the canonical
+zero at once.  Each left term meets the sum of the right terms in its
+bucket, each weighted by the integer moment of the pair, which under
+MU_TILDE is scaled by 2^(D - |e|/2) so that one 2^D (2D the top
+combined degree) is the common denominator.  Each left term is
+conjugated and multiplied into its weighted sum by the helpers of the
+Clifford product (`clifford._conjugated`, `_product_numerators`), which
+state both sign rules, and the accumulated numerators over the one
+denominator become the `CliffordNumber` result through its reducing
+constructor: one gcd, and no `Fraction`.
 
 The scalar products `inner_rho` and `inner_mu` need only the grade-0
 part.  conj(e_A) e_B has a scalar part only when A = B, and there it is
@@ -50,11 +49,11 @@ from typing import Iterable, Iterator, Sequence
 
 from .clifford import (
     CliffordNumber,
-    DimensionMismatchError,
     GaussianRational,
+    _conjugated,
     _gaussian_over,
+    _product_numerators,
     _shared_blade_sum,
-    _sign_mask,
 )
 from .poly import CliffordPolynomial
 
@@ -118,11 +117,6 @@ def _operand(f: CliffordPolynomial, measure: Measure) -> tuple[int, int, dict]:
     return f._den, top, buckets
 
 
-def _check_dimensions(f: CliffordPolynomial, g: CliffordPolynomial) -> None:
-    if f.n != g.n:
-        raise DimensionMismatchError(f"polynomials over C_{f.n} vs C_{g.n}")
-
-
 def _weighted_sums(left: tuple, right: tuple, measure: Measure):
     """Yield (left blades, {mask: [re, im]}) per left term: the sum of
     the right operand's terms in its bucket, each weighted by the integer
@@ -163,25 +157,14 @@ def _denominator(left: tuple, right: tuple, measure: Measure) -> int:
 
 
 def _pairing(n: int, left: tuple, right: tuple, measure: Measure) -> CliffordNumber:
-    """Integral of conj(left) * right; each left blade is conjugated as it
-    is read: imaginary part negated, blade e_A signed by (-1)^(k(k+1)/2)
-    for k generators, which is -1 exactly when bit 1 of k + 1 is set."""
+    """Integral of conj(left) * right: the canonical zero when no parity
+    bucket is shared, else each left term conjugated and multiplied into
+    its weighted sum (`_conjugated`, `_product_numerators`)."""
+    if left[2].keys().isdisjoint(right[2]):
+        return CliffordNumber._raw(n, 1, {})
     acc: dict[int, tuple[int, int]] = {}
     for blades_a, sums in _weighted_sums(left, right, measure):
-        for ma, (ar, ai) in blades_a.items():
-            if (ma.bit_count() + 1) & 2:
-                ar = -ar
-            else:
-                ai = -ai
-            q = _sign_mask(ma)
-            for mb, (sr, si) in sums.items():
-                re = ar * sr - ai * si
-                im = ar * si + ai * sr
-                if (q & mb).bit_count() & 1:
-                    re, im = -re, -im
-                mask = ma ^ mb
-                prev = acc.get(mask)
-                acc[mask] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+        _product_numerators(acc, _conjugated(blades_a), sums)
     return CliffordNumber._reduced(n, _denominator(left, right, measure), acc)
 
 
@@ -189,8 +172,10 @@ def _scalar_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
                     measure: Measure) -> GaussianRational:
     """Scalar part of the integral of conj(f) * g: sum of conj(a_A) b_A
     over shared blades, since conj(e_A) e_A = 1."""
-    _check_dimensions(f, g)
+    f._check_dim(g)
     left, right = _operand(f, measure), _operand(g, measure)
+    if left[2].keys().isdisjoint(right[2]):
+        return _gaussian_over(0, 0, 1)
     re, im = _shared_blade_sum(_weighted_sums(left, right, measure))
     return _gaussian_over(re, im, _denominator(left, right, measure))
 
@@ -202,7 +187,7 @@ def clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
     The product is never materialized as a polynomial, and only terms
     of shared parity buckets meet.
     """
-    _check_dimensions(f, g)
+    f._check_dim(g)
     return _pairing(f.n, _operand(f, measure), _operand(g, measure), measure)
 
 
@@ -216,7 +201,7 @@ def gram(fs: Iterable[CliffordPolynomial], gs: Sequence[CliffordPolynomial],
     right = None
     for f in fs:
         for g in gs:
-            _check_dimensions(f, g)
+            f._check_dim(g)
         if right is None:
             right = [_operand(g, measure) for g in gs]
         left = _operand(f, measure)

@@ -19,8 +19,9 @@ and `coefficient()` reduce the one term they return.  Every operation
 (`+`, `-`, the module actions, `hermitian_conj`, `restrict`, `partial`,
 the Dirac operator, the Laplacian, the Cauchy-Riemann operator d0 + D,
 and in `transform` the heat and C-K series) works on the numerators and
-reduces its result once (`_reduced`).  Derivatives only multiply by
-integers, so a whole chain of them keeps one denominator.  Left
+reduces its result once: `_reduced` adopts what the one reducer of
+`clifford`, `_reduce`, returns.  Derivatives only multiply by integers,
+so a whole chain of them keeps one denominator.  Left
 multiplication by a generator is a signed blade permutation, not a
 product: e_j e_B = (-1)^popcount(B & low_j) e_{B xor bit_j}, where
 bit_j is the mask of e_j and low_j the mask of e_1, ..., e_j (one swap
@@ -50,7 +51,6 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .clifford import (
@@ -61,6 +61,7 @@ from .clifford import (
     _check_dimension,
     _conjugated,
     _product_numerators,
+    _reduce,
 )
 
 _degree_cap: ContextVar[int] = ContextVar("degree_cap", default=12)
@@ -169,7 +170,7 @@ def _check_degree_cap(keys: Iterable[TermKey]) -> None:
 
 # Numerators: {(k0, beta): {blade mask: (re, im)}} with integer re, im over
 # a denominator carried next to the map.  Accumulators may hold zero pairs
-# and empty blade maps until `_pruned` or `_reduced` drops them.
+# and empty blade maps until `_reduced` (or `clifford._reduce`) drops them.
 _Numerators = dict[TermKey, dict[int, tuple[int, int]]]
 
 
@@ -190,6 +191,8 @@ class CliffordPolynomial:
                 beta = MultiIndex(beta)
                 if len(beta) != n:
                     raise ValueError(f"multi-index {tuple(beta)} has length {len(beta)}, expected {n}")
+                if not isinstance(coeff, CliffordNumber):
+                    raise TypeError(f"bad coefficient {coeff!r}")
                 if coeff.n != n:
                     raise DimensionMismatchError(f"coefficient in C_{coeff.n} inside C_{n} polynomial")
                 if k0 + beta.degree > cap:
@@ -469,29 +472,7 @@ def _sorted_terms(num: _Numerators) -> list[tuple[TermKey, dict[int, tuple[int, 
     return [(key, num[key]) for key in keys]
 
 
-def _pruned(data: _Numerators) -> _Numerators:
-    """Drop zero pairs, then keys left without a blade."""
-    out = {}
-    for key, blades in data.items():
-        kept = {m: v for m, v in blades.items() if v[0] or v[1]}
-        if kept:
-            out[key] = kept
-    return out
-
-
 def _reduced(n: int, den: int, data: _Numerators) -> CliffordPolynomial:
-    """The polynomial data / den in reduced form: den and every numerator
-    divided by their gcd (zero pairs leave it unchanged), with zero pairs
-    and then keys left without a blade dropped in the same pass; the
+    """The polynomial data / den in reduced form (`clifford._reduce`), the
     degree cap checked by `_raw`."""
-    g = den
-    for blades in data.values():
-        if g == 1:
-            break
-        g = math.gcd(g, *chain.from_iterable(blades.values()))
-    out = {}
-    for key, blades in data.items():
-        kept = {m: (re // g, im // g) for m, (re, im) in blades.items() if re or im}
-        if kept:
-            out[key] = kept
-    return CliffordPolynomial._raw(n, den // g, out)
+    return CliffordPolynomial._raw(n, *_reduce(den, data))

@@ -7,13 +7,15 @@ the result to the unique monogenic polynomial on R^{n+1} restricting to
 it.  Both factors are finite sums on polynomials (the Laplacian and the
 Dirac operator are nilpotent there), so everything is exact.
 
-Both series run on the stored integer numerators of `poly`, over the
-input's denominator den: the chain Lap^k f (or D^k f) is derived on
-integers, and the result is reduced once.  With K the
-last k whose term is nonzero, the heat series is summed over
-den * 2^K * K!, term k weighted by (+-1)^k 2^(K-k) K!/k!; the C-K
-series is written over den * K!, term k weighted by (-1)^k K!/k! and
-placed at x0-power k (the input is x0-free, so no two terms meet).
+Both are one operator series, `_series`, on the stored integer
+numerators of `poly`, over the input's denominator den: the chain
+step^k f is derived on integers, and the result is reduced once.  With
+K the last k whose term is nonzero, the series sum_k sign^k
+x0^(k x0_step) step^k f / (scale^k k!) is summed over den * scale^K * K!,
+term k weighted by sign^k scale^(K-k) K!/k!.  The heat series takes
+step = Lap, sign = +-1, scale = 2, x0_step = 0; the C-K series takes
+step = D, sign = -1, scale = 1, x0_step = 1, which places term k at
+x0-power k (the input is x0-free, so no two terms meet).
 The C-K result carries the "monogenic by construction" mark of `poly`,
 so `sb_inverse` does not check it again.
 
@@ -37,6 +39,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Callable, Sequence, Union
 
+from .clifford import _reduce
 from .poly import (
     CliffordPolynomial,
     _MultiIndexMap,
@@ -44,7 +47,6 @@ from .poly import (
     _add_scaled,
     _dirac_into,
     _laplacian_into,
-    _pruned,
     _reduced,
 )
 
@@ -53,15 +55,27 @@ class NotMonogenicError(ValueError):
     """Input must satisfy the generalized Cauchy-Riemann equation."""
 
 
-def _chain(data: _Numerators, step: Callable[[_Numerators, _Numerators], None]) -> list[_Numerators]:
-    """[data, step(data), step(step(data)), ...] up to the last nonzero term."""
+def _series(f: CliffordPolynomial, step: Callable[[_Numerators, _Numerators], None],
+            sign: int, scale: int, x0_step: int) -> CliffordPolynomial:
+    """sum_k sign^k x0^(k x0_step) step^k f / (scale^k k!) for x0-free f.
+
+    The chain step^k f is derived on integers up to its last nonzero
+    term K, pruned by `_reduce` over 1, and summed over den * scale^K * K!
+    with term k weighted by sign^k scale^(K-k) K!/k!."""
     chain = []
+    data = f._num
     while data:
         chain.append(data)
         nxt: _Numerators = {}
         step(nxt, data)
-        data = _pruned(nxt)
-    return chain
+        data = _reduce(1, nxt)[1]
+    top = max(len(chain) - 1, 0)
+    total: _Numerators = {}
+    for k, term in enumerate(chain):
+        weight = sign ** k * scale ** (top - k) * (factorial(top) // factorial(k))
+        for (_, beta), blades in term.items():
+            _add_scaled(total.setdefault((k * x0_step, beta), {}), blades, weight)
+    return _reduced(f.n, f._den * scale ** top * factorial(top), total)
 
 
 def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
@@ -72,16 +86,7 @@ def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     """
     if not f.is_x0_free():
         raise ValueError("heat operator acts on x0-free polynomials")
-    chain = _chain(f._num, _laplacian_into)
-    top = max(len(chain) - 1, 0)
-    total: _Numerators = {}
-    for k, term in enumerate(chain):
-        weight = 2 ** (top - k) * (factorial(top) // factorial(k))
-        if inverse and k & 1:
-            weight = -weight
-        for key, blades in term.items():
-            _add_scaled(total.setdefault(key, {}), blades, weight)
-    return _reduced(f.n, f._den * 2 ** top * factorial(top), total)
+    return _series(f, _laplacian_into, -1 if inverse else 1, 2, 0)
 
 
 def hermite(n: int, beta: Sequence[int]) -> CliffordPolynomial:
@@ -99,16 +104,7 @@ def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
     restricting to f at x0 = 0, via sum_k (-x0)^k D^k f / k!."""
     if not f.is_x0_free():
         raise ValueError("C-K extension starts from an x0-free polynomial")
-    chain = _chain(f._num, _dirac_into)
-    top = max(len(chain) - 1, 0)
-    total: _Numerators = {}
-    for k, term in enumerate(chain):
-        weight = factorial(top) // factorial(k)
-        if k & 1:
-            weight = -weight
-        for (_, beta), blades in term.items():
-            _add_scaled(total.setdefault((k, beta), {}), blades, weight)
-    F = _reduced(f.n, f._den * factorial(top), total)
+    F = _series(f, _dirac_into, -1, 1, 1)
     F._monogenic = True  # read by the preconditions of `sb_inverse` and `taylor_map`
     return F
 

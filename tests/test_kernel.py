@@ -228,6 +228,31 @@ def test_every_result_is_reduced_and_equality_is_termwise(n):
     assert heat(heat(h), inverse=True) == h == ck_extend(h).restrict()
 
 
+@pytest.mark.parametrize("den, blades, expected", [
+    # an all-zero accumulator is the canonical zero, whatever its denominator
+    (6, {0: (0, 0), 3: (0, 0)}, (1, {})),
+    (1, {}, (1, {})),
+    # gcd 1: the pairs are kept as they are and zero pairs dropped
+    (6, {0: (5, 0), 1: (0, 0), 3: (2, -3)}, (6, {0: (5, 0), 3: (2, -3)})),
+    # gcd > 1: the denominator and every numerator divided
+    (12, {0: (4, 0), 1: (0, 0), 2: (0, -8), 3: (20, 12)}, (3, {0: (1, 0), 2: (0, -2), 3: (5, 3)})),
+])
+def test_reducer_through_both_classes(den, blades, expected):
+    x = CliffordNumber._reduced(2, den, dict(blades))
+    assert (x._den, x._blades) == expected
+    key = (0, (1, 0))
+    # keys left without a blade are dropped, whether empty or all zero
+    f = poly._reduced(2, den, {key: dict(blades), (1, (0, 0)): {1: (0, 0)}, (0, (0, 1)): {}})
+    assert (f._den, f._num) == (expected[0], {key: expected[1]} if expected[1] else {})
+    if expected[0] == den:
+        # nothing is divided at gcd 1: the stored pairs are the input's
+        for stored in (x._blades, f._num.get(key, {})):
+            assert all(stored[m] is blades[m] for m in stored)
+    # the gcd spans every key of a polynomial
+    g = poly._reduced(2, 4, {(0, (1, 0)): {0: (2, 4)}, (0, (0, 1)): {1: (6, 0), 2: (0, 0)}})
+    assert (g._den, g._num) == (2, {(0, (1, 0)): {0: (1, 2)}, (0, (0, 1)): {1: (3, 0)}})
+
+
 def test_the_monogenic_mark_does_not_leak():
     rng = random.Random(7)
     n = 3

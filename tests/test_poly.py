@@ -12,7 +12,9 @@ from monogenic import (
     CliffordPolynomial,
     DegreeCapError,
     DimensionMismatchError,
+    FockElement,
     GaussianRational,
+    HermiteExpansion,
     MultiIndex,
     get_degree_cap,
     set_degree_cap,
@@ -73,6 +75,18 @@ def test_x0_exponent_rejects_bool():
         CliffordPolynomial(1, {(True, (0,)): CliffordNumber.one(1)})
     with pytest.raises(ValueError):
         CliffordPolynomial.monomial(1, True, (2,))
+
+
+def test_non_clifford_coefficient_is_a_type_error():
+    # the error CliffordNumber raises for the same mistake, for both
+    # polynomials and the containers built on them
+    for build in (lambda: CliffordPolynomial(2, {(0, (1, 0)): 3}),
+                  lambda: HermiteExpansion(2, {(1, 0): 3}),
+                  lambda: FockElement(2, {(1, 0): GaussianRational(1)})):
+        with pytest.raises(TypeError, match="bad coefficient"):
+            build()
+    with pytest.raises(TypeError, match="bad coefficient"):
+        CliffordNumber(2, {(1,): "3"})
 
 
 # -- evaluation --------------------------------------------------------------

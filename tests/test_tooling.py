@@ -1,10 +1,11 @@
 """Guards for the tooling next to the library: the benchmark's tracer,
-the library's stdlib-only imports, the numerator-only wire codec, and the
-README's list of CLI commands."""
+the library's stdlib-only imports, the numerator-only wire codec, one home
+for each numerator rule, and the README's list of CLI commands."""
 
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -86,6 +87,30 @@ def test_codec_builds_no_per_term_objects():
     # the scan sees the calls those functions make
     assert offenders(set()) == ["parse_fraction: Fraction(...)",
                                 "clifford_from_json: ._reduced(...)"]
+
+
+def test_each_numerator_rule_has_one_home():
+    # the product sign and the conjugation sign are stated in clifford only
+    package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    rule = re.compile(r"_sign_mask\b|bit_count\(\) \+ 1\) & 2")
+    assert [name for name, text in sources.items() if rule.search(text)] == ["clifford.py"]
+    # every module-level private function is used somewhere in the library,
+    # so a replaced helper cannot linger next to its replacement
+    defined, used = set(), set()
+    for name, text in sources.items():
+        tree = ast.parse(text, name)
+        defined.update(f"{name}:{node.name}" for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert defined
+    assert sorted(d for d in defined if d.split(":")[1] not in used) == []
 
 
 def test_readme_cli_block_names_every_subcommand():
