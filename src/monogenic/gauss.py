@@ -6,56 +6,63 @@ Two probability measures appear:
 * MU_TILDE on R^{n+1}, density pi^(-(n+1)/2) exp(-x0^2 - |x|^2): per-axis
   variance 1/2.
 
-Integration is purely symbolic: a monomial x0^k0 x^beta integrates to
-the product of its 1-D moments, so a polynomial pairing is a finite
-exact sum.  Under RHO the moment of exponents e is the integer
+A monomial x0^k0 x^beta integrates to the product of its 1-D moments
+(`moment`): under RHO the moment of exponents e is the integer
 prod (e_i - 1)!!; under MU_TILDE it is that product over 2^(|e|/2).
 Either vanishes as soon as one exponent is odd.
 
-Pairings run on integer numerators, like the Clifford product and the
-polynomial calculus.  Terms are bucketed by parity signature, the
-bitmask of odd entries in (k0, beta): two monomials multiply to one with
-only even exponents exactly when their signatures are equal, so only
-terms of one bucket ever meet.  Each operand is grouped into buckets
-once, by reference: the blade dicts are the stored numerators of
-`poly`, read in place over the operand's one stored denominator and
-never copied or written.  In a Gram table most term pairs, and most
-whole entries, share no bucket at all; such an entry is the canonical
-zero at once.  Each left term meets the sum of the right terms in its
-bucket, each weighted by the integer moment of the pair, which under
-MU_TILDE is scaled by 2^(D - |e|/2) so that one 2^D (2D the top
-combined degree) is the common denominator.  Each left term is
-conjugated and multiplied into its weighted sum by the helpers of the
-Clifford product (`clifford._conjugated`, `_product_numerators`), which
-state both sign rules, and the accumulated numerators over the one
-denominator become the `CliffordNumber` result through its reducing
-constructor: one gcd, and no `Fraction`.
+Pairings do not sum moments.  They use the real Segal-Bargmann isometry
+onto the Fock space with the Fischer product (Bargmann 1961, Fischer
+1917): with s the per-axis variance over the axes X of the measure,
+
+    integral of conj(f) g = sum_key s^|key| key! conj(A_key) B_key,
+
+where A = exp(s Lap_X / 2) f and B = exp(s Lap_X / 2) g are heat images,
+key = (k0, beta), key! = k0! beta!, and the product is the Clifford
+product of the two coefficients at the same monomial.  The heat image is
+the operator series of `transform`: under RHO the heat step is the
+Laplacian over x1..xn with scale 2 (A = heat(f)); under MU_TILDE it is
+the Laplacian over x0..xn with scale 4.  On a monogenic value the
+Laplacian over x0..xn is zero, so that image is the value itself.
+
+Each polynomial is prepared at most once per measure, and the prepared
+form is cached on the immutable value (`CliffordPolynomial._fischer`,
+one entry per measure, filled by one store of a finished tuple).  It has two roles, both integer
+numerators over one denominator: as right operand, the heat image A over
+its denominator den; as left operand, each conj(A_key) weighted by
+key! (times 2^(T - |key|) under MU_TILDE, T the top degree) over den
+(times 2^T).  A pairing is then one loop over the keys the two operands
+share, with the numerator helpers of the Clifford product
+(`clifford._conjugated`, `_product_numerators`), and the result is
+reduced once.  Entries whose operands share no key, such as homogeneous
+parts of different degree, are the canonical zero at once.
 
 The scalar products `inner_rho` and `inner_mu` need only the grade-0
 part.  conj(e_A) e_B has a scalar part only when A = B, and there it is
-1, so they sum conj(a_A) b_A over shared blades
-(`clifford._shared_blade_sum`, which `CliffordNumber.inner` uses too),
-form no other blade pair and conjugate no blade.  `gram` yields the
-pairings of every f of one list with every g of another, row by row,
-and groups each operand once.
+1, so they sum conj(a_A) b_A over the shared blades of the shared keys
+(`clifford._shared_blade_sum`, which `CliffordNumber.inner` uses too).
+`gram` yields the pairings of every f of one list with every g of
+another, row by row.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import lru_cache
+from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .clifford import (
     CliffordNumber,
     GaussianRational,
+    _add_scaled,
     _conjugated,
     _gaussian_over,
     _product_numerators,
     _shared_blade_sum,
 )
-from .poly import CliffordPolynomial
+from .poly import CliffordPolynomial, _full_laplacian_into, _laplacian_into
+from .transform import _series
 
 
 class Measure(enum.Enum):
@@ -63,149 +70,93 @@ class Measure(enum.Enum):
     MU_TILDE = "mu"
 
 
-@lru_cache(maxsize=None)
-def _unit_moments(top: int) -> tuple[int, ...]:
-    """E[t^k] for k = 0..top under the variance-1 Gaussian: (k-1)!! for
-    even k, 0 for odd k.  The variance-1/2 moment is E[t^k] / 2^(k/2)."""
-    out = [1]
-    for k in range(1, top + 1):
-        out.append(0 if k % 2 else (k - 1) * out[k - 2])
-    return tuple(out)
+# (heat step, series scale 2/s, log2 of 1/s) for per-axis variance s,
+# indexed by `measure is Measure.MU_TILDE`, as is the cache of each value
+_HEAT = ((_laplacian_into, 2, 0), (_full_laplacian_into, 4, 1))
 
 
 def moment(measure: Measure, k0: int, beta: Sequence[int]) -> Fraction:
     """Exact moment of x0^k0 * x^beta under the given measure."""
     exponents = (k0, *beta)
-    if min(exponents) < 0:
-        raise ValueError("moment order must be nonnegative")
+    for e in exponents:
+        if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+            raise ValueError(f"moment exponents must be nonnegative ints, got {exponents}")
     if measure is Measure.RHO and k0 != 0:
         raise ValueError("the R^n measure has no x0 axis")
-    table = _unit_moments(max(exponents))
     total = 1
     for e in exponents:
-        total *= table[e]
-    if measure is Measure.RHO or not total:
+        if e % 2:
+            return Fraction(0)
+        total *= prod(range(e - 1, 0, -2))
+    if measure is Measure.RHO:
         return Fraction(total)
     return Fraction(total, 2 ** (sum(exponents) // 2))
 
 
-def _operand(f: CliffordPolynomial, measure: Measure) -> tuple[int, int, dict]:
-    """(den, top, {signature: [(exponents, degree, blades)]}): the terms of f
-    grouped by parity signature, one bit per entry of exponents = (k0, *beta)
-    set when that entry is odd, with top the largest total degree of f.
-    `blades` is the stored numerator dict of the term, shared between
-    threads with f, so it is read and never written."""
-    rho = measure is Measure.RHO
-    buckets: dict = {}
-    top = 0
-    for (k0, beta), blades in f._num.items():
-        if k0 and rho:
-            raise ValueError("the R^n measure requires x0-free polynomials")
-        exponents = (k0, *beta)
-        signature = 0
-        for e in exponents:
-            signature = signature << 1 | e & 1
-        degree = k0 + sum(beta)
-        if degree > top:
-            top = degree
-        term = (exponents, degree, blades)
-        bucket = buckets.get(signature)
-        if bucket is None:
-            buckets[signature] = [term]
-        else:
-            bucket.append(term)
-    return f._den, top, buckets
+def _form(f: CliffordPolynomial, mu: bool) -> tuple[tuple, tuple]:
+    """((den, A), (left den, left)) for f under MU_TILDE if mu, else RHO:
+    the heat image A of f as right operand, and as left operand each
+    conj(A_key) times key! 2^(T - |key|) over den 2^T under MU_TILDE, or
+    times key! over den under RHO.  Built once per value and measure, and
+    cached on f by one store of a finished pair."""
+    cache = f._fischer or (None, None)
+    if cache[mu] is not None:
+        return cache[mu]
+    if not mu and not f.is_x0_free():
+        raise ValueError("the R^n measure requires x0-free polynomials")
+    step, scale, shift = _HEAT[mu]
+    den, image = _series(f, step, 1, scale, 0)
+    top = max((k0 + sum(beta) for k0, beta in image), default=0)
+    left = {}
+    for (k0, beta), blades in image.items():
+        weight = factorial(k0) * prod(map(factorial, beta)) << shift * (top - k0 - sum(beta))
+        left[k0, beta] = acc = {}
+        _add_scaled(acc, _conjugated(blades), weight)
+    form = ((den, image), (den << shift * top, left))
+    f._fischer = (cache[0], form) if mu else (form, cache[1])
+    return form
 
 
-def _weighted_sums(left: tuple, right: tuple, measure: Measure):
-    """Yield (left blades, {mask: [re, im]}) per left term: the sum of
-    the right operand's terms in its bucket, each weighted by the integer
-    moment of the pair (times 2^D under MU_TILDE, see `_denominator`)."""
-    _, top_a, buckets_a = left
-    _, top_b, buckets_b = right
-    half = top_a + top_b >> 1
-    table = _unit_moments(2 * half)
-    for signature, terms in buckets_a.items():
-        partners = buckets_b.get(signature)
-        if partners is None:
-            continue
-        for ea, da, blades_a in terms:
-            acc: dict[int, list[int]] = {}
-            for eb, db, blades_b in partners:
-                w = 1
-                for x, y in zip(ea, eb):
-                    w *= table[x + y]
-                if measure is Measure.MU_TILDE:
-                    w <<= half - (da + db >> 1)
-                for mb, (br, bi) in blades_b.items():
-                    slot = acc.get(mb)
-                    if slot is None:
-                        acc[mb] = [w * br, w * bi]
-                    else:
-                        slot[0] += w * br
-                        slot[1] += w * bi
-            yield blades_a, acc
+def _operands(f: CliffordPolynomial, g: CliffordPolynomial, measure: Measure) -> tuple:
+    """(left den, left, right den, right): f in its left role and g in its
+    right role, after the dimension check."""
+    f._check_dim(g)
+    mu = measure is Measure.MU_TILDE
+    return (*_form(f, mu)[1], *_form(g, mu)[0])
 
 
-def _denominator(left: tuple, right: tuple, measure: Measure) -> int:
-    """den(left) * den(right), times 2^D under MU_TILDE with 2D the top
-    combined degree rounded down to even."""
-    den = left[0] * right[0]
-    if measure is Measure.MU_TILDE:
-        den <<= left[1] + right[1] >> 1
-    return den
-
-
-def _pairing(n: int, left: tuple, right: tuple, measure: Measure) -> CliffordNumber:
-    """Integral of conj(left) * right: the canonical zero when no parity
-    bucket is shared, else each left term conjugated and multiplied into
-    its weighted sum (`_conjugated`, `_product_numerators`)."""
-    if left[2].keys().isdisjoint(right[2]):
-        return CliffordNumber._raw(n, 1, {})
+def clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
+                     measure: Measure) -> CliffordNumber:
+    """Full Clifford-valued pairing: integral of conj(f) * g, one Clifford
+    product per key the prepared operands share."""
+    lden, left, rden, right = _operands(f, g, measure)
     acc: dict[int, tuple[int, int]] = {}
-    for blades_a, sums in _weighted_sums(left, right, measure):
-        _product_numerators(acc, _conjugated(blades_a), sums)
-    return CliffordNumber._reduced(n, _denominator(left, right, measure), acc)
+    for key, blades in left.items():
+        other = right.get(key)
+        if other is not None:
+            _product_numerators(acc, blades, other)
+    if not acc:
+        return CliffordNumber._raw(f.n, 1, {})
+    return CliffordNumber._reduced(f.n, lden * rden, acc)
 
 
 def _scalar_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
                     measure: Measure) -> GaussianRational:
     """Scalar part of the integral of conj(f) * g: sum of conj(a_A) b_A
-    over shared blades, since conj(e_A) e_A = 1."""
-    f._check_dim(g)
-    left, right = _operand(f, measure), _operand(g, measure)
-    if left[2].keys().isdisjoint(right[2]):
-        return _gaussian_over(0, 0, 1)
-    re, im = _shared_blade_sum(_weighted_sums(left, right, measure))
-    return _gaussian_over(re, im, _denominator(left, right, measure))
-
-
-def clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
-                     measure: Measure) -> CliffordNumber:
-    """Full Clifford-valued pairing: integral of conj(f) * g.
-
-    The product is never materialized as a polynomial, and only terms
-    of shared parity buckets meet.
-    """
-    f._check_dim(g)
-    return _pairing(f.n, _operand(f, measure), _operand(g, measure), measure)
+    over the shared blades of shared keys, since conj(e_A) e_A = 1.  The
+    left role stores conj(A_key), so it is conjugated back per shared key."""
+    lden, left, rden, right = _operands(f, g, measure)
+    re, im = _shared_blade_sum((_conjugated(blades), right[key])
+                               for key, blades in left.items() if key in right)
+    return _gaussian_over(re, im, lden * rden)
 
 
 def gram(fs: Iterable[CliffordPolynomial], gs: Sequence[CliffordPolynomial],
          measure: Measure) -> Iterator[list[CliffordNumber]]:
-    """Rows [clifford_pairing(f, g, measure) for g in gs], one per f in fs.
-
-    Rows are computed as they are consumed.  Each operand is grouped
-    once: every g before the first row, each f for its own row.
-    """
-    right = None
+    """Rows [clifford_pairing(f, g, measure) for g in gs], one per f in fs,
+    computed as they are consumed."""
     for f in fs:
-        for g in gs:
-            f._check_dim(g)
-        if right is None:
-            right = [_operand(g, measure) for g in gs]
-        left = _operand(f, measure)
-        yield [_pairing(f.n, left, r, measure) for r in right]
+        yield [clifford_pairing(f, g, measure) for g in gs]
 
 
 def inner_rho(f: CliffordPolynomial, g: CliffordPolynomial) -> GaussianRational:

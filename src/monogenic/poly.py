@@ -42,6 +42,12 @@ changes it later.  `taylor_map` and `sb_inverse` skip their monogenicity
 precondition only on a marked value.  `is_monogenic()` never reads the
 mark: it always runs the Cauchy-Riemann kernel.
 
+The Fischer cache.  `gauss` keeps the prepared pairing form of a value,
+one per measure, in the private `_fischer` slot.  `__init__` and `_raw`
+set it to None; `gauss` replaces it with a finished tuple in one store,
+so a value shared between threads never shows a half-built form.  `==`,
+`repr` and the codec never read it.
+
 The total-degree cap lives in a context variable, so a cap set in one
 thread is not seen by another.
 """
@@ -178,7 +184,7 @@ class CliffordPolynomial:
     """Sparse C_n-valued polynomial in x0, x1, ..., xn, stored as reduced
     integer numerators `_num` over one denominator `_den`."""
 
-    __slots__ = ("n", "_den", "_num", "_monogenic")
+    __slots__ = ("n", "_den", "_num", "_monogenic", "_fischer")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, Sequence[int]], CliffordNumber] | None = None):
         _check_dimension(n)
@@ -210,6 +216,7 @@ class CliffordPolynomial:
         for key, coeff in data.items():
             _add_scaled(self._num.setdefault(key, {}), coeff._blades, den // coeff._den)
         self._monogenic = False
+        self._fischer = None
 
     @classmethod
     def _raw(cls, n: int, den: int, num: _Numerators) -> "CliffordPolynomial":
@@ -220,6 +227,7 @@ class CliffordPolynomial:
         out._den = den
         out._num = num
         out._monogenic = False
+        out._fischer = None
         return out
 
     @classmethod
@@ -453,6 +461,14 @@ def _laplacian_into(out: _Numerators, data: _Numerators) -> None:
             if acc is None:
                 acc = out[key] = {}
             _add_scaled(acc, blades, b * (b - 1))
+
+
+def _full_laplacian_into(out: _Numerators, data: _Numerators) -> None:
+    """out += d0^2 data + sum_j d_j^2 data, the Laplacian over x0..xn."""
+    for (k0, beta), blades in data.items():
+        if k0 > 1:
+            _add_scaled(out.setdefault((k0 - 2, beta), {}), blades, k0 * (k0 - 1))
+    _laplacian_into(out, data)
 
 
 def _cauchy_riemann(data: _Numerators) -> _Numerators:

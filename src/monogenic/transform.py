@@ -15,7 +15,9 @@ x0^(k x0_step) step^k f / (scale^k k!) is summed over den * scale^K * K!,
 term k weighted by sign^k scale^(K-k) K!/k!.  The heat series takes
 step = Lap, sign = +-1, scale = 2, x0_step = 0; the C-K series takes
 step = D, sign = -1, scale = 1, x0_step = 1, which places term k at
-x0-power k (the input is x0-free, so no two terms meet).
+x0-power k (the input is x0-free, so no two terms meet).  `gauss`
+runs the same series for the heat images of its pairings, on inputs
+with x0 terms too.
 The C-K result carries the "monogenic by construction" mark of `poly`,
 so `sb_inverse` does not check it again.
 
@@ -47,7 +49,6 @@ from .poly import (
     _add_scaled,
     _dirac_into,
     _laplacian_into,
-    _reduced,
 )
 
 
@@ -56,8 +57,9 @@ class NotMonogenicError(ValueError):
 
 
 def _series(f: CliffordPolynomial, step: Callable[[_Numerators, _Numerators], None],
-            sign: int, scale: int, x0_step: int) -> CliffordPolynomial:
-    """sum_k sign^k x0^(k x0_step) step^k f / (scale^k k!) for x0-free f.
+            sign: int, scale: int, x0_step: int) -> tuple[int, _Numerators]:
+    """(den, numerators) of sum_k sign^k x0^(k x0_step) step^k f / (scale^k k!),
+    reduced by `_reduce`; with x0_step = 0 each term keeps its own x0-power.
 
     The chain step^k f is derived on integers up to its last nonzero
     term K, pruned by `_reduce` over 1, and summed over den * scale^K * K!
@@ -73,9 +75,9 @@ def _series(f: CliffordPolynomial, step: Callable[[_Numerators, _Numerators], No
     total: _Numerators = {}
     for k, term in enumerate(chain):
         weight = sign ** k * scale ** (top - k) * (factorial(top) // factorial(k))
-        for (_, beta), blades in term.items():
-            _add_scaled(total.setdefault((k * x0_step, beta), {}), blades, weight)
-    return _reduced(f.n, f._den * scale ** top * factorial(top), total)
+        for (k0, beta), blades in term.items():
+            _add_scaled(total.setdefault((k0 + k * x0_step, beta), {}), blades, weight)
+    return _reduce(f._den * scale ** top * factorial(top), total)
 
 
 def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
@@ -86,7 +88,7 @@ def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     """
     if not f.is_x0_free():
         raise ValueError("heat operator acts on x0-free polynomials")
-    return _series(f, _laplacian_into, -1 if inverse else 1, 2, 0)
+    return CliffordPolynomial._raw(f.n, *_series(f, _laplacian_into, -1 if inverse else 1, 2, 0))
 
 
 def hermite(n: int, beta: Sequence[int]) -> CliffordPolynomial:
@@ -104,7 +106,7 @@ def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
     restricting to f at x0 = 0, via sum_k (-x0)^k D^k f / k!."""
     if not f.is_x0_free():
         raise ValueError("C-K extension starts from an x0-free polynomial")
-    F = _series(f, _dirac_into, -1, 1, 1)
+    F = CliffordPolynomial._raw(f.n, *_series(f, _dirac_into, -1, 1, 1))
     F._monogenic = True  # read by the preconditions of `sb_inverse` and `taylor_map`
     return F
 

@@ -8,16 +8,20 @@ power-expansion evaluator, the polynomial operators composed from
 step (the Dirac operator, the Laplacian, the Cauchy-Riemann operator,
 and the heat and Cauchy-Kowalevski series built on them), a Gaussian
 pairing that sums Clifford products of conjugated terms weighted by
-recurrence moments, both squared container norms and both Taylor-side
-maps summed or scaled one `Fraction` entry at a time, and Gram tables of the monogenic basis that
-integrate the materialised product conj(P_alpha) * P_beta instead of
-going through `gauss`.  The last route also feeds an exact row
-reduction that decides whether *any* moment functional on R^{n+1} makes
-the basis orthogonal with squared norms beta!.  Last, the JSON and text
+recurrence moments, the same pairing as a Fischer sum of heat images
+that builds its own heat series from `partial`, the monogenic basis by
+the Fueter recursion, both squared container norms and both Taylor-side
+maps summed or scaled one `Fraction` entry at a time, and Gram tables
+of the monogenic basis that integrate the materialised product
+conj(P_alpha) * P_beta instead of going through `gauss`.  The last
+route also feeds an exact row reduction that decides whether *any*
+moment functional on R^{n+1} makes the basis orthogonal with squared
+norms beta!.  Last, the JSON and text
 wire codec as it worked one `CliffordNumber`, `GaussianRational` and
 `Fraction` per term.
 """
 
+import itertools
 import re
 from fractions import Fraction
 from math import factorial
@@ -157,6 +161,56 @@ def naive_clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
             if weight:
                 total = total + (ca * cb) * weight
     return total
+
+
+def fischer_pairing(f: CliffordPolynomial, g: CliffordPolynomial, measure: Measure,
+                    heat: bool = True) -> CliffordNumber:
+    """Integral of conj(f) * g as the Fischer sum of heat images,
+    sum_key s^|key| key! conj(A_key) B_key with A = exp(s Lap_X / 2) f and
+    B likewise (s the per-axis variance, X = x1..xn under RHO and x0..xn
+    under MU_TILDE), in `Fraction`s.  The heat image is its own series of
+    polynomials built from `partial`; without `heat`, A = f and B = g."""
+    rho = measure is Measure.RHO
+    s = Fraction(1) if rho else Fraction(1, 2)
+    axes = range(1 if rho else 0, f.n + 1)
+
+    def image(p: CliffordPolynomial) -> dict:
+        total, term, k = CliffordPolynomial.zero(p.n), p, 0
+        while heat and term:
+            total = total + term * (s / 2) ** k * Fraction(1, factorial(k))
+            step = CliffordPolynomial.zero(p.n)
+            for i in axes:
+                step = step + term.partial(i).partial(i)
+            term, k = step, k + 1
+        return {(k0, beta): c for k0, beta, c in (total if heat else p).terms()}
+
+    right = image(g)
+    total = CliffordNumber.zero(f.n)
+    for (k0, beta), a in image(f).items():
+        b = right.get((k0, beta))
+        if b is not None:
+            weight = s ** (k0 + beta.degree) * factorial(k0) * beta.factorial
+            total = total + a.hermitian_conj() * b * weight
+    return total
+
+
+def fueter_basis(n: int, max_degree: int) -> dict:
+    """{beta: P_beta} for |beta| <= max_degree by the Fueter recursion
+    P_beta = (1/|beta|) sum_j beta_j P_{beta - e_j} z_j with
+    z_j = x_j - x0 e_j, from P_0 = 1: the symmetrised Fueter products of
+    Brackx, Delanghe and Sommen, *Clifford Analysis*, 1982."""
+    x0 = CliffordPolynomial.variable(n, 0)
+    z = [CliffordPolynomial.variable(n, j) - x0 * CliffordNumber.basis(n, j)
+         for j in range(1, n + 1)]
+    basis = {(0,) * n: CliffordPolynomial.monomial(n, 0, (0,) * n)}
+    betas = [b for b in itertools.product(range(max_degree + 1), repeat=n) if 0 < sum(b) <= max_degree]
+    for beta in sorted(betas, key=sum):
+        total = CliffordPolynomial.zero(n)
+        for j, b in enumerate(beta):
+            if b:
+                total = total + basis[beta[:j] + (b - 1,) + beta[j + 1:]] * z[j] * b
+        basis[beta] = total * Fraction(1, sum(beta))
+    return basis
 
 
 def expand_eval(f: CliffordPolynomial, x0: Fraction, xs: list[Fraction]) -> CliffordNumber:

@@ -12,6 +12,9 @@ true instead:
 
 * every entry of the Gram table of P_beta under mu-tilde equals an
   independent integration of the materialised product conj(P_alpha) P_beta;
+* in that independent table, entries of different degree vanish
+  (degree-block orthogonality) and the nonzero same-degree entries off
+  the diagonal keep their pinned count;
 * both isometries reduce to that Gram table: <Uf, Uh> and <F, F> equal
   its Hermitian form in the expansion or Taylor coefficients;
 * the README witnesses hold exactly;
@@ -174,6 +177,20 @@ def test_criterion_2_p_basis_orthogonality_table(gram_oracle):
                     failures.append(
                         f"n={n}: pairing(P_{tuple(a)}, P_{tuple(b)}) = {pairing!r}, "
                         f"expected {expected_full!r}")
+    # degree-block orthogonality: homogeneous parts of different degree share
+    # no monomial of their heat images, so <P_a, P_b> = 0 whenever
+    # |a| != |b|; within one degree the off-diagonal entries are not all zero
+    for n, nonzero_same_degree in ((2, 40), (3, 300)):
+        table = gram_oracle[n]
+        cross = [(a, b) for (a, b), v in table.items() if a.degree != b.degree and v]
+        if cross:
+            a, b = cross[0]
+            failures.append(f"n={n}: {len(cross)} cross-degree entries nonzero, first "
+                            f"pairing(P_{tuple(a)}, P_{tuple(b)}) = {table[a, b]!r}")
+        same = sum(1 for (a, b), v in table.items() if a != b and a.degree == b.degree and v)
+        if same != nonzero_same_degree:
+            failures.append(f"n={n}: {same} same-degree off-diagonal entries nonzero, "
+                            f"expected {nonzero_same_degree}")
     # README witnesses; P_(1,1) by hand, each axis of mu-tilde has variance 1/2
     x0, x1, x2 = (CliffordPolynomial.variable(2, i) for i in range(3))
     e1, e2 = CliffordNumber.basis(2, 1), CliffordNumber.basis(2, 2)

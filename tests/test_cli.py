@@ -57,6 +57,13 @@ def test_inner_mu_diagonal(capsys, tmp_path):
     assert out.strip() == "2/1"
 
 
+def test_inner_rho_rejects_x0_terms(capsys, tmp_path):
+    path = write_poly(tmp_path, "p10.json", p_basis(2, (1, 0)))
+    code, out, err = run(capsys, ["inner", "--measure", "rho", "--lhs", path, "--rhs", path])
+    assert (code, out) == (2, "")
+    assert "the R^n measure requires x0-free polynomials" in err
+
+
 def test_ck_transform_inverse_taylor_pipeline(capsys, tmp_path):
     from monogenic import CliffordPolynomial
     x1 = CliffordPolynomial.variable(2, 1)

@@ -1,6 +1,9 @@
 """Exact Gaussian moments and inner products for both measures."""
 
+import json
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from monogenic import (
     DimensionMismatchError,
     GaussianRational,
     Measure,
+    ck_extend,
     clifford_pairing,
     gram,
     hermite,
@@ -23,8 +27,16 @@ from monogenic import (
 )
 
 from monogenic.clifford import indices_from_mask
+from monogenic.serialize import poly_from_json, poly_to_json
+from monogenic.verify import multi_indices
 
-from oracles import PRIMES_TO_97, moment_recurrence, naive_clifford_pairing
+from oracles import (
+    PRIMES_TO_97,
+    fischer_pairing,
+    gram_table,
+    moment_recurrence,
+    naive_clifford_pairing,
+)
 
 
 def var(n, i):
@@ -65,6 +77,17 @@ def test_moment_normalization():
 def test_rho_rejects_x0():
     with pytest.raises(ValueError):
         moment(Measure.RHO, 2, (0,))
+
+
+def test_moment_rejects_bool_exponents():
+    # True would count as the odd exponent 1 and give 0
+    with pytest.raises(ValueError, match="nonnegative ints"):
+        moment(Measure.RHO, 0, (True, 2))
+
+
+def test_moment_rejects_non_int_exponents():
+    with pytest.raises(ValueError, match="nonnegative ints"):
+        moment(Measure.MU_TILDE, 1.5, (2,))
 
 
 @given(st.integers(0, 10))
@@ -263,3 +286,105 @@ def test_gram_edges_and_errors():
         next(gram([p], [p_basis(3, (1, 0, 0))], Measure.MU_TILDE))
     with pytest.raises(ValueError):
         next(gram([var(2, 1)], [p], Measure.RHO))
+
+
+def test_gram_of_p_basis_matches_gram_table_oracle():
+    # the moment oracle integrates the materialised product conj(P_a) P_b
+    for n, max_degree in ((1, 4), (2, 3), (3, 3), (4, 2)):
+        betas = list(multi_indices(n, max_degree))
+        polys = [p_basis(n, beta) for beta in betas]
+        table = gram_table(n, betas)
+        assert list(gram(polys, polys, Measure.MU_TILDE)) == [[table[a, b] for b in betas] for a in betas]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_monogenic_and_plain_operands_match_naive_oracle(n):
+    # C-K extensions (heat step zero under MU_TILDE) mixed with values that
+    # have x0 terms and are not monogenic
+    rng = random.Random(40 + n)
+    plain = [rand_pairing_poly(rng, n, 4, 4, True) for _ in range(3)]
+    extended = [ck_extend(rand_pairing_poly(rng, n, 4, 4, False)) for _ in range(3)]
+    assert not all(f.is_monogenic() for f in plain)
+    assert all(F.is_monogenic() for F in extended)
+    assert_matches_oracle(plain + extended, Measure.MU_TILDE)
+
+
+# -- the Fischer identity on the oracle side ----------------------------------
+
+@pytest.mark.parametrize("measure", [Measure.RHO, Measure.MU_TILDE], ids=["rho", "mu"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fischer_sum_of_heat_images_equals_moment_oracle(n, measure):
+    rng = random.Random(70 + 10 * n + (measure is Measure.MU_TILDE))
+    polys = [rand_pairing_poly(rng, n, 4, 4, measure is Measure.MU_TILDE) for _ in range(4)]
+    for f in polys:
+        for g in polys:
+            assert fischer_pairing(f, g, measure) == naive_clifford_pairing(f, g, measure)
+
+
+def test_fischer_sum_needs_the_heat_step_off_the_monogenic_basis():
+    h = hermite(2, (2, 0))
+    f = CliffordPolynomial.monomial(2, 2, (0, 1), CliffordNumber.basis(2, 1))
+    assert fischer_pairing(h, h, Measure.RHO) == naive_clifford_pairing(h, h, Measure.RHO)
+    assert fischer_pairing(h, h, Measure.RHO, heat=False) != naive_clifford_pairing(h, h, Measure.RHO)
+    assert fischer_pairing(f, f, Measure.MU_TILDE, heat=False) != naive_clifford_pairing(
+        f, f, Measure.MU_TILDE)
+    # on monogenic values the Laplacian over x0..xn vanishes, so the step is empty
+    p, q = p_basis(2, (1, 1)), p_basis(2, (2, 0))
+    for a, b in ((p, p), (p, q), (q, q)):
+        assert fischer_pairing(a, b, Measure.MU_TILDE, heat=False) == naive_clifford_pairing(
+            a, b, Measure.MU_TILDE)
+
+
+# -- the prepared form cached on each value -----------------------------------
+
+def _fresh_values(n, seed):
+    """Polynomials never paired before: x0-free draws (both measures) and
+    their C-K extensions (MU_TILDE only)."""
+    rng = random.Random(seed)
+    x0_free = [rand_pairing_poly(rng, n, 4, 4, False) for _ in range(3)]
+    return x0_free, x0_free + [ck_extend(f) for f in x0_free]
+
+
+def test_cached_value_pairs_alike_in_every_role():
+    n = 3
+    x0_free, values = _fresh_values(n, 90)
+    texts = [json.dumps(poly_to_json(f)) for f in values]
+    copies = [poly_from_json(json.loads(text)) for text in texts]
+    for measure, polys in ((Measure.RHO, x0_free), (Measure.MU_TILDE, values)):
+        f = polys[0]
+        expected = {id(g): (naive_clifford_pairing(f, g, measure), naive_clifford_pairing(g, f, measure))
+                    for g in polys}
+        for _ in range(2):  # the second round reads the cache
+            for g in polys:
+                as_left, as_right = expected[id(g)]
+                assert clifford_pairing(f, g, measure) == as_left
+                assert clifford_pairing(g, f, measure) == as_right
+                assert INNER[measure](f, g) == as_left.scalar_part()
+                assert INNER[measure](g, f) == as_right.scalar_part()
+    # pairing changes neither equality nor the bytes of an operand
+    assert values == copies
+    assert [json.dumps(poly_to_json(f)) for f in values] == texts
+    assert [repr(f) for f in values] == [repr(f) for f in copies]
+
+
+def test_shared_values_pair_alike_from_four_threads():
+    n = 3
+    x0_free, values = _fresh_values(n, 91)
+    expected = {measure: [[naive_clifford_pairing(f, g, measure) for g in polys] for f in polys]
+                for measure, polys in ((Measure.RHO, x0_free), (Measure.MU_TILDE, values))}
+    texts = [json.dumps(poly_to_json(f)) for f in values]
+
+    def tables(_):
+        return {Measure.RHO: list(gram(x0_free, x0_free, Measure.RHO)),
+                Measure.MU_TILDE: list(gram(values, values, Measure.MU_TILDE))}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside a form being built
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(tables, i) for i in range(8)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == expected for result in results)
+    assert [json.dumps(poly_to_json(f)) for f in values] == texts

@@ -95,6 +95,10 @@ def test_each_numerator_rule_has_one_home():
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     rule = re.compile(r"_sign_mask\b|bit_count\(\) \+ 1\) & 2")
     assert [name for name, text in sources.items() if rule.search(text)] == ["clifford.py"]
+    # the operator series (heat, C-K, and the heat images of the pairings)
+    # is written once, in transform
+    series = re.compile(r"factorial\(top\) // factorial\(k\)")
+    assert [name for name, text in sources.items() if series.search(text)] == ["transform.py"]
     # every module-level private function is used somewhere in the library,
     # so a replaced helper cannot linger next to its replacement
     defined, used = set(), set()

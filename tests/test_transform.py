@@ -25,7 +25,7 @@ from monogenic import (
 )
 from monogenic.verify import multi_indices, rand_hermite_expansion, rand_poly
 
-from oracles import hermite_recurrence
+from oracles import fueter_basis, hermite_recurrence
 
 
 def var(n, i):
@@ -170,6 +170,14 @@ def test_sb_transform_examples():
     e12 = CliffordNumber.blade(n, (1, 2))
     f = HermiteExpansion(n, {(2, 0): e12})
     assert sb_transform(f) == p_basis(n, (2, 0)) * e12
+
+
+@pytest.mark.parametrize("n, max_degree", [(2, 6), (3, 5), (4, 4)])
+def test_p_basis_matches_fueter_recursion(n, max_degree):
+    basis = fueter_basis(n, max_degree)
+    assert len(basis) == len(list(multi_indices(n, max_degree)))
+    for beta, expected in basis.items():
+        assert p_basis(n, beta) == expected
 
 
 def test_sb_transform_sends_hermite_to_p_basis():
