@@ -35,7 +35,9 @@ key! (times 2^(T - |key|) under MU_TILDE, T the top degree) over den
 share, with the numerator helpers of the Clifford product
 (`clifford._conjugated`, `_product_numerators`), and the result is
 reduced once.  Entries whose operands share no key, such as homogeneous
-parts of different degree, are the canonical zero at once.
+parts of different degree, are the canonical zero at once.  Preparing a
+value costs more than pairing it once term by term with moments would;
+the form pays off when a value is paired again, as in `gram`.
 
 The scalar products `inner_rho` and `inner_mu` need only the grade-0
 part.  conj(e_A) e_B has a scalar part only when A = B, and there it is
@@ -154,8 +156,11 @@ def _scalar_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
 def gram(fs: Iterable[CliffordPolynomial], gs: Sequence[CliffordPolynomial],
          measure: Measure) -> Iterator[list[CliffordNumber]]:
     """Rows [clifford_pairing(f, g, measure) for g in gs], one per f in fs,
-    computed as they are consumed."""
+    computed as they are consumed.  Each row checks f against the
+    dimension of every g before it prepares any operand."""
     for f in fs:
+        for g in gs:
+            f._check_dim(g)
         yield [clifford_pairing(f, g, measure) for g in gs]
 
 

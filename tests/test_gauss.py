@@ -286,6 +286,15 @@ def test_gram_edges_and_errors():
         next(gram([p], [p_basis(3, (1, 0, 0))], Measure.MU_TILDE))
     with pytest.raises(ValueError):
         next(gram([var(2, 1)], [p], Measure.RHO))
+    # every dimension of a row is checked before any operand is prepared,
+    # so a wrong dimension wins over an x0 term that RHO would reject
+    x0 = CliffordPolynomial.monomial(2, 1, (0, 0))
+    with pytest.raises(DimensionMismatchError):
+        next(gram([var(2, 1)], [x0, var(3, 1)], Measure.RHO))
+    rows = gram([var(2, 1), var(3, 1)], [var(2, 1)], Measure.RHO)
+    assert next(rows) == [CliffordNumber.one(2)]
+    with pytest.raises(DimensionMismatchError):
+        next(rows)
 
 
 def test_gram_of_p_basis_matches_gram_table_oracle():
