@@ -39,10 +39,12 @@ EXIT_DOMAIN = 4
 
 
 def _parse_beta(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+    # ASCII digit runs only: int() would also read "1_0", "+2", " 1" and
+    # non-ASCII digits, which a JSON multi-index rejects
+    parts = text.split(",")
+    if not all(part.isascii() and part.isdigit() for part in parts):
         raise SchemaError(f"bad multi-index {text!r}; expected comma-separated ints")
+    return tuple(map(int, parts))
 
 
 def _read_json(path: str):

@@ -200,7 +200,7 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=4096)
 def _blade_order(mask: int) -> tuple[int, tuple[int, ...]]:
     """(grade, indices) of a blade: its canonical sort key, by grade, then
     lexicographically.  Cached for the 4096 masks used last, every blade

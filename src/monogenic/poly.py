@@ -18,7 +18,7 @@ the lcm of their denominators (which keeps them reduced), and `terms()`
 and `coefficient()` reduce the one term they return.  Every operation
 (`+`, `-`, the module actions, `hermitian_conj`, `restrict`, `partial`,
 the Dirac operator, the Laplacian, the Cauchy-Riemann operator d0 + D,
-and in `transform` the heat and C-K series) works on the numerators and
+and in `transform` the heat and C-K maps) works on the numerators and
 reduces its result once: `_reduced` adopts what the one reducer of
 `clifford`, `_reduce`, returns.  Derivatives only multiply by integers,
 so a whole chain of them keeps one denominator.  Left
@@ -35,12 +35,13 @@ numerators in place, and so do their JSON and text printers; their
 entries and repr read its `terms()` and `coefficient()`.  Building one
 checks the degree cap like any polynomial.
 
-The mark.  `ck_extend` builds monogenic polynomials by construction and
-sets the private `_monogenic` slot on its result before returning it;
-every other constructor, `_raw` included, leaves it False, and nothing
-changes it later.  `taylor_map` and `sb_inverse` skip their monogenicity
-precondition only on a marked value.  `is_monogenic()` never reads the
-mark: it always runs the Cauchy-Riemann kernel.
+The mark.  `ck_extend` and `p_basis` build monogenic polynomials by
+construction and set the private `_monogenic` slot on their results
+before returning them; every other constructor, `_raw` included, leaves
+it False, and nothing changes it later.  `taylor_map` and `sb_inverse`
+skip their monogenicity precondition only on a marked value.
+`is_monogenic()` never reads the mark: it always runs the
+Cauchy-Riemann kernel.
 
 The Fischer cache.  `gauss` keeps the prepared pairing form of a value,
 one per measure, in the private `_fischer` slot.  `__init__` and `_raw`

@@ -7,19 +7,30 @@ the result to the unique monogenic polynomial on R^{n+1} restricting to
 it.  Both factors are finite sums on polynomials (the Laplacian and the
 Dirac operator are nilpotent there), so everything is exact.
 
-Both are one operator series, `_series`, on the stored integer
-numerators of `poly`, over the input's denominator den: the chain
-step^k f is derived on integers, and the result is reduced once.  With
-K the last k whose term is nonzero, the series sum_k sign^k
-x0^(k x0_step) step^k f / (scale^k k!) is summed over den * scale^K * K!,
-term k weighted by sign^k scale^(K-k) K!/k!.  The heat series takes
-step = Lap, sign = +-1, scale = 2, x0_step = 0; the C-K series takes
-step = D, sign = -1, scale = 1, x0_step = 1, which places term k at
-x0-power k (the input is x0-free, so no two terms meet).  `gauss`
-runs the same series for the heat images of its pairings, on inputs
-with x0 terms too.
-The C-K result carries the "monogenic by construction" mark of `poly`,
-so `sb_inverse` does not check it again.
+The operator series, `_series`, works on the stored integer numerators
+of `poly`, over the input's denominator den: the chain step^k f is
+derived on integers, and the result is reduced once.  With K the last k
+whose term is nonzero, the series sum_k sign^k x0^(k x0_step) step^k f /
+(scale^k k!) is summed over den * scale^K * K!, term k weighted by
+sign^k scale^(K-k) K!/k!.  The heat series takes step = Lap, sign = +-1,
+scale = 2, x0_step = 0; the C-K series takes step = D, sign = -1,
+scale = 1, x0_step = 1, which places term k at x0-power k (the input is
+x0-free, so no two terms meet).
+
+Both operators are right-linear: they send x^beta c to op(x^beta) c, and
+the C-K image of x^beta is the basis element P_beta.  So the series runs
+once per monomial: `_image` keeps op(x^beta), reduced, in a bounded
+cache, and `_apply` sends f = sum_beta x^beta c_beta to sum_beta
+op(x^beta) c_beta.  It scales each c_beta to the lcm of its images'
+denominators, multiplies the image's real blades on its left through
+`clifford._product_numerators`, and reduces the sum once.  `heat` and
+`ck_extend` are `_apply`; `hermite` and `p_basis` adopt the cached image
+itself.  `gauss` still runs `_series` on the whole value for the heat
+images of its pairings, on inputs with x0 terms too: the full heat image
+of a monogenic P_beta is P_beta itself, whose chain stops at k = 0,
+where per-monomial images would be derived only to cancel.
+The C-K results carry the "monogenic by construction" mark of `poly`,
+so `sb_inverse` does not check them again.
 
 Probabilists' Hermite polynomials are the preimages of the monomials
 under the heat operator; their monogenic images are the basis
@@ -38,12 +49,14 @@ its numerators.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from functools import lru_cache
+from math import factorial, lcm, prod
 from typing import Callable, Sequence, Union
 
-from .clifford import _reduce
+from .clifford import _product_numerators, _reduce
 from .poly import (
     CliffordPolynomial,
+    _check_degree_cap,
     _MultiIndexMap,
     _Numerators,
     _add_scaled,
@@ -80,6 +93,60 @@ def _series(f: CliffordPolynomial, step: Callable[[_Numerators, _Numerators], No
     return _reduce(f._den * scale ** top * factorial(top), total)
 
 
+# (step, sign, scale, x0_step) of the `_series` of each operator
+_HEAT = (_laplacian_into, 1, 2, 0)
+_INVERSE_HEAT = (_laplacian_into, -1, 2, 0)
+_CK = (_dirac_into, -1, 1, 1)
+
+
+@lru_cache(maxsize=512)
+def _image(n: int, op: tuple, beta: tuple[int, ...]) -> tuple[int, tuple]:
+    """(den, ((key, blades), ...)): the reduced `_series` of op on the
+    monomial x^beta in C_n, for op one of _HEAT, _INVERSE_HEAT and _CK.
+    Its blades are real integers: scalars for heat, a scalar or one e_j
+    per key for C-K.
+
+    Every caller shares the tuple and its blade maps, and none mutates
+    them.  Cached for the 512 images used last.  The largest image under
+    the default degree cap 12 is P_beta for beta = (2,2,2,2,2,2) at
+    n = 16: 256 terms, about 0.15 MB, so the cache holds at most about
+    80 MB."""
+    den, num = _series(CliffordPolynomial._raw(n, 1, {(0, beta): {0: (1, 0)}}), *op)
+    return den, tuple(num.items())
+
+
+def _apply(f: CliffordPolynomial, op: tuple) -> CliffordPolynomial:
+    """op on f as a right-linear map, sum_beta op(x^beta) c_beta: each
+    coefficient c_beta scaled to the lcm of its images' denominators,
+    each image's blades multiplied on its left, and the sum reduced once."""
+    # checked first, so that a warm cache raises as a cold one does: a
+    # cached image skips the cap check of its monomial
+    _check_degree_cap(f._num)
+    n = f.n
+    images = [(_image(n, op, beta), blades) for (_, beta), blades in f._num.items()]
+    top = lcm(*(den for (den, _), _ in images))
+    total: _Numerators = {}
+    for (den, terms), blades in images:
+        c = top // den
+        if c != 1:
+            blades = {m: (c * re, c * im) for m, (re, im) in blades.items()}
+        for key, image_blades in terms:
+            acc = total.get(key)
+            if acc is None:
+                acc = total[key] = {}
+            _product_numerators(acc, image_blades, blades)
+    return CliffordPolynomial._raw(n, *_reduce(f._den * top, total))
+
+
+def _basis(n: int, beta: Sequence[int], op: tuple) -> CliffordPolynomial:
+    """op(x^beta), the cached image adopted by one `_raw`, its blade maps
+    shared with the cache.  The monomial is built first, so that a bad
+    beta, or one over the degree cap, raises as it would uncached."""
+    (_, beta), = CliffordPolynomial.monomial(n, 0, beta)._num
+    den, terms = _image(n, op, beta)
+    return CliffordPolynomial._raw(n, den, dict(terms))
+
+
 def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     """Apply exp(+Laplacian/2), or exp(-Laplacian/2) when inverse is set.
 
@@ -88,7 +155,7 @@ def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     """
     if not f.is_x0_free():
         raise ValueError("heat operator acts on x0-free polynomials")
-    return CliffordPolynomial._raw(f.n, *_series(f, _laplacian_into, -1 if inverse else 1, 2, 0))
+    return _apply(f, _INVERSE_HEAT if inverse else _HEAT)
 
 
 def hermite(n: int, beta: Sequence[int]) -> CliffordPolynomial:
@@ -98,7 +165,7 @@ def hermite(n: int, beta: Sequence[int]) -> CliffordPolynomial:
     the normalization under which the heat operator sends H_beta back
     to x^beta and the Gaussian squared norm is beta!.
     """
-    return heat(CliffordPolynomial.monomial(n, 0, beta), inverse=True)
+    return _basis(n, beta, _INVERSE_HEAT)
 
 
 def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
@@ -106,7 +173,7 @@ def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
     restricting to f at x0 = 0, via sum_k (-x0)^k D^k f / k!."""
     if not f.is_x0_free():
         raise ValueError("C-K extension starts from an x0-free polynomial")
-    F = CliffordPolynomial._raw(f.n, *_series(f, _dirac_into, -1, 1, 1))
+    F = _apply(f, _CK)
     F._monogenic = True  # read by the preconditions of `sb_inverse` and `taylor_map`
     return F
 
@@ -118,7 +185,9 @@ def restrict(F: CliffordPolynomial) -> CliffordPolynomial:
 
 def p_basis(n: int, beta: Sequence[int]) -> CliffordPolynomial:
     """Monogenic basis element: the C-K extension of the monomial x^beta."""
-    return ck_extend(CliffordPolynomial.monomial(n, 0, beta))
+    F = _basis(n, beta, _CK)
+    F._monogenic = True
+    return F
 
 
 class HermiteExpansion(_MultiIndexMap):

@@ -6,7 +6,9 @@ per-coordinate Hermite recurrence, the 1-D moment recurrence, a direct
 power-expansion evaluator, the polynomial operators composed from
 `partial` and Clifford products with one `Fraction` per coefficient per
 step (the Dirac operator, the Laplacian, the Cauchy-Riemann operator,
-and the heat and Cauchy-Kowalevski series built on them), a Gaussian
+and the heat and Cauchy-Kowalevski series built on them), the heat and
+C-K series of `transform._series` run on the whole polynomial instead
+of applied through the cached images of its monomials, a Gaussian
 pairing that sums Clifford products of conjugated terms weighted by
 recurrence moments, the same pairing as a Fischer sum of heat images
 that builds its own heat series from `partial`, the monogenic basis by
@@ -37,7 +39,9 @@ from monogenic import (
     MultiIndex,
     p_basis,
 )
+from monogenic.poly import _dirac_into, _laplacian_into
 from monogenic.serialize import SchemaError, _table
+from monogenic.transform import _series
 
 # denominators for seeded test data whose common denominator is a large lcm
 PRIMES_TO_97 = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
@@ -133,6 +137,16 @@ def naive_ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
         term = naive_dirac(term)
         k += 1
     return total
+
+
+def series_heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
+    """exp(+-Laplacian/2) f as one `_series` over the whole polynomial."""
+    return CliffordPolynomial._raw(f.n, *_series(f, _laplacian_into, -1 if inverse else 1, 2, 0))
+
+
+def series_ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
+    """sum_k (-x0)^k D^k f / k! as one `_series` over the whole polynomial."""
+    return CliffordPolynomial._raw(f.n, *_series(f, _dirac_into, -1, 1, 1))
 
 
 def moment_recurrence(k: int, variance: Fraction) -> Fraction:

@@ -164,6 +164,17 @@ def test_malformed_beta_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("beta", ["1_0", "+2", " 1", "1 ", "\u0663", "\uff12",
+                                  "1,,0", "1,", ""])
+@pytest.mark.parametrize("command", ["hermite", "pbasis"])
+def test_beta_accepts_only_ascii_digit_runs(capsys, command, beta):
+    # int() reads each of these (except the empty runs), a JSON multi-index
+    # reads none of them
+    code, out, err = run(capsys, [command, "--n", str(beta.count(",") + 1), "--beta", beta])
+    assert (code, out) == (2, "")
+    assert f"bad multi-index {beta!r}" in err
+
+
 def test_non_monogenic_exit_4(capsys, tmp_path):
     from monogenic import CliffordPolynomial
     path = write_poly(tmp_path, "x1.json", CliffordPolynomial.variable(2, 1))

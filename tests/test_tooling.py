@@ -1,6 +1,7 @@
 """Guards for the tooling next to the library: the benchmark's tracer,
 the library's stdlib-only imports, the numerator-only wire codec, one home
-for each numerator rule, and the README's list of CLI commands."""
+for each numerator rule, bounded caches, and the README's list of CLI
+commands."""
 
 import ast
 import importlib
@@ -115,6 +116,48 @@ def test_each_numerator_rule_has_one_home():
                 used.add(node.name)
     assert defined
     assert sorted(d for d in defined if d.split(":")[1] not in used) == []
+
+
+def _unbounded_caches(source, name):
+    """Every use of functools' lru_cache or cache in source that is not a
+    call with a positive int maxsize, as "name:line"."""
+    tree = ast.parse(source, name)
+    local = {}  # local name -> functools name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            local.update((a.asname or a.name, a.name) for a in node.names
+                         if a.name in ("lru_cache", "cache"))
+    called = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in local:
+            kind = local[node.id]
+        elif (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            kind = node.attr
+        else:
+            continue
+        call = called.get(id(node))
+        sizes = [*call.args[:1], *(k.value for k in call.keywords if k.arg == "maxsize")] if call else []
+        if not (kind == "lru_cache" and len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                and type(sizes[0].value) is int and sizes[0].value > 0):
+            found.append(node.lineno)
+    return [f"{name}:{line}" for line in sorted(found)]
+
+
+def test_every_lru_cache_has_a_finite_int_maxsize():
+    # an unbounded cache grows for the life of the process
+    package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert [found for name, text in sources.items() for found in _unbounded_caches(text, name)] == []
+    assert sum(text.count("@lru_cache(maxsize=") for text in sources.values()) >= 2
+    # the scan sees the forms that leave a cache unbounded or its size unstated
+    probe = ("import functools\nfrom functools import lru_cache, cache as memo\n"
+             "@lru_cache\ndef a(): pass\n@lru_cache(maxsize=None)\ndef b(): pass\n"
+             "@functools.cache\ndef c(): pass\n@memo\ndef d(): pass\n"
+             "@lru_cache(maxsize=SIZE)\ndef e(): pass\n"
+             "@lru_cache(64)\ndef f(): pass\n@functools.lru_cache(maxsize=8)\ndef g(): pass\n")
+    assert _unbounded_caches(probe, "probe") == [f"probe:{line}" for line in (3, 5, 7, 9, 11)]
 
 
 def test_readme_cli_block_names_every_subcommand():

@@ -1,6 +1,8 @@
 """Heat operator, Hermite basis, C-K extension and the transform pipeline."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from monogenic import (
     CliffordNumber,
     CliffordPolynomial,
+    DegreeCapError,
     GaussianRational,
     HermiteExpansion,
     NotMonogenicError,
@@ -22,10 +25,12 @@ from monogenic import (
     restrict,
     sb_inverse,
     sb_transform,
+    set_degree_cap,
 )
+from monogenic.transform import _image
 from monogenic.verify import multi_indices, rand_hermite_expansion, rand_poly
 
-from oracles import fueter_basis, hermite_recurrence
+from oracles import fueter_basis, hermite_recurrence, series_ck_extend, series_heat
 
 
 def var(n, i):
@@ -228,3 +233,125 @@ def test_sb_isometry_known_failure_above_n1():
     assert inner_rho(f.to_polynomial(), h.to_polynomial()) == GaussianRational(0)
     lhs = inner_mu(sb_transform(f), sb_transform(h))
     assert lhs == GaussianRational(Fraction(1, 2))
+
+
+# -- the operators as linear maps over cached monomial images ----------------------
+
+def special_polys(n):
+    """The zero polynomial, a scalar, heat images of two monomials that land
+    on the same key, and images that cancel."""
+    x1, e1 = var(n, 1), CliffordNumber.basis(n, 1)
+    polys = [CliffordPolynomial.zero(n),
+             one(n) * Fraction(-3, 4),
+             x1 * x1 * 2 + x1 * x1 * x1 * x1 * (e1 * Fraction(1, 3)),  # both reach x1^2 and 1
+             x1 * x1 - one(n),  # heat cancels the constant
+             x1 * x1 + one(n)]  # so does the inverse heat
+    if n >= 2:
+        x2, e2 = var(n, 2), CliffordNumber.basis(n, 2)
+        polys += [x1 * x1 + x2 * x2,  # both reach the constant
+                  x1 * e1 - x2 * e2]  # the x0 terms of the C-K images cancel
+    return polys
+
+
+def check_against_series(polys, expansions, betas):
+    n = polys[0].n
+    for f in polys:
+        assert heat(f) == series_heat(f)
+        assert heat(f, inverse=True) == series_heat(f, inverse=True)
+        F = ck_extend(f)
+        assert F == series_ck_extend(f) and F._monogenic
+        assert sb_transform(f) == series_ck_extend(series_heat(f))
+        assert sb_inverse(F) == series_heat(f, inverse=True)
+        assert HermiteExpansion.from_polynomial(f)._poly == series_heat(f)
+    for h in expansions:
+        assert h.to_polynomial() == series_heat(h._poly, inverse=True)
+        assert sb_transform(h) == series_ck_extend(h._poly)
+    for beta in betas:
+        x = CliffordPolynomial.monomial(n, 0, beta)
+        assert hermite(n, beta) == series_heat(x, inverse=True)
+        P = p_basis(n, beta)
+        assert P == series_ck_extend(x) and P._monogenic
+
+
+@pytest.mark.parametrize("n, max_degree", [(1, 7), (2, 6), (3, 5), (4, 4), (8, 3)])
+def test_operators_equal_the_whole_polynomial_series(n, max_degree):
+    rng = random.Random(150 + n)
+    polys = special_polys(n) + [rand_poly(rng, n, max_degree) for _ in range(12)]
+    expansions = [rand_hermite_expansion(rng, n, max_degree) for _ in range(12)]
+    expansions += [HermiteExpansion.from_polynomial(f) for f in special_polys(n)]
+    betas = list(multi_indices(n, max_degree if n <= 4 else 2))
+    _image.cache_clear()
+    check_against_series(polys, expansions, betas)  # from a cold cache
+    assert _image.cache_info().currsize
+    check_against_series(polys, expansions, betas)  # and a warm one
+
+
+def test_threads_sharing_inputs_from_a_cold_cache_agree():
+    rng = random.Random(160)
+    polys = special_polys(3) + [rand_poly(rng, 3, 6) for _ in range(10)]
+    betas = list(multi_indices(3, 4))
+
+    def results(shift):
+        out = []
+        for f in polys[shift:] + polys[:shift]:  # each thread starts on other images
+            out += [heat(f), heat(f, inverse=True), ck_extend(f), sb_transform(f)]
+        return out + [(hermite(3, beta), p_basis(3, beta)) for beta in betas[shift:]]
+
+    expected = [[series_heat(f), series_heat(f, inverse=True), series_ck_extend(f),
+                 series_ck_extend(series_heat(f))] for f in polys]
+    _image.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside an image being built
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(results, i) for i in range(8)]
+            outs = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for shift, out in enumerate(outs):
+        rotated = expected[shift:] + expected[:shift]
+        assert out[:4 * len(polys)] == [g for row in rotated for g in row]
+        assert out[4 * len(polys):] == [
+            (series_heat(x, inverse=True), series_ck_extend(x))
+            for x in (CliffordPolynomial.monomial(3, 0, beta) for beta in betas[shift:])]
+
+
+def cap_errors(n, terms, cap):
+    """The DegreeCapError message (None if nothing is raised) of each
+    operator on f = sum x^beta e_1 c over terms {beta: c}, built under cap
+    20, in a thread whose cap is then lowered to cap; hermite and p_basis
+    take the first beta."""
+    beta = next(iter(terms))
+
+    def run():
+        set_degree_cap(20)
+        e1 = CliffordNumber.basis(n, 1)
+        f = CliffordPolynomial(n, {(0, b): e1 * c for b, c in terms.items()})
+        set_degree_cap(cap)
+        errors = []
+        for call in (lambda: hermite(n, beta), lambda: p_basis(n, beta), lambda: heat(f),
+                     lambda: heat(f, inverse=True), lambda: ck_extend(f), lambda: sb_transform(f)):
+            try:
+                call()
+            except DegreeCapError as exc:
+                errors.append(str(exc))
+            else:
+                errors.append(None)
+        return errors
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(run).result(timeout=60)
+
+
+@pytest.mark.parametrize("terms, cap", [
+    ({(13, 0): 1}, 12),
+    ({(5, 0): 1}, 3),
+    # heat(x1^15) has 105 x1^13, so heat(f) has no x1^13 term to name
+    ({(13, 0): -105, (15, 0): 1}, 12)])
+def test_degree_cap_holds_with_a_cold_and_a_warm_cache(terms, cap):
+    _image.cache_clear()
+    cold = cap_errors(2, terms, cap)
+    assert cap_errors(2, terms, 20) == [None] * 6  # caches every image used
+    warm = cap_errors(2, terms, cap)
+    degree = sum(next(iter(terms)))
+    assert cold == warm == [f"total degree {degree} exceeds cap {cap}"] * 6
