@@ -7,12 +7,13 @@ followed by the shared --format and --output flags, and `_run` prints a
 result by its type through `_PRINTERS` (polynomial, Fock element or
 scalar); a verify report prints itself and exits 1 when a check failed.
 
-Exit codes: 0 success, 1 verification failure, 2 input/schema error or
-an unwritable --output path, 3 bounds exceeded, 4 domain precondition
-(non-monogenic input).  A rational past the interpreter's int-string
-digit limit is an input error when read and a bound exceeded when a
-result would print it.  The --output path is checked before any work;
-a command that exits 2-4 leaves an existing --output file unchanged.
+Exit codes: 0 success, 1 verification failure, 2 input/schema error,
+an unwritable --output path or a stdout closed by its reader, 3 bounds
+exceeded, 4 domain precondition (non-monogenic input).  A rational past
+the interpreter's int-string digit limit is an input error when read
+and a bound exceeded when a result would print it.  The --output path
+is checked before any work; a command that exits 2-4 leaves an existing
+--output file unchanged.
 The MONOGENIC_MAX_DEGREE environment variable overrides the total-degree cap
 for the duration of one `main` call.
 """
@@ -69,7 +70,13 @@ def _emit(args, text: str) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write to {args.output}: {exc}")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            # stdout was closed by its reader: point it at devnull, so that
+            # the shutdown flush of what is left in its buffer cannot fail too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValueError(f"cannot write to stdout: {exc}")
 
 
 def _claim_output(path: str) -> bool:

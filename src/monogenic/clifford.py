@@ -23,7 +23,9 @@ operands to the lcm of their denominators (`_add_scaled`), the product
 multiplies the denominators and accumulates the real and imaginary
 numerators of every blade pair into their output blade
 (`_product_numerators`), `hermitian_conj` applies `_conjugated`, and
-`inner` sums conj(a_A) b_A over shared blades (`_shared_blade_sum`).
+`inner` and `norm_sq` sum conj(a_A) b_A over shared blades
+(`_shared_blade_sum`, which weights each blade map once and also holds
+the squared norms of the Hermite and Fock containers).
 Results that can share a factor with the denominator are reduced once
 by `_reduce`, which takes a map {key: blade map} so that one body
 reduces a number (`CliffordNumber._reduced`, one key), a polynomial
@@ -294,18 +296,21 @@ def _conjugated(blades: _Blades) -> _Blades:
             for m, (re, im) in blades.items()}
 
 
-def _shared_blade_sum(pairs: Iterable[tuple[Mapping, Mapping]]) -> tuple[int, int]:
-    """(re, im) numerators of the sum of conj(a_A) * b_A over the blades
-    shared by the maps of each (left, right) pair: conj(e_A) e_B has a
-    scalar part only when A = B, and there it is 1."""
+def _shared_blade_sum(triples: Iterable[tuple[int, Mapping, Mapping]]) -> tuple[int, int]:
+    """(re, im) numerators of the sum of w * conj(a_A) * b_A over the
+    blades shared by the maps of each (w, left, right) triple, the weight
+    applied once per triple: conj(e_A) e_B has a scalar part only when
+    A = B, and there it is 1.  With left = right the sum is the weighted
+    squared norm, re = sum w |a_A|^2 and im = 0."""
     re = im = 0
-    for left, right in pairs:
+    for w, left, right in triples:
+        tr = ti = 0
         for mask, (ar, ai) in left.items():
-            slot = right.get(mask)
-            if slot is not None:
-                br, bi = slot
-                re += ar * br + ai * bi
-                im += ar * bi - ai * br
+            br, bi = right.get(mask, (0, 0))
+            tr += ar * br + ai * bi
+            ti += ar * bi - ai * br
+        re += w * tr
+        im += w * ti
     return re, im
 
 
@@ -493,13 +498,12 @@ class CliffordNumber:
         """Hermitian inner product (self, other) = [conj(self) * other]_0,
         the sum of conj(a_A) * b_A over the shared blades."""
         self._check_dim(other)
-        return _gaussian_over(*_shared_blade_sum([(self._blades, other._blades)]),
+        return _gaussian_over(*_shared_blade_sum([(1, self._blades, other._blades)]),
                               self._den * other._den)
 
     def norm_sq(self) -> Fraction:
         """(self, self) = sum of |coefficient|^2; exact and nonnegative."""
-        return Fraction(sum(re * re + im * im for re, im in self._blades.values()),
-                        self._den * self._den)
+        return self.inner(self).re
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Sequence
 
-from .clifford import CliffordNumber
+from .clifford import CliffordNumber, _shared_blade_sum
 from .poly import CliffordPolynomial, _MultiIndexMap, _reduced
 from .transform import NotMonogenicError, ck_extend
 
@@ -61,8 +61,7 @@ def fock_norm_sq(alpha: FockElement) -> Fraction:
     integer sum over den^2 * lcm(beta!)."""
     f = alpha._poly
     common, weights = _factorial_weights(alpha)
-    total = sum(weights[key] * sum(re * re + im * im for re, im in blades.values())
-                for key, blades in f._num.items())
+    total, _ = _shared_blade_sum((weights[key], b, b) for key, b in f._num.items())
     return Fraction(total, f._den * f._den * common)
 
 

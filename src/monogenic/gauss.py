@@ -19,19 +19,22 @@ onto the Fock space with the Fischer product (Bargmann 1961, Fischer
 
 where A = exp(s Lap_X / 2) f and B = exp(s Lap_X / 2) g are heat images,
 key = (k0, beta), key! = k0! beta!, and the product is the Clifford
-product of the two coefficients at the same monomial.  The heat image is
-the operator series of `transform`: under RHO the heat step is the
-Laplacian over x1..xn with scale 2 (A = heat(f)); under MU_TILDE it is
-the Laplacian over x0..xn with scale 4.  On a monogenic value the
-Laplacian over x0..xn is zero, so that image is the value itself.
+product of the two coefficients at the same monomial.  The heat images
+come from the cached monomial maps of `transform` (`_apply`): under RHO
+A = heat(f), the series of the Laplacian over x1..xn with scale 2
+(`transform._HEAT`); under MU_TILDE the series of the Laplacian over
+x0..xn with scale 4 (`transform._FULL_HEAT`).  On a monogenic value the
+Laplacian over x0..xn is zero, so that image is the value itself: a
+value with the `_monogenic` mark (a result of `ck_extend` or `p_basis`)
+is its own MU_TILDE image, and any other value goes through `_apply`.
 
 Each polynomial is prepared at most once per measure, and the prepared
 form is cached on the immutable value (`CliffordPolynomial._fischer`,
-one entry per measure, filled by one store of a finished tuple).  It has two roles, both integer
-numerators over one denominator: as right operand, the heat image A over
-its denominator den; as left operand, each conj(A_key) weighted by
-key! (times 2^(T - |key|) under MU_TILDE, T the top degree) over den
-(times 2^T).  A pairing is then one loop over the keys the two operands
+one entry per measure, filled by one store of a finished tuple).  It has
+two roles, both integer numerators over one denominator: as right
+operand, the heat image A over its denominator den; as left operand,
+each conj(A_key) weighted by key! (times 2^(T - |key|) under MU_TILDE,
+T the top degree) over den (times 2^T).  A pairing is then one loop over the keys the two operands
 share, with the numerator helpers of the Clifford product
 (`clifford._conjugated`, `_product_numerators`), and the result is
 reduced once.  Entries whose operands share no key, such as homogeneous
@@ -41,8 +44,9 @@ the form pays off when a value is paired again, as in `gram`.
 
 The scalar products `inner_rho` and `inner_mu` need only the grade-0
 part.  conj(e_A) e_B has a scalar part only when A = B, and there it is
-1, so they sum conj(a_A) b_A over the shared blades of the shared keys
-(`clifford._shared_blade_sum`, which `CliffordNumber.inner` uses too).
+1, so they sum conj(a_A) b_A over the shared blades of the shared keys,
+each key with weight 1 (`clifford._shared_blade_sum`, the one weighted
+blade sum that `CliffordNumber.inner` and both container norms use too).
 `gram` yields the pairings of every f of one list with every g of
 another, row by row.
 """
@@ -63,18 +67,13 @@ from .clifford import (
     _product_numerators,
     _shared_blade_sum,
 )
-from .poly import CliffordPolynomial, _full_laplacian_into, _laplacian_into
-from .transform import _series
+from .poly import CliffordPolynomial
+from .transform import _FULL_HEAT, _HEAT, _apply
 
 
 class Measure(enum.Enum):
     RHO = "rho"
     MU_TILDE = "mu"
-
-
-# (heat step, series scale 2/s, log2 of 1/s) for per-axis variance s,
-# indexed by `measure is Measure.MU_TILDE`, as is the cache of each value
-_HEAT = ((_laplacian_into, 2, 0), (_full_laplacian_into, 4, 1))
 
 
 def moment(measure: Measure, k0: int, beta: Sequence[int]) -> Fraction:
@@ -106,15 +105,16 @@ def _form(f: CliffordPolynomial, mu: bool) -> tuple[tuple, tuple]:
         return cache[mu]
     if not mu and not f.is_x0_free():
         raise ValueError("the R^n measure requires x0-free polynomials")
-    step, scale, shift = _HEAT[mu]
-    den, image = _series(f, step, 1, scale, 0)
+    # a monogenic value is its own MU_TILDE heat image: its full Laplacian is zero
+    den, image = ((f._den, f._num) if mu and f._monogenic
+                  else _apply(f, _FULL_HEAT if mu else _HEAT))
     top = max((k0 + sum(beta) for k0, beta in image), default=0)
     left = {}
     for (k0, beta), blades in image.items():
-        weight = factorial(k0) * prod(map(factorial, beta)) << shift * (top - k0 - sum(beta))
+        weight = factorial(k0) * prod(map(factorial, beta)) << mu * (top - k0 - sum(beta))
         left[k0, beta] = acc = {}
         _add_scaled(acc, _conjugated(blades), weight)
-    form = ((den, image), (den << shift * top, left))
+    form = ((den, image), (den << mu * top, left))
     f._fischer = (cache[0], form) if mu else (form, cache[1])
     return form
 
@@ -148,7 +148,7 @@ def _scalar_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
     over the shared blades of shared keys, since conj(e_A) e_A = 1.  The
     left role stores conj(A_key), so it is conjugated back per shared key."""
     lden, left, rden, right = _operands(f, g, measure)
-    re, im = _shared_blade_sum((_conjugated(blades), right[key])
+    re, im = _shared_blade_sum((1, _conjugated(blades), right[key])
                                for key, blades in left.items() if key in right)
     return _gaussian_over(re, im, lden * rden)
 

@@ -7,8 +7,8 @@ the result to the unique monogenic polynomial on R^{n+1} restricting to
 it.  Both factors are finite sums on polynomials (the Laplacian and the
 Dirac operator are nilpotent there), so everything is exact.
 
-The operator series, `_series`, works on the stored integer numerators
-of `poly`, over the input's denominator den: the chain step^k f is
+The operator series, `_series`, works on integer numerators in the
+stored form of `poly`, over their denominator den: the chain step^k f is
 derived on integers, and the result is reduced once.  With K the last k
 whose term is nonzero, the series sum_k sign^k x0^(k x0_step) step^k f /
 (scale^k k!) is summed over den * scale^K * K!, term k weighted by
@@ -19,16 +19,16 @@ x0-free, so no two terms meet).
 
 Both operators are right-linear: they send x^beta c to op(x^beta) c, and
 the C-K image of x^beta is the basis element P_beta.  So the series runs
-once per monomial: `_image` keeps op(x^beta), reduced, in a bounded
-cache, and `_apply` sends f = sum_beta x^beta c_beta to sum_beta
-op(x^beta) c_beta.  It scales each c_beta to the lcm of its images'
-denominators, multiplies the image's real blades on its left through
+once per monomial, and only there: `_image` keeps op(x0^k0 x^beta),
+reduced, in a bounded cache, and `_apply` sends f = sum_key x0^k0 x^beta
+c_key to the reduced numerators of sum_key op(x0^k0 x^beta) c_key.  It
+scales each c_key to the lcm of its images' denominators, multiplies
+the image's real blades on its left through
 `clifford._product_numerators`, and reduces the sum once.  `heat` and
-`ck_extend` are `_apply`; `hermite` and `p_basis` adopt the cached image
-itself.  `gauss` still runs `_series` on the whole value for the heat
-images of its pairings, on inputs with x0 terms too: the full heat image
-of a monogenic P_beta is P_beta itself, whose chain stops at k = 0,
-where per-monomial images would be derived only to cancel.
+`ck_extend` check the degree cap of their input and adopt `_apply`;
+`hermite` and `p_basis` adopt the cached image itself.  The heat images
+of the Gaussian pairings of `gauss` are `_apply` too, with _HEAT under
+RHO and _FULL_HEAT, exp(Laplacian over x0..xn / 4), under MU_TILDE.
 The C-K results carry the "monogenic by construction" mark of `poly`,
 so `sb_inverse` does not check them again.
 
@@ -42,8 +42,8 @@ A Hermite expansion sum_beta H_beta w_beta is the sparse beta -> C_n map
 of `poly` that Fock elements share.  It stores its heat image, the
 polynomial sum_beta x^beta w_beta: `sb_transform` only C-K extends the
 stored polynomial, `to_polynomial` applies the inverse heat to it once,
-`from_polynomial` stores heat(f), and `norm_sq` is one integer sum over
-its numerators.
+`from_polynomial` stores heat(f), and `norm_sq` is one weighted blade
+sum over its numerators (`clifford._shared_blade_sum`).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from functools import lru_cache
 from math import factorial, lcm, prod
 from typing import Callable, Sequence, Union
 
-from .clifford import _product_numerators, _reduce
+from .clifford import _product_numerators, _reduce, _shared_blade_sum
 from .poly import (
     CliffordPolynomial,
     _check_degree_cap,
@@ -61,6 +61,7 @@ from .poly import (
     _Numerators,
     _add_scaled,
     _dirac_into,
+    _full_laplacian_into,
     _laplacian_into,
 )
 
@@ -69,61 +70,63 @@ class NotMonogenicError(ValueError):
     """Input must satisfy the generalized Cauchy-Riemann equation."""
 
 
-def _series(f: CliffordPolynomial, step: Callable[[_Numerators, _Numerators], None],
+def _series(den: int, num: _Numerators, step: Callable[[_Numerators, _Numerators], None],
             sign: int, scale: int, x0_step: int) -> tuple[int, _Numerators]:
-    """(den, numerators) of sum_k sign^k x0^(k x0_step) step^k f / (scale^k k!),
-    reduced by `_reduce`; with x0_step = 0 each term keeps its own x0-power.
+    """(den, numerators) of sum_k sign^k x0^(k x0_step) step^k f / (scale^k k!)
+    for f = num / den, reduced by `_reduce`; with x0_step = 0 each term
+    keeps its own x0-power.
 
     The chain step^k f is derived on integers up to its last nonzero
     term K, pruned by `_reduce` over 1, and summed over den * scale^K * K!
     with term k weighted by sign^k scale^(K-k) K!/k!."""
     chain = []
-    data = f._num
-    while data:
-        chain.append(data)
+    while num:
+        chain.append(num)
         nxt: _Numerators = {}
-        step(nxt, data)
-        data = _reduce(1, nxt)[1]
+        step(nxt, num)
+        num = _reduce(1, nxt)[1]
     top = max(len(chain) - 1, 0)
     total: _Numerators = {}
     for k, term in enumerate(chain):
         weight = sign ** k * scale ** (top - k) * (factorial(top) // factorial(k))
         for (k0, beta), blades in term.items():
             _add_scaled(total.setdefault((k0 + k * x0_step, beta), {}), blades, weight)
-    return _reduce(f._den * scale ** top * factorial(top), total)
+    return _reduce(den * scale ** top * factorial(top), total)
 
 
-# (step, sign, scale, x0_step) of the `_series` of each operator
+# (step, sign, scale, x0_step) of the `_series` of each operator; _FULL_HEAT
+# is exp(Laplacian over x0..xn / 4), the heat image of the MU_TILDE pairing
 _HEAT = (_laplacian_into, 1, 2, 0)
 _INVERSE_HEAT = (_laplacian_into, -1, 2, 0)
+_FULL_HEAT = (_full_laplacian_into, 1, 4, 0)
 _CK = (_dirac_into, -1, 1, 1)
 
 
 @lru_cache(maxsize=512)
-def _image(n: int, op: tuple, beta: tuple[int, ...]) -> tuple[int, tuple]:
+def _image(n: int, op: tuple, key: tuple) -> tuple[int, tuple]:
     """(den, ((key, blades), ...)): the reduced `_series` of op on the
-    monomial x^beta in C_n, for op one of _HEAT, _INVERSE_HEAT and _CK.
-    Its blades are real integers: scalars for heat, a scalar or one e_j
-    per key for C-K.
+    monomial x0^k0 x^beta in C_n, key = (k0, beta), for op one of _HEAT,
+    _INVERSE_HEAT, _FULL_HEAT and _CK.  Its blades are real integers:
+    scalars for the heats, a scalar or one e_j per key for C-K.
 
     Every caller shares the tuple and its blade maps, and none mutates
-    them.  Cached for the 512 images used last.  The largest image under
-    the default degree cap 12 is P_beta for beta = (2,2,2,2,2,2) at
-    n = 16: 256 terms, about 0.15 MB, so the cache holds at most about
-    80 MB."""
-    den, num = _series(CliffordPolynomial._raw(n, 1, {(0, beta): {0: (1, 0)}}), *op)
+    them.  Cached for the 512 images used last, keyed by (n, op, key).
+    Under the default degree cap 12 the largest image is P_beta for
+    beta = (2,2,2,2,2,2) at n = 16: 256 terms, about 0.15 MB with its
+    key tuples and integers.  A heat image, of any of the three heats
+    (x0 is one more axis to _FULL_HEAT), has at most 64 scalar terms,
+    about 37 KB.  So the cache holds at most about 80 MB."""
+    den, num = _series(1, {key: {0: (1, 0)}}, *op)
     return den, tuple(num.items())
 
 
-def _apply(f: CliffordPolynomial, op: tuple) -> CliffordPolynomial:
-    """op on f as a right-linear map, sum_beta op(x^beta) c_beta: each
-    coefficient c_beta scaled to the lcm of its images' denominators,
-    each image's blades multiplied on its left, and the sum reduced once."""
-    # checked first, so that a warm cache raises as a cold one does: a
-    # cached image skips the cap check of its monomial
-    _check_degree_cap(f._num)
-    n = f.n
-    images = [(_image(n, op, beta), blades) for (_, beta), blades in f._num.items()]
+def _apply(f: CliffordPolynomial, op: tuple) -> tuple[int, _Numerators]:
+    """(den, numerators) of op on f as a right-linear map, sum_key
+    op(x0^k0 x^beta) c_key: each coefficient scaled to the lcm of its
+    images' denominators, each image's blades multiplied on its left, and
+    the sum reduced once.  No cap check: a cached image skips the check
+    of its monomial, so the callers that must check do so first."""
+    images = [(_image(f.n, op, key), blades) for key, blades in f._num.items()]
     top = lcm(*(den for (den, _), _ in images))
     total: _Numerators = {}
     for (den, terms), blades in images:
@@ -135,15 +138,15 @@ def _apply(f: CliffordPolynomial, op: tuple) -> CliffordPolynomial:
             if acc is None:
                 acc = total[key] = {}
             _product_numerators(acc, image_blades, blades)
-    return CliffordPolynomial._raw(n, *_reduce(f._den * top, total))
+    return _reduce(f._den * top, total)
 
 
 def _basis(n: int, beta: Sequence[int], op: tuple) -> CliffordPolynomial:
     """op(x^beta), the cached image adopted by one `_raw`, its blade maps
     shared with the cache.  The monomial is built first, so that a bad
     beta, or one over the degree cap, raises as it would uncached."""
-    (_, beta), = CliffordPolynomial.monomial(n, 0, beta)._num
-    den, terms = _image(n, op, beta)
+    key, = CliffordPolynomial.monomial(n, 0, beta)._num
+    den, terms = _image(n, op, key)
     return CliffordPolynomial._raw(n, den, dict(terms))
 
 
@@ -155,7 +158,8 @@ def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     """
     if not f.is_x0_free():
         raise ValueError("heat operator acts on x0-free polynomials")
-    return _apply(f, _INVERSE_HEAT if inverse else _HEAT)
+    _check_degree_cap(f._num)
+    return CliffordPolynomial._raw(f.n, *_apply(f, _INVERSE_HEAT if inverse else _HEAT))
 
 
 def hermite(n: int, beta: Sequence[int]) -> CliffordPolynomial:
@@ -173,7 +177,8 @@ def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
     restricting to f at x0 = 0, via sum_k (-x0)^k D^k f / k!."""
     if not f.is_x0_free():
         raise ValueError("C-K extension starts from an x0-free polynomial")
-    F = _apply(f, _CK)
+    _check_degree_cap(f._num)
+    F = CliffordPolynomial._raw(f.n, *_apply(f, _CK))
     F._monogenic = True  # read by the preconditions of `sb_inverse` and `taylor_map`
     return F
 
@@ -212,10 +217,10 @@ class HermiteExpansion(_MultiIndexMap):
 
     def norm_sq(self) -> Fraction:
         """sum_beta beta! * |w_beta|^2, the Gaussian squared norm: one
-        integer sum over the squared stored denominator."""
+        blade sum weighted by beta! over the squared stored denominator."""
         f = self._poly
-        total = sum(prod(map(factorial, beta)) * sum(re * re + im * im for re, im in blades.values())
-                    for (_, beta), blades in f._num.items())
+        total, _ = _shared_blade_sum((prod(map(factorial, beta)), b, b)
+                                     for (_, beta), b in f._num.items())
         return Fraction(total, f._den * f._den)
 
 

@@ -141,12 +141,13 @@ def naive_ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
 
 def series_heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     """exp(+-Laplacian/2) f as one `_series` over the whole polynomial."""
-    return CliffordPolynomial._raw(f.n, *_series(f, _laplacian_into, -1 if inverse else 1, 2, 0))
+    return CliffordPolynomial._raw(f.n, *_series(f._den, f._num, _laplacian_into,
+                                                 -1 if inverse else 1, 2, 0))
 
 
 def series_ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
     """sum_k (-x0)^k D^k f / k! as one `_series` over the whole polynomial."""
-    return CliffordPolynomial._raw(f.n, *_series(f, _dirac_into, -1, 1, 1))
+    return CliffordPolynomial._raw(f.n, *_series(f._den, f._num, _dirac_into, -1, 1, 1))
 
 
 def moment_recurrence(k: int, variance: Fraction) -> Fraction:

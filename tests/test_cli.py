@@ -110,6 +110,26 @@ def test_unwritable_output_exit_2(capsys, tmp_path):
         assert out == "" and err.startswith("error: cannot write")
 
 
+def test_closed_stdout_exit_2():
+    # a reader that has gone, as `| head -c 100` leaves a long result,
+    # is an unwritable output: one error line, no traceback
+    src = str(Path(monogenic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               MONOGENIC_MAX_DEGREE="1000")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-c", "from monogenic.cli import run; run()",
+                               "hermite", "--n", "1", "--beta", "400"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write to stdout")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_unwritable_output_fails_before_the_work(capsys, tmp_path, monkeypatch):
     from monogenic import verify
 

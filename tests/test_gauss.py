@@ -24,10 +24,12 @@ from monogenic import (
     inner_rho,
     moment,
     p_basis,
+    set_degree_cap,
 )
 
 from monogenic.clifford import indices_from_mask
 from monogenic.serialize import poly_from_json, poly_to_json
+from monogenic.transform import _image
 from monogenic.verify import multi_indices
 
 from oracles import (
@@ -359,6 +361,10 @@ def test_cached_value_pairs_alike_in_every_role():
     x0_free, values = _fresh_values(n, 90)
     texts = [json.dumps(poly_to_json(f)) for f in values]
     copies = [poly_from_json(json.loads(text)) for text in texts]
+    # the parsed copies carry no mark, so under MU_TILDE a copy of a C-K
+    # extension goes through the full heat map where its original is its own image
+    assert [g._monogenic for g in values] == [False] * 3 + [True] * 3
+    assert not any(g._monogenic for g in copies)
     for measure, polys in ((Measure.RHO, x0_free), (Measure.MU_TILDE, values)):
         f = polys[0]
         expected = {id(g): (naive_clifford_pairing(f, g, measure), naive_clifford_pairing(g, f, measure))
@@ -370,6 +376,12 @@ def test_cached_value_pairs_alike_in_every_role():
                 assert clifford_pairing(g, f, measure) == as_right
                 assert INNER[measure](f, g) == as_left.scalar_part()
                 assert INNER[measure](g, f) == as_right.scalar_part()
+        for g, g_copy in zip(polys, copies):
+            for h, h_copy in zip(polys, copies):
+                full, scalar = clifford_pairing(g, h, measure), INNER[measure](g, h)
+                for a, b in ((g_copy, h), (g, h_copy), (g_copy, h_copy)):
+                    assert clifford_pairing(a, b, measure) == full
+                    assert INNER[measure](a, b) == scalar
     # pairing changes neither equality nor the bytes of an operand
     assert values == copies
     assert [json.dumps(poly_to_json(f)) for f in values] == texts
@@ -397,3 +409,27 @@ def test_shared_values_pair_alike_from_four_threads():
         sys.setswitchinterval(interval)
     assert all(result == expected for result in results)
     assert [json.dumps(poly_to_json(f)) for f in values] == texts
+
+
+def test_pairing_never_checks_the_degree_cap():
+    # values built under cap 14 pair under cap 12, from a cold image cache,
+    # exactly as under cap 14: the cap bounds what is built, not what is paired
+    n = 2
+
+    def pairings(cap):
+        set_degree_cap(14)  # in this worker thread's own context
+        e1 = CliffordNumber.basis(n, 1)
+        f = CliffordPolynomial(n, {(0, (13, 1)): e1, (0, (2, 3)): CliffordNumber.one(n)})
+        x0_free = [hermite(n, (13, 0)), hermite(n, (6, 7)) * e1, f]
+        values = x0_free + [p_basis(n, (7, 5)), ck_extend(f)]
+        set_degree_cap(cap)
+        _image.cache_clear()
+        return [(clifford_pairing(a, b, measure), INNER[measure](a, b))
+                for measure, polys in ((Measure.RHO, x0_free), (Measure.MU_TILDE, values))
+                for a in polys for b in polys]
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        low = pool.submit(pairings, 12).result(timeout=120)
+        high = pool.submit(pairings, 14).result(timeout=120)
+    assert low == high
+    assert len(low) == 3 * 3 + 5 * 5 and any(full for full, _ in low)

@@ -90,6 +90,34 @@ def test_codec_builds_no_per_term_objects():
                                 "clifford_from_json: ._reduced(...)"]
 
 
+# the squared form x * x + y * y and the real part of the conjugate
+# product, xr * yr + xi * yi, in the names the numerator kernels use
+BLADE_SUM = re.compile(r"\b(\w+) \* \1 \+ (\w+) \* \2\b|\b(\w*)r \* (\w*)r \+ \3i \* \4i\b")
+
+
+def _enclosing(sources, lines):
+    """"module:function" of the innermost function around each line of
+    lines(name, text, tree), or "module:" at module level, sorted."""
+    found = set()
+    for name, text in sources.items():
+        tree = ast.parse(text, name)
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for line in lines(name, text, tree):
+            around = [f for f in functions if f.lineno <= line <= f.end_lineno]
+            found.add(f"{name}:{max(around, key=lambda f: f.lineno).name if around else ''}")
+    return sorted(found)
+
+
+def _calls_of(callee):
+    return lambda name, text, tree: [
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+        and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def _blade_sums(name, text, tree):
+    return [text.count("\n", 0, m.start()) + 1 for m in BLADE_SUM.finditer(text)]
+
+
 def test_each_numerator_rule_has_one_home():
     # the product sign and the conjugation sign are stated in clifford only
     package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
@@ -100,6 +128,18 @@ def test_each_numerator_rule_has_one_home():
     # is written once, in transform
     series = re.compile(r"factorial\(top\) // factorial\(k\)")
     assert [name for name, text in sources.items() if series.search(text)] == ["transform.py"]
+    # and runs once per monomial: inside the library only the cached
+    # `transform._image` calls `_series` (the test oracles run it on whole values)
+    assert _enclosing(sources, _calls_of("_series")) == ["transform.py:_image"]
+    # a (weighted) sum of conj(a_A) b_A or |a_A|^2 over blade maps is
+    # written once, in `clifford._shared_blade_sum`; the scan sees the
+    # forms that loop bodies use, and not the product or a scalar's abs_sq
+    probe = {"probe.py": "def f():\n    return sum(re * re + im * im for re, im in b.values())\n"
+                         "def g():\n    t = ar * br + ai * bi\n"
+                         "def h():\n    re, im = ar * br - ai * bi, ar * bi + ai * br\n"
+                         "def k(self):\n    return self.re * self.re + self.im * self.im\n"}
+    assert _enclosing(probe, _blade_sums) == ["probe.py:f", "probe.py:g"]
+    assert _enclosing(sources, _blade_sums) == ["clifford.py:_shared_blade_sum"]
     # every module-level private function is used somewhere in the library,
     # so a replaced helper cannot linger next to its replacement
     defined, used = set(), set()
