@@ -30,10 +30,16 @@ Results that can share a factor with the denominator are reduced once
 by `_reduce`, which takes a map {key: blade map} so that one body
 reduces a number (`CliffordNumber._reduced`, one key), a polynomial
 (`poly._reduced`) and prunes the operator series of `transform`; the
-others are adopted as they are.  The Gaussian pairings of `gauss`
-conjugate and multiply through `_conjugated` and
-`_product_numerators`, so the product sign (`_sign_mask`) and the
-conjugation sign are stated only in this module.
+others are adopted as they are.  A blade map with nothing to divide and
+no zero pair is adopted too, so a reduced value can share maps with the
+value it was read from (`restrict`, `terms()`): kernels write only into
+maps they made.  The Gaussian pairings of `gauss` conjugate and
+multiply through `_conjugated` and `_product_numerators`.  The
+operators of `transform` multiply by the real images of monomials:
+`_sign_plan` lists an image's blades with their sign masks once, and
+`_plan_product` adds a whole plan times one coefficient in one call.
+So the product sign (`_sign_mask`) and the conjugation sign are stated
+only in this module.
 Coefficients become `Fraction`s only where they are read back
 (`terms()`, `coefficient()`, `scalar_part()`, `inner()`), one per
 nonzero part (`_gaussian_over`).
@@ -317,8 +323,9 @@ def _shared_blade_sum(triples: Iterable[tuple[int, Mapping, Mapping]]) -> tuple[
 def _reduce(den: int, maps: Mapping) -> tuple[int, dict]:
     """(den, maps) reduced: den and every numerator of {key: {mask: (re, im)}}
     divided by their gcd, zero pairs and then keys left without a blade
-    dropped in one pass.  The gcd stops at 1, and then nothing is divided;
-    an all-zero map reduces to (1, {})."""
+    dropped in one pass.  The gcd stops at 1, and then nothing is divided
+    and a blade map without a zero pair is adopted as it is, shared with
+    the input; an all-zero map reduces to (1, {})."""
     g = den
     for blades in maps.values():
         if g == 1:
@@ -327,7 +334,8 @@ def _reduce(den: int, maps: Mapping) -> tuple[int, dict]:
     out = {}
     for key, blades in maps.items():
         if g == 1:
-            kept = {m: v for m, v in blades.items() if v[0] or v[1]}
+            kept = blades if (0, 0) not in blades.values() else {
+                m: v for m, v in blades.items() if v[0] or v[1]}
         else:
             kept = {m: (re // g, im // g) for m, (re, im) in blades.items() if re or im}
         if kept:
@@ -348,6 +356,31 @@ def _product_numerators(acc: _Blades, left: _Blades, right: _Blades) -> None:
             mask = ma ^ mb
             prev = acc.get(mask)
             acc[mask] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+
+
+def _sign_plan(terms: Iterable[tuple[object, _Blades]]) -> tuple:
+    """((key, mask, q, r), ...) of the real blades r e_A of ((key, blades), ...),
+    q = q_A its sign mask: the form in which `_plan_product` applies them.
+    The imaginary parts must be zero."""
+    return tuple((key, mask, _sign_mask(mask), re)
+                 for key, blades in terms for mask, (re, _) in blades.items())
+
+
+def _plan_product(total: dict, plan: tuple, right: _Blades, c: int) -> None:
+    """total[key] += c * r e_A * right for every (key, A, q_A, r) of a
+    `_sign_plan`: a real blade times a complex numerator map, two
+    multiplications per blade pair, cancelled blades left in as zero pairs."""
+    items = right.items()
+    for key, ma, q, r in plan:
+        r *= c
+        acc = total.get(key)
+        if acc is None:
+            total[key] = acc = {}
+        for mb, (br, bi) in items:
+            s = -r if (q & mb).bit_count() & 1 else r
+            mask = ma ^ mb
+            prev = acc.get(mask)
+            acc[mask] = (s * br, s * bi) if prev is None else (prev[0] + s * br, prev[1] + s * bi)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,11 @@ Both operators are right-linear: they send x^beta c to op(x^beta) c, and
 the C-K image of x^beta is the basis element P_beta.  So the series runs
 once per monomial, and only there: `_image` keeps op(x0^k0 x^beta),
 reduced, in a bounded cache, and `_apply` sends f = sum_key x0^k0 x^beta
-c_key to the reduced numerators of sum_key op(x0^k0 x^beta) c_key.  It
-scales each c_key to the lcm of its images' denominators, multiplies
-the image's real blades on its left through
-`clifford._product_numerators`, and reduces the sum once.  `heat` and
+c_key to the reduced numerators of sum_key op(x0^k0 x^beta) c_key.  The
+image's blades are real, so `_image` also keeps them as a flat sign plan
+(`clifford._sign_plan`), and `_apply` adds each c_key, scaled to the lcm
+of the images' denominators, times its whole image on the left in one
+`clifford._plan_product` call, then reduces the sum once.  `heat` and
 `ck_extend` check the degree cap of their input and adopt `_apply`;
 `hermite` and `p_basis` adopt the cached image itself.  The heat images
 of the Gaussian pairings of `gauss` are `_apply` too, with _HEAT under
@@ -53,7 +54,7 @@ from functools import lru_cache
 from math import factorial, lcm, prod
 from typing import Callable, Sequence, Union
 
-from .clifford import _product_numerators, _reduce, _shared_blade_sum
+from .clifford import _plan_product, _reduce, _shared_blade_sum, _sign_plan
 from .poly import (
     CliffordPolynomial,
     _check_degree_cap,
@@ -103,41 +104,37 @@ _CK = (_dirac_into, -1, 1, 1)
 
 
 @lru_cache(maxsize=512)
-def _image(n: int, op: tuple, key: tuple) -> tuple[int, tuple]:
-    """(den, ((key, blades), ...)): the reduced `_series` of op on the
+def _image(n: int, op: tuple, key: tuple) -> tuple[int, tuple, tuple]:
+    """(den, ((key, blades), ...), plan): the reduced `_series` of op on the
     monomial x0^k0 x^beta in C_n, key = (k0, beta), for op one of _HEAT,
-    _INVERSE_HEAT, _FULL_HEAT and _CK.  Its blades are real integers:
-    scalars for the heats, a scalar or one e_j per key for C-K.
+    _INVERSE_HEAT, _FULL_HEAT and _CK, and the same terms as the
+    `clifford._sign_plan` that `_apply` applies.  Its blades are real
+    integers: scalars for the heats, a scalar or one e_j per key for C-K.
 
     Every caller shares the tuple and its blade maps, and none mutates
     them.  Cached for the 512 images used last, keyed by (n, op, key).
     Under the default degree cap 12 the largest image is P_beta for
-    beta = (2,2,2,2,2,2) at n = 16: 256 terms, about 0.15 MB with its
-    key tuples and integers.  A heat image, of any of the three heats
-    (x0 is one more axis to _FULL_HEAT), has at most 64 scalar terms,
-    about 37 KB.  So the cache holds at most about 80 MB."""
+    beta = (2,2,2,2,2,2) at n = 16: 256 terms, about 0.17 MB with its
+    key tuples, integers and plan (the plan shares the keys and
+    coefficients, and adds 21 KB).  A heat image, of any of the three
+    heats (x0 is one more axis to _FULL_HEAT), has at most 64 scalar
+    terms, about 42 KB.  So the cache holds at most about 88 MB."""
     den, num = _series(1, {key: {0: (1, 0)}}, *op)
-    return den, tuple(num.items())
+    terms = tuple(num.items())
+    return den, terms, _sign_plan(terms)
 
 
 def _apply(f: CliffordPolynomial, op: tuple) -> tuple[int, _Numerators]:
     """(den, numerators) of op on f as a right-linear map, sum_key
-    op(x0^k0 x^beta) c_key: each coefficient scaled to the lcm of its
-    images' denominators, each image's blades multiplied on its left, and
-    the sum reduced once.  No cap check: a cached image skips the check
+    op(x0^k0 x^beta) c_key: one `_plan_product` per key adds c_key, scaled
+    to the lcm of the images' denominators, times its image's plan, and
+    the sum is reduced once.  No cap check: a cached image skips the check
     of its monomial, so the callers that must check do so first."""
     images = [(_image(f.n, op, key), blades) for key, blades in f._num.items()]
-    top = lcm(*(den for (den, _), _ in images))
+    top = lcm(*(image[0] for image, _ in images))
     total: _Numerators = {}
-    for (den, terms), blades in images:
-        c = top // den
-        if c != 1:
-            blades = {m: (c * re, c * im) for m, (re, im) in blades.items()}
-        for key, image_blades in terms:
-            acc = total.get(key)
-            if acc is None:
-                acc = total[key] = {}
-            _product_numerators(acc, image_blades, blades)
+    for (den, _, plan), blades in images:
+        _plan_product(total, plan, blades, top // den)
     return _reduce(f._den * top, total)
 
 
@@ -146,7 +143,7 @@ def _basis(n: int, beta: Sequence[int], op: tuple) -> CliffordPolynomial:
     shared with the cache.  The monomial is built first, so that a bad
     beta, or one over the degree cap, raises as it would uncached."""
     key, = CliffordPolynomial.monomial(n, 0, beta)._num
-    den, terms = _image(n, op, key)
+    den, terms, _ = _image(n, op, key)
     return CliffordPolynomial._raw(n, den, dict(terms))
 
 

@@ -1,7 +1,9 @@
 """The integer-numerator kernel (Dirac, Laplacian, Cauchy-Riemann, heat and
 C-K extension) against the Fraction-per-step compositions in `oracles`,
 and the stored form of polynomials: reduced numerators over one
-denominator, and the "monogenic by construction" mark of `ck_extend`.
+denominator, blade maps that the reducer adopts and values then share,
+the sign-plan kernel of the operators, and the "monogenic by
+construction" mark of `ck_extend`.
 
 Inputs are seeded: n = 1..8, x0 terms, total degree up to the cap, part
 denominators drawn from the primes up to 97, complex coefficients, and in
@@ -13,6 +15,7 @@ their one-`Fraction`-per-entry oracles.  Each seeded polynomial also reaches the
 operands built by every numerator operation are covered.
 """
 
+import copy
 import functools
 import math
 import random
@@ -41,8 +44,13 @@ from monogenic import (
     set_degree_cap,
     taylor_map,
 )
-from monogenic import poly
-from monogenic.clifford import indices_from_mask
+from monogenic import gauss, poly, serialize
+from monogenic.clifford import (
+    _plan_product,
+    _product_numerators,
+    _sign_plan,
+    indices_from_mask,
+)
 
 from oracles import (
     PRIMES_TO_97,
@@ -236,21 +244,89 @@ def test_every_result_is_reduced_and_equality_is_termwise(n):
     (6, {0: (5, 0), 1: (0, 0), 3: (2, -3)}, (6, {0: (5, 0), 3: (2, -3)})),
     # gcd > 1: the denominator and every numerator divided
     (12, {0: (4, 0), 1: (0, 0), 2: (0, -8), 3: (20, 12)}, (3, {0: (1, 0), 2: (0, -2), 3: (5, 3)})),
+    # gcd 1 and no zero pair: the map itself is adopted
+    (6, {0: (5, 0), 1: (0, 7), 3: (2, -3)}, (6, {0: (5, 0), 1: (0, 7), 3: (2, -3)})),
 ])
 def test_reducer_through_both_classes(den, blades, expected):
-    x = CliffordNumber._reduced(2, den, dict(blades))
+    given = dict(blades)
+    x = CliffordNumber._reduced(2, den, given)
     assert (x._den, x._blades) == expected
     key = (0, (1, 0))
     # keys left without a blade are dropped, whether empty or all zero
-    f = poly._reduced(2, den, {key: dict(blades), (1, (0, 0)): {1: (0, 0)}, (0, (0, 1)): {}})
+    given_f = dict(blades)
+    f = poly._reduced(2, den, {key: given_f, (1, (0, 0)): {1: (0, 0)}, (0, (0, 1)): {}})
     assert (f._den, f._num) == (expected[0], {key: expected[1]} if expected[1] else {})
     if expected[0] == den:
         # nothing is divided at gcd 1: the stored pairs are the input's
         for stored in (x._blades, f._num.get(key, {})):
             assert all(stored[m] is blades[m] for m in stored)
+    # a map is adopted whole exactly when nothing is divided or dropped;
+    # a rebuilt map leaves its input as it was
+    adopted = bool(blades) and expected[1] == blades
+    assert (x._blades is given) == (f._num.get(key) is given_f) == adopted
+    assert given == given_f == blades
     # the gcd spans every key of a polynomial
     g = poly._reduced(2, 4, {(0, (1, 0)): {0: (2, 4)}, (0, (0, 1)): {1: (6, 0), 2: (0, 0)}})
     assert (g._den, g._num) == (2, {(0, (1, 0)): {0: (1, 2)}, (0, (0, 1)): {1: (3, 0)}})
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_plan_product_is_the_real_blade_product(n):
+    # one kernel call over a plan equals one product per term, the scale folded in
+    rng = random.Random(500 + n)
+    for _ in range(20):
+        terms = [((k, (k,)), {rng.randrange(1 << n): (rng.randint(-9, 9) or 1, 0)})
+                 for k in range(rng.randint(1, 4))]
+        right = _coeff(rng, n)._blades
+        c = rng.choice([1, 1, 2, -3, 10 ** 20])
+        total = {terms[0][0]: {rng.randrange(1 << n): (1, -1)}}
+        expected = copy.deepcopy(total)
+        _plan_product(total, _sign_plan(terms), right, c)
+        for key, left in terms:
+            _product_numerators(expected.setdefault(key, {}),
+                                {m: (c * re, im) for m, (re, im) in left.items()}, right)
+        assert total == expected
+
+
+def test_values_sharing_maps_leave_their_source_unchanged():
+    # restrict, FockElement.grade, terms() and coefficient() may share blade
+    # maps with their source; nothing done to either may change the other
+    rng = random.Random(9)
+    n = 3
+    h = _poly(rng, n, 6, terms=4, x0=False)
+    F = ck_extend(h)
+    G = h + CliffordPolynomial.monomial(n, 2, (1, 0, 0), 5)  # restricts to h
+    r = G.restrict()
+    # over the denominator 6, its weight-1 part and the entry at (0, 0, 2)
+    # have coprime numerators, so their grades and that entry share maps
+    alpha = FockElement(n, {(1, 0, 0): CliffordNumber.blade(n, (1,), Fraction(1, 2)),
+                            (0, 0, 2): CliffordNumber.blade(
+                                n, (2,), GaussianRational(Fraction(1, 2), Fraction(1, 3))),
+                            (0, 1, 0): CliffordNumber.scalar(n, GaussianRational(0, Fraction(1, 3))),
+                            (2, 0, 1): CliffordNumber(n, {(1, 2): 7, (3,): GaussianRational(0, 1)})})
+    grades = [alpha.grade(k) for k in alpha.grades()]
+    coeffs = ([c for _, _, c in F.terms()] + [r.coefficient(k0, beta) for k0, beta in r._num]
+              + [c for _, c in alpha.entries()] + [alpha.entry((0, 0, 2))])
+    # the sharing this test is about happens
+    assert any(r._num[key] is G._num[key] for key in r._num)
+    assert any(g._poly._num[key] is alpha._poly._num[key] for g in grades for key in g._poly._num)
+    assert alpha.entry((0, 0, 2))._blades is alpha._poly._num[0, (0, 0, 2)]
+    values = [F, G, r, alpha._poly, *(g._poly for g in grades)]
+    before = [copy.deepcopy((f._den, f._num)) for f in values], copy.deepcopy(
+        [(c._den, c._blades) for c in coeffs])
+    for f in (r, F.restrict()):
+        heat(f), heat(f, inverse=True), ck_extend(f), sb_transform(f), sb_inverse(ck_extend(f))
+        serialize.poly_to_json(f), serialize.poly_to_text(f), repr(f), f.hermitian_conj()
+        gauss.inner_rho(f, f), gauss.inner_mu(f, F)
+    for g in grades:
+        ck_extend(g._poly), fock_to_monogenic(g), fock_norm_sq(g), g + alpha
+        serialize.fock_to_json(g), serialize.fock_to_text(g), repr(g)
+    taylor_map(F), sb_inverse(F), serialize.fock_to_json(alpha), serialize.fock_to_text(alpha)
+    for c in coeffs:
+        c * c, c + c, -c, c.hermitian_conj(), c.grade(1), c.inner(c), c * Fraction(1, 3)
+        serialize.clifford_to_json(c), serialize.clifford_to_text(c), repr(c)
+        CliffordPolynomial.constant(c) * F
+    assert ([(f._den, f._num) for f in values], [(c._den, c._blades) for c in coeffs]) == before
 
 
 def test_the_monogenic_mark_does_not_leak():

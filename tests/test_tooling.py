@@ -131,6 +131,11 @@ def test_each_numerator_rule_has_one_home():
     # and runs once per monomial: inside the library only the cached
     # `transform._image` calls `_series` (the test oracles run it on whole values)
     assert _enclosing(sources, _calls_of("_series")) == ["transform.py:_image"]
+    # the operators multiply by their cached images through one kernel: no
+    # general product is left in transform, and only `_apply` calls the kernel
+    assert _enclosing({"transform.py": sources["transform.py"]},
+                      _calls_of("_product_numerators")) == []
+    assert _enclosing(sources, _calls_of("_plan_product")) == ["transform.py:_apply"]
     # a (weighted) sum of conj(a_A) b_A or |a_A|^2 over blade maps is
     # written once, in `clifford._shared_blade_sum`; the scan sees the
     # forms that loop bodies use, and not the product or a scalar's abs_sq

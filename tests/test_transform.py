@@ -1,5 +1,6 @@
 """Heat operator, Hermite basis, C-K extension and the transform pipeline."""
 
+import copy
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +28,7 @@ from monogenic import (
     sb_transform,
     set_degree_cap,
 )
-from monogenic.transform import _image
+from monogenic.transform import _CK, _HEAT, _INVERSE_HEAT, _image
 from monogenic.verify import multi_indices, rand_hermite_expansion, rand_poly
 
 from oracles import fueter_basis, hermite_recurrence, series_ck_extend, series_heat
@@ -284,6 +285,44 @@ def test_operators_equal_the_whole_polynomial_series(n, max_degree):
     check_against_series(polys, expansions, betas)  # from a cold cache
     assert _image.cache_info().currsize
     check_against_series(polys, expansions, betas)  # and a warm one
+
+
+def test_apply_never_mutates_a_cached_image():
+    # `_apply` accumulates every term of a value into one total; the cached
+    # images (their terms and plans) are shared with every later call and with
+    # the values `hermite` and `p_basis` return, so none may change
+    n = 3
+    rng = random.Random(165)
+    betas = list(multi_indices(n, 4))
+    # images that cancel (see special_polys), the H_beta whose heat images
+    # cancel down to x^beta, and values built on the shared maps themselves
+    inputs = special_polys(n) + [hermite(n, beta) for beta in betas] + [
+        p_basis(n, beta).restrict() * CliffordNumber.basis(n, 2) for beta in betas] + [
+        rand_poly(rng, n, 4) for _ in range(6)]
+    used = {(op, key) for f in inputs for key in f._num for op in (_HEAT, _INVERSE_HEAT, _CK)}
+    used |= {(op, (0, tuple(beta))) for beta in betas for op in (_INVERSE_HEAT, _CK)}
+
+    def run():
+        for f in inputs:
+            heat(f), heat(f, inverse=True), ck_extend(f)
+        for beta in betas:
+            heat(hermite(n, beta)), sb_inverse(p_basis(n, beta)), ck_extend(hermite(n, beta))
+
+    _image.cache_clear()
+    run()  # from a cold cache: each image derived while it is applied
+    misses = _image.cache_info().misses
+    cached = {(op, key): _image(n, op, key) for op, key in used}
+    assert _image.cache_info().misses == misses  # every image looked at was used above
+    assert cached == {(op, key): _image.__wrapped__(n, op, key) for op, key in used}
+    for _, terms, plan in cached.values():
+        # the plan is the terms' real blades, in order
+        assert all(im == 0 for _, blades in terms for _, im in blades.values())
+        assert [(key, m, r) for key, m, _, r in plan] == [
+            (key, m, re) for key, blades in terms for m, (re, _) in blades.items()]
+    snapshot = copy.deepcopy(cached)
+    run()  # and from a warm one
+    assert all(_image(n, op, key) is image for (op, key), image in cached.items())
+    assert cached == snapshot
 
 
 def test_threads_sharing_inputs_from_a_cold_cache_agree():
