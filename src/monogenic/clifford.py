@@ -47,9 +47,10 @@ nonzero part (`_gaussian_over`).
 Printing has two primitives, and every printer (JSON and text, of
 numbers, polynomials and containers) is built on them: `_blade_order`
 gives the canonical order of blades (by grade, then lexicographically
-by index; `_sorted_blades` applies it to a numerator map), and
-`_part_text` prints one part from its numerator and a denominator with
-one gcd.
+by index; `_blade_masks` applies it to a numerator map) and the indices
+of each blade, and `_part_text` prints one part from its numerator and a
+denominator with one gcd: the only place where a numerator becomes text
+(the printers of `serialize` keep one memo of it per call).
 
 Everything here is immutable after construction and every operation is
 pure, so values can be shared freely between threads.
@@ -217,9 +218,10 @@ def _blade_order(mask: int) -> tuple[int, tuple[int, ...]]:
     return len(indices), indices
 
 
-def _sorted_blades(blades: _Blades) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
-    """(indices, (re, im)) pairs of a numerator map in the canonical blade order."""
-    return [(_blade_order(m)[1], blades[m]) for m in sorted(blades, key=_blade_order)]
+def _blade_masks(blades: _Blades) -> Iterable[int]:
+    """The masks of a numerator map in the canonical blade order; a map of
+    one blade is not sorted."""
+    return sorted(blades, key=_blade_order) if len(blades) > 1 else blades
 
 
 def _sign_mask(a: int) -> int:
@@ -452,9 +454,9 @@ class CliffordNumber:
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], GaussianRational]]:
         """Canonically ordered (indices, coefficient) pairs: by grade, then lex."""
-        den = self._den
-        for indices, (re, im) in _sorted_blades(self._blades):
-            yield indices, _gaussian_over(re, im, den)
+        den, blades = self._den, self._blades
+        for mask in _blade_masks(blades):
+            yield _blade_order(mask)[1], _gaussian_over(*blades[mask], den)
 
     def coefficient(self, indices: Iterable[int]) -> GaussianRational:
         slot = self._blades.get(mask_from_indices(indices, self.n))

@@ -37,20 +37,22 @@ checks the degree cap like any polynomial.
 
 The mark.  `ck_extend` and `p_basis` build monogenic polynomials by
 construction and set the private `_monogenic` slot on their results
-before returning them; every other constructor, `_raw` included, leaves
-it False, and nothing changes it later.  `taylor_map` and `sb_inverse`
-skip their monogenicity precondition only on a marked value.
-`is_monogenic()` never reads the mark: it always runs the
+before returning them; every other constructor, `_raw` and `_adopt`
+included, leaves it False, and nothing changes it later.  `taylor_map`
+and `sb_inverse` skip their monogenicity precondition only on a marked
+value.  `is_monogenic()` never reads the mark: it always runs the
 Cauchy-Riemann kernel.
 
 The Fischer cache.  `gauss` keeps the prepared pairing form of a value,
-one per measure, in the private `_fischer` slot.  `__init__` and `_raw`
-set it to None; `gauss` replaces it with a finished tuple in one store,
-so a value shared between threads never shows a half-built form.  `==`,
-`repr` and the codec never read it.
+one per measure, in the private `_fischer` slot.  `__init__` and
+`_adopt` set it to None; `gauss` replaces it with a finished tuple in
+one store, so a value shared between threads never shows a half-built
+form.  `==`, `repr` and the codec never read it.
 
 The total-degree cap lives in a context variable, so a cap set in one
-thread is not seen by another.
+thread is not seen by another.  `__init__` and `_raw` check it; `_adopt`
+does not, for results that cannot exceed the degree of a value their
+caller has checked (the operators of `transform`, the parser).
 """
 
 from __future__ import annotations
@@ -223,6 +225,12 @@ class CliffordPolynomial:
     def _raw(cls, n: int, den: int, num: _Numerators) -> "CliffordPolynomial":
         """Adopt num / den, which must be reduced; re-check the degree cap."""
         _check_degree_cap(num)
+        return cls._adopt(n, den, num)
+
+    @classmethod
+    def _adopt(cls, n: int, den: int, num: _Numerators) -> "CliffordPolynomial":
+        """Adopt num / den, which must be reduced, with no cap check: for
+        results whose caller has checked a value of no lower degree."""
         out = cls.__new__(cls)
         out.n = n
         out._den = den

@@ -6,16 +6,22 @@ fixed sort order, so parse(serialize(x)) == x bit-exactly and equal
 values serialize to identical bytes.
 
 Both directions work on the stored form, integer numerators over one
-denominator, and build no object per term.  A printer sorts the keys of
-a polynomial or container once (total degree, k0, beta), the blades of
-each term by `clifford._blade_order`, and prints every part from its
-numerator and the shared denominator with `clifford._part_text`, which
-reduces it with one gcd.  A parser splits each "p/q" into two ints,
-rejects exactly the texts that `str(Fraction(text))` would not print
-back, turns blade lists into masks, and scales every part to the lcm of
-all the part denominators of the value: one lcm per polynomial,
-container or Clifford number, which leaves the numerators reduced.
-Error messages are formatted only when a check fails.
+denominator, and build no object per term.  A printer prints a value in
+one pass: it sorts the keys of a polynomial or container once (total
+degree, k0, beta) and the blades of each term of more than one blade by
+`clifford._blade_order`, and prints every part from its numerator and
+the value's shared denominator.  Numerators repeat across blades and
+terms, so each printer call keeps one memo {numerator: text} over that
+denominator (`_Texts`), and `clifford._part_text`, which reduces a part
+with one gcd, runs once per distinct numerator of the value.  The memo
+lives for one call and stores only texts that printed.  A parser splits
+each "p/q" into two ints, rejects exactly the texts that
+`str(Fraction(text))` would not print back, turns blade lists into
+masks, and scales every part to the lcm of all the part denominators of
+the value: one lcm per polynomial, container or Clifford number, which
+leaves the numerators reduced.  The degree cap is checked once, before
+the value is reduced.  Error messages are formatted only when a check
+fails.
 
 Integers and text convert only up to the interpreter's digit limit,
 `sys.get_int_max_str_digits()` (4300 digits by default; this module
@@ -31,10 +37,10 @@ from math import gcd, lcm
 from sys import get_int_max_str_digits
 from typing import Any
 
-from .clifford import (CliffordNumber, GaussianRational, _Blades, _check_dimension, _part_text,
-                       _sorted_blades)
+from .clifford import (CliffordNumber, GaussianRational, _Blades, _blade_masks, _blade_order,
+                       _check_dimension, _part_text, _reduce)
 from .fock import FockElement
-from .poly import CliffordPolynomial, MultiIndex, _check_degree_cap, _reduced, _sorted_terms
+from .poly import CliffordPolynomial, MultiIndex, _check_degree_cap, _sorted_terms
 from .transform import HermiteExpansion
 
 
@@ -118,15 +124,35 @@ def _over_lcm(values: dict[Any, _Parts]) -> tuple[int, dict[Any, _Blades]]:
                  for key, parts in values.items()}
 
 
-def _blades_json(blades: _Blades, den: int) -> list[dict]:
-    return [{"blade": list(indices), "re": _part_text(re, den), "im": _part_text(im, den)}
-            for indices, (re, im) in _sorted_blades(blades)]
+class _Texts(dict):
+    """{numerator: its part text over den}, filled by `_part_text` on a
+    miss.  A printer keeps one per call, over the shared denominator of the
+    value it prints, so each distinct numerator is printed once; a part
+    that cannot be printed raises before anything is stored."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, num: int) -> str:
+        text = self[num] = _part_text(num, self.den)
+        return text
+
+
+def _blades_json(blades: _Blades, texts: _Texts) -> list[dict]:
+    out = []
+    for mask in _blade_masks(blades):
+        re, im = blades[mask]
+        out.append({"blade": list(_blade_order(mask)[1]), "re": texts[re], "im": texts[im]})
+    return out
 
 
 # -- CliffordNumber ---------------------------------------------------------
 
 def clifford_to_json(value: CliffordNumber) -> list[dict]:
-    return _blades_json(value._blades, value._den)
+    return _blades_json(value._blades, _Texts(value._den))
 
 
 def clifford_from_json(data: Any, n: int) -> CliffordNumber:
@@ -168,13 +194,14 @@ def _from_json(data: Any, field: str) -> CliffordPolynomial | HermiteExpansion |
         _require((k0, beta) not in terms, duplicate, k0, tuple(beta))
         terms[k0, beta] = _parse_parts(item[keys[-1]], n)
     _check_dimension(n)
-    _check_degree_cap(terms)
-    f = _reduced(n, *_over_lcm(terms))
+    _check_degree_cap(terms)  # reducing only drops terms: the result is adopted
+    f = CliffordPolynomial._adopt(n, *_reduce(*_over_lcm(terms)))
     return f if cls is None else cls._of(f)
 
 
 def poly_to_json(f: CliffordPolynomial) -> dict:
-    return {"n": f.n, "terms": [{"x0": k0, "beta": list(beta), "coeff": _blades_json(blades, f._den)}
+    texts = _Texts(f._den)
+    return {"n": f.n, "terms": [{"x0": k0, "beta": list(beta), "coeff": _blades_json(blades, texts)}
                                 for (k0, beta), blades in _sorted_terms(f._num)]}
 
 
@@ -184,7 +211,8 @@ def poly_from_json(data: Any) -> CliffordPolynomial:
 
 def _index_map_to_json(container: HermiteExpansion | FockElement, field: str) -> dict:
     f = container._poly
-    return {"n": f.n, field: [{"beta": list(beta), "value": _blades_json(blades, f._den)}
+    texts = _Texts(f._den)
+    return {"n": f.n, field: [{"beta": list(beta), "value": _blades_json(blades, texts)}
                               for (_, beta), blades in _sorted_terms(f._num)]}
 
 
@@ -206,27 +234,26 @@ def fock_from_json(data: Any) -> FockElement:
 
 # -- plain text -------------------------------------------------------------
 
-def _complex_text(re: int, im: int, den: int) -> str:
-    """(re + im*i) / den as "p/q", or "p/q + r/s i" with the sign of im;
+def _complex_text(re: int, im: int, texts: _Texts) -> str:
+    """(re + im*i) / texts.den as "p/q", or "p/q + r/s i" with the sign of im;
     every part written with its denominator, "/1" too."""
-    re_text, im_text = (text if "/" in text else text + "/1"
-                        for text in (_part_text(re, den), _part_text(abs(im), den)))
+    re_text, im_text = (text if "/" in text else text + "/1" for text in (texts[re], texts[abs(im)]))
     return f"{re_text} {'+' if im > 0 else '-'} {im_text} i" if im else re_text
 
 
 def scalar_to_text(value: GaussianRational) -> str:
     den = lcm(value.re.denominator, value.im.denominator)
-    return _complex_text(int(value.re * den), int(value.im * den), den)
+    return _complex_text(int(value.re * den), int(value.im * den), _Texts(den))
 
 
-def _blades_text(blades: _Blades, den: int) -> str:
-    return " + ".join(f"({_complex_text(re, im, den)}) "
-                      + ("e" + "".join(map(str, indices)) if indices else "1")
-                      for indices, (re, im) in _sorted_blades(blades)) or "0"
+def _blades_text(blades: _Blades, texts: _Texts) -> str:
+    return " + ".join(f"({_complex_text(*blades[mask], texts)}) "
+                      + ("e" + "".join(map(str, _blade_order(mask)[1])) if mask else "1")
+                      for mask in _blade_masks(blades)) or "0"
 
 
 def clifford_to_text(value: CliffordNumber) -> str:
-    return _blades_text(value._blades, value._den)
+    return _blades_text(value._blades, _Texts(value._den))
 
 
 def _table(rows: list[tuple[str, ...]]) -> str:
@@ -239,7 +266,8 @@ def _table(rows: list[tuple[str, ...]]) -> str:
 
 
 def _text_rows(f: CliffordPolynomial) -> list[tuple[str, str, str]]:
-    return [(str(k0), ",".join(map(str, beta)), _blades_text(blades, f._den))
+    texts = _Texts(f._den)
+    return [(str(k0), ",".join(map(str, beta)), _blades_text(blades, texts))
             for (k0, beta), blades in _sorted_terms(f._num)]
 
 

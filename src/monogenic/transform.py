@@ -26,12 +26,14 @@ image's blades are real, so `_image` also keeps them as a flat sign plan
 (`clifford._sign_plan`), and `_apply` adds each c_key, scaled to the lcm
 of the images' denominators, times its whole image on the left in one
 `clifford._plan_product` call, then reduces the sum once.  `heat` and
-`ck_extend` check the degree cap of their input and adopt `_apply`;
-`hermite` and `p_basis` adopt the cached image itself.  The heat images
-of the Gaussian pairings of `gauss` are `_apply` too, with _HEAT under
-RHO and _FULL_HEAT, exp(Laplacian over x0..xn / 4), under MU_TILDE.
-The C-K results carry the "monogenic by construction" mark of `poly`,
-so `sb_inverse` does not check them again.
+`ck_extend` check the degree cap of their input and adopt `_apply`
+without a second check, since neither operator raises the total degree;
+`hermite` and `p_basis` build the monomial, which checks it, and adopt
+the cached image itself.  The heat images of the Gaussian pairings of
+`gauss` are `_apply` too, with _HEAT under RHO and _FULL_HEAT,
+exp(Laplacian over x0..xn / 4), under MU_TILDE.  The C-K results carry
+the "monogenic by construction" mark of `poly`, so `sb_inverse` does not
+check them again.
 
 Probabilists' Hermite polynomials are the preimages of the monomials
 under the heat operator; their monogenic images are the basis
@@ -139,12 +141,12 @@ def _apply(f: CliffordPolynomial, op: tuple) -> tuple[int, _Numerators]:
 
 
 def _basis(n: int, beta: Sequence[int], op: tuple) -> CliffordPolynomial:
-    """op(x^beta), the cached image adopted by one `_raw`, its blade maps
+    """op(x^beta), the cached image adopted as it is, its blade maps
     shared with the cache.  The monomial is built first, so that a bad
     beta, or one over the degree cap, raises as it would uncached."""
     key, = CliffordPolynomial.monomial(n, 0, beta)._num
     den, terms, _ = _image(n, op, key)
-    return CliffordPolynomial._raw(n, den, dict(terms))
+    return CliffordPolynomial._adopt(n, den, dict(terms))
 
 
 def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
@@ -155,8 +157,8 @@ def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     """
     if not f.is_x0_free():
         raise ValueError("heat operator acts on x0-free polynomials")
-    _check_degree_cap(f._num)
-    return CliffordPolynomial._raw(f.n, *_apply(f, _INVERSE_HEAT if inverse else _HEAT))
+    _check_degree_cap(f._num)  # the series never raises the degree: its result is adopted
+    return CliffordPolynomial._adopt(f.n, *_apply(f, _INVERSE_HEAT if inverse else _HEAT))
 
 
 def hermite(n: int, beta: Sequence[int]) -> CliffordPolynomial:
@@ -174,8 +176,8 @@ def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
     restricting to f at x0 = 0, via sum_k (-x0)^k D^k f / k!."""
     if not f.is_x0_free():
         raise ValueError("C-K extension starts from an x0-free polynomial")
-    _check_degree_cap(f._num)
-    F = CliffordPolynomial._raw(f.n, *_apply(f, _CK))
+    _check_degree_cap(f._num)  # each term keeps its total degree: the result is adopted
+    F = CliffordPolynomial._adopt(f.n, *_apply(f, _CK))
     F._monogenic = True  # read by the preconditions of `sb_inverse` and `taylor_map`
     return F
 

@@ -32,6 +32,7 @@ from monogenic import (
     ck_extend,
     p_basis,
 )
+from monogenic import serialize
 from monogenic.serialize import (
     SchemaError,
     clifford_from_json,
@@ -48,6 +49,7 @@ from monogenic.serialize import (
     poly_to_text,
     scalar_to_text,
 )
+from monogenic.clifford import BoundsError, _part_text
 from monogenic.verify import (
     rand_clifford,
     rand_fock_element,
@@ -341,3 +343,122 @@ def test_parts_longer_than_the_digit_limit_are_schema_errors():
         with pytest.raises(SchemaError, match=f"exceeds the {limit}-digit int limit"):
             parse_fraction(text)
     assert parse_fraction("9" * limit) == 10 ** limit - 1
+
+
+# -- the printers' per-call memo against the oracles ---------------------------------
+
+def _memo_values():
+    """Values whose numerators repeat across blades and terms (also as re
+    of one blade and -im of another), with zero real or imaginary parts,
+    over den = 1 with negative numerators, and values that share blade
+    maps with the value they were read from through restrict and terms()."""
+    n = 3
+    g = GaussianRational
+    third = Fraction(1, 3)
+    repeated = CliffordNumber(n, {(): g(third, third), (1,): g(third), (2, 3): g(0, -third),
+                                  (1, 2, 3): g(2 * third, -third), (1, 3): g(-third, 2 * third)})
+    integral = CliffordNumber(n, {(): g(-2), (1,): g(3, -2), (2,): g(0, -2), (3,): g(0, 5),
+                                  (1, 2): g(-3, 3)})
+    yield repeated, integral
+    betas = [(0, 0, 0), (1, 0, 0), (0, 2, 1), (2, 1, 0), (1, 1, 1)]
+    for coeffs in ((repeated,) * 5, (integral,) * 5, (repeated, integral, repeated * 3,
+                                                        integral * third, -repeated)):
+        f = CliffordPolynomial(n, {(0, b): c for b, c in zip(betas, coeffs)})
+        F = ck_extend(f)
+        yield (f, F, F + CliffordPolynomial.monomial(n, 3, (0, 1, 0), integral),
+               HermiteExpansion(n, dict(zip(betas, coeffs))),
+               FockElement(n, dict(zip(betas, coeffs))))
+
+
+def _numerators(value, text=False):
+    """The distinct numerators that a printer of value turns into text."""
+    if isinstance(value, CliffordNumber):
+        maps = [value._blades]
+    else:
+        maps = getattr(value, "_poly", value)._num.values()
+    return {part for blades in maps for re, im in blades.values() for part in (re, abs(im) if text else im)}
+
+
+def _counting_part_text(monkeypatch):
+    calls = []
+
+    def part_text(num, den):
+        calls.append(num)
+        return _part_text(num, den)
+
+    monkeypatch.setattr(serialize, "_part_text", part_text)
+    return calls
+
+
+def test_printers_print_each_distinct_numerator_once(monkeypatch):
+    calls = _counting_part_text(monkeypatch)
+    checked = 0
+    for group in _memo_values():
+        for value in group:
+            to_json, oracle_to_json, _, _ = _codecs(value)
+            if isinstance(value, CliffordNumber):
+                to_text, oracle_to_text = clifford_to_text, oracle_clifford_to_text
+            elif isinstance(value, CliffordPolynomial):
+                to_text, oracle_to_text = poly_to_text, oracle_poly_to_text
+            elif isinstance(value, FockElement):
+                to_text, oracle_to_text = fock_to_text, oracle_fock_to_text
+            else:
+                to_text = None
+            calls.clear()
+            assert json.dumps(to_json(value)) == json.dumps(oracle_to_json(value))
+            assert sorted(calls) == sorted(_numerators(value))
+            if to_text is not None:
+                calls.clear()
+                assert to_text(value) == oracle_to_text(value)
+                assert sorted(calls) == sorted(_numerators(value, text=True))
+            checked += 1
+    assert checked == 17
+    # the repeats are there to be memoised: the 152 parts of the last F
+    # have 23 distinct numerators
+    F = list(_memo_values())[3][1]
+    assert (sum(2 * len(blades) for blades in F._num.values()), len(_numerators(F))) == (152, 23)
+
+
+def test_printers_of_values_that_share_blade_maps():
+    shared_by_restrict = shared_by_terms = 0
+    for group in list(_memo_values())[1:]:
+        for F in group[:3]:
+            before = (json.dumps(poly_to_json(F)), poly_to_text(F))
+            restricted = F.restrict()
+            shared_by_restrict += sum(blades is F._num[key] for key, blades in restricted._num.items())
+            assert json.dumps(poly_to_json(restricted)) == json.dumps(oracle_poly_to_json(restricted))
+            assert poly_to_text(restricted) == oracle_poly_to_text(restricted)
+            for k0, beta, coeff in F.terms():
+                shared_by_terms += coeff._blades is F._num[k0, beta]
+                assert clifford_to_json(coeff) == oracle_clifford_to_json(coeff)
+                assert clifford_to_text(coeff) == oracle_clifford_to_text(coeff)
+                for _, part in coeff.terms():
+                    assert scalar_to_text(part) == oracle_scalar_to_text(part)
+            # printing reads the shared maps and never writes them
+            assert (json.dumps(poly_to_json(F)), poly_to_text(F)) == before
+            assert F == oracle_poly_from_json(json.loads(before[0]))
+    # restrict and terms() adopt the blade maps they keep unchanged
+    assert (shared_by_restrict, shared_by_terms) == (15, 19)
+
+
+def test_unprintable_parts_raise_on_every_print():
+    # a part past the int-string digit limit, after parts that print and
+    # repeated: every call raises, also after a printable value has been
+    # printed in between, so no call reuses a text or a failure of another
+    limit = sys.get_int_max_str_digits()
+    n, big = 2, 10 ** limit
+    g = GaussianRational
+    number = CliffordNumber(n, {(): g(Fraction(1, 2), 3), (1,): g(big, big), (2,): g(-big)})
+    entries = {(0, 0): CliffordNumber(n, {(1,): g(Fraction(1, 2))}), (1, 1): number,
+               (0, 2): number}
+    poly = CliffordPolynomial(n, {(0, b): c for b, c in entries.items()})
+    printable = CliffordNumber(n, {(1,): g(Fraction(1, 2), -3)})
+    printers = [(clifford_to_json, number), (clifford_to_text, number),
+                (scalar_to_text, g(big, Fraction(1, 2))), (poly_to_json, poly), (poly_to_text, poly),
+                (expansion_to_json, HermiteExpansion(n, entries)),
+                (fock_to_json, FockElement(n, entries)), (fock_to_text, FockElement(n, entries))]
+    for printer, value in printers:
+        for _ in range(2):
+            with pytest.raises(BoundsError, match=f"exceeds the {limit}-digit limit"):
+                printer(value)
+            assert clifford_to_json(printable) == [{"blade": [1], "re": "1/2", "im": "-3"}]

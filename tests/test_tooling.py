@@ -114,6 +114,29 @@ def _calls_of(callee):
         and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
+def _slash_texts(name, text, tree):
+    """Lines that write "/" into a text: an f-string, a `+` or `%`, or a
+    join on a string constant holding "/"."""
+    def slash(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and "/" in node.value
+
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.JoinedStr) and any(map(slash, node.values))
+                or isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mod))
+                and (slash(node.left) or slash(node.right))
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "join" and slash(node.func.value)):
+            lines.append(node.lineno)
+    return lines
+
+
+def _numerator_printers(sources):
+    """"module:function" of every function that both calls gcd and writes
+    a "/" into a text."""
+    return sorted(set(_enclosing(sources, _calls_of("gcd"))) & set(_enclosing(sources, _slash_texts)))
+
+
 def _blade_sums(name, text, tree):
     return [text.count("\n", 0, m.start()) + 1 for m in BLADE_SUM.finditer(text)]
 
@@ -145,6 +168,18 @@ def test_each_numerator_rule_has_one_home():
                          "def k(self):\n    return self.re * self.re + self.im * self.im\n"}
     assert _enclosing(probe, _blade_sums) == ["probe.py:f", "probe.py:g"]
     assert _enclosing(sources, _blade_sums) == ["clifford.py:_shared_blade_sum"]
+    # a numerator becomes text in `clifford._part_text` only: no other
+    # function both takes a gcd and writes a "/" into a text, and serialize
+    # only memoises `_part_text`; the scan sees the inline forms, and not
+    # a parser that splits at "/"
+    probe = {"probe.py": "def f(p, q):\n    g = gcd(p, q)\n    return f'{p // g}/{q // g}'\n"
+                         "def g(p, q):\n    d = math.gcd(p, q)\n    return str(p // d) + '/' + str(q // d)\n"
+                         "def h(p, q):\n    d = gcd(p, q)\n    return '/'.join(map(str, (p // d, q // d)))\n"
+                         "def k(t):\n    p, _, q = t.partition('/')\n    return gcd(int(p), int(q))\n"}
+    assert _numerator_printers(probe) == ["probe.py:f", "probe.py:g", "probe.py:h"]
+    assert _numerator_printers(sources) == ["clifford.py:_part_text"]
+    assert _enclosing({"serialize.py": sources["serialize.py"]},
+                      _calls_of("_part_text")) == ["serialize.py:__missing__"]
     # every module-level private function is used somewhere in the library,
     # so a replaced helper cannot linger next to its replacement
     defined, used = set(), set()

@@ -355,21 +355,28 @@ def test_threads_sharing_inputs_from_a_cold_cache_agree():
             for x in (CliffordPolynomial.monomial(3, 0, beta) for beta in betas[shift:])]
 
 
-def cap_errors(n, terms, cap):
-    """The DegreeCapError message (None if nothing is raised) of each
-    operator on f = sum x^beta e_1 c over terms {beta: c}, built under cap
-    20, in a thread whose cap is then lowered to cap; hermite and p_basis
-    take the first beta."""
-    beta = next(iter(terms))
+def _basis_and_operator_calls(f):
+    """hermite and p_basis of the first beta of f, then heat, the inverse
+    heat, ck_extend and sb_transform of f."""
+    n, (_, beta) = f.n, next(iter(f._num))
+    return (lambda: hermite(n, beta), lambda: p_basis(n, beta), lambda: heat(f),
+            lambda: heat(f, inverse=True), lambda: ck_extend(f), lambda: sb_transform(f))
+
+
+def cap_errors(n, terms, cap, calls=_basis_and_operator_calls):
+    """The DegreeCapError message (None if nothing is raised) of each call
+    of calls(f), f = sum x^beta e_1 c over terms {beta: c}, where f and the
+    calls are built under cap 20 in a thread whose cap is then lowered to
+    cap."""
 
     def run():
         set_degree_cap(20)
         e1 = CliffordNumber.basis(n, 1)
         f = CliffordPolynomial(n, {(0, b): e1 * c for b, c in terms.items()})
+        thunks = calls(f)
         set_degree_cap(cap)
         errors = []
-        for call in (lambda: hermite(n, beta), lambda: p_basis(n, beta), lambda: heat(f),
-                     lambda: heat(f, inverse=True), lambda: ck_extend(f), lambda: sb_transform(f)):
+        for call in thunks:
             try:
                 call()
             except DegreeCapError as exc:
@@ -394,3 +401,31 @@ def test_degree_cap_holds_with_a_cold_and_a_warm_cache(terms, cap):
     warm = cap_errors(2, terms, cap)
     degree = sum(next(iter(terms)))
     assert cold == warm == [f"total degree {degree} exceeds cap {cap}"] * 6
+
+
+def _operator_calls(f):
+    """-f, hermitian_conj, dirac, heat, the inverse heat, ck_extend and
+    sb_transform of f, then restrict and sb_inverse of F = ck_extend(f)."""
+    F = ck_extend(f)
+    return (lambda: -f, f.hermitian_conj, f.dirac, lambda: heat(f), lambda: heat(f, inverse=True),
+            lambda: ck_extend(f), lambda: sb_transform(f), lambda: restrict(F), lambda: sb_inverse(F))
+
+
+# (terms, degree named by every operator but dirac, degree named by dirac),
+# None where nothing is raised: heat and ck_extend check their input once
+# and adopt their result, which leaves every message as it was
+@pytest.mark.parametrize("terms, named, dirac_named", [
+    ({(12, 0): 1}, None, None),
+    ({(6, 6): 3, (0, 1): 1}, None, None),
+    ({(13, 0): 1}, 13, None),
+    ({(0, 1): 2, (7, 6): 1}, 13, None),
+    ({(13, 0): -105, (15, 0): 1}, 13, 14),
+    ({(14, 0): 1, (0, 2): 5}, 14, 13)])
+def test_cap_errors_of_every_operator_are_pinned(terms, named, dirac_named):
+    message = "total degree {} exceeds cap 12".format
+    expected = [None if named is None else message(named)] * 9
+    expected[2] = None if dirac_named is None else message(dirac_named)
+    _image.cache_clear()
+    # the second run finds every image cached
+    assert cap_errors(2, terms, 12, _operator_calls) == expected
+    assert cap_errors(2, terms, 12, _operator_calls) == expected
