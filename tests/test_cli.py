@@ -195,6 +195,19 @@ def test_beta_accepts_only_ascii_digit_runs(capsys, command, beta):
     assert f"bad multi-index {beta!r}" in err
 
 
+def test_transform_and_inverse_preconditions_keep_their_exit_codes(capsys, tmp_path, monkeypatch):
+    from monogenic import CliffordPolynomial, ck_extend
+    x0x1 = CliffordPolynomial.monomial(2, 1, (1, 0))
+    code, out, err = run(capsys, ["transform", "--input", write_poly(tmp_path, "x0x1.json", x0x1)])
+    assert (code, out) == (2, "") and "x0-free" in err
+    x1_5 = CliffordPolynomial.monomial(2, 0, (5, 0))
+    over, F = write_poly(tmp_path, "x1_5.json", x1_5), write_poly(tmp_path, "F5.json", ck_extend(x1_5))
+    monkeypatch.setenv("MONOGENIC_MAX_DEGREE", "4")
+    for command, path in (("transform", over), ("inverse", F)):
+        code, out, err = run(capsys, [command, "--input", path])
+        assert (code, out) == (3, "") and "exceeds cap 4" in err
+
+
 def test_non_monogenic_exit_4(capsys, tmp_path):
     from monogenic import CliffordPolynomial
     path = write_poly(tmp_path, "x1.json", CliffordPolynomial.variable(2, 1))

@@ -3,13 +3,15 @@
 import itertools
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monogenic import CliffordNumber, DimensionMismatchError, GaussianRational, blade_product
+from monogenic import (CliffordNumber, CliffordPolynomial, DimensionMismatchError, GaussianRational,
+                       blade_product, clifford)
 from monogenic.clifford import BoundsError, I, _part_text, indices_from_mask
 
 from oracles import PRIMES_TO_97, naive_blade_product
@@ -266,6 +268,190 @@ def test_dense_product_cancellation_is_pruned():
     assert lhs == a * a - b * b + b * a - a * b
     assert all(v for _, v in lhs.terms())
     assert (a * b - a * b).is_zero()
+
+
+# -- packed products: the path of many blade pairs per output blade -----------
+
+def _packed_calls(monkeypatch):
+    """(|left|, |right|, width) of every packed product from now on."""
+    calls = []
+    packed = clifford._packed_product
+
+    def spy(acc, left, right, width):
+        calls.append((len(left), len(right), width))
+        packed(acc, left, right, width)
+
+    monkeypatch.setattr(clifford, "_packed_product", spy)
+    return calls
+
+
+def _prime_part(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 200), rng.choice(PRIMES_TO_97))
+
+
+def _spanning(rng, n, blades, re=_prime_part, im=_prime_part):
+    """Seeded C_n element of `blades` blades, e_n among them so that its
+    widest mask has n bits, each coefficient re(rng) + im(rng) i."""
+    top = 1 << (n - 1)
+    masks = [top, *rng.sample([m for m in range(2 ** n) if m != top], blades - 1)]
+    return CliffordNumber(n, {indices_from_mask(m): GaussianRational(re(rng), im(rng))
+                              for m in masks})
+
+
+def _oracle_sum(*pairs):
+    """`_oracle_product` summed over (x, y) pairs, zero blades dropped."""
+    acc = {}
+    for x, y in pairs:
+        for c, (re, im) in _oracle_product(x, y).items():
+            old = acc.get(c, (0, 0))
+            acc[c] = (old[0] + re, old[1] + im)
+    return {c: v for c, v in acc.items() if v != (0, 0)}
+
+
+def _as_oracle(x):
+    return {c: (v.re, v.im) for c, v in x.terms()}
+
+
+# pairs against both thresholds: at least 64, and at least 4 per reachable
+# output blade, 2^n of them for operands whose widest mask has n bits
+@pytest.mark.parametrize("n, left, right, packed", [
+    (3, 8, 7, False), (3, 8, 8, True),      # 56 and 64 pairs, 8 blades reachable
+    (4, 9, 7, False), (4, 8, 8, True),      # 63 and 64 pairs, 16 reachable
+    (5, 9, 14, False), (5, 8, 16, True),    # 126 and 128 pairs, 32 reachable
+    (6, 15, 17, False), (6, 16, 16, True),  # 255 and 256 pairs, 64 reachable
+    (8, 31, 33, False), (8, 32, 32, True)])  # 1023 and 1024 pairs, 256 reachable
+def test_packing_starts_at_the_selection_rule(monkeypatch, n, left, right, packed):
+    calls = _packed_calls(monkeypatch)
+    rng = random.Random(50 + n)
+    x, y = _spanning(rng, n, left), _spanning(rng, n, right)
+    for lhs, rhs in [(x, y), (y, x)]:
+        got = lhs * rhs
+        _assert_reduced(got)
+        assert _as_oracle(got) == _oracle_product(lhs, rhs)
+    assert calls == ([(left, right, n), (right, left, n)] if packed else [])
+
+
+def test_dense_c4_products_are_packed(monkeypatch):
+    calls = _packed_calls(monkeypatch)
+    rng = random.Random(54)
+    x, y = _spanning(rng, 4, 16), _spanning(rng, 4, 16)
+    for lhs, rhs in [(x, y), (y, x), (x, x), (x.hermitian_conj(), x)]:
+        assert _as_oracle(lhs * rhs) == _oracle_product(lhs, rhs)
+    assert calls == [(16, 16, 4)] * 4
+
+
+def test_packed_products_of_numerators_past_64_bits(monkeypatch):
+    # mixed signs in both parts, numerators up to 2^90, over prime denominators
+    def big(rng):
+        return Fraction(rng.choice([-1, 1]) * rng.randrange(2 ** 64, 2 ** 90), rng.choice(PRIMES_TO_97))
+
+    calls = _packed_calls(monkeypatch)
+    rng = random.Random(55)
+    for n, blades in [(3, 8), (4, 16), (6, 40)]:
+        x, y = _spanning(rng, n, blades, big, big), _spanning(rng, n, blades, big, big)
+        small = _spanning(rng, n, blades)
+        assert max(abs(part) for pair in x._blades.values() for part in pair) >= 2 ** 64
+        for lhs, rhs in [(x, y), (y, x), (x, small), (small, y)]:
+            assert _as_oracle(lhs * rhs) == _oracle_product(lhs, rhs)
+    assert len(calls) == 12
+
+
+def test_packed_sums_reach_the_bound(monkeypatch):
+    # every part is +-t, and b_A carries the sign of e_A e_A, so each of the
+    # eight pairs into the scalar blade adds the same 2t^2 or 2t^2 i: its
+    # part reaches the packing bound 2 t^2 min(|L|, |R|) itself
+    calls = _packed_calls(monkeypatch)
+    t = 2 ** 70 + 1
+    blades = [indices_from_mask(m) for m in range(8)]
+    for wa, wb, scalar in [((1, -1), (1, 1), (2, 0)), ((1, 1), (1, 1), (0, 2)),
+                           ((-1, 1), (1, 1), (-2, 0)), ((1, 1), (-1, -1), (0, -2))]:
+        x = CliffordNumber(3, {b: GaussianRational(wa[0] * t, wa[1] * t) for b in blades})
+        y = CliffordNumber(3, {b: blade_product(b, b, 3)[0] * GaussianRational(wb[0] * t, wb[1] * t)
+                               for b in blades})
+        got = x * y
+        assert got.scalar_part() == GaussianRational(8 * scalar[0] * t * t, 8 * scalar[1] * t * t)
+        assert _as_oracle(got) == _oracle_product(x, y)
+    assert calls == [(8, 8, 3)] * 4
+
+
+def test_packed_products_of_real_and_imaginary_operands(monkeypatch):
+    def zero(rng):
+        return 0
+
+    calls = _packed_calls(monkeypatch)
+    rng = random.Random(56)
+    real = _spanning(rng, 4, 16, im=zero)
+    imag = _spanning(rng, 4, 16, re=zero)
+    mixed = _spanning(rng, 4, 16)
+    for lhs in (real, imag, mixed):
+        for rhs in (real, imag, mixed):
+            got = lhs * rhs
+            assert _as_oracle(got) == _oracle_product(lhs, rhs)
+            # i^2 = -1 and real parts stay real: no part appears from nothing
+            if lhs is not mixed and rhs is not mixed:
+                parts = [v.im if (lhs is imag) is (rhs is imag) else v.re for _, v in got.terms()]
+                assert not any(parts)
+    assert len(calls) == 9
+
+
+def test_packed_cancellation_comes_out_reduced(monkeypatch):
+    # e_123 is central in C_3 and squares to +1, so (1 + e_123)(1 - e_123)
+    # = 0: every output blade of u*v cancels, eight pairs into each
+    calls = _packed_calls(monkeypatch)
+    rng = random.Random(57)
+    plus = CliffordNumber(3, {(): 1, (1, 2, 3): 1})
+    minus = CliffordNumber(3, {(): 1, (1, 2, 3): -1})
+    u, v = _spanning(rng, 3, 8) * plus, minus * _spanning(rng, 3, 8)
+    assert len(u._blades) == len(v._blades) == 8
+    uv, vu = u * v, v * u
+    assert uv._den == 1 and uv._blades == {}
+    assert vu.is_zero()
+    # u(v + 1/7) = u/7: every blade survives, over a reduced denominator
+    w = v + CliffordNumber.scalar(3, Fraction(1, 7))
+    uw = u * w
+    _assert_reduced(uw)
+    assert uw == u * Fraction(1, 7)
+    assert _as_oracle(uw) == _oracle_product(u, w)
+    assert calls == [(8, 8, 3)] * 3
+
+
+def _wide_square(rng):
+    """(f, f*f's oracle per key) for f = x1 a + x2 b, a and b dense in C_8."""
+    a, b = _spanning(rng, 8, 64), _spanning(rng, 8, 64)
+    zero = (0,) * 8
+    x1, x2 = (1, *zero[1:]), (0, 1, *zero[2:])
+    f = CliffordPolynomial(8, {(0, x1): a, (0, x2): b})
+    expected = {(2, *zero[1:]): _oracle_product(a, a), (0, 2, *zero[2:]): _oracle_product(b, b),
+                (1, 1, *zero[2:]): _oracle_sum((a, b), (b, a))}
+    return f, expected
+
+
+def test_packed_polynomial_products_accumulate_per_key(monkeypatch):
+    # the x1 x2 coefficient of (x1 a + x2 b)^2 is a b + b a: the second
+    # term pair is added to a key whose accumulator already holds the first
+    calls = _packed_calls(monkeypatch)
+    f, expected = _wide_square(random.Random(58))
+    square = f * f
+    assert {beta: _as_oracle(coeff) for _, beta, coeff in square.terms()} == expected
+    for _, _, coeff in square.terms():
+        _assert_reduced(coeff)
+    assert calls == [(64, 64, 8)] * 4
+
+
+def test_packed_products_agree_across_threads():
+    # the packed path keeps no state between calls: four threads computing
+    # the same wide products get the single-threaded results
+    rng = random.Random(59)
+    x, y = _spanning(rng, 8, 64), _spanning(rng, 8, 64)
+    f, _ = _wide_square(rng)
+
+    def products():
+        return [x * y, y * x, x * x.hermitian_conj(), f * f, (f * x) * f]
+
+    expected = products()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        runs = [pool.submit(products) for _ in range(8)]
+        assert all(run.result(timeout=120) == expected for run in runs)
 
 
 @pytest.mark.parametrize("n,blades", [(8, 64), (16, 32)])

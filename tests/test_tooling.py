@@ -159,6 +159,35 @@ def test_each_numerator_rule_has_one_home():
     assert _enclosing({"transform.py": sources["transform.py"]},
                       _calls_of("_product_numerators")) == []
     assert _enclosing(sources, _calls_of("_plan_product")) == ["transform.py:_apply"]
+    # a Clifford product takes the packed path only through the choice in
+    # `_product_numerators`, and that choice reads the operands alone: the
+    # function loads nothing but its locals, builtins, helpers and the
+    # rule's two constants, each an int literal bound once at module level,
+    # and clifford reads no environment variable, context variable or flag
+    assert _enclosing(sources, _calls_of("_packed_product")) == ["clifford.py:_product_numerators"]
+    tree = ast.parse(sources["clifford.py"])
+    chooser, = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_product_numerators"]
+    body = [node for stmt in chooser.body for node in ast.walk(stmt)]
+
+    def names(ctx):
+        return {node.id for node in body if isinstance(node, ast.Name) and isinstance(node.ctx, ctx)}
+
+    local = names(ast.Store) | {a.arg for a in chooser.args.args}
+    assert names(ast.Load) - local == {"len", "max", "_sign_mask", "_packed_product",
+                                       "_PACK_MIN_PAIRS", "_PACK_PAIRS_PER_BLADE"}
+    rule = [(node, target.id) for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AugAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if getattr(target, "id", "").startswith("_PACK_")]
+    assert sorted(name for _, name in rule) == ["_PACK_MIN_PAIRS", "_PACK_PAIRS_PER_BLADE"]
+    assert all(node in tree.body and type(getattr(node.value, "value", None)) is int
+               for node, _ in rule)
+    words = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    words |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    words |= {part for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+              for part in [node.module or "", *(alias.name for alias in node.names)]}
+    assert not words & {"os", "environ", "getenv", "contextvars", "ContextVar", "_degree_cap",
+                        "argv", "flags"}
     # a (weighted) sum of conj(a_A) b_A or |a_A|^2 over blade maps is
     # written once, in `clifford._shared_blade_sum`; the scan sees the
     # forms that loop bodies use, and not the product or a scalar's abs_sq

@@ -429,3 +429,40 @@ def test_cap_errors_of_every_operator_are_pinned(terms, named, dirac_named):
     # the second run finds every image cached
     assert cap_errors(2, terms, 12, _operator_calls) == expected
     assert cap_errors(2, terms, 12, _operator_calls) == expected
+
+
+def _precondition_errors():
+    """The exception type (None if nothing is raised) of sb_transform and
+    sb_inverse on an x0-bearing input, a non-monogenic one, and inputs of
+    degree 13 built under cap 20 and run under cap 12, in a worker thread."""
+
+    def run():
+        set_degree_cap(20)
+        x0, x1 = CliffordPolynomial.variable(2, 0), CliffordPolynomial.variable(2, 1)
+        over = CliffordPolynomial.monomial(2, 0, (13, 0))
+        F = ck_extend(over)
+        calls = (lambda: sb_transform(x0 * x1), lambda: sb_inverse(x1),
+                 lambda: sb_transform(over), lambda: sb_inverse(F))
+        set_degree_cap(12)
+        errors = []
+        for call in calls:
+            try:
+                call()
+            except ValueError as exc:
+                errors.append(type(exc))
+            else:
+                errors.append(None)
+        return errors
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(run).result(timeout=60)
+
+
+def test_two_step_maps_keep_every_precondition():
+    # sb_transform checks its input in heat only, and sb_inverse the cap of
+    # F.restrict() in restrict only; each bad input still raises its type,
+    # with every image cold and then cached
+    _image.cache_clear()
+    expected = [ValueError, NotMonogenicError, DegreeCapError, DegreeCapError]
+    assert _precondition_errors() == expected
+    assert _precondition_errors() == expected
