@@ -182,10 +182,10 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     # a copied context drops the cap that MONOGENIC_MAX_DEGREE sets when main returns
-    return contextvars.copy_context().run(_main, argv)
+    return contextvars.copy_context().run(_parse_and_run, argv)
 
 
-def _main(argv) -> int:
+def _parse_and_run(argv) -> int:
     args = build_parser().parse_args(argv)
     cap = os.environ.get("MONOGENIC_MAX_DEGREE")
     if cap is not None:

@@ -49,6 +49,10 @@ each key with weight 1 (`clifford._shared_blade_sum`, the one weighted
 blade sum that `CliffordNumber.inner` and both container norms use too).
 `gram` yields the pairings of every f of one list with every g of
 another, row by row.
+
+`moment` and `clifford_pairing` (and so `gram`) take the measure as a
+`Measure` member and raise TypeError for anything else, such as the
+strings "rho" and "mu", instead of reading it as one of the two.
 """
 
 from __future__ import annotations
@@ -76,8 +80,14 @@ class Measure(enum.Enum):
     MU_TILDE = "mu"
 
 
+def _check_measure(measure: Measure) -> None:
+    if not isinstance(measure, Measure):
+        raise TypeError(f"measure must be a Measure, got {measure!r}")
+
+
 def moment(measure: Measure, k0: int, beta: Sequence[int]) -> Fraction:
     """Exact moment of x0^k0 * x^beta under the given measure."""
+    _check_measure(measure)
     exponents = (k0, *beta)
     for e in exponents:
         if isinstance(e, bool) or not isinstance(e, int) or e < 0:
@@ -119,11 +129,10 @@ def _form(f: CliffordPolynomial, mu: bool) -> tuple[tuple, tuple]:
     return form
 
 
-def _operands(f: CliffordPolynomial, g: CliffordPolynomial, measure: Measure) -> tuple:
+def _operands(f: CliffordPolynomial, g: CliffordPolynomial, mu: bool) -> tuple:
     """(left den, left, right den, right): f in its left role and g in its
-    right role, after the dimension check."""
+    right role under MU_TILDE if mu, else RHO, after the dimension check."""
     f._check_dim(g)
-    mu = measure is Measure.MU_TILDE
     return (*_form(f, mu)[1], *_form(g, mu)[0])
 
 
@@ -131,7 +140,8 @@ def clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
                      measure: Measure) -> CliffordNumber:
     """Full Clifford-valued pairing: integral of conj(f) * g, one Clifford
     product per key the prepared operands share."""
-    lden, left, rden, right = _operands(f, g, measure)
+    _check_measure(measure)
+    lden, left, rden, right = _operands(f, g, measure is Measure.MU_TILDE)
     acc: dict[int, tuple[int, int]] = {}
     for key, blades in left.items():
         other = right.get(key)
@@ -143,21 +153,24 @@ def clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
 
 
 def _scalar_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
-                    measure: Measure) -> GaussianRational:
-    """Scalar part of the integral of conj(f) * g: sum of conj(a_A) b_A
-    over the shared blades of shared keys, since conj(e_A) e_A = 1.  The
-    left role stores conj(A_key), so it is conjugated back per shared key."""
-    lden, left, rden, right = _operands(f, g, measure)
+                    mu: bool) -> GaussianRational:
+    """Scalar part of the integral of conj(f) * g under MU_TILDE if mu,
+    else RHO: sum of conj(a_A) b_A over the shared blades of shared keys,
+    since conj(e_A) e_A = 1.  The left role stores conj(A_key), so it is
+    conjugated back per shared key."""
+    lden, left, rden, right = _operands(f, g, mu)
     re, im = _shared_blade_sum((1, _conjugated(blades), right[key])
                                for key, blades in left.items() if key in right)
     return _gaussian_over(re, im, lden * rden)
 
 
-def gram(fs: Iterable[CliffordPolynomial], gs: Sequence[CliffordPolynomial],
+def gram(fs: Iterable[CliffordPolynomial], gs: Iterable[CliffordPolynomial],
          measure: Measure) -> Iterator[list[CliffordNumber]]:
     """Rows [clifford_pairing(f, g, measure) for g in gs], one per f in fs,
     computed as they are consumed.  Each row checks f against the
-    dimension of every g before it prepares any operand."""
+    dimension of every g before it prepares any operand.  gs is read
+    once, into a list, when the first row is requested."""
+    gs = list(gs)
     for f in fs:
         for g in gs:
             f._check_dim(g)
@@ -166,9 +179,9 @@ def gram(fs: Iterable[CliffordPolynomial], gs: Sequence[CliffordPolynomial],
 
 def inner_rho(f: CliffordPolynomial, g: CliffordPolynomial) -> GaussianRational:
     """<f, g> over R^n: scalar part of the RHO pairing."""
-    return _scalar_pairing(f, g, Measure.RHO)
+    return _scalar_pairing(f, g, False)
 
 
 def inner_mu(f: CliffordPolynomial, g: CliffordPolynomial) -> GaussianRational:
     """<F, G> over R^{n+1}: scalar part of the MU_TILDE pairing."""
-    return _scalar_pairing(f, g, Measure.MU_TILDE)
+    return _scalar_pairing(f, g, True)

@@ -168,6 +168,17 @@ class _MultiIndexMap:
 TermKey = tuple[int, tuple[int, ...]]
 
 
+def _term_key(n: int, k0: int, beta: Sequence[int]) -> tuple[int, MultiIndex]:
+    """(k0, MultiIndex(beta)), or ValueError for a bad x0 exponent or a
+    multi-index that is malformed or not of length n."""
+    if isinstance(k0, bool) or not isinstance(k0, int) or k0 < 0:
+        raise ValueError(f"x0 exponent must be a nonnegative int, got {k0!r}")
+    beta = MultiIndex(beta)
+    if len(beta) != n:
+        raise ValueError(f"multi-index {tuple(beta)} has length {len(beta)}, expected {n}")
+    return k0, beta
+
+
 def _check_degree_cap(keys: Iterable[TermKey]) -> None:
     """DegreeCapError for the first (k0, beta) whose total degree exceeds
     the cap of the current context."""
@@ -195,18 +206,13 @@ class CliffordPolynomial:
         data: dict[TermKey, CliffordNumber] = {}
         if terms:
             for (k0, beta), coeff in terms.items():
-                if isinstance(k0, bool) or not isinstance(k0, int) or k0 < 0:
-                    raise ValueError(f"x0 exponent must be a nonnegative int, got {k0!r}")
-                beta = MultiIndex(beta)
-                if len(beta) != n:
-                    raise ValueError(f"multi-index {tuple(beta)} has length {len(beta)}, expected {n}")
+                k0, beta = key = _term_key(n, k0, beta)
                 if not isinstance(coeff, CliffordNumber):
                     raise TypeError(f"bad coefficient {coeff!r}")
                 if coeff.n != n:
                     raise DimensionMismatchError(f"coefficient in C_{coeff.n} inside C_{n} polynomial")
                 if k0 + beta.degree > cap:
                     raise DegreeCapError(f"total degree {k0 + beta.degree} exceeds cap {cap}")
-                key = (k0, beta)
                 if key in data:
                     raise ValueError(f"duplicate term {key}")
                 if coeff:
@@ -278,7 +284,9 @@ class CliffordPolynomial:
             yield k0, tuple.__new__(MultiIndex, beta), CliffordNumber._reduced(n, den, blades)
 
     def coefficient(self, k0: int, beta: Sequence[int]) -> CliffordNumber:
-        blades = self._num.get((k0, MultiIndex(beta)))
+        """The coefficient of x0^k0 x^beta; a key the constructor would
+        reject raises its ValueError."""
+        blades = self._num.get(_term_key(self.n, k0, beta))
         if blades is None:
             return CliffordNumber.zero(self.n)
         return CliffordNumber._reduced(self.n, self._den, blades)

@@ -26,18 +26,19 @@ image's blades are real, so `_image` also keeps them as a flat sign plan
 (`clifford._sign_plan`), and `_apply` adds each c_key, scaled to the lcm
 of the images' denominators, times its whole image on the left in one
 `clifford._plan_product` call, then reduces the sum once.  `heat` and
-`ck_extend` check the degree cap of their input and adopt `_apply`
-without a second check, since neither operator raises the total degree;
-`hermite` and `p_basis` build the monomial, which checks it, and adopt
-the cached image itself.  The two-step maps check once, at their first
-step: `sb_transform` C-K extends heat(f), which `heat` made x0-free and
-within the cap of f, and `sb_inverse` applies the inverse heat to
-F.restrict(), whose cap `restrict` checked; neither check is repeated.
-The heat images of the Gaussian pairings of `gauss` are `_apply` too,
-with _HEAT under RHO and _FULL_HEAT, exp(Laplacian over x0..xn / 4),
-under MU_TILDE.  The C-K results carry
-the "monogenic by construction" mark of `poly`, so `sb_inverse` does not
-check them again.
+`ck_extend` check their input and adopt `_apply` without a second cap
+check, since neither operator raises the total degree; `hermite` and
+`p_basis` build the monomial, which checks it, and adopt the cached
+image itself.  The two-step maps are compositions of the public
+operators, and each step checks its own input: `sb_transform` is
+ck_extend(heat(f)), and `sb_inverse` is the inverse heat of
+F.restrict().  The second check of each sees an input-sized value that
+the first check has already passed, so it costs a few microseconds, and
+every operator call goes through the operator's one entry.  The heat
+images of the Gaussian pairings of `gauss` are `_apply` too, with _HEAT
+under RHO and _FULL_HEAT, exp(Laplacian over x0..xn / 4), under
+MU_TILDE.  The C-K results carry the "monogenic by construction" mark
+of `poly`, so `sb_inverse` does not check them again.
 
 Probabilists' Hermite polynomials are the preimages of the monomials
 under the heat operator; their monogenic images are the basis
@@ -162,11 +163,6 @@ def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     if not f.is_x0_free():
         raise ValueError("heat operator acts on x0-free polynomials")
     _check_degree_cap(f._num)  # the series never raises the degree: its result is adopted
-    return _heat(f, inverse)
-
-
-def _heat(f: CliffordPolynomial, inverse: bool) -> CliffordPolynomial:
-    """`heat` of an x0-free f whose degree cap has been checked."""
     return CliffordPolynomial._adopt(f.n, *_apply(f, _INVERSE_HEAT if inverse else _HEAT))
 
 
@@ -186,11 +182,6 @@ def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
     if not f.is_x0_free():
         raise ValueError("C-K extension starts from an x0-free polynomial")
     _check_degree_cap(f._num)  # each term keeps its total degree: the result is adopted
-    return _ck_extend(f)
-
-
-def _ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
-    """`ck_extend` of an x0-free f whose degree cap has been checked."""
     F = CliffordPolynomial._adopt(f.n, *_apply(f, _CK))
     F._monogenic = True  # read by the preconditions of `sb_inverse` and `taylor_map`
     return F
@@ -246,11 +237,11 @@ def sb_transform(f: Union[HermiteExpansion, CliffordPolynomial]) -> CliffordPoly
     """
     if isinstance(f, HermiteExpansion):
         return ck_extend(f._poly)
-    return _ck_extend(heat(f))  # heat checked f, and heat(f) is x0-free with no higher degree
+    return ck_extend(heat(f))
 
 
 def sb_inverse(F: CliffordPolynomial) -> CliffordPolynomial:
     """Inverse transform: restrict to x0 = 0, then apply inverse heat."""
     if not F._monogenic and not F.is_monogenic():
         raise NotMonogenicError("inverse transform is defined on monogenic polynomials")
-    return _heat(F.restrict(), True)  # restrict checked the cap, and its result is x0-free
+    return heat(F.restrict(), inverse=True)

@@ -56,6 +56,18 @@ def test_zero_map_is_falsy(cls):
     assert not one.is_zero()
 
 
+def test_entry_rejects_malformed_multi_indices():
+    # entry reads the stored polynomial's coefficient, with its key checks
+    alpha = taylor_map(p_basis(2, (1, 0)))
+    assert alpha.entry((1, 0)) == CliffordNumber.one(2)
+    with pytest.raises(ValueError, match=r"multi-index \(1,\) has length 1, expected 2"):
+        alpha.entry((1,))
+    with pytest.raises(ValueError, match="multi-index entries must be nonnegative ints"):
+        alpha.entry((-1, 0))
+    with pytest.raises(ValueError, match="multi-index entries must be nonnegative ints"):
+        alpha.entry((True, 0))
+
+
 def test_validation():
     with pytest.raises(ValueError):
         FockElement(2, {(1,): CliffordNumber.one(2)})

@@ -280,6 +280,29 @@ def test_gram_rows_are_lazy():
     assert next(rows) == [CliffordNumber.blade(2, (1, 2), Fraction(-1, 2)), CliffordNumber.one(2)]
 
 
+def test_gram_reads_any_iterable_of_columns():
+    # the columns are read once, so a generator or an iterator pairs like a list
+    polys = [hermite(2, (1, 0)), hermite(2, (0, 1)), p_basis(2, (1, 1))]
+    for measure, fs in ((Measure.RHO, polys[:2]), (Measure.MU_TILDE, polys)):
+        expected = list(gram(fs, fs, measure))
+        assert expected and all(len(row) == len(fs) for row in expected)
+        assert list(gram(fs, iter(fs), measure)) == expected
+        assert list(gram(fs, (g for g in fs), measure)) == expected
+        assert list(gram(iter(fs), iter(fs), measure)) == expected
+
+
+@pytest.mark.parametrize("measure", ["rho", "mu", None])
+def test_measure_must_be_a_measure_member(measure):
+    # a string or None names no measure: it is not read as RHO or MU_TILDE
+    f = hermite(2, (1, 0))
+    with pytest.raises(TypeError, match="measure must be a Measure"):
+        moment(measure, 0, (2, 0))
+    with pytest.raises(TypeError, match="measure must be a Measure"):
+        clifford_pairing(f, f, measure)
+    with pytest.raises(TypeError, match="measure must be a Measure"):
+        next(gram([f], [f], measure))
+
+
 def test_gram_edges_and_errors():
     p = p_basis(2, (1, 0))
     assert list(gram([], [p], Measure.MU_TILDE)) == []

@@ -77,6 +77,27 @@ def test_x0_exponent_rejects_bool():
         CliffordPolynomial.monomial(1, True, (2,))
 
 
+def test_coefficient_rejects_keys_the_constructor_rejects():
+    # a malformed key names no term, so reading it as zero would hide the
+    # mistake; True == 1 would even read the x0^1 coefficient
+    f = CliffordPolynomial(2, {(0, (1, 0)): CliffordNumber.one(2),
+                               (1, (0, 0)): CliffordNumber.one(2)})
+    bad = [(0, (1,), r"multi-index \(1,\) has length 1, expected 2"),
+           (0, (1, 0, 0), r"multi-index \(1, 0, 0\) has length 3, expected 2"),
+           (-1, (1, 0), "x0 exponent must be a nonnegative int, got -1"),
+           (True, (0, 0), "x0 exponent must be a nonnegative int, got True"),
+           (1.0, (0, 0), "x0 exponent must be a nonnegative int, got 1.0"),
+           (0, (True, 0), "multi-index entries must be nonnegative ints")]
+    for k0, beta, message in bad:
+        with pytest.raises(ValueError, match=message):
+            f.coefficient(k0, beta)
+        with pytest.raises(ValueError, match=message):
+            CliffordPolynomial(2, {(k0, beta): CliffordNumber.one(2)})
+    assert f.coefficient(1, (0, 0)) == CliffordNumber.one(2)
+    assert f.coefficient(0, [1, 0]) == CliffordNumber.one(2)
+    assert f.coefficient(2, (3, 0)).is_zero()
+
+
 def test_non_clifford_coefficient_is_a_type_error():
     # the error CliffordNumber raises for the same mistake, for both
     # polynomials and the containers built on them

@@ -6,7 +6,10 @@ commands."""
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +34,61 @@ def test_tracer_target_is_defined_where_it_is_wrapped(layer, path, name):
     for part in cls_path:
         owner = getattr(owner, part)
     assert attr in owner.__dict__, f"{name}: {path} is not defined on monogenic.{layer}"
+
+
+TRACED_CHAIN = """
+import importlib.util, json, sys
+import monogenic
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+t = tracer.Tracer()
+t.install()
+# imported after install, so that these names are bound to the wrappers
+from monogenic import (CliffordNumber, CliffordPolynomial, fock_to_monogenic,
+                       sb_inverse, sb_transform, taylor_map)
+t.active = True
+f = CliffordPolynomial(2, {(0, (2, 1)): CliffordNumber.blade(2, (1,)),
+                           (0, (0, 1)): CliffordNumber.one(2)})
+back = sb_inverse(fock_to_monogenic(taylor_map(sb_transform(f))))
+t.active = False
+print(json.dumps({"round_trip": back == f, "calls": dict(t.calls)}))
+"""
+
+
+def test_tracer_sees_every_operator_call():
+    # the tracer wraps the public names only, so an operator that the
+    # two-step maps reach through a private twin goes uncounted; it cannot
+    # be uninstalled, so it runs in a child process.  The round trip calls
+    # heat in sb_transform and sb_inverse, and ck_extend in sb_transform
+    # and fock_to_monogenic
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_CHAIN, str(TRACER)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["round_trip"]
+    calls = out["calls"]
+    assert (calls.get("transform.heat"), calls.get("transform.ck_extend")) == (2, 2)
+    assert (calls.get("transform.sb_transform"), calls.get("transform.sb_inverse")) == (1, 1)
+    assert (calls.get("fock.taylor_map"), calls.get("fock.fock_to_monogenic")) == (1, 1)
+
+
+def test_no_private_twin_of_a_traced_function():
+    # a private _<name> next to a traced <name> is a second entry that the
+    # tracer does not see
+    package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
+    twins = []
+    for layer, path, _ in _tracer_targets():
+        body = ast.parse((package / f"{layer}.py").read_text()).body
+        *cls_path, attr = path.split(".")
+        for name in cls_path:
+            body, = [node.body for node in body if isinstance(node, ast.ClassDef) and node.name == name]
+        if f"_{attr}" in {node.name for node in body if isinstance(node, ast.FunctionDef)}:
+            twins.append(f"{layer}: _{attr} next to {path}")
+    assert twins == []
 
 
 def test_library_imports_only_the_standard_library():
