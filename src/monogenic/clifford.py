@@ -91,8 +91,15 @@ class BoundsError(ValueError):
     """A parameter lies outside its documented range."""
 
 
+def _is_int(value, lo: int | None = None, hi: int | None = None) -> bool:
+    """Whether value is an int, not a bool, in [lo, hi] (a bound left None
+    is open): the one test behind every integer argument of the library."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and (lo is None or lo <= value) and (hi is None or value <= hi))
+
+
 def _check_dimension(n: int) -> None:
-    if not 1 <= n <= MAX_DIMENSION:
+    if not _is_int(n, 1, MAX_DIMENSION):
         raise BoundsError(f"dimension must be in [1, {MAX_DIMENSION}], got {n}")
 
 
@@ -209,7 +216,7 @@ def mask_from_indices(indices: Iterable[int], n: int) -> int:
     mask = 0
     prev = 0
     for i in indices:
-        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n:
+        if not _is_int(i, 1, n):
             raise ValueError(f"generator index {i!r} must be an int in [1, {n}]")
         if i <= prev:
             raise ValueError(f"blade indices must be strictly increasing, got {tuple(indices)}")
@@ -587,7 +594,7 @@ class CliffordNumber:
 
     def grade(self, k: int) -> "CliffordNumber":
         """The k-vector part: keep blades with exactly k generators."""
-        if k < 0:
+        if not _is_int(k, 0):
             raise ValueError("grade must be nonnegative")
         return CliffordNumber._reduced(
             self.n, self._den, {m: v for m, v in self._blades.items() if m.bit_count() == k})

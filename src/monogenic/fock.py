@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Sequence
 
-from .clifford import CliffordNumber, _shared_blade_sum
+from .clifford import CliffordNumber, _is_int, _shared_blade_sum
 from .poly import CliffordPolynomial, _MultiIndexMap, _reduced
 from .transform import NotMonogenicError, ck_extend
 
@@ -36,6 +36,8 @@ class FockElement(_MultiIndexMap):
 
     def grade(self, k: int) -> "FockElement":
         """The weight-k part: entries with |beta| = k."""
+        if not _is_int(k, 0):
+            raise ValueError("grade must be nonnegative")
         f = self._poly
         return FockElement._of(_reduced(f.n, f._den, {
             key: blades for key, blades in f._num.items() if sum(key[1]) == k}))

@@ -68,6 +68,7 @@ from .clifford import (
     _add_scaled,
     _conjugated,
     _gaussian_over,
+    _is_int,
     _product_numerators,
     _shared_blade_sum,
 )
@@ -90,7 +91,7 @@ def moment(measure: Measure, k0: int, beta: Sequence[int]) -> Fraction:
     _check_measure(measure)
     exponents = (k0, *beta)
     for e in exponents:
-        if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+        if not _is_int(e, 0):
             raise ValueError(f"moment exponents must be nonnegative ints, got {exponents}")
     if measure is Measure.RHO and k0 != 0:
         raise ValueError("the R^n measure has no x0 axis")

@@ -21,8 +21,13 @@ the Dirac operator, the Laplacian, the Cauchy-Riemann operator d0 + D,
 and in `transform` the heat and C-K maps) works on the numerators and
 reduces its result once: `_reduced` adopts what the one reducer of
 `clifford`, `_reduce`, returns.  Derivatives only multiply by integers,
-so a whole chain of them keeps one denominator.  Left
-multiplication by a generator is a signed blade permutation, not a
+so a whole chain of them keeps one denominator.  One kernel,
+`_partial_into`, takes every derivative: `partial`, the Laplacian over
+x1..xn (the heat operator), the Laplacian over x0..xn (the heat image of
+the MU_TILDE pairing) and d0 in d0 + D pass it the axes they sum over.
+On each axis it moves a term with exponent b >= k to the key with b - k
+there and scales it by b!/(b - k)!.  The Dirac operator has its own loop, because
+left multiplication by a generator is a signed blade permutation, not a
 product: e_j e_B = (-1)^popcount(B & low_j) e_{B xor bit_j}, where
 bit_j is the mask of e_j and low_j the mask of e_1, ..., e_j (one swap
 for each generator of B below j, and e_j^2 = -1 when j is in B).
@@ -69,6 +74,7 @@ from .clifford import (
     _add_scaled,
     _check_dimension,
     _conjugated,
+    _is_int,
     _product_numerators,
     _reduce,
 )
@@ -91,7 +97,7 @@ def set_degree_cap(cap: int) -> None:
     The cap exists to keep exact sweeps from exploding; exceeding it is
     always an explicit error, never a silent truncation.
     """
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+    if not _is_int(cap, 0):
         raise ValueError(f"degree cap must be a nonnegative int, got {cap!r}")
     _degree_cap.set(cap)
 
@@ -102,7 +108,7 @@ class MultiIndex(tuple):
     def __new__(cls, entries: Sequence[int]):
         entries = tuple(entries)
         for b in entries:
-            if isinstance(b, bool) or not isinstance(b, int) or b < 0:
+            if not _is_int(b, 0):
                 raise ValueError(f"multi-index entries must be nonnegative ints, got {entries}")
         return super().__new__(cls, entries)
 
@@ -171,7 +177,7 @@ TermKey = tuple[int, tuple[int, ...]]
 def _term_key(n: int, k0: int, beta: Sequence[int]) -> tuple[int, MultiIndex]:
     """(k0, MultiIndex(beta)), or ValueError for a bad x0 exponent or a
     multi-index that is malformed or not of length n."""
-    if isinstance(k0, bool) or not isinstance(k0, int) or k0 < 0:
+    if not _is_int(k0, 0):
         raise ValueError(f"x0 exponent must be a nonnegative int, got {k0!r}")
     beta = MultiIndex(beta)
     if len(beta) != n:
@@ -266,7 +272,7 @@ class CliffordPolynomial:
     @classmethod
     def variable(cls, n: int, i: int) -> "CliffordPolynomial":
         """The coordinate polynomial x_i, with x_0 allowed."""
-        if not 0 <= i <= n:
+        if not _is_int(i, 0, n):
             raise ValueError(f"axis {i} out of range [0, {n}]")
         if i == 0:
             return cls.monomial(n, 1, (0,) * n)
@@ -388,19 +394,11 @@ class CliffordPolynomial:
 
     def partial(self, i: int) -> "CliffordPolynomial":
         """Formal partial derivative along axis i (0 means x0)."""
-        if not 0 <= i <= self.n:
+        if not _is_int(i, 0, self.n):
             raise ValueError(f"axis {i} out of range [0, {self.n}]")
-        data: _Numerators = {}
-        for (k0, beta), blades in self._num.items():
-            if i == 0:
-                if k0:
-                    _add_scaled(data.setdefault((k0 - 1, beta), {}), blades, k0)
-                continue
-            b = beta[i - 1]
-            if b:
-                key = (k0, beta[:i - 1] + (b - 1,) + beta[i:])
-                _add_scaled(data.setdefault(key, {}), blades, b)
-        return _reduced(self.n, self._den, data)
+        out: _Numerators = {}
+        _partial_into(out, self._num, (i,), 1)
+        return _reduced(self.n, self._den, out)
 
     def dirac(self) -> "CliffordPolynomial":
         """D f = sum_j e_j * d_j f, with e_j acting on the left of coefficients."""
@@ -445,6 +443,22 @@ class CliffordPolynomial:
 
 # -- integer-numerator kernel ------------------------------------------------
 
+def _partial_into(out: _Numerators, data: _Numerators, axes: Iterable[int], order: int) -> None:
+    """out += sum over axis in axes of d^order data / dx_axis^order, axis 0
+    being x0: a term whose exponent b on the axis is at least order moves to
+    the key with b - order there, scaled by b! / (b - order)!."""
+    for (k0, beta), blades in data.items():
+        for axis in axes:
+            b = beta[axis - 1] if axis else k0
+            if b < order:
+                continue
+            key = (k0, beta[:axis - 1] + (b - order,) + beta[axis:]) if axis else (k0 - order, beta)
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = {}
+            _add_scaled(acc, blades, math.perm(b, order))
+
+
 def _dirac_into(out: _Numerators, data: _Numerators) -> None:
     """out += sum_j e_j d_j data, e_j applied as a signed blade permutation."""
     for (k0, beta), blades in data.items():
@@ -468,32 +482,20 @@ def _dirac_into(out: _Numerators, data: _Numerators) -> None:
 
 
 def _laplacian_into(out: _Numerators, data: _Numerators) -> None:
-    """out += sum_j d_j^2 data."""
-    for (k0, beta), blades in data.items():
-        for j, b in enumerate(beta):
-            if b < 2:
-                continue
-            key = (k0, beta[:j] + (b - 2,) + beta[j + 1:])
-            acc = out.get(key)
-            if acc is None:
-                acc = out[key] = {}
-            _add_scaled(acc, blades, b * (b - 1))
+    """out += sum_j d_j^2 data over x1..xn (the terms of data share n)."""
+    _partial_into(out, data, range(1, next((len(beta) for _, beta in data), 0) + 1), 2)
 
 
 def _full_laplacian_into(out: _Numerators, data: _Numerators) -> None:
     """out += d0^2 data + sum_j d_j^2 data, the Laplacian over x0..xn."""
-    for (k0, beta), blades in data.items():
-        if k0 > 1:
-            _add_scaled(out.setdefault((k0 - 2, beta), {}), blades, k0 * (k0 - 1))
+    _partial_into(out, data, (0,), 2)
     _laplacian_into(out, data)
 
 
 def _cauchy_riemann(data: _Numerators) -> _Numerators:
     """d0 data + D data, unpruned."""
     out: _Numerators = {}
-    for (k0, beta), blades in data.items():
-        if k0:
-            _add_scaled(out.setdefault((k0 - 1, beta), {}), blades, k0)
+    _partial_into(out, data, (0,), 1)
     _dirac_into(out, data)
     return out
 

@@ -38,7 +38,7 @@ from sys import get_int_max_str_digits
 from typing import Any
 
 from .clifford import (CliffordNumber, GaussianRational, _Blades, _blade_masks, _blade_order,
-                       _check_dimension, _part_text, _reduce)
+                       _check_dimension, _is_int, _part_text, _reduce)
 from .fock import FockElement
 from .poly import CliffordPolynomial, MultiIndex, _check_degree_cap, _sorted_terms
 from .transform import HermiteExpansion
@@ -83,7 +83,7 @@ def _parse_blade(data: Any, n: int) -> int:
     _require(isinstance(data, list), "blade must be a list, got {!r}", data)
     mask = 0
     for i in data:
-        _require(isinstance(i, int) and not isinstance(i, bool), "blade index {!r} not an int", i)
+        _require(_is_int(i), "blade index {!r} not an int", i)
         _require(1 <= i <= n, "blade index {} out of range [1, {}]", i, n)
         # the highest index so far is the bit length of the mask
         _require(i > mask.bit_length(), "blade indices must be strictly increasing, got {}", data)
@@ -95,8 +95,7 @@ def _parse_beta(data: Any, n: int) -> MultiIndex:
     _require(isinstance(data, list) and len(data) == n,
              "multi-index must be a list of {} ints, got {!r}", n, data)
     for b in data:
-        _require(isinstance(b, int) and not isinstance(b, bool) and b >= 0,
-                 "multi-index entry {!r} must be a nonnegative int", b)
+        _require(_is_int(b, 0), "multi-index entry {!r} must be a nonnegative int", b)
     return MultiIndex(data)
 
 
@@ -180,7 +179,7 @@ def _from_json(data: Any, field: str) -> CliffordPolynomial | HermiteExpansion |
     noun, entry_noun, keys, duplicate, cls = _SHAPES[field]
     _require(isinstance(data, dict) and "n" in data, "object must carry an 'n' field")
     n = data["n"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "bad dimension {!r}", n)
+    _require(_is_int(n, 1), "bad dimension {!r}", n)
     _require(data.keys() == {"n", field} and isinstance(data[field], list),
              "{} must have exactly the fields n and {}", noun, field)
     terms: dict[tuple[int, MultiIndex], _Parts] = {}
@@ -188,8 +187,7 @@ def _from_json(data: Any, field: str) -> CliffordPolynomial | HermiteExpansion |
         _require(isinstance(item, dict) and item.keys() == set(keys),
                  "{} must have keys {}, got {!r}", entry_noun, "/".join(keys), item)
         k0 = item.get("x0", 0)
-        _require(isinstance(k0, int) and not isinstance(k0, bool) and k0 >= 0,
-                 "x0 exponent {!r} must be a nonnegative int", k0)
+        _require(_is_int(k0, 0), "x0 exponent {!r} must be a nonnegative int", k0)
         beta = _parse_beta(item["beta"], n)
         _require((k0, beta) not in terms, duplicate, k0, tuple(beta))
         terms[k0, beta] = _parse_parts(item[keys[-1]], n)

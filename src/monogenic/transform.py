@@ -158,8 +158,11 @@ def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     """Apply exp(+Laplacian/2), or exp(-Laplacian/2) when inverse is set.
 
     The series sum_k (+-1)^k Lap^k f / (2^k k!) terminates because the
-    Laplacian strictly drops total degree.
+    Laplacian strictly drops total degree.  `inverse` is True or False:
+    any other value, truthy or not, raises TypeError.
     """
+    if inverse is not True and inverse is not False:
+        raise TypeError(f"inverse must be True or False, got {inverse!r}")
     if not f.is_x0_free():
         raise ValueError("heat operator acts on x0-free polynomials")
     _check_degree_cap(f._num)  # the series never raises the degree: its result is adopted

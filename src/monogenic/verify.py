@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .clifford import BoundsError, CliffordNumber, GaussianRational, indices_from_mask
+from .clifford import BoundsError, CliffordNumber, GaussianRational, _is_int, indices_from_mask
 from .fock import FockElement, fock_norm_sq, fock_to_monogenic, taylor_map
 from .gauss import Measure, gram, inner_mu, inner_rho
 from .poly import CliffordPolynomial, MultiIndex
@@ -319,11 +319,11 @@ def _check(name: str, draw, witnesses, rng: random.Random, n: int, max_degree: i
 def run_verification(n: int = 2, max_degree: int = 4, trials: int = 100,
                      seed: int = 0) -> VerifyReport:
     """Run every check at the given parameters; deterministic per seed."""
-    if not 1 <= n <= MAX_VERIFY_DIMENSION:
+    if not _is_int(n, 1, MAX_VERIFY_DIMENSION):
         raise BoundsError(f"dimension must be in [1, {MAX_VERIFY_DIMENSION}], got {n}")
-    if not 0 <= max_degree <= MAX_VERIFY_DEGREE:
+    if not _is_int(max_degree, 0, MAX_VERIFY_DEGREE):
         raise BoundsError(f"max_degree must be in [0, {MAX_VERIFY_DEGREE}], got {max_degree}")
-    if trials < 0:
+    if not _is_int(trials, 0):
         raise BoundsError("trials must be nonnegative")
 
     rng = random.Random(seed)

@@ -217,6 +217,18 @@ def test_non_monogenic_exit_4(capsys, tmp_path):
     assert code == 4
 
 
+def test_verify_bounds_reject_bools_and_floats():
+    # True passed as n = 1 into the report, and trials=1.5 failed inside range()
+    from monogenic.clifford import BoundsError
+    from monogenic.verify import run_verification
+    for args, message in (((True, 1, 1), r"dimension must be in \[1, 3\], got True"),
+                          ((1, 2.0, 1), r"max_degree must be in \[0, 6\], got 2.0"),
+                          ((1, 1, 1.5), "trials must be nonnegative"),
+                          ((1, 1, -1), "trials must be nonnegative")):
+        with pytest.raises(BoundsError, match=message):
+            run_verification(*args)
+
+
 def test_bounds_exit_3(capsys, tmp_path):
     code, _, _ = run(capsys, ["verify", "--n", "5"])
     assert code == 3

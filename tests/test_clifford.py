@@ -134,6 +134,9 @@ def test_grade_projection():
     assert lam.grade(2) == CliffordNumber.blade(n, (1, 2), 3)
     assert CliffordNumber.zero(n).grade(1).is_zero()
     assert lam.grade(0) + lam.grade(1) + lam.grade(2) == lam
+    for k in (-1, True, 1.0):
+        with pytest.raises(ValueError, match="grade must be nonnegative"):
+            lam.grade(k)
 
 
 def test_hermitian_conj_on_blades():
@@ -218,6 +221,12 @@ def test_dimension_bound():
         CliffordNumber.zero(17)
     with pytest.raises(ValueError):
         CliffordNumber.zero(0)
+    # True and 2.0 compare like 1 and 2, yet are no dimension
+    from monogenic import HermiteExpansion, p_basis
+    for build, n in ((lambda n: p_basis(n, (1,)), True), (HermiteExpansion, True),
+                     (lambda n: CliffordNumber(n, {(1,): 1}), 2.0), (CliffordNumber.zero, True)):
+        with pytest.raises(BoundsError, match=fr"dimension must be in \[1, 16\], got {n}$"):
+            build(n)
 
 
 # -- dense products against a per-pair oracle --------------------------------

@@ -42,6 +42,9 @@ def test_construction_and_grades():
     assert alpha.grade(1).entry((1, 0)) == CliffordNumber.scalar(n, 2)
     assert alpha.grade(1).entry((0, 1)).is_zero()
     assert alpha.entry((5, 5)).is_zero()
+    for k in (-1, True, 1.0):
+        with pytest.raises(ValueError, match="grade must be nonnegative"):
+            alpha.grade(k)
 
 
 @pytest.mark.parametrize("cls", [FockElement, HermiteExpansion])

@@ -90,6 +90,8 @@ def test_moment_rejects_bool_exponents():
 def test_moment_rejects_non_int_exponents():
     with pytest.raises(ValueError, match="nonnegative ints"):
         moment(Measure.MU_TILDE, 1.5, (2,))
+    with pytest.raises(ValueError, match="nonnegative ints"):
+        moment(Measure.RHO, 0, (2.0,))
 
 
 @given(st.integers(0, 10))

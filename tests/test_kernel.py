@@ -117,6 +117,24 @@ def test_derivatives_match_oracles(n):
             assert f.is_monogenic() == cr.is_zero()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_laplacians_are_sums_of_second_partials(n):
+    # both Laplacians run the one partial-derivative kernel per axis; the
+    # full one adds x0, which only the heat image of the MU_TILDE pairing reaches
+    rng = random.Random(150 + n)
+    with_x0 = 0
+    for degree in (get_degree_cap(), 8, 5, 2):
+        for f in _derived(rng, _poly(rng, n, degree, terms=4), _poly(rng, n, degree, terms=2)):
+            with_x0 += not f.is_x0_free()
+            second = [f.partial(j).partial(j) for j in range(n + 1)]
+            for into, axes in ((poly._full_laplacian_into, second),
+                               (poly._laplacian_into, second[1:])):
+                out = {}
+                into(out, f._num)
+                assert poly._reduced(n, f._den, out) == sum(axes, CliffordPolynomial.zero(n))
+    assert with_x0
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_heat_and_ck_extend_match_oracles(n):
     rng = random.Random(200 + n)

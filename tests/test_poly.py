@@ -87,7 +87,8 @@ def test_coefficient_rejects_keys_the_constructor_rejects():
            (-1, (1, 0), "x0 exponent must be a nonnegative int, got -1"),
            (True, (0, 0), "x0 exponent must be a nonnegative int, got True"),
            (1.0, (0, 0), "x0 exponent must be a nonnegative int, got 1.0"),
-           (0, (True, 0), "multi-index entries must be nonnegative ints")]
+           (0, (True, 0), "multi-index entries must be nonnegative ints"),
+           (0, (1.0, 0), "multi-index entries must be nonnegative ints")]
     for k0, beta, message in bad:
         with pytest.raises(ValueError, match=message):
             f.coefficient(k0, beta)
@@ -152,6 +153,12 @@ def test_partial_examples():
     assert g.partial(1) == x1 * 2 - x0 * (e1 * 2)
     with pytest.raises(ValueError):
         x1.partial(3)
+    # an axis is an int: True is no x1, and 1.0 indexed beta
+    for axis in (3, -1, True, 1.0):
+        with pytest.raises(ValueError, match=fr"axis {axis} out of range \[0, 2\]"):
+            x1.partial(axis)
+        with pytest.raises(ValueError, match=fr"axis {axis} out of range \[0, 2\]"):
+            CliffordPolynomial.variable(n, axis)
 
 
 @given(poly_st(3), st.integers(0, 3), st.integers(0, 3))

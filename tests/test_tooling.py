@@ -1,6 +1,7 @@
 """Guards for the tooling next to the library: the benchmark's tracer,
 the library's stdlib-only imports, the numerator-only wire codec, one home
-for each numerator rule, bounded caches, and the README's list of CLI
+for each numerator rule, for the integer-argument test and for the
+derivative's key shift, bounded caches, and the README's list of CLI
 commands."""
 
 import ast
@@ -195,8 +196,12 @@ def _numerator_printers(sources):
     return sorted(set(_enclosing(sources, _calls_of("gcd"))) & set(_enclosing(sources, _slash_texts)))
 
 
-def _blade_sums(name, text, tree):
-    return [text.count("\n", 0, m.start()) + 1 for m in BLADE_SUM.finditer(text)]
+def _matching(pattern):
+    return lambda name, text, tree: [text.count("\n", 0, m.start()) + 1
+                                     for m in pattern.finditer(text)]
+
+
+_blade_sums = _matching(BLADE_SUM)
 
 
 def test_each_numerator_rule_has_one_home():
@@ -283,6 +288,41 @@ def test_each_numerator_rule_has_one_home():
                 used.add(node.name)
     assert defined
     assert sorted(d for d in defined if d.split(":")[1] not in used) == []
+
+
+# "an int, not a bool": a bool in an isinstance test, alone or in a tuple,
+# or an exact type test against int or bool
+INT_RULE = re.compile(r"isinstance\([^()]+,\s*(\([^()]*)?\bbool\b|\btype\([^()]+\) is (not )?(bool|int)\b")
+# a derivative's key shift: exponent b on one axis of beta becomes b - k, or
+# the x0 exponent k0 becomes k0 - k
+KEY_SHIFT = re.compile(r"\w+\[:[^\]]*\] \+ \(\w+ - \w+,\) \+ \w+\[[^\]]*:\]|\(k0 - \w+, \w+\)")
+
+
+def test_integer_and_derivative_rules_have_one_home():
+    package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    # every integer argument is tested by `clifford._is_int`; the scan sees
+    # the inline forms, and not an isinstance test against int alone or a
+    # bool annotation
+    probe = {"probe.py": "def f(x):\n    return isinstance(x, bool) or not isinstance(x, int)\n"
+                         "def g(x):\n    return not isinstance(x, (bool, float))\n"
+                         "def h(x):\n    return type(x) is int and x >= 0\n"
+                         "def k(x, flag: bool):\n    return isinstance(x, (int, Fraction))\n"}
+    assert _enclosing(probe, _matching(INT_RULE)) == ["probe.py:f", "probe.py:g", "probe.py:h"]
+    assert _enclosing(sources, _matching(INT_RULE)) == ["clifford.py:_is_int"]
+    # a partial derivative moves a key in `poly._partial_into` only, which
+    # `partial`, both Laplacians and d0 of Cauchy-Riemann call; the Dirac
+    # operator's signed blade permutation shifts its own keys.  The scan
+    # sees both axis forms and the x0 form, and not a product's key sum
+    probe = {"probe.py": "def f(k0, beta, b, i):\n    return (k0, beta[:i - 1] + (b - 1,) + beta[i:])\n"
+                         "def g(k0, beta, b, j):\n    return (k0, beta[:j] + (b - 2,) + beta[j + 1:])\n"
+                         "def h(k0, beta):\n    return (k0 - 1, beta)\n"
+                         "def k(k0, beta, k):\n    return (k0 + k, beta[:1] + beta[2:])\n"}
+    assert _enclosing(probe, _matching(KEY_SHIFT)) == ["probe.py:f", "probe.py:g", "probe.py:h"]
+    assert _enclosing(sources, _matching(KEY_SHIFT)) == ["poly.py:_dirac_into", "poly.py:_partial_into"]
+    assert _enclosing(sources, _calls_of("_partial_into")) == [
+        "poly.py:_cauchy_riemann", "poly.py:_full_laplacian_into", "poly.py:_laplacian_into",
+        "poly.py:partial"]
 
 
 def _unbounded_caches(source, name):

@@ -66,6 +66,13 @@ def test_heat_examples():
     assert heat(harmonic) == harmonic
 
 
+@pytest.mark.parametrize("flag", ["no", 1, None])
+def test_heat_inverse_must_be_a_bool(flag):
+    # any truthy value used to select the inverse heat: "no" gave x1^2 - 1
+    with pytest.raises(TypeError, match=f"inverse must be True or False, got {flag!r}"):
+        heat(var(1, 1) * var(1, 1), inverse=flag)
+
+
 def test_heat_rejects_x0():
     with pytest.raises(ValueError):
         heat(var(2, 0))
