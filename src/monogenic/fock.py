@@ -11,6 +11,11 @@ The maps and the norm work on those numerators.  The Taylor map writes
 beta! times the x0-free numerators of F; the inverse Taylor map C-K
 extends sum_beta x^beta alpha(e^beta) / beta!, the stored numerators
 scaled to one denominator times lcm(beta!).
+
+The maps check their container: `fock_norm_sq`, `fock_to_function` and
+`fock_to_monogenic` raise TypeError for anything but a `FockElement`
+(a `HermiteExpansion` shares its stored form, not its meaning), and
+`taylor_map` for anything but a `CliffordPolynomial`.
 """
 
 from __future__ import annotations
@@ -51,9 +56,16 @@ class FockElement(_MultiIndexMap):
         return FockElement._of(self._poly + other._poly)
 
 
-def _factorial_weights(alpha: FockElement) -> tuple[int, dict]:
-    """(lcm of beta! over the support, {key: lcm / beta!})."""
-    weights = {key: prod(map(factorial, key[1])) for key in alpha._poly._num}
+def _fock_poly(alpha: FockElement) -> CliffordPolynomial:
+    """The stored polynomial of alpha; TypeError unless alpha is a FockElement."""
+    if not isinstance(alpha, FockElement):
+        raise TypeError(f"expected a FockElement, got {type(alpha).__name__}")
+    return alpha._poly
+
+
+def _factorial_weights(f: CliffordPolynomial) -> tuple[int, dict]:
+    """(lcm of beta! over the support of f, {key: lcm / beta!})."""
+    weights = {key: prod(map(factorial, key[1])) for key in f._num}
     common = lcm(*weights.values())
     return common, {key: common // w for key, w in weights.items()}
 
@@ -61,8 +73,8 @@ def _factorial_weights(alpha: FockElement) -> tuple[int, dict]:
 def fock_norm_sq(alpha: FockElement) -> Fraction:
     """Squared Fock norm: sum over beta of |alpha(e^beta)|^2 / beta!, one
     integer sum over den^2 * lcm(beta!)."""
-    f = alpha._poly
-    common, weights = _factorial_weights(alpha)
+    f = _fock_poly(alpha)
+    common, weights = _factorial_weights(f)
     total, _ = _shared_blade_sum((weights[key], b, b) for key, b in f._num.items())
     return Fraction(total, f._den * f._den * common)
 
@@ -77,6 +89,8 @@ def taylor_map(F: CliffordPolynomial) -> FockElement:
     re-checked on a result of `ck_extend`, which is monogenic by
     construction.
     """
+    if not isinstance(F, CliffordPolynomial):
+        raise TypeError(f"the Taylor map takes a CliffordPolynomial, got {type(F).__name__}")
     if not F._monogenic and not F.is_monogenic():
         raise NotMonogenicError("the Taylor map is defined on monogenic polynomials")
     data = {}
@@ -91,8 +105,8 @@ def fock_to_function(alpha: FockElement) -> CliffordPolynomial:
     """Evaluate alpha against the exponential tensors:
     f(x) = sum_beta x^beta * alpha(e^beta) / beta!, put over one
     denominator: the stored one times lcm(beta!)."""
-    f = alpha._poly
-    common, weights = _factorial_weights(alpha)
+    f = _fock_poly(alpha)
+    common, weights = _factorial_weights(f)
     data = {}
     for key, blades in f._num.items():
         w = weights[key]

@@ -30,29 +30,37 @@ is its own MU_TILDE image, and any other value goes through `_apply`.
 
 Each polynomial is prepared at most once per measure, and the prepared
 form is cached on the immutable value (`CliffordPolynomial._fischer`,
-one entry per measure, filled by one store of a finished tuple).  It has
-two roles, both integer numerators over one denominator: as right
-operand, the heat image A over its denominator den; as left operand,
-each conj(A_key) weighted by key! (times 2^(T - |key|) under MU_TILDE,
-T the top degree) over den (times 2^T).  A pairing is then one loop over the keys the two operands
-share, with the numerator helpers of the Clifford product
-(`clifford._conjugated`, `_product_numerators`), and the result is
-reduced once.  Entries whose operands share no key, such as homogeneous
-parts of different degree, are the canonical zero at once.  Preparing a
-value costs more than pairing it once term by term with moments would;
-the form pays off when a value is paired again, as in `gram`.
+one entry per measure, replaced by one store of a finished pair).  The
+form has two roles, both integer numerators over one denominator.  The
+right role, built on first use, is the heat image A over its denominator
+den, the frozenset of its keys, and per key the weight key! (times
+2^(T - |key|) under MU_TILDE, T the top degree) over den (times 2^T).
+The left role, each conj(A_key) times its weight, is built from the
+right role only when `clifford_pairing` first needs it, and is published
+by storing the whole form again.  A pairing first tests the two key sets
+(a frozenset keeps each key's hash, so the test hashes no key tuple
+again): entries whose heat images share no key, such as homogeneous
+parts of different degree, are the canonical zero at once.  Otherwise it
+is one Clifford product per shared key, with the numerator helpers of
+the Clifford product (`clifford._conjugated`, `_product_numerators`),
+and the result is reduced once.  Preparing a value costs more than
+pairing it once term by term with moments would; the form pays off when
+a value is paired again, as in `gram`.
 
 The scalar products `inner_rho` and `inner_mu` need only the grade-0
 part.  conj(e_A) e_B has a scalar part only when A = B, and there it is
-1, so they sum conj(a_A) b_A over the shared blades of the shared keys,
-each key with weight 1 (`clifford._shared_blade_sum`, the one weighted
-blade sum that `CliffordNumber.inner` and both container norms use too).
-`gram` yields the pairings of every f of one list with every g of
-another, row by row.
+1, so they sum conj(a_A) b_A over the shared blades of the shared keys
+of the two right roles, each key with the left operand's weight
+(`clifford._shared_blade_sum`, the one weighted blade sum that
+`CliffordNumber.inner` and both container norms use too); they never
+build a left role.  `gram` yields the pairings of every f of one list
+with every g of another, row by row.
 
 `moment` and `clifford_pairing` (and so `gram`) take the measure as a
 `Measure` member and raise TypeError for anything else, such as the
-strings "rho" and "mu", instead of reading it as one of the two.
+strings "rho" and "mu", instead of reading it as one of the two.  Every
+pairing raises TypeError for an operand that is not a
+`CliffordPolynomial`, such as a `HermiteExpansion` or a number.
 """
 
 from __future__ import annotations
@@ -81,6 +89,9 @@ class Measure(enum.Enum):
     MU_TILDE = "mu"
 
 
+_NOT_POLYNOMIALS = "pairings take CliffordPolynomial operands"
+
+
 def _check_measure(measure: Measure) -> None:
     if not isinstance(measure, Measure):
         raise TypeError(f"measure must be a Measure, got {measure!r}")
@@ -105,64 +116,79 @@ def moment(measure: Measure, k0: int, beta: Sequence[int]) -> Fraction:
     return Fraction(total, 2 ** (sum(exponents) // 2))
 
 
-def _form(f: CliffordPolynomial, mu: bool) -> tuple[tuple, tuple]:
-    """((den, A), (left den, left)) for f under MU_TILDE if mu, else RHO:
-    the heat image A of f as right operand, and as left operand each
-    conj(A_key) times key! 2^(T - |key|) over den 2^T under MU_TILDE, or
-    times key! over den under RHO.  Built once per value and measure, and
-    cached on f by one store of a finished pair."""
-    cache = f._fischer or (None, None)
-    if cache[mu] is not None:
-        return cache[mu]
+def _store(f: CliffordPolynomial, mu: bool, form: tuple) -> tuple:
+    """Cache form on f under MU_TILDE if mu, else RHO, by one store of a
+    finished pair, and return it.  A concurrent store may drop the other
+    measure's form, which is then built again; none is seen half-built."""
+    rho, mu_tilde = f._fischer
+    f._fischer = (rho, form) if mu else (form, mu_tilde)
+    return form
+
+
+def _form(f: CliffordPolynomial, mu: bool) -> tuple:
+    """(den, A, keys, weights, wden, None): the right role of f under
+    MU_TILDE if mu, else RHO.  A is the heat image of f over den, keys the
+    frozenset of its keys, and weights gives each key its weight over
+    wden: key! 2^(T - |key|) over den 2^T under MU_TILDE (T the top
+    degree), key! over den under RHO.  The last slot is the left role."""
     if not mu and not f.is_x0_free():
         raise ValueError("the R^n measure requires x0-free polynomials")
     # a monogenic value is its own MU_TILDE heat image: its full Laplacian is zero
     den, image = ((f._den, f._num) if mu and f._monogenic
                   else _apply(f, _FULL_HEAT if mu else _HEAT))
     top = max((k0 + sum(beta) for k0, beta in image), default=0)
+    weights = {(k0, beta): factorial(k0) * prod(map(factorial, beta)) << mu * (top - k0 - sum(beta))
+               for k0, beta in image}
+    return _store(f, mu, (den, image, frozenset(image), weights, den << mu * top, None))
+
+
+def _with_left(f: CliffordPolynomial, form: tuple, mu: bool) -> tuple:
+    """form with its left role {key: weight * conj(A_key)} over wden in
+    the last slot, cached on f: built the first time `clifford_pairing`
+    needs it."""
     left = {}
-    for (k0, beta), blades in image.items():
-        weight = factorial(k0) * prod(map(factorial, beta)) << mu * (top - k0 - sum(beta))
-        left[k0, beta] = acc = {}
-        _add_scaled(acc, _conjugated(blades), weight)
-    form = ((den, image), (den << mu * top, left))
-    f._fischer = (cache[0], form) if mu else (form, cache[1])
-    return form
+    for key, blades in form[1].items():
+        left[key] = acc = {}
+        _add_scaled(acc, _conjugated(blades), form[3][key])
+    return _store(f, mu, form[:5] + (left,))
 
 
-def _operands(f: CliffordPolynomial, g: CliffordPolynomial, mu: bool) -> tuple:
-    """(left den, left, right den, right): f in its left role and g in its
-    right role under MU_TILDE if mu, else RHO, after the dimension check."""
-    f._check_dim(g)
-    return (*_form(f, mu)[1], *_form(g, mu)[0])
+def _forms(f: CliffordPolynomial, g: CliffordPolynomial, mu: bool) -> tuple[tuple, tuple]:
+    """The forms of f and g under MU_TILDE if mu, else RHO, after the
+    dimension check; TypeError unless both are polynomials."""
+    try:
+        f._check_dim(g)
+        return f._fischer[mu] or _form(f, mu), g._fischer[mu] or _form(g, mu)
+    except AttributeError:
+        raise TypeError(_NOT_POLYNOMIALS) from None
 
 
 def clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
                      measure: Measure) -> CliffordNumber:
     """Full Clifford-valued pairing: integral of conj(f) * g, one Clifford
-    product per key the prepared operands share."""
+    product per key the heat images share."""
     _check_measure(measure)
-    lden, left, rden, right = _operands(f, g, measure is Measure.MU_TILDE)
-    acc: dict[int, tuple[int, int]] = {}
-    for key, blades in left.items():
-        other = right.get(key)
-        if other is not None:
-            _product_numerators(acc, blades, other)
-    if not acc:
+    mu = measure is Measure.MU_TILDE
+    a, b = _forms(f, g, mu)
+    if a[2].isdisjoint(b[2]):
         return CliffordNumber._raw(f.n, 1, {})
-    return CliffordNumber._reduced(f.n, lden * rden, acc)
+    left = a[5] or _with_left(f, a, mu)[5]
+    acc: dict[int, tuple[int, int]] = {}
+    for key in a[2] & b[2]:
+        _product_numerators(acc, left[key], b[1][key])
+    return CliffordNumber._reduced(f.n, a[4] * b[0], acc)
 
 
 def _scalar_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
                     mu: bool) -> GaussianRational:
     """Scalar part of the integral of conj(f) * g under MU_TILDE if mu,
     else RHO: sum of conj(a_A) b_A over the shared blades of shared keys,
-    since conj(e_A) e_A = 1.  The left role stores conj(A_key), so it is
-    conjugated back per shared key."""
-    lden, left, rden, right = _operands(f, g, mu)
-    re, im = _shared_blade_sum((1, _conjugated(blades), right[key])
-                               for key, blades in left.items() if key in right)
-    return _gaussian_over(re, im, lden * rden)
+    since conj(e_A) e_A = 1, each key weighted by f's weight."""
+    (_, image, keys, weights, wden, _), (den, right, other, *_) = _forms(f, g, mu)
+    if keys.isdisjoint(other):
+        return _gaussian_over(0, 0, 1)
+    re, im = _shared_blade_sum((weights[key], image[key], right[key]) for key in keys & other)
+    return _gaussian_over(re, im, wden * den)
 
 
 def gram(fs: Iterable[CliffordPolynomial], gs: Iterable[CliffordPolynomial],
@@ -173,8 +199,11 @@ def gram(fs: Iterable[CliffordPolynomial], gs: Iterable[CliffordPolynomial],
     once, into a list, when the first row is requested."""
     gs = list(gs)
     for f in fs:
-        for g in gs:
-            f._check_dim(g)
+        try:
+            for g in gs:
+                f._check_dim(g)
+        except AttributeError:
+            raise TypeError(_NOT_POLYNOMIALS) from None
         yield [clifford_pairing(f, g, measure) for g in gs]
 
 

@@ -49,10 +49,13 @@ value.  `is_monogenic()` never reads the mark: it always runs the
 Cauchy-Riemann kernel.
 
 The Fischer cache.  `gauss` keeps the prepared pairing form of a value,
-one per measure, in the private `_fischer` slot.  `__init__` and
-`_adopt` set it to None; `gauss` replaces it with a finished tuple in
-one store, so a value shared between threads never shows a half-built
-form.  `==`, `repr` and the codec never read it.
+one per measure, in the private `_fischer` slot: the pair (RHO form,
+MU_TILDE form).  `__init__` and `_adopt` set it to (None, None).  `gauss`
+replaces the pair with a finished tuple in one store when it builds a
+form's right role (heat image, key set and weights), and again when it
+adds the left role that only `clifford_pairing` reads, so a value shared
+between threads never shows a half-built form.  `==`, `repr` and the
+codec never read it.
 
 The total-degree cap lives in a context variable, so a cap set in one
 thread is not seen by another.  `__init__` and `_raw` check it; `_adopt`
@@ -231,7 +234,7 @@ class CliffordPolynomial:
         for key, coeff in data.items():
             _add_scaled(self._num.setdefault(key, {}), coeff._blades, den // coeff._den)
         self._monogenic = False
-        self._fischer = None
+        self._fischer = (None, None)
 
     @classmethod
     def _raw(cls, n: int, den: int, num: _Numerators) -> "CliffordPolynomial":
@@ -248,7 +251,7 @@ class CliffordPolynomial:
         out._den = den
         out._num = num
         out._monogenic = False
-        out._fischer = None
+        out._fischer = (None, None)
         return out
 
     @classmethod

@@ -28,13 +28,14 @@ of the images' denominators, times its whole image on the left in one
 `clifford._plan_product` call, then reduces the sum once.  `heat` and
 `ck_extend` check their input and adopt `_apply` without a second cap
 check, since neither operator raises the total degree; `hermite` and
-`p_basis` build the monomial, which checks it, and adopt the cached
-image itself.  The two-step maps are compositions of the public
-operators, and each step checks its own input: `sb_transform` is
-ck_extend(heat(f)), and `sb_inverse` is the inverse heat of
-F.restrict().  The second check of each sees an input-sized value that
-the first check has already passed, so it costs a few microseconds, and
-every operator call goes through the operator's one entry.  The heat
+`p_basis` check n, beta and the cap as the monomial constructor would,
+without building the monomial, and adopt the cached image itself.  The
+two-step maps are compositions of the public operators, and each step
+checks its own input: `sb_transform` is ck_extend(heat(f)), and
+`sb_inverse` is the inverse heat of F.restrict().  The second check of
+each sees an input-sized value that the first check has already passed,
+so it costs a few microseconds, and every operator call goes through
+the operator's one entry.  The heat
 images of the Gaussian pairings of `gauss` are `_apply` too, with _HEAT
 under RHO and _FULL_HEAT, exp(Laplacian over x0..xn / 4), under
 MU_TILDE.  The C-K results carry the "monogenic by construction" mark
@@ -61,7 +62,7 @@ from functools import lru_cache
 from math import factorial, lcm, prod
 from typing import Callable, Sequence, Union
 
-from .clifford import _plan_product, _reduce, _shared_blade_sum, _sign_plan
+from .clifford import _check_dimension, _plan_product, _reduce, _shared_blade_sum, _sign_plan
 from .poly import (
     CliffordPolynomial,
     _check_degree_cap,
@@ -71,6 +72,7 @@ from .poly import (
     _dirac_into,
     _full_laplacian_into,
     _laplacian_into,
+    _term_key,
 )
 
 
@@ -147,9 +149,11 @@ def _apply(f: CliffordPolynomial, op: tuple) -> tuple[int, _Numerators]:
 
 def _basis(n: int, beta: Sequence[int], op: tuple) -> CliffordPolynomial:
     """op(x^beta), the cached image adopted as it is, its blade maps
-    shared with the cache.  The monomial is built first, so that a bad
-    beta, or one over the degree cap, raises as it would uncached."""
-    key, = CliffordPolynomial.monomial(n, 0, beta)._num
+    shared with the cache.  n, beta and the degree cap are checked first,
+    in the order and with the errors of the monomial constructor."""
+    _check_dimension(n)
+    key = _term_key(n, 0, beta)
+    _check_degree_cap([key])
     den, terms, _ = _image(n, op, key)
     return CliffordPolynomial._adopt(n, den, dict(terms))
 

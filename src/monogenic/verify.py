@@ -318,13 +318,16 @@ def _check(name: str, draw, witnesses, rng: random.Random, n: int, max_degree: i
 
 def run_verification(n: int = 2, max_degree: int = 4, trials: int = 100,
                      seed: int = 0) -> VerifyReport:
-    """Run every check at the given parameters; deterministic per seed."""
+    """Run every check at the given parameters; deterministic per seed,
+    which must be an int (TypeError otherwise)."""
     if not _is_int(n, 1, MAX_VERIFY_DIMENSION):
         raise BoundsError(f"dimension must be in [1, {MAX_VERIFY_DIMENSION}], got {n}")
     if not _is_int(max_degree, 0, MAX_VERIFY_DEGREE):
         raise BoundsError(f"max_degree must be in [0, {MAX_VERIFY_DEGREE}], got {max_degree}")
     if not _is_int(trials, 0):
         raise BoundsError("trials must be nonnegative")
+    if not _is_int(seed):
+        raise TypeError(f"seed must be an int, got {seed!r}")
 
     rng = random.Random(seed)
     report = VerifyReport(suite="monogenic-verify", n=n, max_degree=max_degree,

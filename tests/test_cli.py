@@ -229,6 +229,17 @@ def test_verify_bounds_reject_bools_and_floats():
             run_verification(*args)
 
 
+def test_verify_seed_must_be_an_int():
+    # Random(None) seeded from the operating system: the report printed
+    # "seed": null and two runs differed
+    from monogenic.verify import run_verification
+    for seed in (None, True, 1.0, "1"):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            run_verification(1, 1, 1, seed)
+    report = run_verification(1, 1, 1, -5)
+    assert report.to_json()["params"]["seed"] == -5 and report.passed
+
+
 def test_bounds_exit_3(capsys, tmp_path):
     code, _, _ = run(capsys, ["verify", "--n", "5"])
     assert code == 3

@@ -5,6 +5,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from monogenic import (
     CliffordPolynomial,
     DimensionMismatchError,
     GaussianRational,
+    HermiteExpansion,
     Measure,
     ck_extend,
     clifford_pairing,
@@ -28,6 +30,7 @@ from monogenic import (
 )
 
 from monogenic.clifford import indices_from_mask
+from monogenic.gauss import _forms
 from monogenic.serialize import poly_from_json, poly_to_json
 from monogenic.transform import _image
 from monogenic.verify import multi_indices
@@ -169,6 +172,21 @@ def test_dimension_mismatch():
         inner_rho(var(2, 1), var(3, 1))
 
 
+def test_pairings_reject_operands_that_are_not_polynomials():
+    # these raised AttributeError from inside gauss ("'int' object has no attribute 'n'")
+    f = hermite(2, (1, 0))
+    calls = [inner_rho, inner_mu,
+             lambda a, b: clifford_pairing(a, b, Measure.RHO),
+             lambda a, b: clifford_pairing(a, b, Measure.MU_TILDE),
+             lambda a, b: list(gram([a], [b], Measure.RHO)),
+             lambda a, b: list(gram([f, a], [f, b], Measure.MU_TILDE))]
+    for wrong in (3, None, HermiteExpansion(2), CliffordNumber.one(2)):
+        for call in calls:
+            for a, b in ((f, wrong), (wrong, f)):
+                with pytest.raises(TypeError, match="CliffordPolynomial"):
+                    call(a, b)
+
+
 # -- invariants ----------------------------------------------------------------
 
 @given(x0_free_poly_st(2))
@@ -219,11 +237,15 @@ def rand_pairing_poly(rng, n, max_degree, max_terms, x0):
         beta = [0] * n
         for _ in range(rng.randint(0, max_degree - k0)):
             beta[rng.randrange(n)] += 1
-        coeffs = {indices_from_mask(rng.randrange(2 ** n)):
-                  GaussianRational(rand_rational(rng), rand_rational(rng))
-                  for _ in range(rng.randint(1, 3))}
-        terms[k0, tuple(beta)] = CliffordNumber(n, coeffs)
+        terms[k0, tuple(beta)] = rand_pairing_coeff(rng, n)
     return CliffordPolynomial(n, terms)
+
+
+def rand_pairing_coeff(rng, n):
+    """One to three blades with complex parts over small prime denominators."""
+    return CliffordNumber(n, {indices_from_mask(rng.randrange(2 ** n)):
+                              GaussianRational(rand_rational(rng), rand_rational(rng))
+                              for _ in range(rng.randint(1, 3))})
 
 
 def assert_matches_oracle(polys, measure):
@@ -345,6 +367,45 @@ def test_monogenic_and_plain_operands_match_naive_oracle(n):
     assert_matches_oracle(plain + extended, Measure.MU_TILDE)
 
 
+def rand_parity_poly(rng, n, parity, x0):
+    """Up to three terms whose exponents (k0, beta) have the parities of the
+    entries of parity: each Laplacian lowers one exponent by 2, so every
+    key of the heat image keeps them."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        k0, *beta = (p + 2 * rng.randint(0, 1) for p in parity)
+        terms[k0 if x0 else 0, tuple(beta)] = rand_pairing_coeff(rng, n)
+    return CliffordPolynomial(n, terms)
+
+
+@pytest.mark.parametrize("measure", [Measure.RHO, Measure.MU_TILDE], ids=["rho", "mu"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_disjoint_overlapping_and_equal_key_sets_match_naive_oracle(n, measure):
+    mu = measure is Measure.MU_TILDE
+    rng = random.Random(50 + 10 * n + mu)
+    kinds, polys = [], []
+    for _ in range(5):
+        p, q = rng.sample([(0, *bits) for bits in product((0, 1), repeat=n)], 2)
+        if mu:
+            p, q = (rng.randint(0, 1), *p[1:]), (rng.randint(0, 1), *q[1:])
+        f, h = rand_parity_poly(rng, n, p, mu), rand_parity_poly(rng, n, q, mu)
+        polys += [f, h]
+        for a, b in ((f, h), (h, f), (f, f + h), (f + h, h), (f, f * GaussianRational(2, -1))):
+            keys_a, keys_b = (form[2] for form in _forms(a, b, mu))
+            kinds.append("disjoint" if keys_a.isdisjoint(keys_b) else
+                         "equal" if keys_a == keys_b else "overlapping")
+            expected = naive_clifford_pairing(a, b, measure)
+            full = clifford_pairing(a, b, measure)
+            assert full == expected
+            assert INNER[measure](a, b) == expected.scalar_part()
+            if kinds[-1] == "disjoint":
+                assert (full._den, full._blades) == (1, {}) and full == CliffordNumber.zero(n)
+                assert INNER[measure](a, b) == GaussianRational(0)
+    # every pair is of the kind it is built to be, and x0 terms appear under MU_TILDE
+    assert kinds == ["disjoint", "disjoint", "overlapping", "overlapping", "equal"] * 5
+    assert any(not f.is_x0_free() for f in polys) == mu
+
+
 # -- the Fischer identity on the oracle side ----------------------------------
 
 @pytest.mark.parametrize("measure", [Measure.RHO, Measure.MU_TILDE], ids=["rho", "mu"])
@@ -416,13 +477,27 @@ def test_cached_value_pairs_alike_in_every_role():
 def test_shared_values_pair_alike_from_four_threads():
     n = 3
     x0_free, values = _fresh_values(n, 91)
+    cases = ((Measure.RHO, x0_free), (Measure.MU_TILDE, values))
     expected = {measure: [[naive_clifford_pairing(f, g, measure) for g in polys] for f in polys]
-                for measure, polys in ((Measure.RHO, x0_free), (Measure.MU_TILDE, values))}
+                for measure, polys in cases}
+    scalars = {measure: [[v.scalar_part() for v in row] for row in table]
+               for measure, table in expected.items()}
     texts = [json.dumps(poly_to_json(f)) for f in values]
 
-    def tables(_):
-        return {Measure.RHO: list(gram(x0_free, x0_free, Measure.RHO)),
-                Measure.MU_TILDE: list(gram(values, values, Measure.MU_TILDE))}
+    def full():
+        return {measure: list(gram(polys, polys, measure)) for measure, polys in cases}
+
+    def scalar():
+        return {measure: [[INNER[measure](f, g) for g in polys] for f in polys]
+                for measure, polys in cases}
+
+    def tables(i):
+        # odd tasks start with the scalar pairings, which build right roles
+        # only, while even ones build left roles of the same values at once
+        if i % 2:
+            first = scalar()
+            return full(), first
+        return full(), scalar()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside a form being built
@@ -432,8 +507,30 @@ def test_shared_values_pair_alike_from_four_threads():
             results = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert all(result == expected for result in results)
+    assert all(result == (expected, scalars) for result in results)
     assert [json.dumps(poly_to_json(f)) for f in values] == texts
+
+
+def test_scalar_pairings_build_no_left_role():
+    # inner_rho and inner_mu read right roles only; clifford_pairing builds
+    # the left role of its left operand, once, and only when keys are shared
+    n = 3
+    x0_free, values = _fresh_values(n, 92)
+    for measure, polys in ((Measure.RHO, x0_free), (Measure.MU_TILDE, values)):
+        mu = measure is Measure.MU_TILDE
+        for f in polys:
+            for g in polys:
+                INNER[measure](f, g)
+        assert all(f._fischer[mu] is not None and f._fischer[mu][5] is None for f in polys)
+        f, g = polys[:2]
+        assert clifford_pairing(f, g, measure) == naive_clifford_pairing(f, g, measure)
+        assert clifford_pairing(f, f, measure) == naive_clifford_pairing(f, f, measure)
+        left = f._fischer[mu][5]
+        assert left and g._fischer[mu][5] is None
+        clifford_pairing(f, g, measure)
+        assert f._fischer[mu][5] is left
+    # storing the MU_TILDE roles kept the RHO ones
+    assert x0_free[0]._fischer[0][5] is not None and x0_free[1]._fischer[0][5] is None
 
 
 def test_pairing_never_checks_the_degree_cap():

@@ -1,8 +1,8 @@
 """Guards for the tooling next to the library: the benchmark's tracer,
 the library's stdlib-only imports, the numerator-only wire codec, one home
-for each numerator rule, for the integer-argument test and for the
-derivative's key shift, bounded caches, and the README's list of CLI
-commands."""
+for each numerator rule, for the integer-argument test, for the
+derivative's key shift and for the pairing forms of gauss, bounded caches,
+and the README's list of CLI commands."""
 
 import ast
 import importlib
@@ -323,6 +323,20 @@ def test_integer_and_derivative_rules_have_one_home():
     assert _enclosing(sources, _calls_of("_partial_into")) == [
         "poly.py:_cauchy_riemann", "poly.py:_full_laplacian_into", "poly.py:_laplacian_into",
         "poly.py:partial"]
+
+
+def test_pairing_forms_are_built_in_one_place():
+    # gauss takes heat images, weights and conjugate copies in its form
+    # builders only: the right role (`_form`) holds the image and the
+    # weights key! 2^(T - |key|), the lazy left role (`_with_left`) the
+    # weighted conjugates, and every pairing reads them from the cache
+    path = Path(__file__).resolve().parent.parent / "src" / "monogenic" / "gauss.py"
+    sources = {"gauss.py": path.read_text()}
+    assert _enclosing(sources, _calls_of("_apply")) == ["gauss.py:_form"]
+    assert _enclosing(sources, _calls_of("factorial")) == ["gauss.py:_form"]
+    assert _enclosing(sources, _calls_of("frozenset")) == ["gauss.py:_form"]
+    assert _enclosing(sources, _calls_of("_conjugated")) == ["gauss.py:_with_left"]
+    assert _enclosing(sources, _calls_of("_add_scaled")) == ["gauss.py:_with_left"]
 
 
 def _unbounded_caches(source, name):
