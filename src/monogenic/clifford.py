@@ -57,6 +57,21 @@ Coefficients become `Fraction`s only where they are read back
 (`terms()`, `coefficient()`, `scalar_part()`, `inner()`), one per
 nonzero part (`_gaussian_over`).
 
+Construction.  A `GaussianRational` part is an int or a Fraction
+(`_rational`): a Fraction is adopted as it is, since it is immutable,
+the default parts share one zero, and a float, a str or a Decimal
+raises TypeError instead of entering the exact path as the binary
+fraction it denotes.  `CliffordNumber(n, coeffs)` checks n once and then
+reads each entry in one pass: its indices become a mask (`_mask`, the
+per-index rule `_is_int`), its value is coerced, a repeated mask is
+refused and a zero value dropped; one lcm of the kept parts'
+denominators then gives the numerators (`_over_common_denominator`).
+`indices_from_mask` reads the indices of a mask of C_16 byte by byte,
+from a 256-entry tuple built at import (`_BYTE_INDICES`) and a bounded
+cache of the high byte's, and scans the bits of a wider mask.  The
+generators of `verify` skip the public constructors and build stored
+numerators directly.
+
 Printing has two primitives, and every printer (JSON and text, of
 numbers, polynomials and containers) is built on them: `_blade_order`
 gives the canonical order of blades (by grade, then lexicographically
@@ -103,24 +118,41 @@ def _check_dimension(n: int) -> None:
         raise BoundsError(f"dimension must be in [1, {MAX_DIMENSION}], got {n}")
 
 
+_ZERO = Fraction(0)
+
+
+def _rational(value) -> Fraction:
+    """value as a Fraction: a Fraction is adopted as it is (it is
+    immutable), an int is converted, a bool read as 0 or 1; anything else,
+    a float, a str or a Decimal included, raises TypeError, so that no
+    inexact or parsed value enters the exact path."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"expected an int or a Fraction, got {value!r}")
+
+
 class GaussianRational:
     """Exact complex number re + im*i with rational parts.
 
     Both parts are `fractions.Fraction`, hence always reduced with a
-    positive denominator; structural equality is semantic equality.
+    positive denominator; structural equality is semantic equality.  A
+    part is an int or a Fraction (`_rational`); a Fraction part is stored
+    as it is, not copied.
     """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+    def __init__(self, re: RationalLike = _ZERO, im: RationalLike = _ZERO):
+        self.re = _rational(re)
+        self.im = _rational(im)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     def conjugate(self) -> "GaussianRational":
         return _gaussian(self.re, -self.im)
@@ -192,9 +224,6 @@ def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
     return out
 
 
-_ZERO = Fraction(0)
-
-
 def _coerce(value) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
@@ -213,6 +242,11 @@ I = GaussianRational(0, 1)
 def mask_from_indices(indices: Iterable[int], n: int) -> int:
     """Bitmask for a blade given its strictly increasing index tuple."""
     _check_dimension(n)
+    return _mask(indices, n)
+
+
+def _mask(indices: Iterable[int], n: int) -> int:
+    """`mask_from_indices` for a dimension n already checked."""
     mask = 0
     prev = 0
     for i in indices:
@@ -225,7 +259,29 @@ def mask_from_indices(indices: Iterable[int], n: int) -> int:
     return mask
 
 
+def _byte_indices() -> tuple[tuple[int, ...], ...]:
+    """The indices of each mask in [0, 256), by doubling: the masks with
+    bit i - 1 set are those below it with index i appended."""
+    table = ((),)
+    for i in range(1, 9):
+        table += tuple([indices + (i,) for indices in table])
+    return table
+
+
+_BYTE_INDICES = _byte_indices()
+
+
+@lru_cache(maxsize=256)
+def _high_byte_indices(byte: int) -> tuple[int, ...]:
+    """The indices of the mask byte << 8, built on first use."""
+    return tuple(i + 8 for i in _BYTE_INDICES[byte])
+
+
 def indices_from_mask(mask: int) -> tuple[int, ...]:
+    """The increasing generator indices of a blade mask: a lookup per
+    byte for the masks of C_16, a scan of the bits beyond."""
+    if 0 <= mask <= 0xFFFF:
+        return _BYTE_INDICES[mask & 0xFF] + _high_byte_indices(mask >> 8)
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
@@ -486,7 +542,7 @@ class CliffordNumber:
         data: dict[int, GaussianRational] = {}
         if coeffs:
             for indices, value in coeffs.items():
-                mask = mask_from_indices(indices, n)
+                mask = _mask(indices, n)
                 gr = _coerce(value)
                 if gr is NotImplemented:
                     raise TypeError(f"bad coefficient {value!r}")

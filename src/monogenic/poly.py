@@ -79,6 +79,7 @@ from .clifford import (
     _conjugated,
     _is_int,
     _product_numerators,
+    _rational,
     _reduce,
 )
 
@@ -430,11 +431,13 @@ class CliffordPolynomial:
                         {key: blades for key, blades in self._num.items() if key[0] == 0})
 
     def evaluate(self, x0, xs: Sequence) -> CliffordNumber:
-        """Exact evaluation at a rational point (x0, x1, ..., xn)."""
+        """Exact evaluation at a rational point (x0, x1, ..., xn): each
+        coordinate an int or a Fraction, anything else (a float, a str) a
+        TypeError."""
         if len(xs) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(xs)}")
-        x0 = Fraction(x0)
-        xs = [Fraction(x) for x in xs]
+        x0 = _rational(x0)
+        xs = [_rational(x) for x in xs]
         total = CliffordNumber.zero(self.n)
         for (k0, beta), blades in self._num.items():
             scale = x0 ** k0

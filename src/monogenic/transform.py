@@ -195,7 +195,9 @@ def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
 
 
 def restrict(F: CliffordPolynomial) -> CliffordPolynomial:
-    """Substitute x0 = 0."""
+    """Substitute x0 = 0; TypeError unless F is a CliffordPolynomial."""
+    if not isinstance(F, CliffordPolynomial):
+        raise TypeError(f"restrict takes a CliffordPolynomial, got {type(F).__name__}")
     return F.restrict()
 
 

@@ -1,8 +1,23 @@
 """Seeded verification suite reproducing every exact identity.
 
 Random inputs come from Python's `random.Random` (Mersenne Twister)
-seeded explicitly, with numerators and denominators drawn from [-4, 4],
-so a report is a pure function of (seed, parameters).
+seeded explicitly, each rational part p/q drawn as p from [-4, 4] and
+then q from [1, 4], so a report is a pure function of (seed, parameters).
+
+The generators build values the way the kernels store them.  A part is
+read from a table of the 36 possible draws: the shared `Fraction(p, q)`
+for `rand_fraction` and `rand_gaussian_rational` (built by `_gaussian`,
+with no second conversion), its numerator over lcm(1, ..., 4) = 12 for
+the others.  `rand_clifford` collects those numerators by blade mask and
+reduces them once (`CliffordNumber._reduced`); `rand_poly` and both
+container generators add each drawn coefficient's numerators into its
+term (`_add_scaled`), check the degree cap on every drawn term and
+reduce the sum once (`poly._adopt` of `_reduce`).  No generator goes
+through a public constructor or a `+` of values.  Since the stored form
+is unique, they draw the same stream and return the same values as the
+generators that built one `Fraction` per part and summed terms with `+`
+(kept in the test oracles): the pinned reports, the byte-pinned
+transcripts and the inputs of the benchmark do not change.
 
 Every check is one entry of `_IDENTITIES`, in report order: a name, a
 draw and its witnesses.  One runner, `_check`, applies an entry.  It
@@ -28,10 +43,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .clifford import BoundsError, CliffordNumber, GaussianRational, _is_int, indices_from_mask
+from .clifford import (
+    BoundsError,
+    CliffordNumber,
+    GaussianRational,
+    _add_scaled,
+    _check_dimension,
+    _gaussian,
+    _is_int,
+    _reduce,
+    indices_from_mask,
+)
 from .fock import FockElement, fock_norm_sq, fock_to_monogenic, taylor_map
 from .gauss import Measure, gram, inner_mu, inner_rho
-from .poly import CliffordPolynomial, MultiIndex
+from .poly import CliffordPolynomial, MultiIndex, _check_degree_cap
 from .transform import HermiteExpansion, ck_extend, hermite, p_basis, sb_inverse, sb_transform
 
 
@@ -54,20 +79,40 @@ def multi_indices(n: int, max_degree: int) -> Iterator[MultiIndex]:
             yield MultiIndex(beta)
 
 
+# Every drawn part is p/q with p from [-4, 4], then q from [1, 4]: entry
+# 4 * (p + 4) + q - 1 of these tables is Fraction(p, q), and its numerator
+# over _DEN = lcm(1, ..., 4), the denominator the value generators build over.
+_DEN = 12
+_FRACTIONS = tuple(Fraction(p, q) for p in range(-4, 5) for q in range(1, 5))
+_NUMERATORS = tuple(p * _DEN // q for p in range(-4, 5) for q in range(1, 5))
+
+
+def _rand_part(rng: random.Random) -> int:
+    """The table entry of one drawn part: p, then q."""
+    return 4 * rng.randint(-4, 4) + rng.randint(1, 4) + 15
+
+
 def rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+    return _FRACTIONS[_rand_part(rng)]
 
 
 def rand_gaussian_rational(rng: random.Random) -> GaussianRational:
-    return GaussianRational(rand_fraction(rng), rand_fraction(rng))
+    return _gaussian(rand_fraction(rng), rand_fraction(rng))
+
+
+def _rand_blades(rng: random.Random, n: int, max_terms: int) -> dict[int, tuple[int, int]]:
+    """The numerators over _DEN of a random Clifford number: up to max_terms
+    blades, a blade drawn again keeping its last value, zeros kept."""
+    blades = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mask = rng.randrange(2 ** n)
+        blades[mask] = (_NUMERATORS[_rand_part(rng)], _NUMERATORS[_rand_part(rng)])
+    return blades
 
 
 def rand_clifford(rng: random.Random, n: int, max_terms: int = 3) -> CliffordNumber:
-    coeffs = {}
-    for _ in range(rng.randint(1, max_terms)):
-        blade = indices_from_mask(rng.randrange(2 ** n))
-        coeffs[blade] = rand_gaussian_rational(rng)
-    return CliffordNumber(n, {b: v for b, v in coeffs.items()})
+    _check_dimension(n)
+    return CliffordNumber._reduced(n, _DEN, _rand_blades(rng, n, max_terms))
 
 
 def rand_multi_index(rng: random.Random, n: int, max_degree: int) -> MultiIndex:
@@ -78,33 +123,34 @@ def rand_multi_index(rng: random.Random, n: int, max_degree: int) -> MultiIndex:
     return MultiIndex(beta)
 
 
+def _rand_x0_free(rng: random.Random, n: int, max_degree: int,
+                  max_terms: int) -> CliffordPolynomial:
+    """Up to max_terms terms x^beta c, the c of a beta drawn again added to
+    its earlier ones, summed over _DEN and reduced once; the degree cap is
+    checked on every drawn beta, zero-valued ones included."""
+    _check_dimension(n)
+    data = {}
+    for _ in range(rng.randint(1, max_terms)):
+        beta = rand_multi_index(rng, n, max_degree)
+        _add_scaled(data.setdefault((0, beta), {}), _rand_blades(rng, n, 3), 1)
+    _check_degree_cap(data)
+    return CliffordPolynomial._adopt(n, *_reduce(_DEN, data))
+
+
 def rand_poly(rng: random.Random, n: int, max_degree: int,
               max_terms: int = 4) -> CliffordPolynomial:
     """Random x0-free polynomial with Clifford coefficients."""
-    total = CliffordPolynomial.zero(n)
-    for _ in range(rng.randint(1, max_terms)):
-        beta = rand_multi_index(rng, n, max_degree)
-        total = total + CliffordPolynomial.monomial(n, 0, beta, rand_clifford(rng, n))
-    return total
-
-
-def _rand_index_map(cls, rng: random.Random, n: int, max_degree: int, max_terms: int):
-    data: dict[MultiIndex, CliffordNumber] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        beta = rand_multi_index(rng, n, max_degree)
-        value = rand_clifford(rng, n)
-        data[beta] = data[beta] + value if beta in data else value
-    return cls(n, data)
+    return _rand_x0_free(rng, n, max_degree, max_terms)
 
 
 def rand_hermite_expansion(rng: random.Random, n: int, max_degree: int,
                            max_terms: int = 3) -> HermiteExpansion:
-    return _rand_index_map(HermiteExpansion, rng, n, max_degree, max_terms)
+    return HermiteExpansion._of(_rand_x0_free(rng, n, max_degree, max_terms))
 
 
 def rand_fock_element(rng: random.Random, n: int, max_degree: int,
                       max_terms: int = 3) -> FockElement:
-    return _rand_index_map(FockElement, rng, n, max_degree, max_terms)
+    return FockElement._of(_rand_x0_free(rng, n, max_degree, max_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +242,11 @@ def _gram_entries(basis, measure: Measure, n: int, max_degree: int):
 
 
 def _hermite_table(n: int, max_degree: int) -> str | None:
+    # the scalar part of each entry, compared through its stored numerators
     for a, _, b, _, pairing in _gram_entries(hermite, Measure.RHO, n, max_degree):
-        value = pairing.scalar_part()
-        expected = GaussianRational(b.factorial if a == b else 0)
-        if value != expected:
-            return f"<H_{tuple(a)}, H_{tuple(b)}> = {value!r}, expected {expected!r}"
+        expected = b.factorial if a == b else 0
+        if pairing._blades.get(0, (0, 0)) != (expected * pairing._den, 0):
+            return f"<H_{tuple(a)}, H_{tuple(b)}> = {pairing.scalar_part()!r}, expected {expected}"
     return None
 
 
@@ -282,7 +328,7 @@ def _triad(f: HermiteExpansion) -> str | None:
 # (name, draw, witnesses) in report order.  The witnesses of an entry run in
 # turn, each over all trials, so the Segal-Bargmann round trip (true for
 # every n) takes precedence over the isometry (true for n = 1 only).
-_IDENTITIES = [
+_IDENTITIES = (
     ("clifford generator relations and associativity", None, (_algebra_relations,)),
     ("dirac squared equals minus laplacian", _draw_poly, (_dirac_squared,)),
     ("cauchy-kowalevski extension is monogenic and restricts back", _draw_poly, (_ck_extension,)),
@@ -293,7 +339,7 @@ _IDENTITIES = [
     ("taylor map round trips in both directions", _draw_fock_pair, (_fock_round_trips,)),
     ("triad closure: fock norm of transformed input matches source norm", _draw_expansion,
      (_triad,)),
-]
+)
 
 
 def _check(name: str, draw, witnesses, rng: random.Random, n: int, max_degree: int,

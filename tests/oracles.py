@@ -18,12 +18,15 @@ of the monogenic basis that integrate the materialised product
 conj(P_alpha) * P_beta instead of going through `gauss`.  The last
 route also feeds an exact row reduction that decides whether *any*
 moment functional on R^{n+1} makes the basis orthogonal with squared
-norms beta!.  Last, the JSON and text
+norms beta!.  Then the JSON and text
 wire codec as it worked one `CliffordNumber`, `GaussianRational` and
-`Fraction` per term.
+`Fraction` per term.  Last, the seeded input generators of `verify` as
+they drew one `Fraction` per part and built through the public
+constructors, and the bit scan that read blade indices off a mask.
 """
 
 import itertools
+import random
 import re
 from fractions import Fraction
 from math import factorial
@@ -506,3 +509,65 @@ def oracle_poly_to_text(f: CliffordPolynomial) -> str:
 def oracle_fock_to_text(alpha: FockElement) -> str:
     return _table([("beta", "value")] + [
         (",".join(map(str, beta)), oracle_clifford_to_text(value)) for beta, value in alpha.entries()])
+
+
+# -- the seeded input generators of `monogenic.verify`, as they were written
+# before they built stored numerators directly: one Fraction per draw, the
+# public constructors, and one `+` per polynomial term.  Blade indices come
+# from the bit scan below.
+
+def bit_scan_indices(mask: int) -> tuple[int, ...]:
+    """The generator indices of a blade mask, one bit position at a time."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def oracle_rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+
+def oracle_rand_gaussian_rational(rng: random.Random) -> GaussianRational:
+    return GaussianRational(oracle_rand_fraction(rng), oracle_rand_fraction(rng))
+
+
+def oracle_rand_clifford(rng: random.Random, n: int, max_terms: int = 3) -> CliffordNumber:
+    coeffs = {}
+    for _ in range(rng.randint(1, max_terms)):
+        blade = bit_scan_indices(rng.randrange(2 ** n))
+        coeffs[blade] = oracle_rand_gaussian_rational(rng)
+    return CliffordNumber(n, {b: v for b, v in coeffs.items()})
+
+
+def oracle_rand_multi_index(rng: random.Random, n: int, max_degree: int) -> MultiIndex:
+    degree = rng.randint(0, max_degree)
+    beta = [0] * n
+    for _ in range(degree):
+        beta[rng.randrange(n)] += 1
+    return MultiIndex(beta)
+
+
+def oracle_rand_poly(rng: random.Random, n: int, max_degree: int,
+                     max_terms: int = 4) -> CliffordPolynomial:
+    total = CliffordPolynomial.zero(n)
+    for _ in range(rng.randint(1, max_terms)):
+        beta = oracle_rand_multi_index(rng, n, max_degree)
+        total = total + CliffordPolynomial.monomial(n, 0, beta, oracle_rand_clifford(rng, n))
+    return total
+
+
+def _oracle_rand_index_map(cls, rng: random.Random, n: int, max_degree: int, max_terms: int):
+    data: dict[MultiIndex, CliffordNumber] = {}
+    for _ in range(rng.randint(1, max_terms)):
+        beta = oracle_rand_multi_index(rng, n, max_degree)
+        value = oracle_rand_clifford(rng, n)
+        data[beta] = data[beta] + value if beta in data else value
+    return cls(n, data)
+
+
+def oracle_rand_hermite_expansion(rng: random.Random, n: int, max_degree: int,
+                                  max_terms: int = 3) -> HermiteExpansion:
+    return _oracle_rand_index_map(HermiteExpansion, rng, n, max_degree, max_terms)
+
+
+def oracle_rand_fock_element(rng: random.Random, n: int, max_degree: int,
+                             max_terms: int = 3) -> FockElement:
+    return _oracle_rand_index_map(FockElement, rng, n, max_degree, max_terms)

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from monogenic import (CliffordNumber, CliffordPolynomial, DimensionMismatchError, GaussianRational,
                        blade_product, clifford)
-from monogenic.clifford import BoundsError, I, _part_text, indices_from_mask
+from monogenic.clifford import BoundsError, I, _part_text, indices_from_mask, mask_from_indices
 
-from oracles import PRIMES_TO_97, naive_blade_product
+from oracles import PRIMES_TO_97, bit_scan_indices, naive_blade_product
 
 
 def blades_st(n):
@@ -81,6 +81,41 @@ def test_bool_generator_index_rejected():
         CliffordNumber(2, {(True,): 1})
     with pytest.raises(ValueError):
         blade_product((False, 1), (1,), 2)
+
+
+def test_indices_from_mask_is_the_bit_scan():
+    # the byte lookup covers the masks of C_16; wider masks are scanned
+    for mask in range(1 << 16):
+        indices = indices_from_mask(mask)
+        assert indices == bit_scan_indices(mask)
+        assert mask_from_indices(indices, 16) == mask
+    for mask in (1 << 16, (1 << 16) | 0x8001, (1 << 17) - 1, (1 << 40) | 6, (1 << 100) - 1):
+        assert indices_from_mask(mask) == bit_scan_indices(mask)
+    assert type(indices_from_mask(0xFFFF)) is tuple and indices_from_mask(0xFFFF) == tuple(range(1, 17))
+
+
+@pytest.mark.parametrize("coeffs, error, message", [
+    ({(2, 1): 1}, ValueError, "blade indices must be strictly increasing, got (2, 1)"),
+    ({(1, 1): 1}, ValueError, "blade indices must be strictly increasing, got (1, 1)"),
+    ({(3,): 1}, ValueError, "generator index 3 must be an int in [1, 2]"),
+    ({(0,): 1}, ValueError, "generator index 0 must be an int in [1, 2]"),
+    ({(True,): 1}, ValueError, "generator index True must be an int in [1, 2]"),
+    ({(1, 2.0): 1}, ValueError, "generator index 2.0 must be an int in [1, 2]"),
+    # per blade the indices in order, then the coefficient, then the duplicate
+    ({(2, 1, 3): "x"}, ValueError, "blade indices must be strictly increasing, got (2, 1, 3)"),
+    ({(3, 1): "x"}, ValueError, "generator index 3 must be an int in [1, 2]"),
+    ({(1,): 1, frozenset({1}): "x"}, TypeError, "bad coefficient 'x'"),
+    ({(1,): 1, frozenset({1}): 2}, ValueError, "duplicate blade frozenset({1})"),
+    ({(1,): "x", (3,): 1}, TypeError, "bad coefficient 'x'"),
+    ({(1,): 0.5}, TypeError, "bad coefficient 0.5"),
+])
+def test_constructor_errors_keep_class_message_and_order(coeffs, error, message):
+    with pytest.raises(error) as info:
+        CliffordNumber(2, coeffs)
+    assert str(info.value) == message
+    # the dimension is checked first, once
+    with pytest.raises(BoundsError, match="dimension must be in"):
+        CliffordNumber(17, coeffs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

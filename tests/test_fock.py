@@ -20,6 +20,7 @@ from monogenic import (
     fock_to_monogenic,
     inner_mu,
     p_basis,
+    restrict,
     taylor_map,
 )
 from monogenic.verify import multi_indices, rand_fock_element, rand_poly
@@ -138,6 +139,9 @@ def test_fock_maps_take_only_their_own_containers():
     for wrong in (HermiteExpansion(2), FockElement(2), sc(2, 1), 3):
         with pytest.raises(TypeError, match="the Taylor map takes a CliffordPolynomial"):
             taylor_map(wrong)
+        # restrict raised AttributeError from inside the library
+        with pytest.raises(TypeError, match="restrict takes a CliffordPolynomial"):
+            restrict(wrong)
     # the containers themselves still map as before
     alpha = FockElement(n, {(2,): sc(n, 1)})
     assert fock_norm_sq(alpha) == Fraction(1, 2)

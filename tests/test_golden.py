@@ -21,15 +21,26 @@ a - a and a scaled by a Fraction and by a GaussianRational, every grade
 of a, its Hermitian conjugate, scalar part and squared norm, and the
 inner product both ways.  It was recorded while `CliffordNumber` still
 stored one GaussianRational per blade.
+
+The seeded generators of `verify` feed all three files and the benchmark's
+inputs.  They build stored numerators directly; each must draw the same
+random stream and return the same values as the generators they replaced,
+which `oracles` keeps.
 """
 
+import contextvars
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
-from monogenic import CliffordNumber, GaussianRational, fock, serialize, transform, verify
-from monogenic.clifford import indices_from_mask
+import pytest
+
+import oracles
+from monogenic import (CliffordNumber, DegreeCapError, GaussianRational, fock, serialize,
+                       set_degree_cap, transform, verify)
+from monogenic.clifford import indices_from_mask, mask_from_indices
 
 from oracles import PRIMES_TO_97
 
@@ -158,3 +169,91 @@ def test_clifford_bytes_are_pinned():
     assert len(expected) == sum(pairs for _, _, pairs in CLIFFORD_SHAPES)
     for i, (got, want) in enumerate(zip(clifford_lines(), expected)):
         assert got == want, f"pair {i} changed"
+
+
+# -- the seeded generators: the same random stream and the same values ------
+
+# name -> the arguments after rng at dimension n
+GENERATOR_ARGS = {
+    "rand_fraction": lambda n: (),
+    "rand_gaussian_rational": lambda n: (),
+    "rand_multi_index": lambda n: (n, 4),
+    "rand_clifford": lambda n: (n,),
+    "rand_poly": lambda n: (n, 4),
+    "rand_hermite_expansion": lambda n: (n, 4),
+    "rand_fock_element": lambda n: (n, 4),
+}
+
+
+def _same(got, want) -> bool:
+    """Equal values of one type, printing the same repr."""
+    return type(got) is type(want) and got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_ARGS))
+def test_generators_draw_the_stream_and_values_they_drew(name):
+    # the generators build stored numerators directly; the oracles are the
+    # generators as they were, one Fraction per draw and the public
+    # constructors, and each pair must leave its generator in one state
+    draw, reference = getattr(verify, name), getattr(oracles, f"oracle_{name}")
+    for seed in range(20):
+        for n in (1, 2, 3):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            args = GENERATOR_ARGS[name](n)
+            for _ in range(4):
+                got, want = draw(got_rng, *args), reference(want_rng, *args)
+                assert _same(got, want), (seed, n)
+            assert got_rng.getstate() == want_rng.getstate(), (seed, n)
+
+
+@pytest.mark.parametrize("name", ["rand_poly", "rand_hermite_expansion", "rand_fock_element"])
+def test_generators_check_the_degree_cap_on_every_drawn_term(name):
+    # with the cap below the drawn degrees, the same draws raise the error of
+    # the first term above it, zero-valued terms included, or return the
+    # same value
+    draw, reference = getattr(verify, name), getattr(oracles, f"oracle_{name}")
+
+    def outcome(generator, seed, n):
+        try:
+            return generator(random.Random(seed), n, 6, 4)
+        except DegreeCapError as exc:
+            return str(exc)
+
+    def outcomes():
+        set_degree_cap(3)
+        return [(outcome(draw, seed, n), outcome(reference, seed, n))
+                for seed in range(20) for n in (1, 2, 3)]
+
+    pairs = contextvars.copy_context().run(outcomes)
+    assert all(type(got) is type(want) and got == want for got, want in pairs)
+    assert 10 < sum(isinstance(got, str) for got, _ in pairs) < len(pairs)
+
+
+def _dense_draw(rng: random.Random, n: int, blades: int, gaussian, indices) -> dict:
+    """The coefficients of one dense multivector drawn the way the wide
+    algebra workload of the benchmark draws them: distinct masks, nonzero
+    values."""
+    coeffs = {}
+    for mask in rng.sample(range(2 ** n), blades):
+        value = GaussianRational()
+        while not value:
+            value = gaussian(rng)
+        coeffs[indices(mask)] = value
+    return coeffs
+
+
+def test_dense_draw_at_n16_keeps_stream_values_and_stored_form():
+    got_rng, want_rng = random.Random(0), random.Random(0)
+    got = _dense_draw(got_rng, 16, 32, verify.rand_gaussian_rational, indices_from_mask)
+    want = _dense_draw(want_rng, 16, 32, oracles.oracle_rand_gaussian_rational,
+                       oracles.bit_scan_indices)
+    assert got_rng.getstate() == want_rng.getstate()
+    assert list(got) == list(want)
+    assert all(_same(got[b], want[b]) and type(got[b].re) is Fraction for b in got)
+    # the constructor stores the numerators over the lcm of the part denominators
+    x = CliffordNumber(16, got)
+    den = math.lcm(*(p.denominator for v in got.values() for p in (v.re, v.im)))
+    assert x._den == den
+    assert x._blades == {mask_from_indices(b, 16): (int(v.re * den), int(v.im * den))
+                         for b, v in got.items()}
+    assert list(x.terms()) == sorted(got.items(), key=lambda item: (len(item[0]), item[0]))

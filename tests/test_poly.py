@@ -1,6 +1,8 @@
 """Polynomial ring and calculus: partials, Dirac, Laplacian, monogenicity."""
 
+import re
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -111,6 +113,32 @@ def test_non_clifford_coefficient_is_a_type_error():
         CliffordNumber(2, {(1,): "3"})
 
 
+@pytest.mark.parametrize("part", [0.1, 1.0, "1/2", Decimal("0.5"), None, 1j])
+def test_gaussian_parts_are_ints_or_fractions(part):
+    # a float part was read exactly: GaussianRational(0.1) was
+    # 3602879701896397/36028797018963968, and a str or a Decimal was parsed
+    for build in (lambda: GaussianRational(part), lambda: GaussianRational(1, part),
+                  lambda: GaussianRational(part, 1)):
+        with pytest.raises(TypeError, match=f"expected an int or a Fraction, got {re.escape(repr(part))}"):
+            build()
+
+
+def test_gaussian_parts_keep_their_reading():
+    # a Fraction part is adopted as it is, a bool is read as 0 or 1 as the
+    # arithmetic reads it, and a Fraction subclass is stored as a Fraction
+    half = Fraction(1, 2)
+    z = GaussianRational(half, -half)
+    assert z.re is half and z.im == Fraction(-1, 2)
+    assert GaussianRational(True, False) == GaussianRational(1) == GaussianRational(1) * True
+
+    class Half(Fraction):
+        pass
+
+    w = GaussianRational(Half(1, 2))
+    assert type(w.re) is Fraction and w == half
+    assert GaussianRational().re is GaussianRational().im
+
+
 # -- evaluation --------------------------------------------------------------
 
 def test_eval_examples():
@@ -133,6 +161,15 @@ def test_eval_arity_mismatch():
     f = var(2, 1)
     with pytest.raises(ValueError):
         f.evaluate(0, (1,))
+
+
+@pytest.mark.parametrize("x0, xs", [(0.1, (1, 2)), (1, (Fraction(1, 2), 0.5)), ("1/2", (1, 2)),
+                                    (1, (Decimal(1), 2))])
+def test_eval_takes_rational_coordinates_only(x0, xs):
+    # 0.1 was evaluated as the exact binary fraction 3602879701896397/2^55
+    with pytest.raises(TypeError, match="expected an int or a Fraction"):
+        var(2, 1).evaluate(x0, xs)
+    assert var(2, 1).evaluate(True, (Fraction(1, 2), 0)) == CliffordNumber.scalar(2, Fraction(1, 2))
 
 
 @given(poly_st(2), rationals_st(), rationals_st(), rationals_st())

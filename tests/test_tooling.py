@@ -1,5 +1,6 @@
 """Guards for the tooling next to the library: the benchmark's tracer,
-the library's stdlib-only imports, the numerator-only wire codec, one home
+the library's stdlib-only imports, the numerator-only wire codec, the
+seeded generators that build numerators directly, one home
 for each numerator rule, for the integer-argument test, for the
 derivative's key shift and for the pairing forms of gauss, bounded caches,
 and the README's list of CLI commands."""
@@ -147,6 +148,65 @@ def test_codec_builds_no_per_term_objects():
     # the scan sees the calls those functions make
     assert offenders(set()) == ["parse_fraction: Fraction(...)",
                                 "clifford_from_json: ._reduced(...)"]
+
+
+# the value classes whose public constructors the generators of verify skip
+VALUES = {"Fraction", "GaussianRational", "CliffordNumber", "CliffordPolynomial",
+          "HermiteExpansion", "FockElement"}
+
+
+def _generator_offenders(tree):
+    """"function: call" for each public constructor of a value called in a
+    rand_* or _rand_* function of tree, and "function: +" for each `+` in
+    one of their loops that is not a step by an int literal."""
+    found = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.lstrip("_").startswith("rand_")):
+            continue
+        for node in ast.walk(fn):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Name) and func.id in VALUES:
+                found.append(f"{fn.name}: {func.id}(...)")
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                  and func.value.id in VALUES and not func.attr.startswith("_")):
+                found.append(f"{fn.name}: {func.value.id}.{func.attr}(...)")
+        for loop in (node for node in ast.walk(fn) if isinstance(node, (ast.For, ast.While))):
+            for node in (n for stmt in loop.body for n in ast.walk(stmt)):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Add):
+                    operands = [node.left, node.right] if isinstance(node, ast.BinOp) else [node.value]
+                    if not any(isinstance(o, ast.Constant) and type(o.value) is int for o in operands):
+                        found.append(f"{fn.name}: +")
+    return found
+
+
+def test_generators_draw_straight_to_stored_numerators():
+    # the seeded generators of verify collect numerators and build each value
+    # once through the private builders: no public constructor of a value and
+    # no `+` of values per drawn term.  Their tables, like every module-level
+    # value of clifford and verify, are tuples: no process-global container
+    # that a call could change
+    package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
+    tree = ast.parse((package / "verify.py").read_text())
+    assert _generator_offenders(tree) == []
+    assert {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)} >= {
+        "rand_fraction", "rand_gaussian_rational", "rand_clifford", "rand_multi_index",
+        "rand_poly", "rand_hermite_expansion", "rand_fock_element"}
+    # the scan sees the forms the generators used to take
+    probe = ("def rand_a(rng, n):\n    return CliffordNumber(n, {(): Fraction(1, 2)})\n"
+             "def rand_b(rng, n):\n    total = CliffordPolynomial.zero(n)\n"
+             "    for _ in range(3):\n        total = total + draw(rng)\n    return total\n"
+             "def _rand_c(rng, data):\n    for beta in data:\n        data[beta] += rng.random()\n"
+             "def rand_d(rng, beta):\n    for _ in range(3):\n        beta[0] += 1\n"
+             "    return CliffordNumber._reduced(1, 1, {}) + 1\n")
+    assert _generator_offenders(ast.parse(probe)) == [
+        "rand_a: CliffordNumber(...)", "rand_a: Fraction(...)",
+        "rand_b: CliffordPolynomial.zero(...)", "rand_b: +", "_rand_c: +"]
+    clifford, verify = (importlib.import_module(f"monogenic.{name}") for name in ("clifford", "verify"))
+    for module in (clifford, verify):
+        assert [key for key, value in vars(module).items() if not key.startswith("__")
+                and isinstance(value, (list, dict, set, bytearray))] == [], module.__name__
+    assert type(clifford._BYTE_INDICES) is tuple and len(clifford._BYTE_INDICES) == 256
+    assert type(verify._FRACTIONS) is tuple and type(verify._NUMERATORS) is tuple
 
 
 # the squared form x * x + y * y and the real part of the conjugate
