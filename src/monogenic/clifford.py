@@ -40,7 +40,9 @@ numerators of every blade pair into their output blade
 (`_shared_blade_sum`, which weights each blade map once and also holds
 the squared norms of the Hermite and Fock containers).
 Results that can share a factor with the denominator are reduced once
-by `_reduce`, which takes a map {key: blade map} so that one body
+by `_reduce`, whose gcd goes pair by pair and stops at the first
+numerator that makes it 1, so a result with a unit gcd is not read to
+its end.  It takes a map {key: blade map} so that one body
 reduces a number (`CliffordNumber._reduced`, one key), a polynomial
 (`poly._reduced`) and prunes the operator series of `transform`; the
 others are adopted as they are.  A blade map with nothing to divide and
@@ -63,9 +65,10 @@ the default parts share one zero, and a float, a str or a Decimal
 raises TypeError instead of entering the exact path as the binary
 fraction it denotes.  `CliffordNumber(n, coeffs)` checks n once and then
 reads each entry in one pass: its indices become a mask (`_mask`, the
-per-index rule `_is_int`), its value is coerced, a repeated mask is
-refused and a zero value dropped; one lcm of the kept parts'
-denominators then gives the numerators (`_over_common_denominator`).
+per-index rule `_is_int`), its value is coerced and a repeated mask is
+refused, whatever the values; the zero values are dropped after the pass
+and one lcm of the kept parts' denominators then gives the numerators
+(`_over_common_denominator`).
 `indices_from_mask` reads the indices of a mask of C_16 byte by byte,
 from a 256-entry tuple built at import (`_BYTE_INDICES`) and a bounded
 cache of the high byte's, and scans the bits of a wider mask.  The
@@ -401,14 +404,19 @@ def _shared_blade_sum(triples: Iterable[tuple[int, Mapping, Mapping]]) -> tuple[
 def _reduce(den: int, maps: Mapping) -> tuple[int, dict]:
     """(den, maps) reduced: den and every numerator of {key: {mask: (re, im)}}
     divided by their gcd, zero pairs and then keys left without a blade
-    dropped in one pass.  The gcd stops at 1, and then nothing is divided
-    and a blade map without a zero pair is adopted as it is, shared with
-    the input; an all-zero map reduces to (1, {})."""
+    dropped in one pass.  The gcd is taken pair by pair, the maps in order,
+    and stops at the first numerator that leaves it 1, inside a map as
+    well as between maps.  Then nothing is divided and a blade map without
+    a zero pair is adopted as it is, shared with the input; an all-zero
+    map reduces to (1, {})."""
     g = den
     for blades in maps.values():
         if g == 1:
             break
-        g = gcd(g, *chain.from_iterable(blades.values()))
+        for re, im in blades.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
     out = {}
     for key, blades in maps.items():
         if g == 1:
@@ -541,6 +549,7 @@ class CliffordNumber:
         _check_dimension(n)
         data: dict[int, GaussianRational] = {}
         if coeffs:
+            zeros = []
             for indices, value in coeffs.items():
                 mask = _mask(indices, n)
                 gr = _coerce(value)
@@ -548,8 +557,13 @@ class CliffordNumber:
                     raise TypeError(f"bad coefficient {value!r}")
                 if mask in data:
                     raise ValueError(f"duplicate blade {indices}")
-                if gr:
-                    data[mask] = gr
+                data[mask] = gr
+                if not gr:
+                    zeros.append(mask)
+            # zero values are kept until every key is read, so that a
+            # repeated blade is refused whatever its values
+            for mask in zeros:
+                del data[mask]
         self.n = n
         self._den, self._blades = _over_common_denominator(data)
 

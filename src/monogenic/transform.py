@@ -29,7 +29,10 @@ of the images' denominators, times its whole image on the left in one
 `ck_extend` check their input and adopt `_apply` without a second cap
 check, since neither operator raises the total degree; `hermite` and
 `p_basis` check n, beta and the cap as the monomial constructor would,
-without building the monomial, and adopt the cached image itself.  The
+without building the monomial, and adopt the cached image itself.
+Every public operator first checks its container (`_check_polynomial`;
+`sb_transform` takes a `HermiteExpansion` too) and raises TypeError for
+anything else, not an AttributeError from inside the library.  The
 two-step maps are compositions of the public operators, and each step
 checks its own input: `sb_transform` is ck_extend(heat(f)), and
 `sb_inverse` is the inverse heat of F.restrict().  The second check of
@@ -158,6 +161,13 @@ def _basis(n: int, beta: Sequence[int], op: tuple) -> CliffordPolynomial:
     return CliffordPolynomial._adopt(n, den, dict(terms))
 
 
+def _check_polynomial(name: str, f) -> None:
+    """TypeError unless f is a CliffordPolynomial: the container check at
+    the entry of each operator, named in its message."""
+    if not isinstance(f, CliffordPolynomial):
+        raise TypeError(f"{name} takes a CliffordPolynomial, got {type(f).__name__}")
+
+
 def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     """Apply exp(+Laplacian/2), or exp(-Laplacian/2) when inverse is set.
 
@@ -165,6 +175,7 @@ def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     Laplacian strictly drops total degree.  `inverse` is True or False:
     any other value, truthy or not, raises TypeError.
     """
+    _check_polynomial("heat", f)
     if inverse is not True and inverse is not False:
         raise TypeError(f"inverse must be True or False, got {inverse!r}")
     if not f.is_x0_free():
@@ -186,6 +197,7 @@ def hermite(n: int, beta: Sequence[int]) -> CliffordPolynomial:
 def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
     """Cauchy-Kowalevski extension: the monogenic polynomial on R^{n+1}
     restricting to f at x0 = 0, via sum_k (-x0)^k D^k f / k!."""
+    _check_polynomial("ck_extend", f)
     if not f.is_x0_free():
         raise ValueError("C-K extension starts from an x0-free polynomial")
     _check_degree_cap(f._num)  # each term keeps its total degree: the result is adopted
@@ -196,8 +208,7 @@ def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
 
 def restrict(F: CliffordPolynomial) -> CliffordPolynomial:
     """Substitute x0 = 0; TypeError unless F is a CliffordPolynomial."""
-    if not isinstance(F, CliffordPolynomial):
-        raise TypeError(f"restrict takes a CliffordPolynomial, got {type(F).__name__}")
+    _check_polynomial("restrict", F)
     return F.restrict()
 
 
@@ -246,11 +257,15 @@ def sb_transform(f: Union[HermiteExpansion, CliffordPolynomial]) -> CliffordPoly
     """
     if isinstance(f, HermiteExpansion):
         return ck_extend(f._poly)
+    if not isinstance(f, CliffordPolynomial):
+        raise TypeError("sb_transform takes a HermiteExpansion or a CliffordPolynomial, "
+                        f"got {type(f).__name__}")
     return ck_extend(heat(f))
 
 
 def sb_inverse(F: CliffordPolynomial) -> CliffordPolynomial:
     """Inverse transform: restrict to x0 = 0, then apply inverse heat."""
+    _check_polynomial("sb_inverse", F)
     if not F._monogenic and not F.is_monogenic():
         raise NotMonogenicError("inverse transform is defined on monogenic polynomials")
     return heat(F.restrict(), inverse=True)

@@ -108,6 +108,11 @@ def test_indices_from_mask_is_the_bit_scan():
     ({(1,): 1, frozenset({1}): 2}, ValueError, "duplicate blade frozenset({1})"),
     ({(1,): "x", (3,): 1}, TypeError, "bad coefficient 'x'"),
     ({(1,): 0.5}, TypeError, "bad coefficient 0.5"),
+    # a repeated blade is refused whatever its values: with the zero first
+    # the pair used to read as 2e1
+    ({(1,): 0, frozenset({1}): 2}, ValueError, "duplicate blade frozenset({1})"),
+    ({(1,): 2, frozenset({1}): 0}, ValueError, "duplicate blade frozenset({1})"),
+    ({(1,): 0, frozenset({1}): 0}, ValueError, "duplicate blade frozenset({1})"),
 ])
 def test_constructor_errors_keep_class_message_and_order(coeffs, error, message):
     with pytest.raises(error) as info:

@@ -44,7 +44,7 @@ from monogenic import (
     set_degree_cap,
     taylor_map,
 )
-from monogenic import gauss, poly, serialize
+from monogenic import clifford, gauss, poly, serialize
 from monogenic.clifford import (
     _plan_product,
     _product_numerators,
@@ -264,6 +264,12 @@ def test_every_result_is_reduced_and_equality_is_termwise(n):
     (12, {0: (4, 0), 1: (0, 0), 2: (0, -8), 3: (20, 12)}, (3, {0: (1, 0), 2: (0, -2), 3: (5, 3)})),
     # gcd 1 and no zero pair: the map itself is adopted
     (6, {0: (5, 0), 1: (0, 7), 3: (2, -3)}, (6, {0: (5, 0), 1: (0, 7), 3: (2, -3)})),
+    # the gcd reaches 1 only at the last numerator: nothing divided, the map adopted
+    (6, {0: (2, 4), 1: (0, 6), 3: (4, 3)}, (6, {0: (2, 4), 1: (0, 6), 3: (4, 3)})),
+    # a gcd > 1 over the first pairs that a later pair breaks: nothing is
+    # divided, and the zero pair after the break is still dropped
+    (12, {0: (4, 8), 1: (6, 0), 2: (0, 9), 3: (0, 0), 5: (8, 4)},
+     (12, {0: (4, 8), 1: (6, 0), 2: (0, 9), 5: (8, 4)})),
 ])
 def test_reducer_through_both_classes(den, blades, expected):
     given = dict(blades)
@@ -286,6 +292,37 @@ def test_reducer_through_both_classes(den, blades, expected):
     # the gcd spans every key of a polynomial
     g = poly._reduced(2, 4, {(0, (1, 0)): {0: (2, 4)}, (0, (0, 1)): {1: (6, 0), 2: (0, 0)}})
     assert (g._den, g._num) == (2, {(0, (1, 0)): {0: (1, 2)}, (0, (0, 1)): {1: (3, 0)}})
+    # and it stops where it reaches 1: at the last numerator of the last
+    # key, or in the first key with every later key divisible; then nothing
+    # is divided and every map is adopted
+    for den, maps in ((6, {(0, (1, 0)): {0: (2, 4)}, (0, (0, 1)): {1: (6, 0), 2: (0, 3)}}),
+                      (4, {(0, (1, 0)): {0: (1, 0)}, (0, (0, 1)): {1: (2, 4)}})):
+        g = poly._reduced(2, den, dict(maps))
+        assert g._den == den and all(g._num[key] is maps[key] for key in maps)
+        assert len(g._num) == len(maps)
+
+
+def test_reducer_stops_at_the_first_unit_gcd(monkeypatch):
+    # a 4,096-blade map whose first pair is coprime to den takes one gcd
+    # call, not one over every numerator, and gives the value that the gcd
+    # over every numerator gives
+    den = 6
+    blades = {0: (5, 0), **{m: (6 * m, -6) for m in range(1, 4096)}}
+    whole = math.gcd(den, *(part for pair in blades.values() for part in pair))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(clifford, "gcd", counted)
+    x = CliffordNumber._reduced(12, den, blades)
+    assert calls == [(6, 5, 0)]
+    assert whole == 1 and x._den == den // whole and x._blades is blades
+    # over the keys of a polynomial too: the second map is not read
+    calls.clear()
+    f = poly._reduced(12, den, {(0, (1,) + (0,) * 11): blades, (0, (0,) * 12): {0: (6, 0)}})
+    assert calls == [(6, 5, 0)] and f._den == den
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])

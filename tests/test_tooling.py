@@ -2,8 +2,9 @@
 the library's stdlib-only imports, the numerator-only wire codec, the
 seeded generators that build numerators directly, one home
 for each numerator rule, for the integer-argument test, for the
-derivative's key shift and for the pairing forms of gauss, bounded caches,
-and the README's list of CLI commands."""
+derivative's key shift and for the pairing forms of gauss, a reducer gcd
+that stops at the first unit, bounded caches, and the README's list of
+CLI commands."""
 
 import ast
 import importlib
@@ -397,6 +398,30 @@ def test_pairing_forms_are_built_in_one_place():
     assert _enclosing(sources, _calls_of("frozenset")) == ["gauss.py:_form"]
     assert _enclosing(sources, _calls_of("_conjugated")) == ["gauss.py:_with_left"]
     assert _enclosing(sources, _calls_of("_add_scaled")) == ["gauss.py:_with_left"]
+
+
+def _starred_gcds(name, text, tree):
+    """Lines of a gcd call, bare or as an attribute, with a starred argument."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "gcd" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and any(isinstance(arg, ast.Starred) for arg in node.args)]
+
+
+def test_no_gcd_reads_a_whole_map():
+    # `clifford._reduce` takes its gcd pair by pair and stops at the first
+    # unit: a gcd over an unpacked iterable reads every numerator before it
+    # can stop.  The scan sees both spellings, and not a pairwise gcd or
+    # another function's starred call
+    package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    probe = {"probe.py": "def f(g, b):\n    return gcd(g, *chain.from_iterable(b.values()))\n"
+                         "def g(xs):\n    return math.gcd(*xs)\n"
+                         "def h(g, re, im):\n    return gcd(g, re, im)\n"
+                         "def k(ds):\n    return lcm(*ds)\n"}
+    assert _enclosing(probe, _starred_gcds) == ["probe.py:f", "probe.py:g"]
+    assert _enclosing(sources, _starred_gcds) == []
+    assert _enclosing({"clifford.py": sources["clifford.py"]},
+                      _calls_of("gcd")) == ["clifford.py:_part_text", "clifford.py:_reduce"]
 
 
 def _unbounded_caches(source, name):

@@ -73,6 +73,26 @@ def test_heat_inverse_must_be_a_bool(flag):
         heat(var(1, 1) * var(1, 1), inverse=flag)
 
 
+@pytest.mark.parametrize("wrong", [HermiteExpansion(2), 3, None, CliffordNumber(2, {(1,): 1})])
+def test_operators_take_only_their_own_containers(wrong):
+    # each raised AttributeError from inside the library
+    for name, op in (("heat", heat), ("ck_extend", ck_extend), ("sb_inverse", sb_inverse),
+                     ("restrict", restrict)):
+        with pytest.raises(TypeError, match=f"^{name} takes a CliffordPolynomial, "
+                                            f"got {type(wrong).__name__}$"):
+            op(wrong)
+    # the container is checked before the inverse flag
+    with pytest.raises(TypeError, match="^heat takes a CliffordPolynomial"):
+        heat(wrong, inverse="no")
+    if not isinstance(wrong, HermiteExpansion):
+        with pytest.raises(TypeError, match="^sb_transform takes a HermiteExpansion or a "
+                                            f"CliffordPolynomial, got {type(wrong).__name__}$"):
+            sb_transform(wrong)
+    # the accepted containers map as before
+    e = HermiteExpansion(1, {(2,): CliffordNumber.scalar(1, 1)})
+    assert sb_transform(e) == sb_transform(e.to_polynomial()) == p_basis(1, (2,))
+
+
 def test_heat_rejects_x0():
     with pytest.raises(ValueError):
         heat(var(2, 0))
