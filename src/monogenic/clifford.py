@@ -84,7 +84,12 @@ denominator with one gcd: the only place where a numerator becomes text
 (the printers of `serialize` keep one memo of it per call).
 
 Everything here is immutable after construction and every operation is
-pure, so values can be shared freely between threads.
+pure, so values can be shared freely between threads.  So are the
+canonical zeros `_ZEROS`, a tuple built once at import: 0 + 0i at index
+0 and the zero of C_n (no blade over 1) at index n, which the pairings of
+`gauss` return for operands that share no monomial.  Sharing them, as
+sharing blade maps, is safe because no operation changes a value and
+kernels write only into maps they made.
 """
 
 from __future__ import annotations
@@ -708,3 +713,8 @@ class CliffordNumber:
             blade = "e{" + ",".join(map(str, indices)) + "}" if indices else ""
             parts.append(f"({value!r}){blade}" if blade else repr(value))
         return " + ".join(parts)
+
+
+# the canonical zeros (see the module docstring): 0 + 0i, then C_1 .. C_16
+_ZEROS = (_gaussian(_ZERO, _ZERO),
+          *(CliffordNumber._raw(n, 1, {}) for n in range(1, MAX_DIMENSION + 1)))

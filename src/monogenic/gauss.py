@@ -37,21 +37,25 @@ den, the frozenset of its keys, and per key the weight key! (times
 2^(T - |key|) under MU_TILDE, T the top degree) over den (times 2^T).
 The left role, each conj(A_key) times its weight, is built from the
 right role only when `clifford_pairing` first needs it, and is published
-by storing the whole form again.  A pairing first tests the two key sets
-(a frozenset keeps each key's hash, so the test hashes no key tuple
-again): entries whose heat images share no key, such as homogeneous
-parts of different degree, are the canonical zero at once.  Otherwise it
-is one Clifford product per shared key, with the numerator helpers of
-the Clifford product (`clifford._conjugated`, `_product_numerators`),
-and the result is reduced once.  Preparing a value costs more than
+by storing the whole form again.  Preparing a value costs more than
 pairing it once term by term with moments would; the form pays off when
 a value is paired again, as in `gram`.
 
-The scalar products `inner_rho` and `inner_mu` need only the grade-0
-part.  conj(e_A) e_B has a scalar part only when A = B, and there it is
-1, so they sum conj(a_A) b_A over the shared blades of the shared keys
-of the two right roles, each key with the left operand's weight
-(`clifford._shared_blade_sum`, the one weighted blade sum that
+One kernel, `_pairing`, serves `clifford_pairing`, `inner_rho` and
+`inner_mu`, one call each.  It checks the dimensions, reads both cached
+forms and tests the two key sets (a frozenset keeps each key's hash, so
+the test hashes no key tuple again).  Entries whose heat images share no
+key, such as homogeneous parts of different degree and most entries of a
+Gram table, are then the shared zero of their dimension, built once in
+`clifford` (`_ZEROS`): the same object for every such entry, allocated
+by no pairing.  Otherwise `clifford_pairing` is one Clifford product per
+shared key, with the numerator helpers of the Clifford product
+(`clifford._conjugated`, `_product_numerators`), and the result is
+reduced once.  The scalar products `inner_rho` and `inner_mu` need only
+the grade-0 part.  conj(e_A) e_B has a scalar part only when A = B, and
+there it is 1, so they sum conj(a_A) b_A over the shared blades of the
+shared keys of the two right roles, each key with the left operand's
+weight (`clifford._shared_blade_sum`, the one weighted blade sum that
 `CliffordNumber.inner` and both container norms use too); they never
 build a left role.  `gram` yields the pairings of every f of one list
 with every g of another, row by row.
@@ -60,7 +64,10 @@ with every g of another, row by row.
 `Measure` member and raise TypeError for anything else, such as the
 strings "rho" and "mu", instead of reading it as one of the two.  Every
 pairing raises TypeError for an operand that is not a
-`CliffordPolynomial`, such as a `HermiteExpansion` or a number.
+`CliffordPolynomial`, such as a `HermiteExpansion` or a number, after
+the dimension check: an operand of another dimension raises
+DimensionMismatchError first.  Pairing results may be shared objects,
+and like every value they are not to be mutated.
 """
 
 from __future__ import annotations
@@ -73,6 +80,7 @@ from typing import Iterable, Iterator, Sequence
 from .clifford import (
     CliffordNumber,
     GaussianRational,
+    _ZEROS,
     _add_scaled,
     _conjugated,
     _gaussian_over,
@@ -153,14 +161,32 @@ def _with_left(f: CliffordPolynomial, form: tuple, mu: bool) -> tuple:
     return _store(f, mu, form[:5] + (left,))
 
 
-def _forms(f: CliffordPolynomial, g: CliffordPolynomial, mu: bool) -> tuple[tuple, tuple]:
-    """The forms of f and g under MU_TILDE if mu, else RHO, after the
-    dimension check; TypeError unless both are polynomials."""
+def _pairing(f: CliffordPolynomial, g: CliffordPolynomial, mu: bool,
+             full: bool) -> CliffordNumber | GaussianRational:
+    """Integral of conj(f) * g under MU_TILDE if mu, else RHO: the Clifford
+    number if full, else its scalar part.  The one pairing kernel: after the
+    dimension check it reads both cached forms (TypeError unless both are
+    polynomials), and operands whose key sets are disjoint pair to the
+    shared zero of their dimension."""
     try:
-        f._check_dim(g)
-        return f._fischer[mu] or _form(f, mu), g._fischer[mu] or _form(g, mu)
+        if f.n != g.n:
+            f._check_dim(g)
+        a = f._fischer[mu] or _form(f, mu)
+        b = g._fischer[mu] or _form(g, mu)
     except AttributeError:
         raise TypeError(_NOT_POLYNOMIALS) from None
+    if a[2].isdisjoint(b[2]):
+        return _ZEROS[f.n if full else 0]
+    if full:
+        left = a[5] or _with_left(f, a, mu)[5]
+        acc: dict[int, tuple[int, int]] = {}
+        for key in a[2] & b[2]:
+            _product_numerators(acc, left[key], b[1][key])
+        return CliffordNumber._reduced(f.n, a[4] * b[0], acc)
+    # conj(e_A) e_A = 1: the scalar part sums the shared blades, f's weights
+    image, weights, right = a[1], a[3], b[1]
+    re, im = _shared_blade_sum((weights[key], image[key], right[key]) for key in a[2] & b[2])
+    return _gaussian_over(re, im, a[4] * b[0])
 
 
 def clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
@@ -168,27 +194,7 @@ def clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
     """Full Clifford-valued pairing: integral of conj(f) * g, one Clifford
     product per key the heat images share."""
     _check_measure(measure)
-    mu = measure is Measure.MU_TILDE
-    a, b = _forms(f, g, mu)
-    if a[2].isdisjoint(b[2]):
-        return CliffordNumber._raw(f.n, 1, {})
-    left = a[5] or _with_left(f, a, mu)[5]
-    acc: dict[int, tuple[int, int]] = {}
-    for key in a[2] & b[2]:
-        _product_numerators(acc, left[key], b[1][key])
-    return CliffordNumber._reduced(f.n, a[4] * b[0], acc)
-
-
-def _scalar_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
-                    mu: bool) -> GaussianRational:
-    """Scalar part of the integral of conj(f) * g under MU_TILDE if mu,
-    else RHO: sum of conj(a_A) b_A over the shared blades of shared keys,
-    since conj(e_A) e_A = 1, each key weighted by f's weight."""
-    (_, image, keys, weights, wden, _), (den, right, other, *_) = _forms(f, g, mu)
-    if keys.isdisjoint(other):
-        return _gaussian_over(0, 0, 1)
-    re, im = _shared_blade_sum((weights[key], image[key], right[key]) for key in keys & other)
-    return _gaussian_over(re, im, wden * den)
+    return _pairing(f, g, measure is Measure.MU_TILDE, True)
 
 
 def gram(fs: Iterable[CliffordPolynomial], gs: Iterable[CliffordPolynomial],
@@ -209,9 +215,9 @@ def gram(fs: Iterable[CliffordPolynomial], gs: Iterable[CliffordPolynomial],
 
 def inner_rho(f: CliffordPolynomial, g: CliffordPolynomial) -> GaussianRational:
     """<f, g> over R^n: scalar part of the RHO pairing."""
-    return _scalar_pairing(f, g, False)
+    return _pairing(f, g, False, False)
 
 
 def inner_mu(f: CliffordPolynomial, g: CliffordPolynomial) -> GaussianRational:
     """<F, G> over R^{n+1}: scalar part of the MU_TILDE pairing."""
-    return _scalar_pairing(f, g, True)
+    return _pairing(f, g, True, False)

@@ -15,6 +15,7 @@ from monogenic import (
     CliffordNumber,
     CliffordPolynomial,
     DimensionMismatchError,
+    FockElement,
     GaussianRational,
     HermiteExpansion,
     Measure,
@@ -29,9 +30,9 @@ from monogenic import (
     set_degree_cap,
 )
 
-from monogenic.clifford import indices_from_mask
-from monogenic.gauss import _forms
-from monogenic.serialize import poly_from_json, poly_to_json
+from monogenic.clifford import _ZEROS, indices_from_mask
+from monogenic.gauss import _form
+from monogenic.serialize import clifford_to_json, poly_from_json, poly_to_json
 from monogenic.transform import _image
 from monogenic.verify import multi_indices
 
@@ -172,19 +173,87 @@ def test_dimension_mismatch():
         inner_rho(var(2, 1), var(3, 1))
 
 
-def test_pairings_reject_operands_that_are_not_polynomials():
+# -- the operand contract of every pairing ------------------------------------
+
+# values that are not polynomials over C_2: without a dimension at all, of
+# the same n but another class, or of another n
+BAD_VALUES = {
+    "int": lambda: 3,
+    "none": lambda: None,
+    "bool": lambda: True,
+    "str": lambda: "mu",
+    "hermite_expansion": lambda: HermiteExpansion(2, {(1, 0): CliffordNumber.one(2)}),
+    "fock_element": lambda: FockElement(2, {(1, 0): CliffordNumber.one(2)}),
+    "number_same_n": lambda: CliffordNumber.one(2),
+    "number_other_n": lambda: CliffordNumber.one(3),
+    "poly_other_n": lambda: hermite(3, (1, 0, 0)),
+}
+NOT_POLYNOMIALS = (TypeError, "pairings take CliffordPolynomial operands")
+# a value of another n fails the dimension check before its class is read,
+# with the message of the left operand's class
+OTHER_N = {("number_other_n", "left"): (DimensionMismatchError, "C_3 vs C_2"),
+           ("number_other_n", "right"): (DimensionMismatchError, "polynomials over C_2 vs C_3"),
+           ("poly_other_n", "left"): (DimensionMismatchError, "polynomials over C_3 vs C_2"),
+           ("poly_other_n", "right"): (DimensionMismatchError, "polynomials over C_2 vs C_3")}
+
+
+def _f():
+    return hermite(2, (1, 0))
+
+
+# each pairing as a function of its two operands; the MU_TILDE rows of gram
+# reach the bad value in the second row or the second column
+PAIRINGS = {
+    "inner_rho": inner_rho,
+    "inner_mu": inner_mu,
+    "clifford_pairing_rho": lambda a, b: clifford_pairing(a, b, Measure.RHO),
+    "clifford_pairing_mu": lambda a, b: clifford_pairing(a, b, Measure.MU_TILDE),
+    "gram_rho": lambda a, b: next(gram([a], [b], Measure.RHO)),
+    "gram_mu": lambda a, b: list(gram([_f(), a], [_f(), b], Measure.MU_TILDE)),
+}
+
+
+def _raises(expected, call, *args):
+    cls, message = expected
+    with pytest.raises(cls) as info:
+        call(*args)
+    assert type(info.value) is cls and str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("slot", ["left", "right"])
+@pytest.mark.parametrize("pairing", PAIRINGS)
+def test_pairings_reject_operands_that_are_not_polynomials(pairing, slot, bad):
     # these raised AttributeError from inside gauss ("'int' object has no attribute 'n'")
-    f = hermite(2, (1, 0))
-    calls = [inner_rho, inner_mu,
-             lambda a, b: clifford_pairing(a, b, Measure.RHO),
-             lambda a, b: clifford_pairing(a, b, Measure.MU_TILDE),
-             lambda a, b: list(gram([a], [b], Measure.RHO)),
-             lambda a, b: list(gram([f, a], [f, b], Measure.MU_TILDE))]
-    for wrong in (3, None, HermiteExpansion(2), CliffordNumber.one(2)):
-        for call in calls:
-            for a, b in ((f, wrong), (wrong, f)):
-                with pytest.raises(TypeError, match="CliffordPolynomial"):
-                    call(a, b)
+    f, wrong = _f(), BAD_VALUES[bad]()
+    a, b = (wrong, f) if slot == "left" else (f, wrong)
+    _raises(OTHER_N.get((bad, slot), NOT_POLYNOMIALS), PAIRINGS[pairing], a, b)
+
+
+@pytest.mark.parametrize("bad", ["int", "none", "bool", "str", "number_other_n", "poly_other_n"])
+@pytest.mark.parametrize("slot", ["left", "right"])
+def test_gram_checks_each_row_before_the_measure(slot, bad):
+    # a gram row checks its dimensions before it pairs, so an operand with
+    # no dimension or another one wins over a bad measure
+    f, wrong = _f(), BAD_VALUES[bad]()
+    fs, gs = ([wrong], [f]) if slot == "left" else ([f], [f, wrong])
+    _raises(OTHER_N.get((bad, slot), NOT_POLYNOMIALS), lambda: next(gram(fs, gs, "rho")))
+
+
+@pytest.mark.parametrize("bad", [b for b in BAD_VALUES if b != "int"])
+@pytest.mark.parametrize("measure", [Measure.RHO, Measure.MU_TILDE], ids=["rho", "mu"])
+def test_moment_exponents_contract(measure, bad):
+    # an x0 exponent that is not an int is a ValueError; beta is unpacked,
+    # so a value that is not iterable fails there and a str is read per character
+    wrong = BAD_VALUES[bad]()
+    with pytest.raises(ValueError, match=r"^moment exponents must be nonnegative ints, got \("):
+        moment(measure, wrong, (2, 0))
+    if bad == "str":
+        _raises((ValueError, "moment exponents must be nonnegative ints, got (0, 'm', 'u')"),
+                moment, measure, 0, wrong)
+    else:
+        with pytest.raises(TypeError, match="must be an iterable"):
+            moment(measure, 0, wrong)
 
 
 # -- invariants ----------------------------------------------------------------
@@ -315,16 +384,21 @@ def test_gram_reads_any_iterable_of_columns():
         assert list(gram(iter(fs), iter(fs), measure)) == expected
 
 
-@pytest.mark.parametrize("measure", ["rho", "mu", None])
+@pytest.mark.parametrize("measure", ["rho", "mu", None, *(
+    pytest.param(make, id=name) for name, make in BAD_VALUES.items() if name not in ("none", "str"))])
 def test_measure_must_be_a_measure_member(measure):
     # a string or None names no measure: it is not read as RHO or MU_TILDE
+    wrong = measure() if callable(measure) else measure
+    expected = (TypeError, f"measure must be a Measure, got {wrong!r}")
     f = hermite(2, (1, 0))
-    with pytest.raises(TypeError, match="measure must be a Measure"):
-        moment(measure, 0, (2, 0))
-    with pytest.raises(TypeError, match="measure must be a Measure"):
-        clifford_pairing(f, f, measure)
-    with pytest.raises(TypeError, match="measure must be a Measure"):
-        next(gram([f], [f], measure))
+    _raises(expected, moment, wrong, 0, (2, 0))
+    _raises(expected, clifford_pairing, f, f, wrong)
+    _raises(expected, lambda: next(gram([f], [f], wrong)))
+    # clifford_pairing reads the measure before either operand, and moment
+    # before the exponents
+    _raises(expected, clifford_pairing, f, wrong, wrong)
+    _raises(expected, clifford_pairing, wrong, f, wrong)
+    _raises(expected, moment, wrong, wrong, (2, 0))
 
 
 def test_gram_edges_and_errors():
@@ -391,7 +465,7 @@ def test_disjoint_overlapping_and_equal_key_sets_match_naive_oracle(n, measure):
         f, h = rand_parity_poly(rng, n, p, mu), rand_parity_poly(rng, n, q, mu)
         polys += [f, h]
         for a, b in ((f, h), (h, f), (f, f + h), (f + h, h), (f, f * GaussianRational(2, -1))):
-            keys_a, keys_b = (form[2] for form in _forms(a, b, mu))
+            keys_a, keys_b = ((x._fischer[mu] or _form(x, mu))[2] for x in (a, b))
             kinds.append("disjoint" if keys_a.isdisjoint(keys_b) else
                          "equal" if keys_a == keys_b else "overlapping")
             expected = naive_clifford_pairing(a, b, measure)
@@ -509,6 +583,87 @@ def test_shared_values_pair_alike_from_four_threads():
         sys.setswitchinterval(interval)
     assert all(result == (expected, scalars) for result in results)
     assert [json.dumps(poly_to_json(f)) for f in values] == texts
+
+
+def _zero_entries(n, degree):
+    """The zero entries of the full gram tables of hermite(n, beta) under RHO
+    and p_basis(n, beta) under MU_TILDE, |beta| <= degree, and of the
+    matching scalar pairings, each with whether its heat images share no key."""
+    betas = [beta for d in range(degree + 1) for beta in multi_indices(n, d)]
+    cases = ((Measure.RHO, [hermite(n, beta) for beta in betas]),
+             (Measure.MU_TILDE, [p_basis(n, beta) for beta in betas]))
+    full, scalar = [], []
+    for measure, polys in cases:
+        mu = measure is Measure.MU_TILDE
+        for f, row in zip(polys, gram(polys, polys, measure)):
+            for g, v in zip(polys, row):
+                disjoint = _form(f, mu)[2].isdisjoint(_form(g, mu)[2])
+                s = INNER[measure](f, g)
+                full += [(v, disjoint)] if not v else []
+                scalar += [(s, disjoint)] if not s else []
+    return full, scalar
+
+
+def _assert_canonical_where_disjoint(entries, n):
+    for zeros, canonical in zip(entries, (_ZEROS[n], _ZEROS[0])):
+        assert sum(disjoint for _, disjoint in zeros) > 100
+        # a zero of cancelling terms is an equal value of its own
+        assert all((z is canonical) == disjoint and z == canonical for z, disjoint in zeros)
+
+
+def test_shared_zeros_stay_zero():
+    # a disjoint pair returns the canonical zero of its dimension, one object
+    # built at import; no arithmetic on it, from any thread, changes it
+    n = 3
+    entries = _zero_entries(n, 3)
+    _assert_canonical_where_disjoint(entries, n)
+    p0, p1 = p_basis(n, (1, 0, 0)), p_basis(n, (0, 2, 0))
+    h0, h1 = hermite(n, (1, 0, 0)), hermite(n, (0, 1, 0))
+    assert clifford_pairing(p0, p1, Measure.MU_TILDE) is clifford_pairing(h0, h1, Measure.RHO) is _ZEROS[n]
+    assert inner_mu(p0, p1) is inner_rho(h0, h1) is inner_mu(h1, p0) is _ZEROS[0]
+
+    x = CliffordNumber(n, {(): GaussianRational(1, -2), (1, 3): Fraction(3, 4)})
+    f, h, i = p_basis(n, (1, 0, 1)), hermite(n, (1, 0, 1)), GaussianRational(0, 1)
+    zero, scalar_zero = CliffordNumber.zero(n), GaussianRational(0)
+    number_ops = [  # (operation on a zero of C_n, its value)
+        (lambda z: z + x, x), (lambda z: x + z, x), (lambda z: z - x, -x), (lambda z: x - z, x),
+        (lambda z: -z, zero), (lambda z: z * x, zero), (lambda z: x * z, zero), (lambda z: z * 2, zero),
+        (lambda z: i * z, zero), (lambda z: z.hermitian_conj(), zero),
+        (lambda z: z.inner(x), scalar_zero), (lambda z: x.inner(z), scalar_zero),
+        (lambda z: z.norm_sq(), 0), (lambda z: z.grade(0), zero), (lambda z: z.grade(2), zero),
+        (lambda z: list(z.terms()), []), (lambda z: clifford_to_json(z), []),
+        (lambda z: clifford_pairing(f * z, f, Measure.MU_TILDE), zero),
+        (lambda z: clifford_pairing(h, h * z, Measure.RHO), zero)]
+    scalar_ops = [  # (operation on 0 + 0i, its value)
+        (lambda w: w + 1, 1), (lambda w: 1 - w, 1), (lambda w: w - i, -i), (lambda w: -w, 0),
+        (lambda w: w * i, 0), (lambda w: w.conjugate(), 0), (lambda w: w.abs_sq(), 0),
+        (lambda w: complex(w), 0j), (lambda w: x * w, zero), (lambda w: w * x, zero),
+        (lambda w: CliffordNumber.scalar(n, w), zero)]
+    full, scalar = ([z for z, _ in zeros] for zeros in entries)
+
+    def work(k):
+        return ([op(z) for z in full[k::4] for op, _ in number_ops]
+                + [op(w) for w in scalar[k::4] for op, _ in scalar_ops])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(work, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, out in enumerate(results):
+        assert out == ([value for _ in full[k::4] for _, value in number_ops]
+                       + [value for _ in scalar[k::4] for _, value in scalar_ops])
+    # the zeros themselves are unchanged: no blade over 1, and 0 + 0i
+    assert type(_ZEROS) is tuple and len(_ZEROS) == 17
+    assert all(type(z) is CliffordNumber and (z.n, z._den, z._blades) == (k, 1, {})
+               for k, z in enumerate(_ZEROS[1:], 1))
+    assert type(_ZEROS[0]) is GaussianRational
+    assert (type(_ZEROS[0].re), type(_ZEROS[0].im)) == (Fraction, Fraction)
+    assert (_ZEROS[0].re, _ZEROS[0].im) == (0, 0)
+    # and the pairings still return them
+    _assert_canonical_where_disjoint(_zero_entries(n, 3), n)
 
 
 def test_scalar_pairings_build_no_left_role():

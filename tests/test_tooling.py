@@ -2,9 +2,10 @@
 the library's stdlib-only imports, the numerator-only wire codec, the
 seeded generators that build numerators directly, one home
 for each numerator rule, for the integer-argument test, for the
-derivative's key shift and for the pairing forms of gauss, a reducer gcd
-that stops at the first unit, bounded caches, and the README's list of
-CLI commands."""
+derivative's key shift, for the pairing forms and the one pairing kernel
+of gauss, its measure check and the canonical zeros, a reducer gcd that
+stops at the first unit, bounded caches, and the README's list of CLI
+commands."""
 
 import ast
 import importlib
@@ -386,18 +387,86 @@ def test_integer_and_derivative_rules_have_one_home():
         "poly.py:partial"]
 
 
+def _texts_holding(phrase):
+    """Lines of a string constant, alone or in an f-string, holding phrase."""
+    return lambda name, text, tree: [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and phrase in node.value]
+
+
+def _zero_builds(name, text, tree):
+    """Lines that build a zero value: a `_raw` number over an empty blade
+    map, or a Gaussian rational from two zero parts."""
+    def zero(node):
+        return (isinstance(node, ast.Constant) and type(node.value) is int and node.value == 0
+                or isinstance(node, ast.Name) and node.id == "_ZERO")
+
+    lines = []
+    for node in ast.walk(tree):
+        callee = isinstance(node, ast.Call) and (getattr(node.func, "id", None)
+                                                 or getattr(node.func, "attr", None))
+        if (callee == "_raw" and any(isinstance(a, ast.Dict) and not a.keys for a in node.args)
+                or callee in ("_gaussian", "_gaussian_over") and len(node.args) >= 2
+                and all(map(zero, node.args[:2]))):
+            lines.append(node.lineno)
+    return lines
+
+
+def _module_tuple_lines(tree):
+    """Lines of the module-level assignments of a tuple display."""
+    return {line for node in tree.body if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+            for line in range(node.lineno, node.end_lineno + 1)}
+
+
 def test_pairing_forms_are_built_in_one_place():
     # gauss takes heat images, weights and conjugate copies in its form
     # builders only: the right role (`_form`) holds the image and the
     # weights key! 2^(T - |key|), the lazy left role (`_with_left`) the
     # weighted conjugates, and every pairing reads them from the cache
-    path = Path(__file__).resolve().parent.parent / "src" / "monogenic" / "gauss.py"
-    sources = {"gauss.py": path.read_text()}
+    package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
+    library = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    sources = {"gauss.py": library["gauss.py"]}
     assert _enclosing(sources, _calls_of("_apply")) == ["gauss.py:_form"]
     assert _enclosing(sources, _calls_of("factorial")) == ["gauss.py:_form"]
     assert _enclosing(sources, _calls_of("frozenset")) == ["gauss.py:_form"]
     assert _enclosing(sources, _calls_of("_conjugated")) == ["gauss.py:_with_left"]
     assert _enclosing(sources, _calls_of("_add_scaled")) == ["gauss.py:_with_left"]
+    # one kernel pairs: the key-set test, the Clifford product and the
+    # weighted blade sum are called in `_pairing` only, which
+    # `clifford_pairing`, `inner_rho` and `inner_mu` each call once
+    for callee in ("isdisjoint", "_product_numerators", "_shared_blade_sum"):
+        assert _enclosing(sources, _calls_of(callee)) == ["gauss.py:_pairing"], callee
+    assert _enclosing(sources, _calls_of("_pairing")) == [
+        "gauss.py:clifford_pairing", "gauss.py:inner_mu", "gauss.py:inner_rho"]
+    # the measure is checked in `_check_measure` only
+    phrase = _texts_holding("must be a Measure")
+    assert _enclosing(library, phrase) == ["gauss.py:_check_measure"]
+    # the canonical zeros are built once, in a module-level tuple of
+    # clifford, so they stay out of reach of the guard against
+    # process-global lists, dicts and sets; gauss only reads them
+    assert _enclosing(library, _zero_builds) == ["clifford.py:"]
+    tree = ast.parse(library["clifford.py"])
+    assert set(_zero_builds("clifford.py", library["clifford.py"], tree)) <= _module_tuple_lines(tree)
+    # the scans see a second key-set test and blade sum, a second measure
+    # message, zeros built in a pairing, and a module-level list of zeros
+    probe = {"probe.py": "ZEROS = [CliffordNumber._raw(n, 1, {}) for n in range(1, 17)]\n"
+                         "PAIR = (_gaussian(_ZERO, _ZERO),)\n"
+                         "def _pairing(a, b):\n    return a[2].isdisjoint(b[2])\n"
+                         "def _scalar_pairing(f, g, mu):\n    if keys.isdisjoint(other):\n"
+                         "        return _gaussian_over(0, 0, 1)\n"
+                         "    return _shared_blade_sum(triples)\n"
+                         "def clifford_pairing(f, g, measure):\n"
+                         "    if not isinstance(measure, Measure):\n"
+                         "        raise TypeError(f'measure must be a Measure, got {measure!r}')\n"
+                         "    return CliffordNumber._raw(f.n, 1, {})\n"
+                         "def neg(z):\n    return _raw(z.n, z._den, {m: v for m, v in z._blades.items()})\n"}
+    assert _enclosing(probe, _calls_of("isdisjoint")) == ["probe.py:_pairing", "probe.py:_scalar_pairing"]
+    assert _enclosing(probe, _calls_of("_shared_blade_sum")) == ["probe.py:_scalar_pairing"]
+    assert _enclosing(probe, phrase) == ["probe.py:clifford_pairing"]
+    assert _enclosing(probe, _zero_builds) == [
+        "probe.py:", "probe.py:_scalar_pairing", "probe.py:clifford_pairing"]
+    tree = ast.parse(probe["probe.py"])
+    assert set(_zero_builds("probe.py", probe["probe.py"], tree)) - _module_tuple_lines(tree) == {1, 7, 12}
 
 
 def _starred_gcds(name, text, tree):
