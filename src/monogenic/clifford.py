@@ -73,7 +73,10 @@ and one lcm of the kept parts' denominators then gives the numerators
 from a 256-entry tuple built at import (`_BYTE_INDICES`) and a bounded
 cache of the high byte's, and scans the bits of a wider mask.  The
 generators of `verify` skip the public constructors and build stored
-numerators directly.
+numerators directly.  Two argument rules live here for the whole
+library: `_is_int`, the test behind every integer argument, and
+`_checked`, the container check at the entry of every operator and Fock
+map, whose TypeError reads "<name> takes a <class>, got <type>".
 
 Printing has two primitives, and every printer (JSON and text, of
 numbers, polynomials and containers) is built on them: `_blade_order`
@@ -119,6 +122,16 @@ def _is_int(value, lo: int | None = None, hi: int | None = None) -> bool:
     is open): the one test behind every integer argument of the library."""
     return (isinstance(value, int) and not isinstance(value, bool)
             and (lo is None or lo <= value) and (hi is None or value <= hi))
+
+
+def _checked(name: str, value, *classes: type):
+    """value, or TypeError "<name> takes a <A>[ or a <B>], got <type>"
+    unless it is an instance of one of classes: the one container check
+    at the entry of every operator and Fock map, named in its message."""
+    if not isinstance(value, classes):
+        raise TypeError(f"{name} takes a {' or a '.join(c.__name__ for c in classes)}, "
+                        f"got {type(value).__name__}")
+    return value
 
 
 def _check_dimension(n: int) -> None:

@@ -12,20 +12,22 @@ beta! times the x0-free numerators of F; the inverse Taylor map C-K
 extends sum_beta x^beta alpha(e^beta) / beta!, the stored numerators
 scaled to one denominator times lcm(beta!).
 
-The maps check their container: `fock_norm_sq`, `fock_to_function` and
-`fock_to_monogenic` raise TypeError for anything but a `FockElement`
-(a `HermiteExpansion` shares its stored form, not its meaning), and
-`taylor_map` for anything but a `CliffordPolynomial`.
+The maps check their container through `clifford._checked`, each under
+its own name: `fock_norm_sq`, `fock_to_function` and `fock_to_monogenic`
+raise TypeError "<map> takes a FockElement, got <type>" for anything
+else (a `HermiteExpansion` shares its stored form, not its meaning), and
+`taylor_map` "taylor_map takes a CliffordPolynomial, got <type>".  The
+weight beta! of every map and of the norm is `poly._key_factorial`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import lcm
 from typing import Sequence
 
-from .clifford import CliffordNumber, _is_int, _shared_blade_sum
-from .poly import CliffordPolynomial, _MultiIndexMap, _reduced
+from .clifford import CliffordNumber, _checked, _is_int, _shared_blade_sum
+from .poly import CliffordPolynomial, _MultiIndexMap, _key_factorial, _reduced
 from .transform import NotMonogenicError, ck_extend
 
 
@@ -56,16 +58,9 @@ class FockElement(_MultiIndexMap):
         return FockElement._of(self._poly + other._poly)
 
 
-def _fock_poly(alpha: FockElement) -> CliffordPolynomial:
-    """The stored polynomial of alpha; TypeError unless alpha is a FockElement."""
-    if not isinstance(alpha, FockElement):
-        raise TypeError(f"expected a FockElement, got {type(alpha).__name__}")
-    return alpha._poly
-
-
 def _factorial_weights(f: CliffordPolynomial) -> tuple[int, dict]:
     """(lcm of beta! over the support of f, {key: lcm / beta!})."""
-    weights = {key: prod(map(factorial, key[1])) for key in f._num}
+    weights = {key: _key_factorial(key) for key in f._num}
     common = lcm(*weights.values())
     return common, {key: common // w for key, w in weights.items()}
 
@@ -73,7 +68,7 @@ def _factorial_weights(f: CliffordPolynomial) -> tuple[int, dict]:
 def fock_norm_sq(alpha: FockElement) -> Fraction:
     """Squared Fock norm: sum over beta of |alpha(e^beta)|^2 / beta!, one
     integer sum over den^2 * lcm(beta!)."""
-    f = _fock_poly(alpha)
+    f = _checked("fock_norm_sq", alpha, FockElement)._poly
     common, weights = _factorial_weights(f)
     total, _ = _shared_blade_sum((weights[key], b, b) for key, b in f._num.items())
     return Fraction(total, f._den * f._den * common)
@@ -89,14 +84,13 @@ def taylor_map(F: CliffordPolynomial) -> FockElement:
     re-checked on a result of `ck_extend`, which is monogenic by
     construction.
     """
-    if not isinstance(F, CliffordPolynomial):
-        raise TypeError(f"the Taylor map takes a CliffordPolynomial, got {type(F).__name__}")
+    _checked("taylor_map", F, CliffordPolynomial)
     if not F._monogenic and not F.is_monogenic():
         raise NotMonogenicError("the Taylor map is defined on monogenic polynomials")
     data = {}
     for key, blades in F._num.items():
         if not key[0]:
-            w = prod(map(factorial, key[1]))
+            w = _key_factorial(key)
             data[key] = {m: (re * w, im * w) for m, (re, im) in blades.items()}
     return FockElement._of(_reduced(F.n, F._den, data))
 
@@ -105,7 +99,7 @@ def fock_to_function(alpha: FockElement) -> CliffordPolynomial:
     """Evaluate alpha against the exponential tensors:
     f(x) = sum_beta x^beta * alpha(e^beta) / beta!, put over one
     denominator: the stored one times lcm(beta!)."""
-    f = _fock_poly(alpha)
+    f = _checked("fock_to_function", alpha, FockElement)._poly
     common, weights = _factorial_weights(f)
     data = {}
     for key, blades in f._num.items():
@@ -116,4 +110,4 @@ def fock_to_function(alpha: FockElement) -> CliffordPolynomial:
 
 def fock_to_monogenic(alpha: FockElement) -> CliffordPolynomial:
     """Inverse Taylor map: C-K extend the generating function of alpha."""
-    return ck_extend(fock_to_function(alpha))
+    return ck_extend(fock_to_function(_checked("fock_to_monogenic", alpha, FockElement)))

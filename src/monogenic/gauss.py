@@ -34,7 +34,8 @@ one entry per measure, replaced by one store of a finished pair).  The
 form has two roles, both integer numerators over one denominator.  The
 right role, built on first use, is the heat image A over its denominator
 den, the frozenset of its keys, and per key the weight key! (times
-2^(T - |key|) under MU_TILDE, T the top degree) over den (times 2^T).
+2^(T - |key|) under MU_TILDE, T the top degree) over den (times 2^T),
+key! from `poly._key_factorial`, the one home of that Fischer weight.
 The left role, each conj(A_key) times its weight, is built from the
 right role only when `clifford_pairing` first needs it, and is published
 by storing the whole form again.  Preparing a value costs more than
@@ -42,9 +43,10 @@ pairing it once term by term with moments would; the form pays off when
 a value is paired again, as in `gram`.
 
 One kernel, `_pairing`, serves `clifford_pairing`, `inner_rho` and
-`inner_mu`, one call each.  It checks the dimensions, reads both cached
-forms and tests the two key sets (a frozenset keeps each key's hash, so
-the test hashes no key tuple again).  Entries whose heat images share no
+`inner_mu`, one call each, and `gram`, one call per entry.  It checks
+the dimensions, reads both cached forms and tests the two key sets (a
+frozenset keeps each key's hash, so the test hashes no key tuple
+again).  Entries whose heat images share no
 key, such as homogeneous parts of different degree and most entries of a
 Gram table, are then the shared zero of their dimension, built once in
 `clifford` (`_ZEROS`): the same object for every such entry, allocated
@@ -60,21 +62,28 @@ weight (`clifford._shared_blade_sum`, the one weighted blade sum that
 build a left role.  `gram` yields the pairings of every f of one list
 with every g of another, row by row.
 
-`moment` and `clifford_pairing` (and so `gram`) take the measure as a
-`Measure` member and raise TypeError for anything else, such as the
-strings "rho" and "mu", instead of reading it as one of the two.  Every
+`moment`, `clifford_pairing` and `gram` take the measure as a `Measure`
+member and raise TypeError for anything else, such as the strings "rho"
+and "mu", instead of reading it as one of the two.  `gram` checks it
+once per table, before any row, so a bad measure raises whatever the
+operands, even with no columns.  `moment` takes beta as a tuple or a
+list, and raises TypeError naming beta for anything else before it
+unpacks it, so a str is not read character by character.  Every
 pairing raises TypeError for an operand that is not a
 `CliffordPolynomial`, such as a `HermiteExpansion` or a number, after
 the dimension check: an operand of another dimension raises
-DimensionMismatchError first.  Pairing results may be shared objects,
-and like every value they are not to be mutated.
+DimensionMismatchError first.  The kernel and `gram`'s row check turn
+the AttributeError of a value without the polynomial's slots into it,
+so the pairing loop pays no isinstance test; every other container
+check of the library is `clifford._checked`.  Pairing results may be
+shared objects, and like every value they are not to be mutated.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .clifford import (
@@ -88,7 +97,7 @@ from .clifford import (
     _product_numerators,
     _shared_blade_sum,
 )
-from .poly import CliffordPolynomial
+from .poly import CliffordPolynomial, _key_factorial
 from .transform import _FULL_HEAT, _HEAT, _apply
 
 
@@ -108,6 +117,8 @@ def _check_measure(measure: Measure) -> None:
 def moment(measure: Measure, k0: int, beta: Sequence[int]) -> Fraction:
     """Exact moment of x0^k0 * x^beta under the given measure."""
     _check_measure(measure)
+    if not isinstance(beta, (tuple, list)):
+        raise TypeError(f"beta must be a tuple or a list, got {type(beta).__name__}")
     exponents = (k0, *beta)
     for e in exponents:
         if not _is_int(e, 0):
@@ -145,8 +156,7 @@ def _form(f: CliffordPolynomial, mu: bool) -> tuple:
     den, image = ((f._den, f._num) if mu and f._monogenic
                   else _apply(f, _FULL_HEAT if mu else _HEAT))
     top = max((k0 + sum(beta) for k0, beta in image), default=0)
-    weights = {(k0, beta): factorial(k0) * prod(map(factorial, beta)) << mu * (top - k0 - sum(beta))
-               for k0, beta in image}
+    weights = {key: _key_factorial(key) << mu * (top - key[0] - sum(key[1])) for key in image}
     return _store(f, mu, (den, image, frozenset(image), weights, den << mu * top, None))
 
 
@@ -202,7 +212,10 @@ def gram(fs: Iterable[CliffordPolynomial], gs: Iterable[CliffordPolynomial],
     """Rows [clifford_pairing(f, g, measure) for g in gs], one per f in fs,
     computed as they are consumed.  Each row checks f against the
     dimension of every g before it prepares any operand.  gs is read
-    once, into a list, when the first row is requested."""
+    once, into a list, when the first row is requested, after the measure
+    is checked, once per table."""
+    _check_measure(measure)
+    mu = measure is Measure.MU_TILDE
     gs = list(gs)
     for f in fs:
         try:
@@ -210,7 +223,7 @@ def gram(fs: Iterable[CliffordPolynomial], gs: Iterable[CliffordPolynomial],
                 f._check_dim(g)
         except AttributeError:
             raise TypeError(_NOT_POLYNOMIALS) from None
-        yield [clifford_pairing(f, g, measure) for g in gs]
+        yield [_pairing(f, g, mu, True) for g in gs]
 
 
 def inner_rho(f: CliffordPolynomial, g: CliffordPolynomial) -> GaussianRational:

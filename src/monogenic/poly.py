@@ -122,7 +122,7 @@ class MultiIndex(tuple):
 
     @property
     def factorial(self) -> int:
-        return math.prod(math.factorial(b) for b in self)
+        return _key_factorial((0, self))
 
 
 class _MultiIndexMap:
@@ -176,6 +176,13 @@ class _MultiIndexMap:
 
 
 TermKey = tuple[int, tuple[int, ...]]
+
+
+def _key_factorial(key: TermKey) -> int:
+    """key! = k0! * prod(beta_i!) for a term key (k0, beta): the Fischer
+    weight of x0^k0 x^beta, behind beta!, the Gaussian and Fock norms and
+    the Taylor map."""
+    return math.prod(map(math.factorial, key[1]), start=math.factorial(key[0]))
 
 
 def _term_key(n: int, k0: int, beta: Sequence[int]) -> tuple[int, MultiIndex]:

@@ -30,9 +30,10 @@ of the images' denominators, times its whole image on the left in one
 check, since neither operator raises the total degree; `hermite` and
 `p_basis` check n, beta and the cap as the monomial constructor would,
 without building the monomial, and adopt the cached image itself.
-Every public operator first checks its container (`_check_polynomial`;
-`sb_transform` takes a `HermiteExpansion` too) and raises TypeError for
-anything else, not an AttributeError from inside the library.  The
+Every public operator first checks its container (`clifford._checked`;
+`sb_transform` takes a `HermiteExpansion` too) and raises TypeError
+"<operator> takes a <class>, got <type>" for anything else, not an
+AttributeError from inside the library.  The
 two-step maps are compositions of the public operators, and each step
 checks its own input: `sb_transform` is ck_extend(heat(f)), and
 `sb_inverse` is the inverse heat of F.restrict().  The second check of
@@ -55,17 +56,18 @@ of `poly` that Fock elements share.  It stores its heat image, the
 polynomial sum_beta x^beta w_beta: `sb_transform` only C-K extends the
 stored polynomial, `to_polynomial` applies the inverse heat to it once,
 `from_polynomial` stores heat(f), and `norm_sq` is one weighted blade
-sum over its numerators (`clifford._shared_blade_sum`).
+sum over its numerators (`clifford._shared_blade_sum`), each weighted by
+beta! (`poly._key_factorial`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, lcm
 from typing import Callable, Sequence, Union
 
-from .clifford import _check_dimension, _plan_product, _reduce, _shared_blade_sum, _sign_plan
+from .clifford import _check_dimension, _checked, _plan_product, _reduce, _shared_blade_sum, _sign_plan
 from .poly import (
     CliffordPolynomial,
     _check_degree_cap,
@@ -74,6 +76,7 @@ from .poly import (
     _add_scaled,
     _dirac_into,
     _full_laplacian_into,
+    _key_factorial,
     _laplacian_into,
     _term_key,
 )
@@ -161,13 +164,6 @@ def _basis(n: int, beta: Sequence[int], op: tuple) -> CliffordPolynomial:
     return CliffordPolynomial._adopt(n, den, dict(terms))
 
 
-def _check_polynomial(name: str, f) -> None:
-    """TypeError unless f is a CliffordPolynomial: the container check at
-    the entry of each operator, named in its message."""
-    if not isinstance(f, CliffordPolynomial):
-        raise TypeError(f"{name} takes a CliffordPolynomial, got {type(f).__name__}")
-
-
 def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     """Apply exp(+Laplacian/2), or exp(-Laplacian/2) when inverse is set.
 
@@ -175,7 +171,7 @@ def heat(f: CliffordPolynomial, inverse: bool = False) -> CliffordPolynomial:
     Laplacian strictly drops total degree.  `inverse` is True or False:
     any other value, truthy or not, raises TypeError.
     """
-    _check_polynomial("heat", f)
+    _checked("heat", f, CliffordPolynomial)
     if inverse is not True and inverse is not False:
         raise TypeError(f"inverse must be True or False, got {inverse!r}")
     if not f.is_x0_free():
@@ -197,7 +193,7 @@ def hermite(n: int, beta: Sequence[int]) -> CliffordPolynomial:
 def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
     """Cauchy-Kowalevski extension: the monogenic polynomial on R^{n+1}
     restricting to f at x0 = 0, via sum_k (-x0)^k D^k f / k!."""
-    _check_polynomial("ck_extend", f)
+    _checked("ck_extend", f, CliffordPolynomial)
     if not f.is_x0_free():
         raise ValueError("C-K extension starts from an x0-free polynomial")
     _check_degree_cap(f._num)  # each term keeps its total degree: the result is adopted
@@ -208,8 +204,7 @@ def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
 
 def restrict(F: CliffordPolynomial) -> CliffordPolynomial:
     """Substitute x0 = 0; TypeError unless F is a CliffordPolynomial."""
-    _check_polynomial("restrict", F)
-    return F.restrict()
+    return _checked("restrict", F, CliffordPolynomial).restrict()
 
 
 def p_basis(n: int, beta: Sequence[int]) -> CliffordPolynomial:
@@ -243,8 +238,7 @@ class HermiteExpansion(_MultiIndexMap):
         """sum_beta beta! * |w_beta|^2, the Gaussian squared norm: one
         blade sum weighted by beta! over the squared stored denominator."""
         f = self._poly
-        total, _ = _shared_blade_sum((prod(map(factorial, beta)), b, b)
-                                     for (_, beta), b in f._num.items())
+        total, _ = _shared_blade_sum((_key_factorial(key), b, b) for key, b in f._num.items())
         return Fraction(total, f._den * f._den)
 
 
@@ -255,17 +249,15 @@ def sb_transform(f: Union[HermiteExpansion, CliffordPolynomial]) -> CliffordPoly
     its stored polynomial sum_beta x^beta * w_beta is extended as it is,
     which sends each H_beta * w to the monogenic basis element times w.
     """
+    _checked("sb_transform", f, HermiteExpansion, CliffordPolynomial)
     if isinstance(f, HermiteExpansion):
         return ck_extend(f._poly)
-    if not isinstance(f, CliffordPolynomial):
-        raise TypeError("sb_transform takes a HermiteExpansion or a CliffordPolynomial, "
-                        f"got {type(f).__name__}")
     return ck_extend(heat(f))
 
 
 def sb_inverse(F: CliffordPolynomial) -> CliffordPolynomial:
     """Inverse transform: restrict to x0 = 0, then apply inverse heat."""
-    _check_polynomial("sb_inverse", F)
+    _checked("sb_inverse", F, CliffordPolynomial)
     if not F._monogenic and not F.is_monogenic():
         raise NotMonogenicError("inverse transform is defined on monogenic polynomials")
     return heat(F.restrict(), inverse=True)

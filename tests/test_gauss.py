@@ -19,6 +19,7 @@ from monogenic import (
     GaussianRational,
     HermiteExpansion,
     Measure,
+    MultiIndex,
     ck_extend,
     clifford_pairing,
     gram,
@@ -147,7 +148,6 @@ def test_inner_examples():
 
 def test_diagonal_p_norms_single_coordinate():
     # beta supported on one coordinate: the norm really is beta!.
-    from monogenic import MultiIndex
     for n in (1, 2, 3):
         for k in range(5):
             beta = (k,) + (0,) * (n - 1)
@@ -233,27 +233,33 @@ def test_pairings_reject_operands_that_are_not_polynomials(pairing, slot, bad):
 @pytest.mark.parametrize("bad", ["int", "none", "bool", "str", "number_other_n", "poly_other_n"])
 @pytest.mark.parametrize("slot", ["left", "right"])
 def test_gram_checks_each_row_before_the_measure(slot, bad):
-    # a gram row checks its dimensions before it pairs, so an operand with
-    # no dimension or another one wins over a bad measure
+    # gram checks its measure once, before any row, so a bad measure wins
+    # over any operand, and over no columns at all (it gave [[], []]); with
+    # a good measure a row still checks its dimensions before it pairs
     f, wrong = _f(), BAD_VALUES[bad]()
     fs, gs = ([wrong], [f]) if slot == "left" else ([f], [f, wrong])
-    _raises(OTHER_N.get((bad, slot), NOT_POLYNOMIALS), lambda: next(gram(fs, gs, "rho")))
+    bad_measure = (TypeError, "measure must be a Measure, got 'rho'")
+    _raises(bad_measure, lambda: next(gram(fs, gs, "rho")))
+    _raises(bad_measure, lambda: list(gram([f, f], [], "rho")))
+    _raises(OTHER_N.get((bad, slot), NOT_POLYNOMIALS), lambda: next(gram(fs, gs, Measure.RHO)))
 
 
 @pytest.mark.parametrize("bad", [b for b in BAD_VALUES if b != "int"])
 @pytest.mark.parametrize("measure", [Measure.RHO, Measure.MU_TILDE], ids=["rho", "mu"])
 def test_moment_exponents_contract(measure, bad):
-    # an x0 exponent that is not an int is a ValueError; beta is unpacked,
-    # so a value that is not iterable fails there and a str is read per character
+    # an x0 exponent that is not an int is a ValueError; beta is checked
+    # before it is unpacked: anything but a tuple or a list, an int, a str
+    # or an iterator included, raised CPython's "must be an iterable" or was
+    # read per character ("mu" gave the exponents (0, 'm', 'u'))
     wrong = BAD_VALUES[bad]()
     with pytest.raises(ValueError, match=r"^moment exponents must be nonnegative ints, got \("):
         moment(measure, wrong, (2, 0))
-    if bad == "str":
-        _raises((ValueError, "moment exponents must be nonnegative ints, got (0, 'm', 'u')"),
-                moment, measure, 0, wrong)
-    else:
-        with pytest.raises(TypeError, match="must be an iterable"):
-            moment(measure, 0, wrong)
+    for beta in (wrong, 3, iter((2, 0))):
+        _raises((TypeError, f"beta must be a tuple or a list, got {type(beta).__name__}"),
+                moment, measure, 0, beta)
+    # a MultiIndex is a tuple
+    expected = moment(measure, 0, (2, 0))
+    assert moment(measure, 0, MultiIndex((2, 0))) == moment(measure, 0, [2, 0]) == expected
 
 
 # -- invariants ----------------------------------------------------------------

@@ -2,7 +2,8 @@
 the library's stdlib-only imports, the numerator-only wire codec, the
 seeded generators that build numerators directly, one home
 for each numerator rule, for the integer-argument test, for the
-derivative's key shift, for the pairing forms and the one pairing kernel
+derivative's key shift, for key! and the container check, for the
+pairing forms and the one pairing kernel
 of gauss, its measure check and the canonical zeros, a reducer gcd that
 stops at the first unit, bounded caches, and the README's list of CLI
 commands."""
@@ -387,6 +388,69 @@ def test_integer_and_derivative_rules_have_one_home():
         "poly.py:partial"]
 
 
+def _factorials(name, text, tree):
+    """Lines that call or pass math's factorial, bare or as `math.factorial`
+    (not the `MultiIndex.factorial` property)."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "factorial"
+            or isinstance(node, ast.Attribute) and node.attr == "factorial"
+            and isinstance(node.value, ast.Name) and node.value.id == "math"]
+
+
+# the classes whose container check `clifford._checked` is the home of
+CONTAINER_CLASSES = ("CliffordPolynomial", "HermiteExpansion", "FockElement")
+
+
+def _container_messages(name, text, tree):
+    """Lines of a TypeError(...) whose text, plain or formatted, says
+    "takes a" or names a container class."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "TypeError"
+            and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    and ("takes a" in c.value or any(cls in c.value for cls in CONTAINER_CLASSES))
+                    for c in ast.walk(node))]
+
+
+def test_key_factorial_and_the_container_check_have_one_home():
+    package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    # key! = k0! beta! of a term key is computed in `poly._key_factorial`
+    # only, behind beta!, the Gaussian pairing weights, the Hermite and Fock
+    # norms and the Taylor map; the operator series takes its own K!/k!.
+    # The scan sees both spellings and a factorial passed to map, and not
+    # the `MultiIndex.factorial` property
+    probe = {"probe.py": "def f(beta):\n    return prod(map(factorial, beta))\n"
+                         "def g(k0, beta):\n"
+                         "    return math.factorial(k0) * math.prod(math.factorial(b) for b in beta)\n"
+                         "def h(beta):\n    return beta.factorial\n"
+                         "def k(b):\n    return math.perm(b, 2)\n"}
+    assert _enclosing(probe, _factorials) == ["probe.py:f", "probe.py:g"]
+    assert _enclosing(sources, _factorials) == ["poly.py:_key_factorial", "transform.py:_series"]
+    assert _enclosing(sources, _calls_of("_key_factorial")) == [
+        "fock.py:_factorial_weights", "fock.py:taylor_map", "gauss.py:_form", "poly.py:factorial",
+        "transform.py:norm_sq"]
+    # the container message "<name> takes a <class>, got <type>" is formatted
+    # in `clifford._checked` only, which every operator and Fock map calls
+    # under its own name; the pairings keep their one guard message.  The
+    # scan sees the forms the library used before, and not another TypeError
+    # or a docstring that says "takes a"
+    probe = {"probe.py": "def f(name, f):\n    if not isinstance(f, CliffordPolynomial):\n"
+                         "        raise TypeError(f'{name} takes a CliffordPolynomial, got {type(f)}')\n"
+                         "def g(f):\n    raise TypeError('sb_transform takes a HermiteExpansion or a '\n"
+                         "                    f'CliffordPolynomial, got {type(f).__name__}')\n"
+                         "def h(alpha):\n    raise TypeError(f'expected a FockElement, got {alpha!r}')\n"
+                         "def k(measure):\n    \"\"\"It takes a measure.\"\"\"\n"
+                         "    raise TypeError(f'measure must be a Measure, got {measure!r}')\n"}
+    assert _enclosing(probe, _container_messages) == ["probe.py:f", "probe.py:g", "probe.py:h"]
+    assert _enclosing(sources, _container_messages) == ["clifford.py:_checked"]
+    assert _enclosing(sources, _calls_of("_checked")) == [
+        "fock.py:fock_norm_sq", "fock.py:fock_to_function", "fock.py:fock_to_monogenic",
+        "fock.py:taylor_map", "transform.py:ck_extend", "transform.py:heat", "transform.py:restrict",
+        "transform.py:sb_inverse", "transform.py:sb_transform"]
+    assert _enclosing(sources, _matching(re.compile(r"\b_NOT_POLYNOMIALS\b"))) == [
+        "gauss.py:", "gauss.py:_pairing", "gauss.py:gram"]
+
+
 def _texts_holding(phrase):
     """Lines of a string constant, alone or in an f-string, holding phrase."""
     return lambda name, text, tree: [
@@ -427,17 +491,18 @@ def test_pairing_forms_are_built_in_one_place():
     library = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     sources = {"gauss.py": library["gauss.py"]}
     assert _enclosing(sources, _calls_of("_apply")) == ["gauss.py:_form"]
-    assert _enclosing(sources, _calls_of("factorial")) == ["gauss.py:_form"]
+    assert _enclosing(sources, _calls_of("_key_factorial")) == ["gauss.py:_form"]
     assert _enclosing(sources, _calls_of("frozenset")) == ["gauss.py:_form"]
     assert _enclosing(sources, _calls_of("_conjugated")) == ["gauss.py:_with_left"]
     assert _enclosing(sources, _calls_of("_add_scaled")) == ["gauss.py:_with_left"]
     # one kernel pairs: the key-set test, the Clifford product and the
     # weighted blade sum are called in `_pairing` only, which
-    # `clifford_pairing`, `inner_rho` and `inner_mu` each call once
+    # `clifford_pairing`, `inner_rho` and `inner_mu` each call once, and
+    # `gram` once per entry after it has checked the measure
     for callee in ("isdisjoint", "_product_numerators", "_shared_blade_sum"):
         assert _enclosing(sources, _calls_of(callee)) == ["gauss.py:_pairing"], callee
     assert _enclosing(sources, _calls_of("_pairing")) == [
-        "gauss.py:clifford_pairing", "gauss.py:inner_mu", "gauss.py:inner_rho"]
+        "gauss.py:clifford_pairing", "gauss.py:gram", "gauss.py:inner_mu", "gauss.py:inner_rho"]
     # the measure is checked in `_check_measure` only
     phrase = _texts_holding("must be a Measure")
     assert _enclosing(library, phrase) == ["gauss.py:_check_measure"]

@@ -14,10 +14,14 @@ from monogenic import (
     CliffordNumber,
     CliffordPolynomial,
     DegreeCapError,
+    FockElement,
     GaussianRational,
     HermiteExpansion,
     NotMonogenicError,
     ck_extend,
+    fock_norm_sq,
+    fock_to_function,
+    fock_to_monogenic,
     heat,
     hermite,
     inner_mu,
@@ -27,11 +31,13 @@ from monogenic import (
     sb_inverse,
     sb_transform,
     set_degree_cap,
+    taylor_map,
 )
 from monogenic.transform import _CK, _HEAT, _INVERSE_HEAT, _image
 from monogenic.verify import multi_indices, rand_hermite_expansion, rand_poly
 
 from oracles import fueter_basis, hermite_recurrence, series_ck_extend, series_heat
+from test_gauss import BAD_VALUES
 
 
 def var(n, i):
@@ -73,24 +79,46 @@ def test_heat_inverse_must_be_a_bool(flag):
         heat(var(1, 1) * var(1, 1), inverse=flag)
 
 
-@pytest.mark.parametrize("wrong", [HermiteExpansion(2), 3, None, CliffordNumber(2, {(1,): 1})])
-def test_operators_take_only_their_own_containers(wrong):
-    # each raised AttributeError from inside the library
-    for name, op in (("heat", heat), ("ck_extend", ck_extend), ("sb_inverse", sb_inverse),
-                     ("restrict", restrict)):
-        with pytest.raises(TypeError, match=f"^{name} takes a CliffordPolynomial, "
-                                            f"got {type(wrong).__name__}$"):
-            op(wrong)
+# every entry that checks its container, with the classes it takes as its
+# message names them
+CONTAINERS = {
+    "heat": (heat, "CliffordPolynomial"),
+    "ck_extend": (ck_extend, "CliffordPolynomial"),
+    "restrict": (restrict, "CliffordPolynomial"),
+    "sb_inverse": (sb_inverse, "CliffordPolynomial"),
+    "sb_transform": (sb_transform, "HermiteExpansion or a CliffordPolynomial"),
+    "taylor_map": (taylor_map, "CliffordPolynomial"),
+    "fock_norm_sq": (fock_norm_sq, "FockElement"),
+    "fock_to_function": (fock_to_function, "FockElement"),
+    "fock_to_monogenic": (fock_to_monogenic, "FockElement"),
+}
+# the bad operands of the pairing table, and a polynomial over C_2: the wrong
+# container of the Fock maps
+WRONG = {**BAD_VALUES, "polynomial": lambda: hermite(2, (1, 0))}
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name, (_, takes) in CONTAINERS.items() for bad, value in WRONG.items()
+    if type(value()).__name__ not in takes.split(" or a ")])
+def test_operators_take_only_their_own_containers(name, bad):
+    # each raised AttributeError from inside the library, and a Fock map read
+    # a HermiteExpansion, which shares its stored form but not its meaning,
+    # as a FockElement: it gave 1/2 for a squared norm of 2! = 2
+    call, takes = CONTAINERS[name]
+    wrong = WRONG[bad]()
+    message = f"^{name} takes a {takes}, got {type(wrong).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        call(wrong)
     # the container is checked before the inverse flag
-    with pytest.raises(TypeError, match="^heat takes a CliffordPolynomial"):
-        heat(wrong, inverse="no")
-    if not isinstance(wrong, HermiteExpansion):
-        with pytest.raises(TypeError, match="^sb_transform takes a HermiteExpansion or a "
-                                            f"CliffordPolynomial, got {type(wrong).__name__}$"):
-            sb_transform(wrong)
+    if name == "heat":
+        with pytest.raises(TypeError, match=message):
+            heat(wrong, inverse="no")
     # the accepted containers map as before
     e = HermiteExpansion(1, {(2,): CliffordNumber.scalar(1, 1)})
     assert sb_transform(e) == sb_transform(e.to_polynomial()) == p_basis(1, (2,))
+    alpha = FockElement(1, {(2,): CliffordNumber.scalar(1, 1)})
+    assert fock_norm_sq(alpha) == Fraction(1, 2)
+    assert fock_to_function(alpha) == var(1, 1) * var(1, 1) * CliffordNumber.scalar(1, Fraction(1, 2))
 
 
 def test_heat_rejects_x0():
