@@ -64,15 +64,18 @@ with every g of another, row by row.
 
 `moment`, `clifford_pairing` and `gram` take the measure as a `Measure`
 member and raise TypeError for anything else, such as the strings "rho"
-and "mu", instead of reading it as one of the two.  `gram` checks it
-once per table, before any row, so a bad measure raises whatever the
-operands, even with no columns.  `moment` takes beta as a tuple or a
-list, and raises TypeError naming beta for anything else before it
-unpacks it, so a str is not read character by character.  Every
-pairing raises TypeError for an operand that is not a
-`CliffordPolynomial`, such as a `HermiteExpansion` or a number, after
-the dimension check: an operand of another dimension raises
-DimensionMismatchError first.  The kernel and `gram`'s row check turn
+and "mu", instead of reading it as one of the two.  `_check_measure`
+tests it by identity against the two members, bound once at import, and
+returns the MU_TILDE flag, so no call reads a member through the Enum
+class; the identity tests accept exactly what an isinstance test did,
+with the same message.  `gram` checks it once per table, before any
+row, so a bad measure raises whatever the operands, even with no
+columns.  `moment` takes beta as a tuple or a list, and raises
+TypeError naming beta for anything else before it unpacks it, so a str
+is not read character by character.  Every pairing raises TypeError
+for an operand that is not a `CliffordPolynomial`, such as a
+`HermiteExpansion` or a number, after the dimension check: an operand
+of another dimension raises DimensionMismatchError first.  The kernel and `gram`'s row check turn
 the AttributeError of a value without the polynomial's slots into it,
 so the pairing loop pays no isinstance test; every other container
 check of the library is `clifford._checked`.  Pairing results may be
@@ -106,31 +109,41 @@ class Measure(enum.Enum):
     MU_TILDE = "mu"
 
 
+# the members, read once: on CPython 3.11 each read of `Measure.RHO` goes
+# through EnumType.__getattr__, about five times a plain attribute's cost
+_RHO, _MU_TILDE = Measure.RHO, Measure.MU_TILDE
+
 _NOT_POLYNOMIALS = "pairings take CliffordPolynomial operands"
 
 
-def _check_measure(measure: Measure) -> None:
-    if not isinstance(measure, Measure):
+def _check_measure(measure: Measure) -> bool:
+    """True under MU_TILDE, False under RHO, and TypeError for anything
+    else.  An Enum with members has no subclass, so the two identity tests
+    accept exactly the Measures."""
+    if measure is _MU_TILDE:
+        return True
+    if measure is not _RHO:
         raise TypeError(f"measure must be a Measure, got {measure!r}")
+    return False
 
 
 def moment(measure: Measure, k0: int, beta: Sequence[int]) -> Fraction:
     """Exact moment of x0^k0 * x^beta under the given measure."""
-    _check_measure(measure)
+    mu = _check_measure(measure)
     if not isinstance(beta, (tuple, list)):
         raise TypeError(f"beta must be a tuple or a list, got {type(beta).__name__}")
     exponents = (k0, *beta)
     for e in exponents:
         if not _is_int(e, 0):
             raise ValueError(f"moment exponents must be nonnegative ints, got {exponents}")
-    if measure is Measure.RHO and k0 != 0:
+    if not mu and k0 != 0:
         raise ValueError("the R^n measure has no x0 axis")
     total = 1
     for e in exponents:
         if e % 2:
             return Fraction(0)
         total *= prod(range(e - 1, 0, -2))
-    if measure is Measure.RHO:
+    if not mu:
         return Fraction(total)
     return Fraction(total, 2 ** (sum(exponents) // 2))
 
@@ -203,8 +216,7 @@ def clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
                      measure: Measure) -> CliffordNumber:
     """Full Clifford-valued pairing: integral of conj(f) * g, one Clifford
     product per key the heat images share."""
-    _check_measure(measure)
-    return _pairing(f, g, measure is Measure.MU_TILDE, True)
+    return _pairing(f, g, _check_measure(measure), True)
 
 
 def gram(fs: Iterable[CliffordPolynomial], gs: Iterable[CliffordPolynomial],
@@ -214,8 +226,7 @@ def gram(fs: Iterable[CliffordPolynomial], gs: Iterable[CliffordPolynomial],
     dimension of every g before it prepares any operand.  gs is read
     once, into a list, when the first row is requested, after the measure
     is checked, once per table."""
-    _check_measure(measure)
-    mu = measure is Measure.MU_TILDE
+    mu = _check_measure(measure)
     gs = list(gs)
     for f in fs:
         try:

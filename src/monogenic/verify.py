@@ -55,7 +55,7 @@ from .clifford import (
     indices_from_mask,
 )
 from .fock import FockElement, fock_norm_sq, fock_to_monogenic, taylor_map
-from .gauss import Measure, gram, inner_mu, inner_rho
+from .gauss import _MU_TILDE, _RHO, Measure, gram, inner_mu, inner_rho
 from .poly import CliffordPolynomial, MultiIndex, _check_degree_cap
 from .transform import HermiteExpansion, ck_extend, hermite, p_basis, sb_inverse, sb_transform
 
@@ -243,7 +243,7 @@ def _gram_entries(basis, measure: Measure, n: int, max_degree: int):
 
 def _hermite_table(n: int, max_degree: int) -> str | None:
     # the scalar part of each entry, compared through its stored numerators
-    for a, _, b, _, pairing in _gram_entries(hermite, Measure.RHO, n, max_degree):
+    for a, _, b, _, pairing in _gram_entries(hermite, _RHO, n, max_degree):
         expected = b.factorial if a == b else 0
         if pairing._blades.get(0, (0, 0)) != (expected * pairing._den, 0):
             return f"<H_{tuple(a)}, H_{tuple(b)}> = {pairing.scalar_part()!r}, expected {expected}"
@@ -251,7 +251,7 @@ def _hermite_table(n: int, max_degree: int) -> str | None:
 
 
 def _pbasis_table(n: int, max_degree: int) -> str | None:
-    for a, f, b, g, pairing in _gram_entries(p_basis, Measure.MU_TILDE, n, min(max_degree, 4)):
+    for a, f, b, g, pairing in _gram_entries(p_basis, _MU_TILDE, n, min(max_degree, 4)):
         expected = CliffordNumber.scalar(n, b.factorial) if a == b else CliffordNumber.zero(n)
         if pairing != expected:
             return f"pairing(P_{tuple(a)}, P_{tuple(b)}) = {pairing!r}"

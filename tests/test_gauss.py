@@ -1,6 +1,8 @@
 """Exact Gaussian moments and inner products for both measures."""
 
+import copy
 import json
+import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -390,10 +392,24 @@ def test_gram_reads_any_iterable_of_columns():
         assert list(gram(iter(fs), iter(fs), measure)) == expected
 
 
+class _Impostor:
+    """Equal to everything, with the hash of Measure.RHO: a dict keyed by
+    the members, or an == test, would read it as a measure."""
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return hash(Measure.RHO)
+
+
 @pytest.mark.parametrize("measure", ["rho", "mu", None, *(
-    pytest.param(make, id=name) for name, make in BAD_VALUES.items() if name not in ("none", "str"))])
+    pytest.param(make, id=name) for name, make in BAD_VALUES.items() if name not in ("none", "str")),
+    pytest.param(_Impostor, id="impostor"), pytest.param(lambda: Measure, id="measure_class")])
 def test_measure_must_be_a_measure_member(measure):
-    # a string or None names no measure: it is not read as RHO or MU_TILDE
+    # a string or None names no measure: it is not read as RHO or MU_TILDE;
+    # the members are tested by identity, so neither is an object equal to
+    # one, nor the class
     wrong = measure() if callable(measure) else measure
     expected = (TypeError, f"measure must be a Measure, got {wrong!r}")
     f = hermite(2, (1, 0))
@@ -405,6 +421,17 @@ def test_measure_must_be_a_measure_member(measure):
     _raises(expected, clifford_pairing, f, wrong, wrong)
     _raises(expected, clifford_pairing, wrong, f, wrong)
     _raises(expected, moment, wrong, wrong, (2, 0))
+
+
+@pytest.mark.parametrize("measure", Measure, ids=["rho", "mu"])
+def test_copied_and_unpickled_members_are_the_measure(measure):
+    # copy and pickle give back the member itself, so the identity test
+    # accepts them
+    f = hermite(2, (1, 0))
+    for same in (copy.copy(measure), copy.deepcopy(measure), pickle.loads(pickle.dumps(measure))):
+        assert clifford_pairing(f, f, same) == clifford_pairing(f, f, measure)
+        assert list(gram([f], [f], same)) == list(gram([f], [f], measure))
+        assert moment(same, 0, (2, 0)) == moment(measure, 0, (2, 0))
 
 
 def test_gram_edges_and_errors():

@@ -270,6 +270,16 @@ def test_every_result_is_reduced_and_equality_is_termwise(n):
     # divided, and the zero pair after the break is still dropped
     (12, {0: (4, 8), 1: (6, 0), 2: (0, 9), 3: (0, 0), 5: (8, 4)},
      (12, {0: (4, 8), 1: (6, 0), 2: (0, 9), 5: (8, 4)})),
+    # the division path, gcd > 1: one scalar blade, the shape of most Gram
+    # entries; a zero pair first or last, dropped while the rest is divided
+    (24, {0: (18, 0)}, (4, {0: (3, 0)})),
+    (12, {0: (0, 0), 1: (4, 8), 3: (0, -6)}, (6, {1: (2, 4), 3: (0, -3)})),
+    (12, {1: (4, 8), 3: (0, -6), 5: (0, 0)}, (6, {1: (2, 4), 3: (0, -3)})),
+    # negative numerators divide exactly
+    (10, {0: (-4, -6), 2: (-8, 2)}, (5, {0: (-2, -3), 2: (-4, 1)})),
+    # a 4,096-blade map, every pair divided
+    (12, {m: (3 * (m % 7 + 1), -3 * m) for m in range(4096)},
+     (4, {m: (m % 7 + 1, -m) for m in range(4096)})),
 ])
 def test_reducer_through_both_classes(den, blades, expected):
     given = dict(blades)

@@ -4,9 +4,9 @@ seeded generators that build numerators directly, one home
 for each numerator rule, for the integer-argument test, for the
 derivative's key shift, for key! and the container check, for the
 pairing forms and the one pairing kernel
-of gauss, its measure check and the canonical zeros, a reducer gcd that
-stops at the first unit, bounded caches, and the README's list of CLI
-commands."""
+of gauss, its measure check and the canonical zeros, measure members
+read at import only, a reducer gcd that stops at the first unit, bounded
+caches, and the README's list of CLI commands."""
 
 import ast
 import importlib
@@ -532,6 +532,44 @@ def test_pairing_forms_are_built_in_one_place():
         "probe.py:", "probe.py:_scalar_pairing", "probe.py:clifford_pairing"]
     tree = ast.parse(probe["probe.py"])
     assert set(_zero_builds("probe.py", probe["probe.py"], tree)) - _module_tuple_lines(tree) == {1, 7, 12}
+
+
+def _member_reads(name, text, tree):
+    """Lines that read a member of `Measure`: an attribute, bare or
+    qualified, a lookup by name or a call by value."""
+    def measure(node):
+        return (isinstance(node, ast.Name) and node.id == "Measure"
+                or isinstance(node, ast.Attribute) and node.attr == "Measure")
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("RHO", "MU_TILDE") and measure(node.value)
+            or isinstance(node, ast.Subscript) and measure(node.value)
+            or isinstance(node, ast.Call) and measure(node.func)]
+
+
+def test_measure_members_are_read_at_import_only():
+    # on CPython 3.11 a member read goes through EnumType.__getattr__, about
+    # five times a plain attribute's cost, once per Gram entry when a
+    # pairing reads it.  gauss binds both members once at module level, and
+    # `_check_measure`, the one home of the "must be a Measure" message,
+    # tests them by identity for the three entry points that take a measure
+    package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _enclosing(sources, _member_reads) == ["gauss.py:"]
+    assert _enclosing(sources, _calls_of("_check_measure")) == [
+        "gauss.py:clifford_pairing", "gauss.py:gram", "gauss.py:moment"]
+    assert _enclosing(sources, _texts_holding("must be a Measure")) == ["gauss.py:_check_measure"]
+    # the scan sees the module-level binding (as "probe.py:") and a member
+    # read in a test, a default, a qualified read and a lookup by name or by
+    # value, and not a type annotation, an isinstance test or a docstring
+    # that names a member
+    probe = {"probe.py": "_RHO, _MU = Measure.RHO, Measure.MU_TILDE\n"
+                         "def f(measure):\n    return measure is Measure.MU_TILDE\n"
+                         "def g(f, measure=Measure.RHO):\n    return gauss.Measure.RHO\n"
+                         "def h(name):\n    return Measure[name], Measure('mu')\n"
+                         "def k(measure: Measure):\n    \"\"\"Under Measure.RHO.\"\"\"\n"
+                         "    return isinstance(measure, Measure) and measure is _RHO\n"}
+    assert _enclosing(probe, _member_reads) == ["probe.py:", "probe.py:f", "probe.py:g", "probe.py:h"]
 
 
 def _starred_gcds(name, text, tree):
