@@ -39,20 +39,24 @@ numerators of every blade pair into their output blade
 `inner` and `norm_sq` sum conj(a_A) b_A over shared blades
 (`_shared_blade_sum`, which weights each blade map once and also holds
 the squared norms of the Hermite and Fock containers).
-Results that can share a factor with the denominator are reduced once
-by `_reduce`, whose gcd goes pair by pair and stops at the first
-numerator that makes it 1, so a result with a unit gcd is not read to
-its end; a gcd above 1 divides each map in a plain loop, which costs
-less than a comprehension on the one- and two-blade results that most
-Clifford pairings reduce.  It takes a map {key: blade map} so that one
-body reduces a number (`CliffordNumber._reduced`, one key), a polynomial
-(`poly._reduced`) and prunes the operator series of `transform`; the
-others are adopted as they are.  A blade map with nothing to divide and
-no zero pair is adopted too, so a reduced value can share maps with the
-value it was read from (`restrict`, `terms()`): kernels write only into
-maps they made.  The Gaussian pairings of `gauss` conjugate and
-multiply through `_conjugated` and `_product_numerators`.  The
-operators of `transform` multiply by the real images of monomials:
+Results that can share a factor with the denominator are reduced once,
+by one rule in two helpers: `_numerator_gcd` takes the gcd of the
+denominator and the numerators of some blade maps pair by pair, and
+stops at the first numerator that makes it 1, so a result with a unit
+gcd is not read to its end; `_divided` rebuilds a map without its zero
+pairs, divided by a gcd above 1 in a plain loop, which costs less than a
+comprehension on the one- and two-blade results that most Clifford
+pairings reduce.  Two reducers call both.  `CliffordNumber._reduced`
+reduces a number over its own blade map, with no wrapper map around it.
+`_reduce` takes a map {key: blade map} and reduces a polynomial
+(`poly._reduced`) or prunes the operator series of `transform`, with one
+gcd call over all its maps, and it rebuilds only a map that must change.
+A blade map with nothing to divide and no zero pair is adopted as it
+is, so a reduced value can share maps with the value it was read from
+(`restrict`, `terms()`): kernels write only into maps they made.  The
+Gaussian pairings of `gauss` conjugate and multiply through
+`_conjugated` and `_product_numerators`.  The operators of `transform`
+multiply by the real images of monomials:
 `_sign_plan` lists an image's blades with their sign masks once, and
 `_plan_product` adds a whole plan times one coefficient in one call.
 So the product sign (`_sign_mask`) and the conjugation sign are stated
@@ -421,37 +425,49 @@ def _shared_blade_sum(triples: Iterable[tuple[int, Mapping, Mapping]]) -> tuple[
     return re, im
 
 
-def _reduce(den: int, maps: Mapping) -> tuple[int, dict]:
-    """(den, maps) reduced: den and every numerator of {key: {mask: (re, im)}}
-    divided by their gcd, zero pairs and then keys left without a blade
-    dropped in one pass.  The gcd is taken pair by pair, the maps in order,
-    and stops at the first numerator that leaves it 1, inside a map as
-    well as between maps.  Then nothing is divided and a blade map without
-    a zero pair is adopted as it is, shared with the input; an all-zero
-    map reduces to (1, {}).  A gcd above 1 divides each map into a new one
-    in a plain loop: on CPython 3.11 a dict comprehension is a function
-    call, which costs more than the division itself on the one- and
-    two-blade maps of most Gram entries."""
-    g = den
-    for blades in maps.values():
-        if g == 1:
-            break
+def _numerator_gcd(g: int, maps: Iterable[_Blades]) -> int:
+    """gcd(g, every numerator of the blade maps of maps), taken pair by
+    pair, the maps in order: it stops at the first pair that leaves it 1,
+    so the rest is not read.  The one reduction gcd of the library.  It
+    takes all the maps of a polynomial, so that `_reduce` makes one call
+    and not one per map of a result that divides."""
+    for blades in maps:
         for re, im in blades.values():
             g = gcd(g, re, im)
             if g == 1:
-                break
+                return 1
+    return g
+
+
+def _divided(blades: _Blades, g: int) -> _Blades:
+    """A new map of the nonzero pairs of blades, each part divided by g;
+    at g = 1 the pairs themselves.  A plain loop divides: on CPython 3.11 a
+    dict comprehension is a function call, which costs more than the
+    division itself on the one- and two-blade maps of most Gram entries."""
+    if g == 1:
+        return {m: v for m, v in blades.items() if v[0] or v[1]}
+    kept = {}
+    for m, (re, im) in blades.items():
+        if re or im:
+            kept[m] = (re // g, im // g)
+    return kept
+
+
+def _reduce(den: int, maps: Mapping) -> tuple[int, dict]:
+    """(den, maps) reduced: den and every numerator of {key: {mask: (re, im)}}
+    divided by their gcd, zero pairs and then keys left without a blade
+    dropped.  One `_numerator_gcd` call reads the maps in order up to the
+    first numerator that makes the gcd 1.  Then a blade map without a zero
+    pair is adopted as it is, shared with the input, and only a map that
+    must change is rebuilt (`_divided`), so a polynomial with nothing to
+    divide pays no call per key; an all-zero map reduces to (1, {})."""
+    g = _numerator_gcd(den, maps.values())
     out = {}
     for key, blades in maps.items():
-        if g == 1:
-            kept = blades if (0, 0) not in blades.values() else {
-                m: v for m, v in blades.items() if v[0] or v[1]}
-        else:
-            kept = {}
-            for m, (re, im) in blades.items():
-                if re or im:
-                    kept[m] = (re // g, im // g)
-        if kept:
-            out[key] = kept
+        if g != 1 or (0, 0) in blades.values():
+            blades = _divided(blades, g)
+        if blades:
+            out[key] = blades
     return den // g, out
 
 
@@ -604,9 +620,19 @@ class CliffordNumber:
 
     @classmethod
     def _reduced(cls, n: int, den: int, blades: _Blades) -> "CliffordNumber":
-        """blades / den in reduced form (`_reduce`)."""
-        den, maps = _reduce(den, {0: blades})
-        return cls._raw(n, den, maps.get(0, {}))
+        """blades / den in reduced form, by the rule of `_reduce` on one
+        map: blades itself when its gcd with den is 1 and it holds a blade
+        and no zero pair, else a new map (a fresh {} over 1 for a zero)."""
+        out = cls.__new__(cls)
+        out.n = n
+        g = _numerator_gcd(den, (blades,))
+        if g == 1 and blades and (0, 0) not in blades.values():
+            out._den = den
+            out._blades = blades
+        else:
+            out._den = den // g
+            out._blades = _divided(blades, g)
+        return out
 
     @classmethod
     def zero(cls, n: int) -> "CliffordNumber":
@@ -709,7 +735,7 @@ class CliffordNumber:
     def inner(self, other: "CliffordNumber") -> GaussianRational:
         """Hermitian inner product (self, other) = [conj(self) * other]_0,
         the sum of conj(a_A) * b_A over the shared blades."""
-        self._check_dim(other)
+        self._check_dim(_checked("inner", other, CliffordNumber))
         return _gaussian_over(*_shared_blade_sum([(1, self._blades, other._blades)]),
                               self._den * other._den)
 

@@ -19,8 +19,10 @@ and `coefficient()` reduce the one term they return.  Every operation
 (`+`, `-`, the module actions, `hermitian_conj`, `restrict`, `partial`,
 the Dirac operator, the Laplacian, the Cauchy-Riemann operator d0 + D,
 and in `transform` the heat and C-K maps) works on the numerators and
-reduces its result once: `_reduced` adopts what the one reducer of
-`clifford`, `_reduce`, returns.  Derivatives only multiply by integers,
+reduces its result once: `_reduced` adopts what the polynomial reducer
+of `clifford`, `_reduce`, returns; it shares the gcd and rebuild helpers
+of the reduction rule with `CliffordNumber._reduced`, which `terms()` and
+`coefficient()` call.  Derivatives only multiply by integers,
 so a whole chain of them keeps one denominator.  One kernel,
 `_partial_into`, takes every derivative: `partial`, the Laplacian over
 x1..xn (the heat operator), the Laplacian over x0..xn (the heat image of

@@ -21,17 +21,19 @@ transcripts and the inputs of the benchmark do not change.
 
 Every check is one entry of `_IDENTITIES`, in report order: a name, a
 draw and its witnesses.  One runner, `_check`, applies an entry.  It
-draws the inputs of all trials from the shared generator before it
-checks any, so the random stream the next check reads does not depend
-on where an earlier check failed.  It then runs each witness over all
-trials and reports the first failure, prefixed `trial t:`.  Witness
-precedence follows: a witness that tests two conditions reports the
-first failing trial, and within a trial its first condition (C-K
-extension: not monogenic before a restriction mismatch; Fock round
-trips: the alpha side before the F side); the Segal-Bargmann entry has
-two witnesses, so a round-trip failure in any trial comes before an
-isometry failure.  The entries without a draw (the algebra relations
-and both Gram tables) are checked once, with no trial prefix.
+checks each trial as it draws it from the shared generator, so memory
+holds one trial whatever `trials` is, and it draws every trial even
+after a failure, so the random stream the next check reads does not
+depend on where an earlier check failed.  Each witness is kept to its
+first failure, and the first failing witness in entry order is
+reported, prefixed `trial t:`.  Witness precedence follows: a witness
+that tests two conditions reports the first failing trial, and within a
+trial its first condition (C-K extension: not monogenic before a
+restriction mismatch; Fock round trips: the alpha side before the F
+side); the Segal-Bargmann entry has two witnesses, so a round-trip
+failure in any trial comes before an isometry failure.  The entries
+without a draw (the algebra relations and both Gram tables) are checked
+once, with no trial prefix.
 """
 
 from __future__ import annotations
@@ -325,9 +327,10 @@ def _triad(f: HermiteExpansion) -> str | None:
     return f"{lhs} != {rhs}" if lhs != rhs else None
 
 
-# (name, draw, witnesses) in report order.  The witnesses of an entry run in
-# turn, each over all trials, so the Segal-Bargmann round trip (true for
-# every n) takes precedence over the isometry (true for n = 1 only).
+# (name, draw, witnesses) in report order.  A failure of an earlier witness
+# of an entry takes precedence over one of a later witness in any trial, so
+# the Segal-Bargmann round trip (true for every n) is reported before the
+# isometry (true for n = 1 only).
 _IDENTITIES = (
     ("clifford generator relations and associativity", None, (_algebra_relations,)),
     ("dirac squared equals minus laplacian", _draw_poly, (_dirac_squared,)),
@@ -344,18 +347,24 @@ _IDENTITIES = (
 
 def _check(name: str, draw, witnesses, rng: random.Random, n: int, max_degree: int,
            trials: int) -> CheckResult:
-    """One entry of `_IDENTITIES`: every trial drawn before any is checked,
-    then the first failure of the first failing witness, with its trial."""
+    """One entry of `_IDENTITIES`: each trial checked as it is drawn, and
+    every trial drawn whatever fails, so that one trial is held at a time
+    and the stream is read as far as `trials` says.  A trial runs the
+    witnesses before the first that has failed, each to its first failure,
+    so the first failing witness in order is reported with its first
+    failing trial."""
     if draw is None:
         detail = witnesses[0](n, max_degree)
         return CheckResult(name, detail is None, detail or "")
-    drawn = [draw(rng, n, max_degree) for _ in range(trials)]
-    for witness in witnesses:
-        for t, inputs in enumerate(drawn):
-            detail = witness(inputs)
+    first, failure = len(witnesses), None
+    for t in range(trials):
+        inputs = draw(rng, n, max_degree)
+        for i in range(first):
+            detail = witnesses[i](inputs)
             if detail is not None:
-                return CheckResult(name, False, f"trial {t}: {detail}")
-    return CheckResult(name, True)
+                first, failure = i, f"trial {t}: {detail}"
+                break
+    return CheckResult(name, failure is None, failure or "")
 
 
 # ---------------------------------------------------------------------------

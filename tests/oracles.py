@@ -18,7 +18,8 @@ of the monogenic basis that integrate the materialised product
 conj(P_alpha) * P_beta instead of going through `gauss`.  The last
 route also feeds an exact row reduction that decides whether *any*
 moment functional on R^{n+1} makes the basis orthogonal with squared
-norms beta!.  Then the JSON and text
+norms beta!.  The reduced form of integer numerators over a denominator,
+from one `Fraction` per part.  Then the JSON and text
 wire codec as it worked one `CliffordNumber`, `GaussianRational` and
 `Fraction` per term.  Last, the seeded input generators of `verify` as
 they drew one `Fraction` per part and built through the public
@@ -29,7 +30,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from monogenic import (
@@ -243,6 +244,21 @@ def expand_eval(f: CliffordPolynomial, x0: Fraction, xs: list[Fraction]) -> Clif
                 scale = scale * x
         total = total + scale * coeff
     return total
+
+
+def naive_reduce(den: int, maps: dict) -> tuple[int, dict]:
+    """The reduced form of {key: {mask: (re, im)}} over den, one `Fraction`
+    per part: every part divided by den on its own, zero pairs and then
+    keys without a blade dropped, and the parts put back over the lcm of
+    their denominators."""
+    values = {key: {m: (Fraction(re, den), Fraction(im, den)) for m, (re, im) in blades.items()
+                    if re or im}
+              for key, blades in maps.items()}
+    values = {key: parts for key, parts in values.items() if parts}
+    common = lcm(*(part.denominator for parts in values.values()
+                   for pair in parts.values() for part in pair))
+    return common, {key: {m: (int(re * common), int(im * common)) for m, (re, im) in parts.items()}
+                    for key, parts in values.items()}
 
 
 def naive_expansion_norm_sq(f: HermiteExpansion) -> Fraction:

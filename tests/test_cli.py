@@ -516,6 +516,44 @@ def test_verify_draws_do_not_depend_on_earlier_failures(monkeypatch):
     assert broken == clean
 
 
+def test_verify_holds_one_trial_at_a_time(monkeypatch):
+    # each trial is checked as it is drawn, so memory does not grow with
+    # --trials: while a witness runs, no other trial of any check is alive,
+    # and the report is the one the unwrapped checks give
+    import weakref
+    import monogenic.verify as verify_module
+
+    class Trial:
+        def __init__(self, inputs):
+            self.inputs = inputs
+
+    alive, seen = weakref.WeakSet(), []
+
+    def held(draw):
+        def drawing(*args):
+            trial = Trial(draw(*args))
+            alive.add(trial)
+            return trial
+        return drawing
+
+    def checked(witness):
+        def checking(trial):
+            seen.append(len(alive))
+            return witness(trial.inputs)
+        return checking
+
+    expected = verify_module.run_verification(n=2, max_degree=3, trials=12, seed=0).to_json()
+    monkeypatch.setattr(verify_module, "_IDENTITIES", tuple(
+        (name, draw, witnesses) if draw is None else
+        (name, held(draw), tuple(map(checked, witnesses)))
+        for name, draw, witnesses in verify_module._IDENTITIES))
+    report = verify_module.run_verification(n=2, max_degree=3, trials=12, seed=0).to_json()
+    assert report["checks"] == expected["checks"] and not report["passed"]
+    # four checks with a draw pass all 12 trials, and the Segal-Bargmann
+    # round trip runs on every trial too
+    assert len(seen) >= 5 * 12 and set(seen) == {1}
+
+
 # -- witness precedence of the checks that test two conditions per trial --
 
 def _recorder(draw, values):
@@ -579,11 +617,12 @@ def _round_trip_check_detail(monkeypatch, faults):
     def spoiled(alpha):
         F = original_map(alpha)
         # the alpha side maps a drawn element; the F side maps back to
-        # ck_extend(f) for the f of its trial, one of the last three polynomials drawn
+        # ck_extend(f) for the f of its trial, drawn after the three polynomials
+        # of the Dirac check and the three of the C-K check
         trial = next((t for t, a in enumerate(elements) if a is alpha), None)
         side = "F" if trial is None else "alpha"
         if trial is None:
-            trial = next(t for t, f in enumerate(polys[-3:]) if F.restrict() == f)
+            trial = next(t for t, f in enumerate(polys[6:]) if F.restrict() == f)
         if side in faults.get(trial, ()):
             F = F + CliffordPolynomial.constant(CliffordNumber.scalar(F.n, 1))
         return F

@@ -62,6 +62,7 @@ from oracles import (
     naive_fock_to_function,
     naive_heat,
     naive_laplacian,
+    naive_reduce,
     naive_taylor_map,
 )
 
@@ -254,6 +255,18 @@ def test_every_result_is_reduced_and_equality_is_termwise(n):
     assert heat(heat(h), inverse=True) == h == ck_extend(h).restrict()
 
 
+def _seeded_maps(seed):
+    """(den, blades) drawn from seed: up to 40 blades of C_6, a fifth of
+    them zero pairs, all numerators scaled by a factor that den shares
+    in part, or not at all."""
+    rng = random.Random(seed)
+    den = rng.choice([1, 2, 6, 12, 60, 360])
+    scale = rng.choice([1, 2, 3, 6, 10, 12])
+    return den, {rng.randrange(64): (0, 0) if rng.random() < 0.2 else
+                 (scale * rng.randint(-20, 20), scale * rng.randint(-20, 20))
+                 for _ in range(rng.randint(0, 40))}
+
+
 @pytest.mark.parametrize("den, blades, expected", [
     # an all-zero accumulator is the canonical zero, whatever its denominator
     (6, {0: (0, 0), 3: (0, 0)}, (1, {})),
@@ -262,7 +275,7 @@ def test_every_result_is_reduced_and_equality_is_termwise(n):
     (6, {0: (5, 0), 1: (0, 0), 3: (2, -3)}, (6, {0: (5, 0), 3: (2, -3)})),
     # gcd > 1: the denominator and every numerator divided
     (12, {0: (4, 0), 1: (0, 0), 2: (0, -8), 3: (20, 12)}, (3, {0: (1, 0), 2: (0, -2), 3: (5, 3)})),
-    # gcd 1 and no zero pair: the map itself is adopted
+    # gcd 1 at the first pair and no zero pair: the map itself is adopted
     (6, {0: (5, 0), 1: (0, 7), 3: (2, -3)}, (6, {0: (5, 0), 1: (0, 7), 3: (2, -3)})),
     # the gcd reaches 1 only at the last numerator: nothing divided, the map adopted
     (6, {0: (2, 4), 1: (0, 6), 3: (4, 3)}, (6, {0: (2, 4), 1: (0, 6), 3: (4, 3)})),
@@ -280,8 +293,24 @@ def test_every_result_is_reduced_and_equality_is_termwise(n):
     # a 4,096-blade map, every pair divided
     (12, {m: (3 * (m % 7 + 1), -3 * m) for m in range(4096)},
      (4, {m: (m % 7 + 1, -m) for m in range(4096)})),
+    # an empty map over den > 1, and zero pairs dropped over den 1
+    (6, {}, (1, {})),
+    (1, {0: (3, 0), 2: (0, 0), 5: (-2, 7), 6: (0, 0)}, (1, {0: (3, 0), 5: (-2, 7)})),
+    # a 2,630-blade map, the size of a large C-K result, whose gcd reaches 1
+    # at its last pair: nothing divided, its one zero pair dropped
+    (30, {**{m: (6 * m + 6, -3 * (m % 5)) if m != 1000 else (0, 0) for m in range(2629)},
+          2629: (5, 0)},
+     (30, {**{m: (6 * m + 6, -3 * (m % 5)) for m in range(2629) if m != 1000}, 2629: (5, 0)})),
+    # seeded maps, checked against the oracle alone
+    *(_seeded_maps(seed) + (None,) for seed in range(12)),
 ])
 def test_reducer_through_both_classes(den, blades, expected):
+    # both reducers give the reduced form that one Fraction per part gives
+    oracle_den, oracle_maps = naive_reduce(den, {0: blades})
+    oracle = (oracle_den, oracle_maps.get(0, {}))
+    if expected is not None:
+        assert expected == oracle
+    expected = oracle
     given = dict(blades)
     x = CliffordNumber._reduced(2, den, given)
     assert (x._den, x._blades) == expected
@@ -333,6 +362,49 @@ def test_reducer_stops_at_the_first_unit_gcd(monkeypatch):
     calls.clear()
     f = poly._reduced(12, den, {(0, (1,) + (0,) * 11): blades, (0, (0,) * 12): {0: (6, 0)}})
     assert calls == [(6, 5, 0)] and f._den == den
+
+
+def test_reducers_call_their_helpers_only_where_needed(monkeypatch):
+    # both reducers take the gcd in one `_numerator_gcd` call and rebuild a
+    # map through `_divided` only when it must change, so a polynomial with
+    # nothing to divide pays no call per key; a number reduces over its own
+    # map, not through `_reduce`
+    calls = []
+
+    def counted(helper):
+        def wrapper(*args):
+            calls.append(helper.__name__)
+            return helper(*args)
+        return wrapper
+
+    def unused(*args):
+        raise AssertionError("CliffordNumber._reduced called _reduce")
+
+    monkeypatch.setattr(clifford, "_numerator_gcd", counted(clifford._numerator_gcd))
+    monkeypatch.setattr(clifford, "_divided", counted(clifford._divided))
+    monkeypatch.setattr(clifford, "_reduce", unused)
+    keys = [(0, (a, b)) for a in range(8) for b in range(8 - a)]
+
+    def reduced_poly(den, maps):
+        calls.clear()
+        return poly._reduced(2, den, maps)
+
+    maps = {key: {0: (5, 1), 3: (2, 2)} for key in keys}
+    f = reduced_poly(6, maps)
+    assert calls == ["_numerator_gcd"] and all(f._num[key] is maps[key] for key in keys)
+    f = reduced_poly(1, maps)
+    assert calls == ["_numerator_gcd"] and all(f._num[key] is maps[key] for key in keys)
+    maps[keys[7]] = {0: (5, 1), 1: (0, 0)}
+    f = reduced_poly(6, maps)
+    assert calls == ["_numerator_gcd", "_divided"] and f._num[keys[7]] == {0: (5, 1)}
+    # a gcd above 1 reads every map in the one call, and divides each
+    f = reduced_poly(4, {key: {0: (2, 6)} for key in keys[:3]})
+    assert calls == ["_numerator_gcd"] + ["_divided"] * 3 and f._den == 2
+    for den, blades, expected in ((6, {0: (5, 0)}, ["_numerator_gcd"]),
+                                  (24, {0: (18, 0)}, ["_numerator_gcd", "_divided"])):
+        calls.clear()
+        CliffordNumber._reduced(2, den, blades)
+        assert calls == expected
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])

@@ -430,10 +430,10 @@ def test_key_factorial_and_the_container_check_have_one_home():
         "fock.py:_factorial_weights", "fock.py:taylor_map", "gauss.py:_form", "poly.py:factorial",
         "transform.py:norm_sq"]
     # the container message "<name> takes a <class>, got <type>" is formatted
-    # in `clifford._checked` only, which every operator and Fock map calls
-    # under its own name; the pairings keep their one guard message.  The
-    # scan sees the forms the library used before, and not another TypeError
-    # or a docstring that says "takes a"
+    # in `clifford._checked` only, which every operator and Fock map, and
+    # `CliffordNumber.inner`, calls under its own name; the pairings keep
+    # their one guard message.  The scan sees the forms the library used
+    # before, and not another TypeError or a docstring that says "takes a"
     probe = {"probe.py": "def f(name, f):\n    if not isinstance(f, CliffordPolynomial):\n"
                          "        raise TypeError(f'{name} takes a CliffordPolynomial, got {type(f)}')\n"
                          "def g(f):\n    raise TypeError('sb_transform takes a HermiteExpansion or a '\n"
@@ -444,9 +444,10 @@ def test_key_factorial_and_the_container_check_have_one_home():
     assert _enclosing(probe, _container_messages) == ["probe.py:f", "probe.py:g", "probe.py:h"]
     assert _enclosing(sources, _container_messages) == ["clifford.py:_checked"]
     assert _enclosing(sources, _calls_of("_checked")) == [
-        "fock.py:fock_norm_sq", "fock.py:fock_to_function", "fock.py:fock_to_monogenic",
-        "fock.py:taylor_map", "transform.py:ck_extend", "transform.py:heat", "transform.py:restrict",
-        "transform.py:sb_inverse", "transform.py:sb_transform"]
+        "clifford.py:inner", "fock.py:fock_norm_sq", "fock.py:fock_to_function",
+        "fock.py:fock_to_monogenic", "fock.py:taylor_map", "transform.py:ck_extend",
+        "transform.py:heat", "transform.py:restrict", "transform.py:sb_inverse",
+        "transform.py:sb_transform"]
     assert _enclosing(sources, _matching(re.compile(r"\b_NOT_POLYNOMIALS\b"))) == [
         "gauss.py:", "gauss.py:_pairing", "gauss.py:gram"]
 
@@ -580,20 +581,30 @@ def _starred_gcds(name, text, tree):
 
 
 def test_no_gcd_reads_a_whole_map():
-    # `clifford._reduce` takes its gcd pair by pair and stops at the first
-    # unit: a gcd over an unpacked iterable reads every numerator before it
-    # can stop.  The scan sees both spellings, and not a pairwise gcd or
-    # another function's starred call
+    # `clifford._numerator_gcd` takes the reduction gcd pair by pair and
+    # stops at the first unit: a gcd over an unpacked iterable reads every
+    # numerator before it can stop.  The scan sees both spellings, and not a
+    # pairwise gcd or another function's starred call
     package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     probe = {"probe.py": "def f(g, b):\n    return gcd(g, *chain.from_iterable(b.values()))\n"
                          "def g(xs):\n    return math.gcd(*xs)\n"
                          "def h(g, re, im):\n    return gcd(g, re, im)\n"
-                         "def k(ds):\n    return lcm(*ds)\n"}
+                         "def k(ds):\n    return lcm(*ds)\n"
+                         "def r(cls, n, den, blades):\n    g = den\n"
+                         "    for re, im in blades.values():\n        g = gcd(g, re, im)\n"
+                         "        if g == 1:\n            break\n"}
     assert _enclosing(probe, _starred_gcds) == ["probe.py:f", "probe.py:g"]
     assert _enclosing(sources, _starred_gcds) == []
-    assert _enclosing({"clifford.py": sources["clifford.py"]},
-                      _calls_of("gcd")) == ["clifford.py:_part_text", "clifford.py:_reduce"]
+    # that gcd has one home, which both reducers call: a second pair-by-pair
+    # gcd loop, as in the probe's r, is a gcd call outside it
+    assert _enclosing(probe, _calls_of("gcd")) == ["probe.py:f", "probe.py:g", "probe.py:h",
+                                                   "probe.py:r"]
+    clifford = {"clifford.py": sources["clifford.py"]}
+    assert _enclosing(clifford, _calls_of("gcd")) == ["clifford.py:_numerator_gcd",
+                                                      "clifford.py:_part_text"]
+    assert _enclosing(clifford, _calls_of("_numerator_gcd")) == ["clifford.py:_reduce",
+                                                                 "clifford.py:_reduced"]
 
 
 def _unbounded_caches(source, name):

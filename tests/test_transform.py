@@ -91,6 +91,7 @@ CONTAINERS = {
     "fock_norm_sq": (fock_norm_sq, "FockElement"),
     "fock_to_function": (fock_to_function, "FockElement"),
     "fock_to_monogenic": (fock_to_monogenic, "FockElement"),
+    "inner": (CliffordNumber.basis(2, 1).inner, "CliffordNumber"),
 }
 # the bad operands of the pairing table, and a polynomial over C_2: the wrong
 # container of the Fock maps
