@@ -27,7 +27,7 @@ import os
 import sys
 
 from . import fock, gauss, serialize, transform
-from .clifford import BoundsError, GaussianRational, _part_text
+from .clifford import BoundsError, GaussianRational
 from .poly import CliffordPolynomial, DegreeCapError, set_degree_cap
 from .serialize import SchemaError
 from .transform import NotMonogenicError
@@ -98,13 +98,6 @@ def _verify(args):
                                    trials=args.trials, seed=args.seed)
 
 
-def _scalar_json(value: GaussianRational) -> dict:
-    # printed like every JSON part, so a part past the digit limit is a bound
-    re, im = value.re, value.im
-    return {"re": _part_text(re.numerator, re.denominator),
-            "im": _part_text(im.numerator, im.denominator)}
-
-
 _N = ("--n", {"type": int, "required": True})
 _INPUT = ("--input", {"required": True})
 _IO_FLAGS = [("--format", {"choices": ("json", "text"), "default": "json"}),
@@ -149,7 +142,7 @@ _COMMANDS = {
 _PRINTERS = {
     CliffordPolynomial: (serialize.poly_to_text, serialize.poly_to_json),
     fock.FockElement: (serialize.fock_to_text, serialize.fock_to_json),
-    GaussianRational: (serialize.scalar_to_text, _scalar_json),
+    GaussianRational: (serialize.scalar_to_text, serialize.scalar_to_json),
 }
 
 

@@ -31,8 +31,11 @@ gcd(den, every numerator) = 1, no zero pair).  That is exactly the form
 one term of a `CliffordPolynomial` takes, and it is unique, so `==`
 compares integers.  Every operation works on the numerators, and each
 rule of that form is written once, in a module-level helper here that
-the polynomial, series and pairing kernels call too: `+` scales both
-operands to the lcm of their denominators (`_add_scaled`), the product
+the polynomial, series and pairing kernels call too: `_scaled` returns
+a map times an integer as a new map (negation, the Fock weights, the
+polynomial constructor, the weighted conjugates of the pairings), `+`
+scales both operands to the lcm of their denominators and accumulates
+them (`_add_scaled`), the product
 multiplies the denominators and accumulates the real and imaginary
 numerators of every blade pair into their output blade
 (`_product_numerators`), `hermitian_conj` applies `_conjugated`, and
@@ -73,8 +76,10 @@ fraction it denotes.  `CliffordNumber(n, coeffs)` checks n once and then
 reads each entry in one pass: its indices become a mask (`_mask`, the
 per-index rule `_is_int`), its value is coerced and a repeated mask is
 refused, whatever the values; the zero values are dropped after the pass
-and one lcm of the kept parts' denominators then gives the numerators
-(`_over_common_denominator`).
+and one lcm of the kept parts' denominators then gives the numerators.
+A scalar factor of `*` (an int, a Fraction or a GaussianRational) enters
+through `CliffordNumber.scalar`, as it does in `==`, so the constructor
+is the one way from a scalar into C_n.
 `indices_from_mask` reads the indices of a mask of C_16 byte by byte,
 from a 256-entry tuple built at import (`_BYTE_INDICES`) and a bounded
 cache of the high byte's, and scans the bits of a wider mask.  The
@@ -82,7 +87,9 @@ generators of `verify` skip the public constructors and build stored
 numerators directly.  Two argument rules live here for the whole
 library: `_is_int`, the test behind every integer argument, and
 `_checked`, the container check at the entry of every operator and Fock
-map, whose TypeError reads "<name> takes a <class>, got <type>".
+map, whose TypeError reads "<name> takes a <class>, got <type>".  The
+grade argument of `CliffordNumber.grade` and `FockElement.grade` is
+checked by `_check_grade`.
 
 Printing has two primitives, and every printer (JSON and text, of
 numbers, polynomials and containers) is built on them: `_blade_order`
@@ -138,6 +145,13 @@ def _checked(name: str, value, *classes: type):
         raise TypeError(f"{name} takes a {' or a '.join(c.__name__ for c in classes)}, "
                         f"got {type(value).__name__}")
     return value
+
+
+def _check_grade(k) -> None:
+    """ValueError unless k is a nonnegative int: the grade argument of
+    `CliffordNumber.grade` and `FockElement.grade`."""
+    if not _is_int(k, 0):
+        raise ValueError("grade must be nonnegative")
 
 
 def _check_dimension(n: int) -> None:
@@ -357,16 +371,6 @@ def blade_product(a: Iterable[int], b: Iterable[int], n: int) -> tuple[int, tupl
 _Blades = dict[int, tuple[int, int]]
 
 
-def _over_common_denominator(values: Mapping[int, GaussianRational]) -> tuple[int, _Blades]:
-    """(d, {mask: (re*d, im*d)}) with d the lcm of every part's
-    denominator, so the numerators are integers; the lcm of reduced
-    fractions leaves them reduced."""
-    parts = values.values()
-    den = lcm(*{v.re.denominator for v in parts}, *{v.im.denominator for v in parts})
-    return den, {m: (v.re.numerator * (den // v.re.denominator),
-                     v.im.numerator * (den // v.im.denominator)) for m, v in values.items()}
-
-
 def _gaussian_over(re: int, im: int, den: int) -> GaussianRational:
     """(re + im*i) / den from integer numerators: one Fraction per nonzero part."""
     return _gaussian(Fraction(re, den) if re else _ZERO, Fraction(im, den) if im else _ZERO)
@@ -389,8 +393,13 @@ def _part_text(num: int, den: int) -> str:
                           "of int conversion") from None
 
 
+def _scaled(blades: _Blades, c: int) -> _Blades:
+    """c * blades, a new map."""
+    return {m: (c * re, c * im) for m, (re, im) in blades.items()}
+
+
 def _add_scaled(acc: _Blades, blades: _Blades, c: int) -> None:
-    """acc += c * blades."""
+    """acc += c * blades, into a map that may already hold the masks."""
     for mask, (re, im) in blades.items():
         prev = acc.get(mask)
         if prev is None:
@@ -606,8 +615,12 @@ class CliffordNumber:
             # repeated blade is refused whatever its values
             for mask in zeros:
                 del data[mask]
+        # the lcm of reduced denominators leaves the numerators reduced
+        parts = data.values()
         self.n = n
-        self._den, self._blades = _over_common_denominator(data)
+        self._den = den = lcm(*{v.re.denominator for v in parts}, *{v.im.denominator for v in parts})
+        self._blades = {m: (v.re.numerator * (den // v.re.denominator),
+                            v.im.numerator * (den // v.im.denominator)) for m, v in data.items()}
 
     @classmethod
     def _raw(cls, n: int, den: int, blades: _Blades) -> "CliffordNumber":
@@ -691,33 +704,27 @@ class CliffordNumber:
         return self + (-other)
 
     def __neg__(self) -> "CliffordNumber":
-        return CliffordNumber._raw(
-            self.n, self._den, {m: (-re, -im) for m, (re, im) in self._blades.items()})
+        return CliffordNumber._raw(self.n, self._den, _scaled(self._blades, -1))
 
     def __mul__(self, other) -> "CliffordNumber":
-        if isinstance(other, CliffordNumber):
-            self._check_dim(other)
-            den, right = other._den, other._blades
-        else:
-            scalar = _coerce(other)
-            if scalar is NotImplemented:
+        if not isinstance(other, CliffordNumber):
+            if not isinstance(other, (int, Fraction, GaussianRational)):
                 return NotImplemented
-            den, right = _over_common_denominator({0: scalar})
+            other = CliffordNumber.scalar(self.n, other)
+        self._check_dim(other)
         acc: _Blades = {}
-        _product_numerators(acc, self._blades, right)
-        return CliffordNumber._reduced(self.n, self._den * den, acc)
+        _product_numerators(acc, self._blades, other._blades)
+        return CliffordNumber._reduced(self.n, self._den * other._den, acc)
 
     def __rmul__(self, other) -> "CliffordNumber":
         # scalars are central, so left and right scaling agree
-        scalar = _coerce(other)
-        if scalar is NotImplemented:
-            return NotImplemented
-        return self * scalar
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self * other
+        return NotImplemented
 
     def grade(self, k: int) -> "CliffordNumber":
         """The k-vector part: keep blades with exactly k generators."""
-        if not _is_int(k, 0):
-            raise ValueError("grade must be nonnegative")
+        _check_grade(k)
         return CliffordNumber._reduced(
             self.n, self._den, {m: v for m, v in self._blades.items() if m.bit_count() == k})
 

@@ -17,7 +17,11 @@ its own name: `fock_norm_sq`, `fock_to_function` and `fock_to_monogenic`
 raise TypeError "<map> takes a FockElement, got <type>" for anything
 else (a `HermiteExpansion` shares its stored form, not its meaning), and
 `taylor_map` "taylor_map takes a CliffordPolynomial, got <type>".  The
-weight beta! of every map and of the norm is `poly._key_factorial`.
+weight beta! of every map and of the norm is `poly._key_factorial`, and
+both maps scale each stored map by it through `clifford._scaled`.
+`taylor_map` checks its precondition through `transform._check_monogenic`,
+as `sb_inverse` does, and `grade` its argument through
+`clifford._check_grade`, as `CliffordNumber.grade` does.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .clifford import CliffordNumber, _checked, _is_int, _shared_blade_sum
+from .clifford import CliffordNumber, _check_grade, _checked, _scaled, _shared_blade_sum
 from .poly import CliffordPolynomial, _MultiIndexMap, _key_factorial, _reduced
-from .transform import NotMonogenicError, ck_extend
+from .transform import _check_monogenic, ck_extend
 
 
 class FockElement(_MultiIndexMap):
@@ -43,8 +47,7 @@ class FockElement(_MultiIndexMap):
 
     def grade(self, k: int) -> "FockElement":
         """The weight-k part: entries with |beta| = k."""
-        if not _is_int(k, 0):
-            raise ValueError("grade must be nonnegative")
+        _check_grade(k)
         f = self._poly
         return FockElement._of(_reduced(f.n, f._den, {
             key: blades for key, blades in f._num.items() if sum(key[1]) == k}))
@@ -80,19 +83,13 @@ def taylor_map(F: CliffordPolynomial) -> FockElement:
 
     x-derivatives at x0 = 0 factor through restriction, so the entry is
     beta! times the monomial coefficient of x^beta in F(0, x): the x0-free
-    numerators of F, each scaled by beta!.  The precondition is not
-    re-checked on a result of `ck_extend`, which is monogenic by
-    construction.
+    numerators of F, each scaled by beta!.  The precondition
+    (`transform._check_monogenic`) is not re-checked on a result of
+    `ck_extend`, which is monogenic by construction.
     """
-    _checked("taylor_map", F, CliffordPolynomial)
-    if not F._monogenic and not F.is_monogenic():
-        raise NotMonogenicError("the Taylor map is defined on monogenic polynomials")
-    data = {}
-    for key, blades in F._num.items():
-        if not key[0]:
-            w = _key_factorial(key)
-            data[key] = {m: (re * w, im * w) for m, (re, im) in blades.items()}
-    return FockElement._of(_reduced(F.n, F._den, data))
+    _check_monogenic(_checked("taylor_map", F, CliffordPolynomial), "the Taylor map")
+    return FockElement._of(_reduced(F.n, F._den, {
+        key: _scaled(blades, _key_factorial(key)) for key, blades in F._num.items() if not key[0]}))
 
 
 def fock_to_function(alpha: FockElement) -> CliffordPolynomial:
@@ -101,11 +98,8 @@ def fock_to_function(alpha: FockElement) -> CliffordPolynomial:
     denominator: the stored one times lcm(beta!)."""
     f = _checked("fock_to_function", alpha, FockElement)._poly
     common, weights = _factorial_weights(f)
-    data = {}
-    for key, blades in f._num.items():
-        w = weights[key]
-        data[key] = {m: (re * w, im * w) for m, (re, im) in blades.items()}
-    return _reduced(f.n, f._den * common, data)
+    return _reduced(f.n, f._den * common,
+                    {key: _scaled(blades, weights[key]) for key, blades in f._num.items()})
 
 
 def fock_to_monogenic(alpha: FockElement) -> CliffordPolynomial:

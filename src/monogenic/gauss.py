@@ -93,11 +93,11 @@ from .clifford import (
     CliffordNumber,
     GaussianRational,
     _ZEROS,
-    _add_scaled,
     _conjugated,
     _gaussian_over,
     _is_int,
     _product_numerators,
+    _scaled,
     _shared_blade_sum,
 )
 from .poly import CliffordPolynomial, _key_factorial
@@ -177,10 +177,7 @@ def _with_left(f: CliffordPolynomial, form: tuple, mu: bool) -> tuple:
     """form with its left role {key: weight * conj(A_key)} over wden in
     the last slot, cached on f: built the first time `clifford_pairing`
     needs it."""
-    left = {}
-    for key, blades in form[1].items():
-        left[key] = acc = {}
-        _add_scaled(acc, _conjugated(blades), form[3][key])
+    left = {key: _scaled(_conjugated(blades), form[3][key]) for key, blades in form[1].items()}
     return _store(f, mu, form[:5] + (left,))
 
 

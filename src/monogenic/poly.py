@@ -14,8 +14,9 @@ The pair is always reduced: den > 0, gcd(den, every numerator) = 1, no
 zero pair and no key without a blade.  That form is unique, so `==`
 compares integers.  Each term is kept in the form a `CliffordNumber`
 takes, so the constructor scales the numerators its coefficients hold to
-the lcm of their denominators (which keeps them reduced), and `terms()`
-and `coefficient()` reduce the one term they return.  Every operation
+the lcm of their denominators, which keeps them reduced
+(`clifford._scaled`), and `terms()` and `coefficient()` reduce the one
+term they return.  Every operation
 (`+`, `-`, the module actions, `hermitian_conj`, `restrict`, `partial`,
 the Dirac operator, the Laplacian, the Cauchy-Riemann operator d0 + D,
 and in `transform` the heat and C-K maps) works on the numerators and
@@ -45,9 +46,11 @@ checks the degree cap like any polynomial.
 The mark.  `ck_extend` and `p_basis` build monogenic polynomials by
 construction and set the private `_monogenic` slot on their results
 before returning them; every other constructor, `_raw` and `_adopt`
-included, leaves it False, and nothing changes it later.  `taylor_map`
-and `sb_inverse` skip their monogenicity precondition only on a marked
-value.  `is_monogenic()` never reads the mark: it always runs the
+included, leaves it False, and nothing changes it later.  Two readers
+trust it: the one monogenicity precondition, `transform._check_monogenic`
+(of `taylor_map` and `sb_inverse`), skips its computation only on a
+marked value, and `gauss` takes a marked value as its own MU_TILDE heat
+image.  `is_monogenic()` never reads the mark: it always runs the
 Cauchy-Riemann kernel.
 
 The Fischer cache.  `gauss` keeps the prepared pairing form of a value,
@@ -60,7 +63,9 @@ between threads never shows a half-built form.  `==`, `repr` and the
 codec never read it.
 
 The total-degree cap lives in a context variable, so a cap set in one
-thread is not seen by another.  `__init__` and `_raw` check it; `_adopt`
+thread is not seen by another.  `_check_degree_cap` is the one check and
+the one home of its message; `__init__` calls it on each key as it reads
+it, and `_raw` on the whole map; `_adopt`
 does not, for results that cannot exceed the degree of a value their
 caller has checked (the operators of `transform`, the parser).
 """
@@ -83,6 +88,7 @@ from .clifford import (
     _product_numerators,
     _rational,
     _reduce,
+    _scaled,
 )
 
 _degree_cap: ContextVar[int] = ContextVar("degree_cap", default=12)
@@ -221,7 +227,6 @@ class CliffordPolynomial:
 
     def __init__(self, n: int, terms: Mapping[tuple[int, Sequence[int]], CliffordNumber] | None = None):
         _check_dimension(n)
-        cap = _degree_cap.get()
         data: dict[TermKey, CliffordNumber] = {}
         if terms:
             for (k0, beta), coeff in terms.items():
@@ -230,19 +235,15 @@ class CliffordPolynomial:
                     raise TypeError(f"bad coefficient {coeff!r}")
                 if coeff.n != n:
                     raise DimensionMismatchError(f"coefficient in C_{coeff.n} inside C_{n} polynomial")
-                if k0 + beta.degree > cap:
-                    raise DegreeCapError(f"total degree {k0 + beta.degree} exceeds cap {cap}")
+                _check_degree_cap((key,))
                 if key in data:
                     raise ValueError(f"duplicate term {key}")
                 if coeff:
                     data[key] = coeff
         # scaled to the lcm of reduced denominators, the numerators stay reduced
-        den = math.lcm(*(coeff._den for coeff in data.values()))
         self.n = n
-        self._den = den
-        self._num = {}
-        for key, coeff in data.items():
-            _add_scaled(self._num.setdefault(key, {}), coeff._blades, den // coeff._den)
+        self._den = den = math.lcm(*(coeff._den for coeff in data.values()))
+        self._num = {key: _scaled(coeff._blades, den // coeff._den) for key, coeff in data.items()}
         self._monogenic = False
         self._fischer = (None, None)
 
@@ -371,8 +372,7 @@ class CliffordPolynomial:
 
     def __neg__(self) -> "CliffordPolynomial":
         return CliffordPolynomial._raw(self.n, self._den, {
-            key: {m: (-re, -im) for m, (re, im) in blades.items()}
-            for key, blades in self._num.items()})
+            key: _scaled(blades, -1) for key, blades in self._num.items()})
 
     def __mul__(self, other) -> "CliffordPolynomial":
         if isinstance(other, (int, Fraction, GaussianRational)):

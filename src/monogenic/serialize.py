@@ -10,18 +10,22 @@ denominator, and build no object per term.  A printer prints a value in
 one pass: it sorts the keys of a polynomial or container once (total
 degree, k0, beta) and the blades of each term of more than one blade by
 `clifford._blade_order`, and prints every part from its numerator and
-the value's shared denominator.  Numerators repeat across blades and
-terms, so each printer call keeps one memo {numerator: text} over that
-denominator (`_Texts`), and `clifford._part_text`, which reduces a part
-with one gcd, runs once per distinct numerator of the value.  The memo
-lives for one call and stores only texts that printed.  A parser splits
-each "p/q" into two ints, rejects exactly the texts that
-`str(Fraction(text))` would not print back, turns blade lists into
-masks, and scales every part to the lcm of all the part denominators of
-the value: one lcm per polynomial, container or Clifford number, which
-leaves the numerators reduced.  The degree cap is checked once, before
-the value is reduced.  Error messages are formatted only when a check
-fails.
+the value's shared denominator (a scalar's JSON, `scalar_to_json`, each
+part over its own).  Numerators repeat across blades and terms, so each
+printer call keeps one memo {numerator: text} over that denominator
+(`_Texts`), and `clifford._part_text`, which reduces a part with one
+gcd, runs once per distinct numerator of the value.  The memo lives for one call and
+stores only texts that printed.  A parser splits each "p/q" into two
+ints, rejects exactly the texts that `str(Fraction(text))` would not
+print back, turns blade lists into masks, and scales every part to the
+lcm of all the part denominators of the value: one lcm per polynomial,
+container or Clifford number, which leaves the numerators reduced.  The
+dimension is refused only once a value has been read, so that a fault
+inside it is reported first; until then a dimension past
+`MAX_DIMENSION` keys each blade by its index tuple instead of a mask of
+up to n bits, so it costs no more memory than its input.  The degree
+cap is checked once, before the value is reduced.  Error messages are
+formatted only when a check fails.
 
 Integers and text convert only up to the interpreter's digit limit,
 `sys.get_int_max_str_digits()` (4300 digits by default; this module
@@ -37,8 +41,8 @@ from math import gcd, lcm
 from sys import get_int_max_str_digits
 from typing import Any
 
-from .clifford import (CliffordNumber, GaussianRational, _Blades, _blade_masks, _blade_order,
-                       _check_dimension, _is_int, _part_text, _reduce)
+from .clifford import (MAX_DIMENSION, CliffordNumber, GaussianRational, _Blades, _blade_masks,
+                       _blade_order, _check_dimension, _is_int, _part_text, _reduce)
 from .fock import FockElement
 from .poly import CliffordPolynomial, MultiIndex, _check_degree_cap, _sorted_terms
 from .transform import HermiteExpansion
@@ -50,7 +54,8 @@ class SchemaError(ValueError):
 
 _RATIONAL_RE = re.compile(r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
 
-# the parts of one Clifford value: {blade mask: (p_re, q_re, p_im, q_im)}
+# the parts of one Clifford value: {blade mask: (p_re, q_re, p_im, q_im)}, keyed
+# by index tuples instead while n is past MAX_DIMENSION (the value is then refused)
 _Parts = dict[int, tuple[int, int, int, int]]
 
 
@@ -78,17 +83,21 @@ def _require(cond: bool, message: str, *args: Any) -> None:
         raise SchemaError(message.format(*args))
 
 
-def _parse_blade(data: Any, n: int) -> int:
-    """The mask of a strictly increasing list of generator indices."""
+def _parse_blade(data: Any, n: int) -> int | tuple[int, ...]:
+    """The mask of a strictly increasing list of generator indices.  For an
+    n past MAX_DIMENSION, which `_parse_parts` refuses once the value has
+    been read, the index tuple keys the blade instead, so no mask wider
+    than the largest algebra is built."""
     _require(isinstance(data, list), "blade must be a list, got {!r}", data)
-    mask = 0
+    mask = prev = 0
     for i in data:
         _require(_is_int(i), "blade index {!r} not an int", i)
         _require(1 <= i <= n, "blade index {} out of range [1, {}]", i, n)
-        # the highest index so far is the bit length of the mask
-        _require(i > mask.bit_length(), "blade indices must be strictly increasing, got {}", data)
-        mask |= 1 << (i - 1)
-    return mask
+        _require(i > prev, "blade indices must be strictly increasing, got {}", data)
+        prev = i
+        # an index past the largest algebra stays out of the mask, which the tuple replaces
+        mask |= (1 << (i - 1)) if i <= MAX_DIMENSION else 0
+    return mask if n <= MAX_DIMENSION else tuple(data)
 
 
 def _parse_beta(data: Any, n: int) -> MultiIndex:
@@ -101,7 +110,8 @@ def _parse_beta(data: Any, n: int) -> MultiIndex:
 
 def _parse_parts(data: Any, n: int) -> _Parts:
     """The parts of one Clifford value; n is bounds-checked once the value
-    has been read."""
+    has been read, and until then a blade of an n past MAX_DIMENSION is
+    keyed by its index tuple (`_parse_blade`)."""
     _require(isinstance(data, list), "Clifford value must be a list of terms, got {!r}", data)
     parts: _Parts = {}
     for item in data:
@@ -237,6 +247,12 @@ def _complex_text(re: int, im: int, texts: _Texts) -> str:
     every part written with its denominator, "/1" too."""
     re_text, im_text = (text if "/" in text else text + "/1" for text in (texts[re], texts[abs(im)]))
     return f"{re_text} {'+' if im > 0 else '-'} {im_text} i" if im else re_text
+
+
+def scalar_to_json(value: GaussianRational) -> dict:
+    """{"re", "im"}, each part printed like every part of the wire format."""
+    re, im = value.re, value.im
+    return {"re": _Texts(re.denominator)[re.numerator], "im": _Texts(im.denominator)[im.numerator]}
 
 
 def scalar_to_text(value: GaussianRational) -> str:

@@ -43,7 +43,10 @@ the operator's one entry.  The heat
 images of the Gaussian pairings of `gauss` are `_apply` too, with _HEAT
 under RHO and _FULL_HEAT, exp(Laplacian over x0..xn / 4), under
 MU_TILDE.  The C-K results carry the "monogenic by construction" mark
-of `poly`, so `sb_inverse` does not check them again.
+of `poly`.  The monogenicity precondition of `sb_inverse` and of
+`fock.taylor_map` is one helper, `_check_monogenic`, which reads that
+mark before it runs the Cauchy-Riemann kernel and formats the one
+message of that precondition, naming its caller's map.
 
 Probabilists' Hermite polynomials are the preimages of the monomials
 under the heat operator; their monogenic images are the basis
@@ -84,6 +87,15 @@ from .poly import (
 
 class NotMonogenicError(ValueError):
     """Input must satisfy the generalized Cauchy-Riemann equation."""
+
+
+def _check_monogenic(F: CliffordPolynomial, what: str) -> None:
+    """NotMonogenicError "<what> is defined on monogenic polynomials"
+    unless F is monogenic: the precondition of `sb_inverse` and
+    `fock.taylor_map`, read off the mark of `ck_extend` and `p_basis`
+    when F carries it, else computed."""
+    if not F._monogenic and not F.is_monogenic():
+        raise NotMonogenicError(f"{what} is defined on monogenic polynomials")
 
 
 def _series(den: int, num: _Numerators, step: Callable[[_Numerators, _Numerators], None],
@@ -198,7 +210,7 @@ def ck_extend(f: CliffordPolynomial) -> CliffordPolynomial:
         raise ValueError("C-K extension starts from an x0-free polynomial")
     _check_degree_cap(f._num)  # each term keeps its total degree: the result is adopted
     F = CliffordPolynomial._adopt(f.n, *_apply(f, _CK))
-    F._monogenic = True  # read by the preconditions of `sb_inverse` and `taylor_map`
+    F._monogenic = True  # read by `_check_monogenic` and by the MU_TILDE form of `gauss`
     return F
 
 
@@ -257,7 +269,5 @@ def sb_transform(f: Union[HermiteExpansion, CliffordPolynomial]) -> CliffordPoly
 
 def sb_inverse(F: CliffordPolynomial) -> CliffordPolynomial:
     """Inverse transform: restrict to x0 = 0, then apply inverse heat."""
-    _checked("sb_inverse", F, CliffordPolynomial)
-    if not F._monogenic and not F.is_monogenic():
-        raise NotMonogenicError("inverse transform is defined on monogenic polynomials")
+    _check_monogenic(_checked("sb_inverse", F, CliffordPolynomial), "inverse transform")
     return heat(F.restrict(), inverse=True)

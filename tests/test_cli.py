@@ -281,6 +281,12 @@ _FAULTS = {
     "duplicate blade": ([_GOOD_PART, {"blade": [1], "re": "2", "im": "0"}],
                         "error: duplicate blade [1]\n"),
     "above cap": ([_GOOD_PART], _DIM17),
+    # blades past C_16, which n = 17 admits until the dimension is refused
+    "duplicate blade past 16": ([{"blade": [17], "re": "1", "im": "0"},
+                                 {"blade": [17], "re": "2", "im": "0"}],
+                                "error: duplicate blade [17]\n"),
+    "unordered blade past 16": ([{"blade": [17, 17], "re": "1", "im": "0"}],
+                                "error: blade indices must be strictly increasing, got [17, 17]\n"),
 }
 
 

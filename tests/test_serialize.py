@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,7 @@ from monogenic.serialize import (
     poly_from_json,
     poly_to_json,
     poly_to_text,
+    scalar_to_json,
     scalar_to_text,
 )
 from monogenic.clifford import BoundsError, _part_text
@@ -179,6 +181,9 @@ def test_fock_strict_rejection():
 def test_scalar_to_text():
     assert scalar_to_text(GaussianRational(2)) == "2/1"
     assert scalar_to_text(GaussianRational(Fraction(1, 2), Fraction(-3, 4))) == "1/2 - 3/4 i"
+    # the JSON printer of the same scalars writes each part reduced on its own
+    assert scalar_to_json(GaussianRational(2)) == {"re": "2", "im": "0"}
+    assert scalar_to_json(GaussianRational(Fraction(1, 2), Fraction(-3, 4))) == {"re": "1/2", "im": "-3/4"}
 
 
 def test_poly_to_text_is_aligned_table():
@@ -337,6 +342,24 @@ def test_lowest_terms_rule_matches_the_oracle_on_every_short_text():
             assert _outcome(parse_fraction, text) == _outcome(oracle_parse_fraction, text)
 
 
+def test_an_out_of_range_dimension_costs_no_more_memory_than_an_in_range_one():
+    # 6,000 one-index blades with indices near n = 200,000 in a 0.86 MB
+    # document: a mask per blade would hold 25 KB each (160 MB in all)
+    # before the dimension is refused
+    n = 200_000
+    blades = [{"blade": [n - j], "re": "1", "im": "0"} for j in range(6000)]
+    document = {"n": n, "terms": [{"x0": 0, "beta": [0] * n, "coeff": blades}]}
+    for parse, data in ((poly_from_json, document), (lambda d: clifford_from_json(d, n), blades)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundsError, match=r"^dimension must be in \[1, 16\], got 200000$"):
+                parse(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+
+
 def test_parts_longer_than_the_digit_limit_are_schema_errors():
     limit = sys.get_int_max_str_digits()
     for text in ("1" * (limit + 1), "1/" + "3" * (limit + 1), "-" + "7" * (limit + 1)):
@@ -454,7 +477,8 @@ def test_unprintable_parts_raise_on_every_print():
     poly = CliffordPolynomial(n, {(0, b): c for b, c in entries.items()})
     printable = CliffordNumber(n, {(1,): g(Fraction(1, 2), -3)})
     printers = [(clifford_to_json, number), (clifford_to_text, number),
-                (scalar_to_text, g(big, Fraction(1, 2))), (poly_to_json, poly), (poly_to_text, poly),
+                (scalar_to_text, g(big, Fraction(1, 2))), (scalar_to_json, g(Fraction(1, 2), big)),
+                (poly_to_json, poly), (poly_to_text, poly),
                 (expansion_to_json, HermiteExpansion(n, entries)),
                 (fock_to_json, FockElement(n, entries)), (fock_to_text, FockElement(n, entries))]
     for printer, value in printers:

@@ -1,7 +1,9 @@
 """Guards for the tooling next to the library: the benchmark's tracer,
 the library's stdlib-only imports, the numerator-only wire codec, the
 seeded generators that build numerators directly, one home
-for each numerator rule, for the integer-argument test, for the
+for each numerator rule (the scaling of a blade map, the monogenic
+precondition, the cap message and the grade check included), for the
+integer-argument test, for the
 derivative's key shift, for key! and the container check, for the
 pairing forms and the one pairing kernel
 of gauss, its measure check and the canonical zeros, measure members
@@ -267,6 +269,27 @@ def _matching(pattern):
 _blade_sums = _matching(BLADE_SUM)
 
 
+def _scaling_comprehensions(name, text, tree):
+    """Lines of a comprehension whose element is a pair that scales both
+    its parts by one factor: (c * re, c * im) in either operand order, or
+    (-re, -im), the factor -1."""
+    def factors(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return {"-1"}
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return {ast.dump(node.left), ast.dump(node.right)}
+        return set()
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.DictComp, ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            pair = node.value if isinstance(node, ast.DictComp) else node.elt
+            if (isinstance(pair, ast.Tuple) and len(pair.elts) == 2
+                    and factors(pair.elts[0]) & factors(pair.elts[1])):
+                lines.append(node.lineno)
+    return lines
+
+
 def test_each_numerator_rule_has_one_home():
     # the product sign and the conjugation sign are stated in clifford only
     package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
@@ -323,6 +346,40 @@ def test_each_numerator_rule_has_one_home():
                          "def k(self):\n    return self.re * self.re + self.im * self.im\n"}
     assert _enclosing(probe, _blade_sums) == ["probe.py:f", "probe.py:g"]
     assert _enclosing(sources, _blade_sums) == ["clifford.py:_shared_blade_sum"]
+    # a blade map is scaled into a new map by `clifford._scaled` only (and
+    # accumulated by `_add_scaled`, a loop); the scan sees the negations and
+    # the weightings it replaced, bare or nested in a map of maps, and not
+    # the conjugation or a pair of parts with a factor each
+    probe = {"probe.py": "def f(b):\n    return {m: (-re, -im) for m, (re, im) in b.items()}\n"
+                         "def g(num):\n    return {k: {m: (-re, -im) for m, (re, im) in b.items()}\n"
+                         "                for k, b in num.items()}\n"
+                         "def h(b, w):\n    return {m: (re * w, im * w) for m, (re, im) in b.items()}\n"
+                         "def k(b):\n    return {m: (re, -im) for m, (re, im) in b.items()}\n"
+                         "def r(parts, d):\n"
+                         "    return {m: (p * (d // q), s * (d // t)) for m, (p, q, s, t) in parts}\n"}
+    assert _enclosing(probe, _scaling_comprehensions) == ["probe.py:f", "probe.py:g", "probe.py:h"]
+    assert _enclosing(sources, _scaling_comprehensions) == ["clifford.py:_scaled"]
+    assert _enclosing(sources, _calls_of("_scaled")) == [
+        "clifford.py:__neg__", "fock.py:fock_to_function", "fock.py:taylor_map",
+        "gauss.py:_with_left", "poly.py:__init__", "poly.py:__neg__"]
+    # the monogenic precondition, the degree-cap message and the grade
+    # check are each written once; the scans see the messages they replaced
+    probe = {"probe.py": "def taylor_map(F):\n    if not F.is_monogenic():\n"
+                         "        raise NotMonogenicError('the Taylor map is defined on monogenic polynomials')\n"
+                         "def init(k0, beta, cap):\n"
+                         "    raise DegreeCapError(f'total degree {k0 + beta.degree} exceeds cap {cap}')\n"
+                         "def grade(k):\n    raise ValueError('grade must be nonnegative')\n"}
+    for phrase, caught, home, callers in (
+            ("is defined on monogenic polynomials", "probe.py:taylor_map",
+             "transform.py:_check_monogenic", ["fock.py:taylor_map", "transform.py:sb_inverse"]),
+            ("exceeds cap", "probe.py:init", "poly.py:_check_degree_cap",
+             ["poly.py:__init__", "poly.py:_raw", "serialize.py:_from_json", "transform.py:_basis",
+              "transform.py:ck_extend", "transform.py:heat", "verify.py:_rand_x0_free"]),
+            ("grade must be nonnegative", "probe.py:grade", "clifford.py:_check_grade",
+             ["clifford.py:grade", "fock.py:grade"])):
+        assert _enclosing(probe, _texts_holding(phrase)) == [caught], phrase
+        assert _enclosing(sources, _texts_holding(phrase)) == [home], phrase
+        assert _enclosing(sources, _calls_of(home.split(":")[1])) == callers, phrase
     # a numerator becomes text in `clifford._part_text` only: no other
     # function both takes a gcd and writes a "/" into a text, and serialize
     # only memoises `_part_text`; the scan sees the inline forms, and not
@@ -495,7 +552,7 @@ def test_pairing_forms_are_built_in_one_place():
     assert _enclosing(sources, _calls_of("_key_factorial")) == ["gauss.py:_form"]
     assert _enclosing(sources, _calls_of("frozenset")) == ["gauss.py:_form"]
     assert _enclosing(sources, _calls_of("_conjugated")) == ["gauss.py:_with_left"]
-    assert _enclosing(sources, _calls_of("_add_scaled")) == ["gauss.py:_with_left"]
+    assert _enclosing(sources, _calls_of("_scaled")) == ["gauss.py:_with_left"]
     # one kernel pairs: the key-set test, the Clifford product and the
     # weighted blade sum are called in `_pairing` only, which
     # `clifford_pairing`, `inner_rho` and `inner_mu` each call once, and
