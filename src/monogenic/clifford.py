@@ -12,18 +12,25 @@ e_j^2 = -1 for each generator in both.  Bit j of the sign mask q_A is
 the parity of A's generators above j, xor A's own bit j, so
 s = popcount(q_A & B) mod 2: O(1) per blade pair once q_A is known.
 
-Products of dense operands send many blade pairs to each output blade:
-64 x 64 blades at n = 8 make 4096 pairs into at most 256 blades.  There
-`_product_numerators` packs each Gaussian-integer numerator re + im*i
-into one int, re + (im << k), with k chosen from the operands' largest
-parts so that every output part lies strictly inside +-2^(k-1); each
-pair is then one integer multiply-add, and each output blade one exact
-decode modulo 2^(2k) + 1, where 2^(2k) = -1 plays i^2 = -1
-(`_packed_product`).  It packs only when the pairs number at least 64
-and at least 4 per reachable output blade (2^w of them, for w the bit
-length of the widest mask); below that the decodes cost more than the
-multiplications they save, and each pair adds its (re, im) directly.
-The choice reads only the operands' sizes and mask widths.
+A product takes one of three paths in `_product_numerators`, chosen from
+the operands' sizes and mask widths alone.  Products of dense operands
+send many blade pairs to each output blade: 64 x 64 blades at n = 8 make
+4096 pairs into at most 256 blades.  There each Gaussian-integer
+numerator re + im*i is packed into one int, re + (im << k), with k
+chosen from the operands' largest parts so that every output part lies
+strictly inside +-2^(k-1); each pair is then one integer multiply-add,
+and each output blade one exact decode modulo 2^(2k) + 1, where
+2^(2k) = -1 plays i^2 = -1 (`_packed_product`).  It packs only when the
+pairs number at least 64 and at least 4 per reachable output blade (2^w
+of them, for w the bit length of the widest mask); below that the
+decodes cost more than the multiplications they save.  A product of at
+least 64 pairs that does not pack, such as 64 x 64 blades at n = 12,
+where about 2,600 output blades take the 4096 pairs, adds each pair's
+(re, im) from a flat list of the right operand's blades, its sign
+chosen between two expressions rather than applied after
+(`_listed_product`).  A smaller product, such as the 1 x 1 products of
+the Gaussian pairings, keeps the plain pair loop, where listing the
+right operand would cost more than it saves.
 
 A CliffordNumber is stored as integer numerators over one denominator:
 `_den` and `_blades` = {blade mask: (re, im)}, reduced (den > 0,
@@ -480,28 +487,34 @@ def _reduce(den: int, maps: Mapping) -> tuple[int, dict]:
     return den // g, out
 
 
-# the rule of `_product_numerators` for the packed product: below either
-# threshold the plain pair loop measured faster on dense products at n <= 10
+# the rule of `_product_numerators`: below either threshold the pair loop
+# measured faster than the packed product on dense products at n <= 10, and
+# below _PACK_MIN_PAIRS a pair loop skips the listed path's per-call setup
 _PACK_PAIRS_PER_BLADE = 4
 _PACK_MIN_PAIRS = 64
 
 
 def _product_numerators(acc: _Blades, left: _Blades, right: _Blades) -> None:
     """acc += left * right: integer multiply-accumulate over all blade
-    pairs of two numerator maps.
+    pairs of two numerator maps, by one of three paths.
 
     The products e_A e_B of w generator slots reach at most 2^w output
     blades.  When the pairs number at least _PACK_MIN_PAIRS and
     _PACK_PAIRS_PER_BLADE * 2^w, they are summed as packed Gaussian
-    integers (`_packed_product`); otherwise each pair adds its (re, im)
-    and cancelled blades are left in as zero pairs.  The choice reads
-    only the sizes and mask widths of the operands."""
+    integers (`_packed_product`).  Otherwise each pair adds its (re, im)
+    and cancelled blades are left in as zero pairs: from a flat list of
+    the right blades when the pairs number at least _PACK_MIN_PAIRS
+    (`_listed_product`), and otherwise in the plain loop below, where
+    that path's per-call setup would outweigh its saving.  The choice
+    reads only the sizes and mask widths of the operands."""
     pairs = len(left) * len(right)
     if pairs >= _PACK_MIN_PAIRS:
         width = max(max(left), max(right)).bit_length()
         if pairs >= _PACK_PAIRS_PER_BLADE << width:
             _packed_product(acc, left, right, width)
-            return
+        else:
+            _listed_product(acc, left, right)
+        return
     for ma, (ar, ai) in left.items():
         q = _sign_mask(ma)
         for mb, (br, bi) in right.items():
@@ -512,6 +525,35 @@ def _product_numerators(acc: _Blades, left: _Blades, right: _Blades) -> None:
             mask = ma ^ mb
             prev = acc.get(mask)
             acc[mask] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+
+
+def _listed_product(acc: _Blades, left: _Blades, right: _Blades) -> None:
+    """acc += left * right, one pair at a time, for products too large for
+    the per-call setup to matter and too sparse to pack: the right map is
+    listed once as flat (mask, re, im) triples, the real part of each left
+    blade is negated once, so that the parity of a pair picks one of two
+    expressions for its signed (re, im) with no negation after it,
+    `acc.get` is bound once, and a blade already in acc is unpacked
+    rather than indexed.  Cancelled blades are left in as zero pairs."""
+    listed = [(mb, br, bi) for mb, (br, bi) in right.items()]
+    get = acc.get
+    for ma, (ar, ai) in left.items():
+        q = _sign_mask(ma)
+        nr = -ar
+        for mb, br, bi in listed:
+            if (q & mb).bit_count() & 1:
+                re = nr * br + ai * bi
+                im = nr * bi - ai * br
+            else:
+                re = ar * br - ai * bi
+                im = ar * bi + ai * br
+            mask = ma ^ mb
+            prev = get(mask)
+            if prev is None:
+                acc[mask] = (re, im)
+            else:
+                pr, pi = prev
+                acc[mask] = (pr + re, pi + im)
 
 
 def _packed_product(acc: _Blades, left: _Blades, right: _Blades, width: int) -> None:
@@ -528,6 +570,8 @@ def _packed_product(acc: _Blades, left: _Blades, right: _Blades, width: int) -> 
     one, so each part lies strictly inside +-h, h = 2^(k-1).  The residue
     of v + h + (h << k) is then (re + h) + ((im + h) << k) itself, a
     number in [0, 2^(2k)), and divmod by 2^k recovers both parts exactly.
+    The sign of a pair picks pa or -pa from a pair built once per left
+    blade, so each pair is one indexed multiply-add with no branch.
     The sums live in a list indexed by output mask, which the caller's
     rule keeps at most a quarter as long as the pair count; a zero sum
     (a cancelled blade, or one no pair reaches) is not added to acc."""
@@ -539,11 +583,9 @@ def _packed_product(acc: _Blades, left: _Blades, right: _Blades, width: int) -> 
     for ma, (ar, ai) in left.items():
         q = _sign_mask(ma)
         pa = ar + (ai << k)
+        signed = (pa, -pa)
         for mb, pb in packed:
-            if (q & mb).bit_count() & 1:
-                sums[ma ^ mb] -= pa * pb
-            else:
-                sums[ma ^ mb] += pa * pb
+            sums[ma ^ mb] += signed[(q & mb).bit_count() & 1] * pb
     h = 1 << (k - 1)
     offset = h + (h << k)
     modulus = (1 << 2 * k) + 1

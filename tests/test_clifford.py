@@ -296,7 +296,7 @@ def _oracle_product(x, y):
     return {c: v for c, v in acc.items() if v != (0, 0)}
 
 
-@pytest.mark.parametrize("n,blades", [(8, 64), (12, 40), (16, 32)])
+@pytest.mark.parametrize("n,blades", [(8, 64), (12, 40), (12, 64), (16, 32)])
 def test_dense_products_match_per_pair_oracle(n, blades):
     rng = random.Random(1000 + n)
     x, y = _dense(rng, n, blades), _dense(rng, n, blades)
@@ -308,29 +308,48 @@ def test_dense_products_match_per_pair_oracle(n, blades):
         assert got == _oracle_product(lhs, rhs)
 
 
-def test_dense_product_cancellation_is_pruned():
+def test_dense_product_cancellation_is_pruned(monkeypatch):
     # (a + b)(a - b) = a^2 - b^2 + ba - ab; both sides must come out with
-    # no zero coefficients stored, and a*b - a*b must be the canonical zero
+    # no zero coefficients stored, and a*b - a*b must be the canonical zero.
+    # e_123 squares to +1, so a(1 + e_123) times (1 - e_123)b cancels in
+    # every blade.  These products pack at n = 8 and are listed at n = 12
+    calls = {path: _calls(monkeypatch, path) for path in ("_packed_product", "_listed_product")}
+
+    def path_of(product):
+        for seen in calls.values():
+            seen.clear()
+        out = product()
+        return out, [path for path, seen in calls.items() if seen]
+
     rng = random.Random(3)
-    a, b = _dense(rng, 8, 40), _dense(rng, 8, 40)
-    lhs = (a + b) * (a - b)
-    assert lhs == a * a - b * b + b * a - a * b
-    assert all(v for _, v in lhs.terms())
-    assert (a * b - a * b).is_zero()
+    for n, path in [(8, "_packed_product"), (12, "_listed_product")]:
+        a, b = _dense(rng, n, 40), _dense(rng, n, 40)
+        lhs, taken = path_of(lambda: (a + b) * (a - b))
+        assert taken == [path]
+        assert lhs == a * a - b * b + b * a - a * b
+        assert all(v for _, v in lhs.terms())
+        assert (a * b - a * b).is_zero()
+        plus, minus = CliffordNumber(n, {(): 1, (1, 2, 3): 1}), CliffordNumber(n, {(): 1, (1, 2, 3): -1})
+        u, v = a * plus, minus * b
+        uv, taken = path_of(lambda: u * v)
+        assert taken == [path]
+        assert uv._den == 1 and uv._blades == {}
 
 
 # -- packed products: the path of many blade pairs per output blade -----------
 
-def _packed_calls(monkeypatch):
-    """(|left|, |right|, width) of every packed product from now on."""
+def _calls(monkeypatch, path):
+    """(|left|, |right|, *rest) of every call of `clifford.<path>` from now
+    on: rest is the mask width of a `_packed_product`, and empty for a
+    `_listed_product`."""
     calls = []
-    packed = clifford._packed_product
+    kernel = getattr(clifford, path)
 
-    def spy(acc, left, right, width):
-        calls.append((len(left), len(right), width))
-        packed(acc, left, right, width)
+    def spy(acc, left, right, *rest):
+        calls.append((len(left), len(right), *rest))
+        kernel(acc, left, right, *rest)
 
-    monkeypatch.setattr(clifford, "_packed_product", spy)
+    monkeypatch.setattr(clifford, path, spy)
     return calls
 
 
@@ -361,27 +380,36 @@ def _as_oracle(x):
     return {c: (v.re, v.im) for c, v in x.terms()}
 
 
+# the rows below that do not pack but take the listed path: at least 64
+# pairs; the other rows that do not pack keep the plain pair loop
+_LISTED_ROWS = {(5, 9, 14), (6, 15, 17), (8, 31, 33)}
+
+
 # pairs against both thresholds: at least 64, and at least 4 per reachable
 # output blade, 2^n of them for operands whose widest mask has n bits
 @pytest.mark.parametrize("n, left, right, packed", [
+    (3, 1, 1, False), (4, 3, 3, False),     # 1 and 9 pairs, the Gram pairings' shapes
     (3, 8, 7, False), (3, 8, 8, True),      # 56 and 64 pairs, 8 blades reachable
     (4, 9, 7, False), (4, 8, 8, True),      # 63 and 64 pairs, 16 reachable
     (5, 9, 14, False), (5, 8, 16, True),    # 126 and 128 pairs, 32 reachable
     (6, 15, 17, False), (6, 16, 16, True),  # 255 and 256 pairs, 64 reachable
     (8, 31, 33, False), (8, 32, 32, True)])  # 1023 and 1024 pairs, 256 reachable
 def test_packing_starts_at_the_selection_rule(monkeypatch, n, left, right, packed):
-    calls = _packed_calls(monkeypatch)
+    packed_calls = _calls(monkeypatch, "_packed_product")
+    listed_calls = _calls(monkeypatch, "_listed_product")
     rng = random.Random(50 + n)
     x, y = _spanning(rng, n, left), _spanning(rng, n, right)
     for lhs, rhs in [(x, y), (y, x)]:
         got = lhs * rhs
         _assert_reduced(got)
         assert _as_oracle(got) == _oracle_product(lhs, rhs)
-    assert calls == ([(left, right, n), (right, left, n)] if packed else [])
+    assert packed_calls == ([(left, right, n), (right, left, n)] if packed else [])
+    listed = (n, left, right) in _LISTED_ROWS
+    assert listed_calls == ([(left, right), (right, left)] if listed else [])
 
 
 def test_dense_c4_products_are_packed(monkeypatch):
-    calls = _packed_calls(monkeypatch)
+    calls = _calls(monkeypatch, "_packed_product")
     rng = random.Random(54)
     x, y = _spanning(rng, 4, 16), _spanning(rng, 4, 16)
     for lhs, rhs in [(x, y), (y, x), (x, x), (x.hermitian_conj(), x)]:
@@ -394,7 +422,7 @@ def test_packed_products_of_numerators_past_64_bits(monkeypatch):
     def big(rng):
         return Fraction(rng.choice([-1, 1]) * rng.randrange(2 ** 64, 2 ** 90), rng.choice(PRIMES_TO_97))
 
-    calls = _packed_calls(monkeypatch)
+    calls = _calls(monkeypatch, "_packed_product")
     rng = random.Random(55)
     for n, blades in [(3, 8), (4, 16), (6, 40)]:
         x, y = _spanning(rng, n, blades, big, big), _spanning(rng, n, blades, big, big)
@@ -409,7 +437,7 @@ def test_packed_sums_reach_the_bound(monkeypatch):
     # every part is +-t, and b_A carries the sign of e_A e_A, so each of the
     # eight pairs into the scalar blade adds the same 2t^2 or 2t^2 i: its
     # part reaches the packing bound 2 t^2 min(|L|, |R|) itself
-    calls = _packed_calls(monkeypatch)
+    calls = _calls(monkeypatch, "_packed_product")
     t = 2 ** 70 + 1
     blades = [indices_from_mask(m) for m in range(8)]
     for wa, wb, scalar in [((1, -1), (1, 1), (2, 0)), ((1, 1), (1, 1), (0, 2)),
@@ -427,7 +455,7 @@ def test_packed_products_of_real_and_imaginary_operands(monkeypatch):
     def zero(rng):
         return 0
 
-    calls = _packed_calls(monkeypatch)
+    calls = _calls(monkeypatch, "_packed_product")
     rng = random.Random(56)
     real = _spanning(rng, 4, 16, im=zero)
     imag = _spanning(rng, 4, 16, re=zero)
@@ -446,7 +474,7 @@ def test_packed_products_of_real_and_imaginary_operands(monkeypatch):
 def test_packed_cancellation_comes_out_reduced(monkeypatch):
     # e_123 is central in C_3 and squares to +1, so (1 + e_123)(1 - e_123)
     # = 0: every output blade of u*v cancels, eight pairs into each
-    calls = _packed_calls(monkeypatch)
+    calls = _calls(monkeypatch, "_packed_product")
     rng = random.Random(57)
     plus = CliffordNumber(3, {(): 1, (1, 2, 3): 1})
     minus = CliffordNumber(3, {(): 1, (1, 2, 3): -1})
@@ -478,7 +506,7 @@ def _wide_square(rng):
 def test_packed_polynomial_products_accumulate_per_key(monkeypatch):
     # the x1 x2 coefficient of (x1 a + x2 b)^2 is a b + b a: the second
     # term pair is added to a key whose accumulator already holds the first
-    calls = _packed_calls(monkeypatch)
+    calls = _calls(monkeypatch, "_packed_product")
     f, expected = _wide_square(random.Random(58))
     square = f * f
     assert {beta: _as_oracle(coeff) for _, beta, coeff in square.terms()} == expected

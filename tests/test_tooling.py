@@ -308,12 +308,13 @@ def test_each_numerator_rule_has_one_home():
     assert _enclosing({"transform.py": sources["transform.py"]},
                       _calls_of("_product_numerators")) == []
     assert _enclosing(sources, _calls_of("_plan_product")) == ["transform.py:_apply"]
-    # a Clifford product takes the packed path only through the choice in
-    # `_product_numerators`, and that choice reads the operands alone: the
-    # function loads nothing but its locals, builtins, helpers and the
-    # rule's two constants, each an int literal bound once at module level,
-    # and clifford reads no environment variable, context variable or flag
-    assert _enclosing(sources, _calls_of("_packed_product")) == ["clifford.py:_product_numerators"]
+    # a Clifford product takes the packed or the listed path only through
+    # the choice in `_product_numerators`, and that choice reads the operands
+    # alone: the function loads nothing but its locals, builtins, helpers and
+    # the rule's two constants, each an int literal bound once at module
+    # level, and clifford reads no environment variable, context variable or flag
+    for path in ("_packed_product", "_listed_product"):
+        assert _enclosing(sources, _calls_of(path)) == ["clifford.py:_product_numerators"]
     tree = ast.parse(sources["clifford.py"])
     chooser, = [node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "_product_numerators"]
@@ -324,7 +325,7 @@ def test_each_numerator_rule_has_one_home():
 
     local = names(ast.Store) | {a.arg for a in chooser.args.args}
     assert names(ast.Load) - local == {"len", "max", "_sign_mask", "_packed_product",
-                                       "_PACK_MIN_PAIRS", "_PACK_PAIRS_PER_BLADE"}
+                                       "_listed_product", "_PACK_MIN_PAIRS", "_PACK_PAIRS_PER_BLADE"}
     rule = [(node, target.id) for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AugAssign))
             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
             if getattr(target, "id", "").startswith("_PACK_")]
