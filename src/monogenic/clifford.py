@@ -28,9 +28,9 @@ least 64 pairs that does not pack, such as 64 x 64 blades at n = 12,
 where about 2,600 output blades take the 4096 pairs, adds each pair's
 (re, im) from a flat list of the right operand's blades, its sign
 chosen between two expressions rather than applied after
-(`_listed_product`).  A smaller product, such as the 1 x 1 products of
-the Gaussian pairings, keeps the plain pair loop, where listing the
-right operand would cost more than it saves.
+(`_listed_product`).  A smaller product, such as a 1 x 1 product of two
+Clifford numbers, keeps the plain pair loop, where listing the right
+operand would cost more than it saves.
 
 A CliffordNumber is stored as integer numerators over one denominator:
 `_den` and `_blades` = {blade mask: (re, im)}, reduced (den > 0,
@@ -64,13 +64,17 @@ gcd call over all its maps, and it rebuilds only a map that must change.
 A blade map with nothing to divide and no zero pair is adopted as it
 is, so a reduced value can share maps with the value it was read from
 (`restrict`, `terms()`): kernels write only into maps they made.  The
-Gaussian pairings of `gauss` conjugate and multiply through
-`_conjugated` and `_product_numerators`.  The operators of `transform`
-multiply by the real images of monomials:
-`_sign_plan` lists an image's blades with their sign masks once, and
-`_plan_product` adds a whole plan times one coefficient in one call.
-So the product sign (`_sign_mask`) and the conjugation sign are stated
-only in this module.
+full Gaussian pairing of `gauss` caches the left role of a value as
+sign plans, the weighted conjugate of each key's map with its sign
+masks (`_conjugate_plan`), and `_plan_pairing` adds the plans times the
+right role's maps over all shared keys in one call, with no sign mask
+and no dispatch per key.  The operators of `transform` multiply by the
+real images of monomials: `_sign_plan` lists an image's blades with
+their sign masks once, and `_plan_product` adds a whole plan times one
+coefficient in one call.  The Dirac operator of `poly` applies each
+generator e_j with `_generator_product`, from the sign mask of e_j
+taken once at import.  So the product sign (`_sign_mask`) and the
+conjugation sign are stated only in this module.
 Coefficients become `Fraction`s only where they are read back
 (`terms()`, `coefficient()`, `scalar_part()`, `inner()`), one per
 nonzero part (`_gaussian_over`).
@@ -621,6 +625,48 @@ def _plan_product(total: dict, plan: tuple, right: _Blades, c: int) -> None:
             mask = ma ^ mb
             prev = acc.get(mask)
             acc[mask] = (s * br, s * bi) if prev is None else (prev[0] + s * br, prev[1] + s * bi)
+
+
+def _conjugate_plan(blades: _Blades, w: int) -> tuple:
+    """((A, q_A, re, im), ...) of w * conj(blades), q_A the sign mask of
+    e_A: the left role of a pairing in the form `_plan_pairing` multiplies."""
+    return tuple((m, _sign_mask(m), re, im) for m, (re, im) in _scaled(_conjugated(blades), w).items())
+
+
+def _plan_pairing(plans: Mapping, rights: Mapping, keys: Iterable) -> _Blades:
+    """The numerators of sum over keys of plans[key] * rights[key], the
+    plans from `_conjugate_plan`, in one new map: the plain pair loop
+    with no sign mask per call, cancelled blades left in as zero pairs."""
+    acc: _Blades = {}
+    for key in keys:
+        items = rights[key].items()
+        for ma, q, ar, ai in plans[key]:
+            for mb, (br, bi) in items:
+                re = ar * br - ai * bi
+                im = ar * bi + ai * br
+                if (q & mb).bit_count() & 1:
+                    re, im = -re, -im
+                mask = ma ^ mb
+                prev = acc.get(mask)
+                acc[mask] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    return acc
+
+
+# (mask, sign mask) of each generator slot: `_generator_product` runs once
+# per term and axis of the Dirac operator, mostly on one-blade maps, where a
+# `_sign_mask` call per run would cost about a tenth of `is_monogenic`
+_GENERATORS = tuple((1 << j, _sign_mask(1 << j)) for j in range(MAX_DIMENSION))
+
+
+def _generator_product(acc: _Blades, j: int, blades: _Blades, c: int) -> None:
+    """acc += c * e_{j+1} * blades: a signed permutation of the blades,
+    cancelled blades left in as zero pairs."""
+    bit, q = _GENERATORS[j]
+    for mask, (re, im) in blades.items():
+        s = -c if (q & mask).bit_count() & 1 else c
+        target = mask ^ bit
+        prev = acc.get(target)
+        acc[target] = (s * re, s * im) if prev is None else (prev[0] + s * re, prev[1] + s * im)
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,11 @@ right role, built on first use, is the heat image A over its denominator
 den, the frozenset of its keys, and per key the weight key! (times
 2^(T - |key|) under MU_TILDE, T the top degree) over den (times 2^T),
 key! from `poly._key_factorial`, the one home of that Fischer weight.
-The left role, each conj(A_key) times its weight, is built from the
-right role only when `clifford_pairing` first needs it, and is published
-by storing the whole form again.  Preparing a value costs more than
+The left role, each conj(A_key) times its weight as a sign plan
+((A, q_A, re, im), ...) with the sign mask q_A of each blade
+(`clifford._conjugate_plan`), is built from the right role only when
+`clifford_pairing` first needs it, and is published by storing the
+whole form again.  Preparing a value costs more than
 pairing it once term by term with moments would; the form pays off when
 a value is paired again, as in `gram`.
 
@@ -50,9 +52,9 @@ again).  Entries whose heat images share no
 key, such as homogeneous parts of different degree and most entries of a
 Gram table, are then the shared zero of their dimension, built once in
 `clifford` (`_ZEROS`): the same object for every such entry, allocated
-by no pairing.  Otherwise `clifford_pairing` is one Clifford product per
-shared key, with the numerator helpers of the Clifford product
-(`clifford._conjugated`, `_product_numerators`), and the result is
+by no pairing.  Otherwise `clifford_pairing` is one call of
+`clifford._plan_pairing`, which adds the left plans times the right
+role's maps over all shared keys into one map, and the result is
 reduced once.  The scalar products `inner_rho` and `inner_mu` need only
 the grade-0 part.  conj(e_A) e_B has a scalar part only when A = B, and
 there it is 1, so they sum conj(a_A) b_A over the shared blades of the
@@ -93,11 +95,10 @@ from .clifford import (
     CliffordNumber,
     GaussianRational,
     _ZEROS,
-    _conjugated,
+    _conjugate_plan,
     _gaussian_over,
     _is_int,
-    _product_numerators,
-    _scaled,
+    _plan_pairing,
     _shared_blade_sum,
 )
 from .poly import CliffordPolynomial, _key_factorial
@@ -174,10 +175,10 @@ def _form(f: CliffordPolynomial, mu: bool) -> tuple:
 
 
 def _with_left(f: CliffordPolynomial, form: tuple, mu: bool) -> tuple:
-    """form with its left role {key: weight * conj(A_key)} over wden in
-    the last slot, cached on f: built the first time `clifford_pairing`
-    needs it."""
-    left = {key: _scaled(_conjugated(blades), form[3][key]) for key, blades in form[1].items()}
+    """form with its left role, the sign plan of weight * conj(A_key) over
+    wden per key (`clifford._conjugate_plan`), in the last slot, cached on
+    f: built the first time `clifford_pairing` needs it."""
+    left = {key: _conjugate_plan(blades, form[3][key]) for key, blades in form[1].items()}
     return _store(f, mu, form[:5] + (left,))
 
 
@@ -199,10 +200,7 @@ def _pairing(f: CliffordPolynomial, g: CliffordPolynomial, mu: bool,
         return _ZEROS[f.n if full else 0]
     if full:
         left = a[5] or _with_left(f, a, mu)[5]
-        acc: dict[int, tuple[int, int]] = {}
-        for key in a[2] & b[2]:
-            _product_numerators(acc, left[key], b[1][key])
-        return CliffordNumber._reduced(f.n, a[4] * b[0], acc)
+        return CliffordNumber._reduced(f.n, a[4] * b[0], _plan_pairing(left, b[1], a[2] & b[2]))
     # conj(e_A) e_A = 1: the scalar part sums the shared blades, f's weights
     image, weights, right = a[1], a[3], b[1]
     re, im = _shared_blade_sum((weights[key], image[key], right[key]) for key in a[2] & b[2])
@@ -211,8 +209,8 @@ def _pairing(f: CliffordPolynomial, g: CliffordPolynomial, mu: bool,
 
 def clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
                      measure: Measure) -> CliffordNumber:
-    """Full Clifford-valued pairing: integral of conj(f) * g, one Clifford
-    product per key the heat images share."""
+    """Full Clifford-valued pairing: integral of conj(f) * g, the Clifford
+    products over the keys the heat images share."""
     return _pairing(f, g, _check_measure(measure), True)
 
 

@@ -29,11 +29,10 @@ so a whole chain of them keeps one denominator.  One kernel,
 x1..xn (the heat operator), the Laplacian over x0..xn (the heat image of
 the MU_TILDE pairing) and d0 in d0 + D pass it the axes they sum over.
 On each axis it moves a term with exponent b >= k to the key with b - k
-there and scales it by b!/(b - k)!.  The Dirac operator has its own loop, because
-left multiplication by a generator is a signed blade permutation, not a
-product: e_j e_B = (-1)^popcount(B & low_j) e_{B xor bit_j}, where
-bit_j is the mask of e_j and low_j the mask of e_1, ..., e_j (one swap
-for each generator of B below j, and e_j^2 = -1 when j is in B).
+there and scales it by b!/(b - k)!.  The Dirac operator applies each
+generator with `clifford._generator_product`, because left
+multiplication by a generator is a signed blade permutation, not a
+product: e_j e_B = +-e_{B xor bit_j}, by the product sign of `clifford`.
 
 Containers.  Hermite expansions and Fock elements share
 `_MultiIndexMap`, which stores one x0-free polynomial sum_beta x^beta
@@ -84,6 +83,7 @@ from .clifford import (
     _add_scaled,
     _check_dimension,
     _conjugated,
+    _generator_product,
     _is_int,
     _product_numerators,
     _rational,
@@ -475,7 +475,7 @@ def _partial_into(out: _Numerators, data: _Numerators, axes: Iterable[int], orde
 
 
 def _dirac_into(out: _Numerators, data: _Numerators) -> None:
-    """out += sum_j e_j d_j data, e_j applied as a signed blade permutation."""
+    """out += sum_j e_j d_j data, e_j applied by `_generator_product`."""
     for (k0, beta), blades in data.items():
         for j, b in enumerate(beta):
             if not b:
@@ -484,16 +484,7 @@ def _dirac_into(out: _Numerators, data: _Numerators) -> None:
             acc = out.get(key)
             if acc is None:
                 acc = out[key] = {}
-            bit = 1 << j
-            low = (bit << 1) - 1
-            for mask, (re, im) in blades.items():
-                c = -b if (mask & low).bit_count() & 1 else b
-                target = mask ^ bit
-                prev = acc.get(target)
-                if prev is None:
-                    acc[target] = (c * re, c * im)
-                else:
-                    acc[target] = (prev[0] + c * re, prev[1] + c * im)
+            _generator_product(acc, j, blades, b)
 
 
 def _laplacian_into(out: _Numerators, data: _Numerators) -> None:

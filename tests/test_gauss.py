@@ -359,6 +359,61 @@ def test_sparse_pairings_at_n8_match_naive_oracle(measure):
     assert_matches_oracle(polys, measure)
 
 
+def _cold(f):
+    """A copy of f that has never been paired: no cached form."""
+    return poly_from_json(poly_to_json(f))
+
+
+def _complex_plans(f, g, mu):
+    """The keys that f and g share whose left plan of f, cached by a full
+    pairing (none if their key sets are disjoint), holds two or more
+    blades and a nonzero imaginary part."""
+    left, right = f._fischer[mu][5] or {}, g._fischer[mu][1]
+    return [key for key in left.keys() & right.keys()
+            if len(left[key]) > 1 and any(im for _, _, _, im in left[key])]
+
+
+@pytest.mark.parametrize("measure", [Measure.RHO, Measure.MU_TILDE], ids=["rho", "mu"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_plan_kernel_pairs_complex_multi_blade_left_roles(n, measure):
+    # the Gram tables of the benchmark give the plan kernel one real blade
+    # per key; here the left roles are complex, with up to three blades a
+    # key, and every pair is paired cold (the plan built inside the call)
+    # and again from the cached plan
+    mu = measure is Measure.MU_TILDE
+    rng = random.Random(200 + 10 * n + mu)
+    polys = [rand_pairing_poly(rng, n, 3, 4, mu) for _ in range(5)]
+    complex_pairs = 0
+    for f in polys:
+        for g in polys:
+            expected = naive_clifford_pairing(f, g, measure)
+            a = _cold(f)
+            b = a if g is f else _cold(g)
+            assert a._fischer == (None, None) and b._fischer == (None, None)
+            assert clifford_pairing(a, b, measure) == expected
+            assert clifford_pairing(a, b, measure) == expected
+            complex_pairs += bool(_complex_plans(a, b, mu))
+    assert complex_pairs
+    # a Gram row is the full pairing of its row value with each column
+    for f, row in zip(polys, gram(polys, polys, measure)):
+        assert row == [clifford_pairing(f, g, measure) for g in polys]
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_pairings_at_n9_to_16_match_moment_oracle(n):
+    # sign masks 9 to 16 bits wide; indices_from_mask reads the high byte
+    rng = random.Random(900 + n)
+    for measure in (Measure.RHO, Measure.MU_TILDE):
+        polys = [rand_pairing_poly(rng, n, 2, 3, measure is Measure.MU_TILDE) for _ in range(3)]
+        for f in polys:
+            for g in polys:
+                expected = naive_clifford_pairing(f, g, measure)
+                for _ in range(2):  # cold, then from the cached forms
+                    assert clifford_pairing(f, g, measure) == expected
+                    assert INNER[measure](f, g) == expected.scalar_part()
+        assert any(mask >> 8 for f in polys for blades in f._num.values() for mask in blades)
+
+
 def test_zero_operands():
     n = 3
     zero = CliffordPolynomial.zero(n)

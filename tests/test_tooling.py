@@ -291,11 +291,20 @@ def _scaling_comprehensions(name, text, tree):
 
 
 def test_each_numerator_rule_has_one_home():
-    # the product sign and the conjugation sign are stated in clifford only
+    # the product sign and the conjugation sign are stated in clifford only:
+    # the sign mask, the conjugation's grade test and a popcount parity,
+    # which the scan sees in the form the Dirac operator used to restate
+    # the sign of e_j (and not in a grade test)
     package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
-    rule = re.compile(r"_sign_mask\b|bit_count\(\) \+ 1\) & 2")
+    rule = re.compile(r"_sign_mask\b|bit_count\(\) \+ 1\) & 2|bit_count\(\) (& 1|% 2)\b")
+    probe = {"dirac.py": "c = -b if (mask & low).bit_count() & 1 else b\n",
+             "mod.py": "s = (q & m).bit_count() % 2\n", "grade.py": "k = m.bit_count() == 1\n"}
+    assert [name for name, text in probe.items() if rule.search(text)] == ["dirac.py", "mod.py"]
     assert [name for name, text in sources.items() if rule.search(text)] == ["clifford.py"]
+    # a generator times a numerator map is one clifford helper, which only
+    # the Dirac operator calls
+    assert _enclosing(sources, _calls_of("_generator_product")) == ["poly.py:_dirac_into"]
     # the operator series (heat, C-K, and the heat images of the pairings)
     # is written once, in transform
     series = re.compile(r"factorial\(top\) // factorial\(k\)")
@@ -308,6 +317,9 @@ def test_each_numerator_rule_has_one_home():
     assert _enclosing({"transform.py": sources["transform.py"]},
                       _calls_of("_product_numerators")) == []
     assert _enclosing(sources, _calls_of("_plan_product")) == ["transform.py:_apply"]
+    # the full pairing multiplies the cached left plans through one kernel,
+    # which only `gauss._pairing` calls
+    assert _enclosing(sources, _calls_of("_plan_pairing")) == ["gauss.py:_pairing"]
     # a Clifford product takes the packed or the listed path only through
     # the choice in `_product_numerators`, and that choice reads the operands
     # alone: the function loads nothing but its locals, builtins, helpers and
@@ -361,8 +373,8 @@ def test_each_numerator_rule_has_one_home():
     assert _enclosing(probe, _scaling_comprehensions) == ["probe.py:f", "probe.py:g", "probe.py:h"]
     assert _enclosing(sources, _scaling_comprehensions) == ["clifford.py:_scaled"]
     assert _enclosing(sources, _calls_of("_scaled")) == [
-        "clifford.py:__neg__", "fock.py:fock_to_function", "fock.py:taylor_map",
-        "gauss.py:_with_left", "poly.py:__init__", "poly.py:__neg__"]
+        "clifford.py:__neg__", "clifford.py:_conjugate_plan", "fock.py:fock_to_function",
+        "fock.py:taylor_map", "poly.py:__init__", "poly.py:__neg__"]
     # the monogenic precondition, the degree-cap message and the grade
     # check are each written once; the scans see the messages they replaced
     probe = {"probe.py": "def taylor_map(F):\n    if not F.is_monogenic():\n"
@@ -545,21 +557,25 @@ def test_pairing_forms_are_built_in_one_place():
     # gauss takes heat images, weights and conjugate copies in its form
     # builders only: the right role (`_form`) holds the image and the
     # weights key! 2^(T - |key|), the lazy left role (`_with_left`) the
-    # weighted conjugates, and every pairing reads them from the cache
+    # sign plans of the weighted conjugates, built by the one plan builder
+    # of clifford, and every pairing reads them from the cache
     package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
     library = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     sources = {"gauss.py": library["gauss.py"]}
     assert _enclosing(sources, _calls_of("_apply")) == ["gauss.py:_form"]
     assert _enclosing(sources, _calls_of("_key_factorial")) == ["gauss.py:_form"]
     assert _enclosing(sources, _calls_of("frozenset")) == ["gauss.py:_form"]
-    assert _enclosing(sources, _calls_of("_conjugated")) == ["gauss.py:_with_left"]
-    assert _enclosing(sources, _calls_of("_scaled")) == ["gauss.py:_with_left"]
-    # one kernel pairs: the key-set test, the Clifford product and the
-    # weighted blade sum are called in `_pairing` only, which
-    # `clifford_pairing`, `inner_rho` and `inner_mu` each call once, and
-    # `gram` once per entry after it has checked the measure
-    for callee in ("isdisjoint", "_product_numerators", "_shared_blade_sum"):
+    assert _enclosing(library, _calls_of("_conjugate_plan")) == ["gauss.py:_with_left"]
+    for callee in ("_conjugated", "_scaled"):
+        assert _enclosing(sources, _calls_of(callee)) == [], callee
+    # one kernel pairs: the key-set test, the product of the left plans
+    # with the right role and the weighted blade sum are called in
+    # `_pairing` only, which `clifford_pairing`, `inner_rho` and `inner_mu`
+    # each call once, and `gram` once per entry after it has checked the
+    # measure; no general Clifford product is left in gauss
+    for callee in ("isdisjoint", "_plan_pairing", "_shared_blade_sum"):
         assert _enclosing(sources, _calls_of(callee)) == ["gauss.py:_pairing"], callee
+    assert _enclosing(sources, _calls_of("_product_numerators")) == []
     assert _enclosing(sources, _calls_of("_pairing")) == [
         "gauss.py:clifford_pairing", "gauss.py:gram", "gauss.py:inner_mu", "gauss.py:inner_rho"]
     # the measure is checked in `_check_measure` only
