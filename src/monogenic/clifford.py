@@ -12,7 +12,7 @@ e_j^2 = -1 for each generator in both.  Bit j of the sign mask q_A is
 the parity of A's generators above j, xor A's own bit j, so
 s = popcount(q_A & B) mod 2: O(1) per blade pair once q_A is known.
 
-A product takes one of three paths in `_product_numerators`, chosen from
+A product takes one of two paths in `_product_numerators`, chosen from
 the operands' sizes and mask widths alone.  Products of dense operands
 send many blade pairs to each output blade: 64 x 64 blades at n = 8 make
 4096 pairs into at most 256 blades.  There each Gaussian-integer
@@ -23,14 +23,11 @@ and each output blade one exact decode modulo 2^(2k) + 1, where
 2^(2k) = -1 plays i^2 = -1 (`_packed_product`).  It packs only when the
 pairs number at least 64 and at least 4 per reachable output blade (2^w
 of them, for w the bit length of the widest mask); below that the
-decodes cost more than the multiplications they save.  A product of at
-least 64 pairs that does not pack, such as 64 x 64 blades at n = 12,
-where about 2,600 output blades take the 4096 pairs, adds each pair's
-(re, im) from a flat list of the right operand's blades, its sign
-chosen between two expressions rather than applied after
-(`_listed_product`).  A smaller product, such as a 1 x 1 product of two
-Clifford numbers, keeps the plain pair loop, where listing the right
-operand would cost more than it saves.
+decodes cost more than the multiplications they save.  Every other
+product, from a 1 x 1 product of two Clifford numbers to 64 x 64 blades
+at n = 12, where about 2,600 output blades take the 4096 pairs, runs one
+pair loop that adds each pair's (re, im), its sign chosen between two
+expressions rather than applied after.
 
 A CliffordNumber is stored as integer numerators over one denominator:
 `_den` and `_blades` = {blade mask: (re, im)}, reduced (den > 0,
@@ -56,7 +53,8 @@ stops at the first numerator that makes it 1, so a result with a unit
 gcd is not read to its end; `_divided` rebuilds a map without its zero
 pairs, divided by a gcd above 1 in a plain loop, which costs less than a
 comprehension on the one- and two-blade results that most Clifford
-pairings reduce.  Two reducers call both.  `CliffordNumber._reduced`
+pairings reduce.  Two reducers call both, and both test a map for a
+zero pair with `_has_zero_pair`.  `CliffordNumber._reduced`
 reduces a number over its own blade map, with no wrapper map around it.
 `_reduce` takes a map {key: blade map} and reduces a polynomial
 (`poly._reduced`) or prunes the operator series of `transform`, with one
@@ -473,6 +471,16 @@ def _divided(blades: _Blades, g: int) -> _Blades:
     return kept
 
 
+def _has_zero_pair(blades: _Blades) -> bool:
+    """Whether a numerator map holds a zero pair (0, 0): the one zero-pair
+    test of both reducers.  A plain loop tests the parts, which read faster
+    than `(0, 0) in blades.values()` on one-blade and on dense maps alike."""
+    for re, im in blades.values():
+        if not re and not im:
+            return True
+    return False
+
+
 def _reduce(den: int, maps: Mapping) -> tuple[int, dict]:
     """(den, maps) reduced: den and every numerator of {key: {mask: (re, im)}}
     divided by their gcd, zero pairs and then keys left without a blade
@@ -484,7 +492,7 @@ def _reduce(den: int, maps: Mapping) -> tuple[int, dict]:
     g = _numerator_gcd(den, maps.values())
     out = {}
     for key, blades in maps.items():
-        if g != 1 or (0, 0) in blades.values():
+        if g != 1 or _has_zero_pair(blades):
             blades = _divided(blades, g)
         if blades:
             out[key] = blades
@@ -492,59 +500,35 @@ def _reduce(den: int, maps: Mapping) -> tuple[int, dict]:
 
 
 # the rule of `_product_numerators`: below either threshold the pair loop
-# measured faster than the packed product on dense products at n <= 10, and
-# below _PACK_MIN_PAIRS a pair loop skips the listed path's per-call setup
+# measured faster than the packed product on dense products at n <= 10
 _PACK_PAIRS_PER_BLADE = 4
 _PACK_MIN_PAIRS = 64
 
 
 def _product_numerators(acc: _Blades, left: _Blades, right: _Blades) -> None:
     """acc += left * right: integer multiply-accumulate over all blade
-    pairs of two numerator maps, by one of three paths.
+    pairs of two numerator maps, by one of two paths.
 
     The products e_A e_B of w generator slots reach at most 2^w output
     blades.  When the pairs number at least _PACK_MIN_PAIRS and
     _PACK_PAIRS_PER_BLADE * 2^w, they are summed as packed Gaussian
-    integers (`_packed_product`).  Otherwise each pair adds its (re, im)
-    and cancelled blades are left in as zero pairs: from a flat list of
-    the right blades when the pairs number at least _PACK_MIN_PAIRS
-    (`_listed_product`), and otherwise in the plain loop below, where
-    that path's per-call setup would outweigh its saving.  The choice
-    reads only the sizes and mask widths of the operands."""
+    integers (`_packed_product`); the choice reads only the sizes and mask
+    widths of the operands.  Otherwise each pair adds its (re, im) in the
+    pair loop below: the real part of each left blade is negated once, so
+    that the parity of a pair picks one of two expressions for its signed
+    (re, im) with no negation after it, and a blade already in acc is
+    unpacked rather than indexed.  Cancelled blades are left in as zero
+    pairs."""
     pairs = len(left) * len(right)
     if pairs >= _PACK_MIN_PAIRS:
         width = max(max(left), max(right)).bit_length()
         if pairs >= _PACK_PAIRS_PER_BLADE << width:
             _packed_product(acc, left, right, width)
-        else:
-            _listed_product(acc, left, right)
-        return
-    for ma, (ar, ai) in left.items():
-        q = _sign_mask(ma)
-        for mb, (br, bi) in right.items():
-            re = ar * br - ai * bi
-            im = ar * bi + ai * br
-            if (q & mb).bit_count() & 1:
-                re, im = -re, -im
-            mask = ma ^ mb
-            prev = acc.get(mask)
-            acc[mask] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-
-
-def _listed_product(acc: _Blades, left: _Blades, right: _Blades) -> None:
-    """acc += left * right, one pair at a time, for products too large for
-    the per-call setup to matter and too sparse to pack: the right map is
-    listed once as flat (mask, re, im) triples, the real part of each left
-    blade is negated once, so that the parity of a pair picks one of two
-    expressions for its signed (re, im) with no negation after it,
-    `acc.get` is bound once, and a blade already in acc is unpacked
-    rather than indexed.  Cancelled blades are left in as zero pairs."""
-    listed = [(mb, br, bi) for mb, (br, bi) in right.items()]
-    get = acc.get
+            return
     for ma, (ar, ai) in left.items():
         q = _sign_mask(ma)
         nr = -ar
-        for mb, br, bi in listed:
+        for mb, (br, bi) in right.items():
             if (q & mb).bit_count() & 1:
                 re = nr * br + ai * bi
                 im = nr * bi - ai * br
@@ -552,7 +536,7 @@ def _listed_product(acc: _Blades, left: _Blades, right: _Blades) -> None:
                 re = ar * br - ai * bi
                 im = ar * bi + ai * br
             mask = ma ^ mb
-            prev = get(mask)
+            prev = acc.get(mask)
             if prev is None:
                 acc[mask] = (re, im)
             else:
@@ -724,15 +708,13 @@ class CliffordNumber:
         """blades / den in reduced form, by the rule of `_reduce` on one
         map: blades itself when its gcd with den is 1 and it holds a blade
         and no zero pair, else a new map (a fresh {} over 1 for a zero)."""
+        g = _numerator_gcd(den, (blades,))
+        if g != 1 or not blades or _has_zero_pair(blades):
+            den, blades = den // g, _divided(blades, g)
         out = cls.__new__(cls)
         out.n = n
-        g = _numerator_gcd(den, (blades,))
-        if g == 1 and blades and (0, 0) not in blades.values():
-            out._den = den
-            out._blades = blades
-        else:
-            out._den = den // g
-            out._blades = _divided(blades, g)
+        out._den = den
+        out._blades = blades
         return out
 
     @classmethod

@@ -301,9 +301,9 @@ def test_dense_products_match_per_pair_oracle(n, blades):
     rng = random.Random(1000 + n)
     x, y = _dense(rng, n, blades), _dense(rng, n, blades)
     real = _dense(rng, n, blades, complex_parts=False)
-    single = _dense(rng, n, 1)
+    single, other = _dense(rng, n, 1), _dense(rng, n, 1)
     for lhs, rhs in [(x, y), (y, x), (x, real), (real, y), (real, real),
-                     (single, x), (x, single)]:
+                     (single, x), (x, single), (single, other)]:
         got = {c: (v.re, v.im) for c, v in (lhs * rhs).terms()}
         assert got == _oracle_product(lhs, rhs)
 
@@ -312,27 +312,27 @@ def test_dense_product_cancellation_is_pruned(monkeypatch):
     # (a + b)(a - b) = a^2 - b^2 + ba - ab; both sides must come out with
     # no zero coefficients stored, and a*b - a*b must be the canonical zero.
     # e_123 squares to +1, so a(1 + e_123) times (1 - e_123)b cancels in
-    # every blade.  These products pack at n = 8 and are listed at n = 12
-    calls = {path: _calls(monkeypatch, path) for path in ("_packed_product", "_listed_product")}
+    # every blade.  These products pack at n = 8 and take the pair loop,
+    # not the packed path, at n = 12
+    calls = _calls(monkeypatch, "_packed_product")
 
-    def path_of(product):
-        for seen in calls.values():
-            seen.clear()
+    def packs(product):
+        calls.clear()
         out = product()
-        return out, [path for path, seen in calls.items() if seen]
+        return out, bool(calls)
 
     rng = random.Random(3)
-    for n, path in [(8, "_packed_product"), (12, "_listed_product")]:
+    for n, packed in [(8, True), (12, False)]:
         a, b = _dense(rng, n, 40), _dense(rng, n, 40)
-        lhs, taken = path_of(lambda: (a + b) * (a - b))
-        assert taken == [path]
+        lhs, taken = packs(lambda: (a + b) * (a - b))
+        assert taken is packed
         assert lhs == a * a - b * b + b * a - a * b
         assert all(v for _, v in lhs.terms())
         assert (a * b - a * b).is_zero()
         plus, minus = CliffordNumber(n, {(): 1, (1, 2, 3): 1}), CliffordNumber(n, {(): 1, (1, 2, 3): -1})
         u, v = a * plus, minus * b
-        uv, taken = path_of(lambda: u * v)
-        assert taken == [path]
+        uv, taken = packs(lambda: u * v)
+        assert taken is packed
         assert uv._den == 1 and uv._blades == {}
 
 
@@ -340,8 +340,7 @@ def test_dense_product_cancellation_is_pruned(monkeypatch):
 
 def _calls(monkeypatch, path):
     """(|left|, |right|, *rest) of every call of `clifford.<path>` from now
-    on: rest is the mask width of a `_packed_product`, and empty for a
-    `_listed_product`."""
+    on: rest is the mask width of a `_packed_product`."""
     calls = []
     kernel = getattr(clifford, path)
 
@@ -380,15 +379,10 @@ def _as_oracle(x):
     return {c: (v.re, v.im) for c, v in x.terms()}
 
 
-# the rows below that do not pack but take the listed path: at least 64
-# pairs; the other rows that do not pack keep the plain pair loop
-_LISTED_ROWS = {(5, 9, 14), (6, 15, 17), (8, 31, 33)}
-
-
 # pairs against both thresholds: at least 64, and at least 4 per reachable
 # output blade, 2^n of them for operands whose widest mask has n bits
 @pytest.mark.parametrize("n, left, right, packed", [
-    (3, 1, 1, False), (4, 3, 3, False),     # 1 and 9 pairs, the Gram pairings' shapes
+    (3, 1, 1, False), (4, 3, 3, False),     # 1 and 9 pairs
     (3, 8, 7, False), (3, 8, 8, True),      # 56 and 64 pairs, 8 blades reachable
     (4, 9, 7, False), (4, 8, 8, True),      # 63 and 64 pairs, 16 reachable
     (5, 9, 14, False), (5, 8, 16, True),    # 126 and 128 pairs, 32 reachable
@@ -396,7 +390,6 @@ _LISTED_ROWS = {(5, 9, 14), (6, 15, 17), (8, 31, 33)}
     (8, 31, 33, False), (8, 32, 32, True)])  # 1023 and 1024 pairs, 256 reachable
 def test_packing_starts_at_the_selection_rule(monkeypatch, n, left, right, packed):
     packed_calls = _calls(monkeypatch, "_packed_product")
-    listed_calls = _calls(monkeypatch, "_listed_product")
     rng = random.Random(50 + n)
     x, y = _spanning(rng, n, left), _spanning(rng, n, right)
     for lhs, rhs in [(x, y), (y, x)]:
@@ -404,8 +397,6 @@ def test_packing_starts_at_the_selection_rule(monkeypatch, n, left, right, packe
         _assert_reduced(got)
         assert _as_oracle(got) == _oracle_product(lhs, rhs)
     assert packed_calls == ([(left, right, n), (right, left, n)] if packed else [])
-    listed = (n, left, right) in _LISTED_ROWS
-    assert listed_calls == ([(left, right), (right, left)] if listed else [])
 
 
 def test_dense_c4_products_are_packed(monkeypatch):

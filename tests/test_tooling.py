@@ -269,6 +269,24 @@ def _matching(pattern):
 _blade_sums = _matching(BLADE_SUM)
 
 
+def _zero_pair_tests(name, text, tree):
+    """Lines of a zero-pair test: (0, 0) in or not in a map's values, or
+    `not a and not b` over two plain names."""
+    def zero_pair(node):
+        return (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                and all(isinstance(e, ast.Constant) and e.value == 0 for e in node.elts))
+
+    def negated_name(node):
+        return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+                and isinstance(node.operand, ast.Name))
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and zero_pair(node.left)
+            and isinstance(node.ops[0], (ast.In, ast.NotIn))
+            or isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And)
+            and len(node.values) == 2 and all(map(negated_name, node.values))]
+
+
 def _scaling_comprehensions(name, text, tree):
     """Lines of a comprehension whose element is a pair that scales both
     its parts by one factor: (c * re, c * im) in either operand order, or
@@ -320,13 +338,12 @@ def test_each_numerator_rule_has_one_home():
     # the full pairing multiplies the cached left plans through one kernel,
     # which only `gauss._pairing` calls
     assert _enclosing(sources, _calls_of("_plan_pairing")) == ["gauss.py:_pairing"]
-    # a Clifford product takes the packed or the listed path only through
-    # the choice in `_product_numerators`, and that choice reads the operands
-    # alone: the function loads nothing but its locals, builtins, helpers and
-    # the rule's two constants, each an int literal bound once at module
-    # level, and clifford reads no environment variable, context variable or flag
-    for path in ("_packed_product", "_listed_product"):
-        assert _enclosing(sources, _calls_of(path)) == ["clifford.py:_product_numerators"]
+    # a Clifford product takes the packed path only through the choice in
+    # `_product_numerators`, and that choice reads the operands alone: the
+    # function loads nothing but its locals, builtins, helpers and the
+    # rule's two constants, each an int literal bound once at module level,
+    # and clifford reads no environment variable, context variable or flag
+    assert _enclosing(sources, _calls_of("_packed_product")) == ["clifford.py:_product_numerators"]
     tree = ast.parse(sources["clifford.py"])
     chooser, = [node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "_product_numerators"]
@@ -337,7 +354,7 @@ def test_each_numerator_rule_has_one_home():
 
     local = names(ast.Store) | {a.arg for a in chooser.args.args}
     assert names(ast.Load) - local == {"len", "max", "_sign_mask", "_packed_product",
-                                       "_listed_product", "_PACK_MIN_PAIRS", "_PACK_PAIRS_PER_BLADE"}
+                                       "_PACK_MIN_PAIRS", "_PACK_PAIRS_PER_BLADE"}
     rule = [(node, target.id) for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AugAssign))
             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
             if getattr(target, "id", "").startswith("_PACK_")]
@@ -350,6 +367,19 @@ def test_each_numerator_rule_has_one_home():
               for part in [node.module or "", *(alias.name for alias in node.names)]}
     assert not words & {"os", "environ", "getenv", "contextvars", "ContextVar", "_degree_cap",
                         "argv", "flags"}
+    # whether a blade map holds a zero pair is tested in
+    # `clifford._has_zero_pair` only, which both reducers call; the scan
+    # sees a membership test of (0, 0) and a test of two parts for zero,
+    # and not the filters that keep nonzero pairs or a test of two calls
+    probe = {"probe.py": "def f(b):\n    return (0, 0) in b.values()\n"
+                         "def g(b):\n    return (0, 0) not in b.values()\n"
+                         "def h(b):\n    return any(not re and not im for re, im in b.values())\n"
+                         "def k(b):\n    return {m: v for m, v in b.items() if v[0] or v[1]}\n"
+                         "def r(mu, f):\n    return not mu and not f.is_x0_free()\n"}
+    assert _enclosing(probe, _zero_pair_tests) == ["probe.py:f", "probe.py:g", "probe.py:h"]
+    assert _enclosing(sources, _zero_pair_tests) == ["clifford.py:_has_zero_pair"]
+    assert _enclosing(sources, _calls_of("_has_zero_pair")) == ["clifford.py:_reduce",
+                                                                "clifford.py:_reduced"]
     # a (weighted) sum of conj(a_A) b_A or |a_A|^2 over blade maps is
     # written once, in `clifford._shared_blade_sum`; the scan sees the
     # forms that loop bodies use, and not the product or a scalar's abs_sq

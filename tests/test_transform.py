@@ -34,7 +34,7 @@ from monogenic import (
     taylor_map,
 )
 from monogenic.transform import _CK, _HEAT, _INVERSE_HEAT, _image
-from monogenic.verify import multi_indices, rand_hermite_expansion, rand_poly
+from monogenic.verify import multi_indices, rand_fock_element, rand_hermite_expansion, rand_poly
 
 from oracles import fueter_basis, hermite_recurrence, series_ck_extend, series_heat
 from test_gauss import BAD_VALUES
@@ -266,6 +266,27 @@ def test_sb_round_trip_random():
     for _ in range(30):
         f = rand_poly(rng, 2, 5)
         assert sb_inverse(sb_transform(f)) == f
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_operators_at_n9_to_16(n):
+    # C-K, the transform and the Fock maps on masks 9 to 16 bits wide, where
+    # indices_from_mask reads the high byte: seeded draws of degree <= 3
+    # with <= 3 terms
+    rng = random.Random(1600 + n)
+    polys = [rand_poly(rng, n, 3, 3) for _ in range(4)]
+    elements = [rand_fock_element(rng, n, 3, 3) for _ in range(4)]
+    for f in polys:
+        F = ck_extend(f)
+        assert F.is_monogenic() and restrict(F) == f
+        assert sb_inverse(sb_transform(f)) == f
+        assert fock_to_monogenic(taylor_map(F)) == F
+        for g in (f, F):
+            assert g.dirac().dirac() == -g.laplacian()
+    for alpha in elements:
+        assert taylor_map(fock_to_monogenic(alpha)) == alpha
+    assert any(mask >> 8 for f in polys + [a._poly for a in elements]
+               for blades in f._num.values() for mask in blades)
 
 
 def test_sb_isometry_holds_at_n1():
