@@ -84,8 +84,12 @@ raises TypeError instead of entering the exact path as the binary
 fraction it denotes.  `CliffordNumber(n, coeffs)` checks n once and then
 reads each entry in one pass: its indices become a mask (`_mask`, the
 per-index rule `_is_int`), its value is coerced and a repeated mask is
-refused, whatever the values; the zero values are dropped after the pass
-and one lcm of the kept parts' denominators then gives the numerators.
+refused, whatever the values, and its parts are kept as (numerator,
+denominator) pairs.  `_over_lcm` turns such parts into the stored form,
+for the constructor and for the parser of `serialize` alike: one lcm of
+every part denominator, each part scaled to it, the zero pairs dropped
+as they are scaled.  Parts in lowest terms over that lcm are already
+reduced, so no reducer runs after it.
 A scalar factor of `*` (an int, a Fraction or a GaussianRational) enters
 through `CliffordNumber.scalar`, as it does in `==`, so the constructor
 is the one way from a scalar into C_n.
@@ -96,7 +100,9 @@ generators of `verify` skip the public constructors and build stored
 numerators directly.  Two argument rules live here for the whole
 library: `_is_int`, the test behind every integer argument, and
 `_checked`, the container check at the entry of every operator and Fock
-map, whose TypeError reads "<name> takes a <class>, got <type>".  The
+map, and (through `_items`) of the mapping that each constructor of a
+value reads, whose TypeError reads "<name> takes a <class>, got <type>".
+`CliffordNumber.blade` checks its indices before they key a dict.  The
 grade argument of `CliffordNumber.grade` and `FockElement.grade` is
 checked by `_check_grade`.
 
@@ -124,11 +130,11 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from sys import get_int_max_str_digits
-from typing import Iterable, Iterator, Mapping, Union
+from collections.abc import Iterable, Iterator, Mapping
 
 MAX_DIMENSION = 16
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 
 class DimensionMismatchError(ValueError):
@@ -154,6 +160,13 @@ def _checked(name: str, value, *classes: type):
         raise TypeError(f"{name} takes a {' or a '.join(c.__name__ for c in classes)}, "
                         f"got {type(value).__name__}")
     return value
+
+
+def _items(name: str, data) -> Iterable:
+    """The (key, value) pairs of the mapping argument data of the
+    constructor name: none for None, its default, and for anything but a
+    dict or another Mapping the TypeError of `_checked`."""
+    return () if data is None else (data if type(data) is dict else _checked(name, data, Mapping)).items()
 
 
 def _check_grade(k) -> None:
@@ -481,6 +494,28 @@ def _has_zero_pair(blades: _Blades) -> bool:
     return False
 
 
+def _over_lcm(values: Mapping) -> tuple[int, dict]:
+    """(den, {key: numerator map}) of the parts {key: {mask: (p_re, q_re,
+    p_im, q_im)}}, every p/q in lowest terms: den is the lcm of every q,
+    each part is scaled to it as the zero pairs are dropped, and then the
+    keys left without a blade.  The one way from parts to the stored form,
+    which the constructor and the parser take, and no reducer runs after
+    it: the highest power of a prime that divides den divides some q, and
+    not that part's p, so gcd(den, every numerator) = 1.  A plain loop
+    scales, as in `_divided`: a comprehension per key costs more on the
+    one- to three-blade values that most inputs hold."""
+    den = lcm(*{q for parts in values.values() for _, qr, _, qi in parts.values() for q in (qr, qi)})
+    out = {}
+    for key, parts in values.items():
+        blades = {}
+        for mask, (pr, qr, pi, qi) in parts.items():
+            if pr or pi:
+                blades[mask] = (pr * (den // qr), pi * (den // qi))
+        if blades:
+            out[key] = blades
+    return den, out
+
+
 def _reduce(den: int, maps: Mapping) -> tuple[int, dict]:
     """(den, maps) reduced: den and every numerator of {key: {mask: (re, im)}}
     divided by their gcd, zero pairs and then keys left without a blade
@@ -670,29 +705,20 @@ class CliffordNumber:
 
     def __init__(self, n: int, coeffs: Mapping[tuple[int, ...], object] | None = None):
         _check_dimension(n)
-        data: dict[int, GaussianRational] = {}
-        if coeffs:
-            zeros = []
-            for indices, value in coeffs.items():
-                mask = _mask(indices, n)
-                gr = _coerce(value)
-                if gr is NotImplemented:
-                    raise TypeError(f"bad coefficient {value!r}")
-                if mask in data:
-                    raise ValueError(f"duplicate blade {indices}")
-                data[mask] = gr
-                if not gr:
-                    zeros.append(mask)
-            # zero values are kept until every key is read, so that a
-            # repeated blade is refused whatever its values
-            for mask in zeros:
-                del data[mask]
-        # the lcm of reduced denominators leaves the numerators reduced
-        parts = data.values()
+        parts = {}
+        for indices, value in _items("CliffordNumber", coeffs):
+            mask = _mask(indices, n)
+            gr = _coerce(value)
+            if gr is NotImplemented:
+                raise TypeError(f"bad coefficient {value!r}")
+            # zero values are kept until `_over_lcm`, so that a repeated
+            # blade is refused whatever its values
+            if mask in parts:
+                raise ValueError(f"duplicate blade {indices}")
+            parts[mask] = (gr.re.numerator, gr.re.denominator, gr.im.numerator, gr.im.denominator)
         self.n = n
-        self._den = den = lcm(*{v.re.denominator for v in parts}, *{v.im.denominator for v in parts})
-        self._blades = {m: (v.re.numerator * (den // v.re.denominator),
-                            v.im.numerator * (den // v.im.denominator)) for m, v in data.items()}
+        self._den, num = _over_lcm({0: parts})
+        self._blades = num.get(0, {})
 
     @classmethod
     def _raw(cls, n: int, den: int, blades: _Blades) -> "CliffordNumber":
@@ -731,12 +757,14 @@ class CliffordNumber:
 
     @classmethod
     def blade(cls, n: int, indices: Iterable[int], coeff=1) -> "CliffordNumber":
-        return cls(n, {tuple(indices): coeff})
+        """coeff e_A; the indices are checked before they key a dict, so that
+        an unhashable one raises the ValueError of any other bad index."""
+        return cls(n, {indices_from_mask(mask_from_indices(tuple(indices), n)): coeff})
 
     @classmethod
     def basis(cls, n: int, i: int) -> "CliffordNumber":
         """The generator e_i."""
-        return cls(n, {(i,): 1})
+        return cls.blade(n, (i,))
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], GaussianRational]]:
         """Canonically ordered (indices, coefficient) pairs: by grade, then lex."""

@@ -82,9 +82,11 @@ from .clifford import (
     GaussianRational,
     _add_scaled,
     _check_dimension,
+    _checked,
     _conjugated,
     _generator_product,
     _is_int,
+    _items,
     _product_numerators,
     _rational,
     _reduce,
@@ -146,8 +148,8 @@ class _MultiIndexMap:
     __slots__ = ("_poly",)
 
     def __init__(self, n: int, data: Mapping[Sequence[int], CliffordNumber] | None = None):
-        self._poly = CliffordPolynomial(n, {(0, beta): value for beta, value in data.items()}
-                                        if data else None)
+        self._poly = CliffordPolynomial(n, {(0, beta): value
+                                            for beta, value in _items(type(self).__name__, data)})
 
     @classmethod
     def _of(cls, f: "CliffordPolynomial"):
@@ -228,18 +230,17 @@ class CliffordPolynomial:
     def __init__(self, n: int, terms: Mapping[tuple[int, Sequence[int]], CliffordNumber] | None = None):
         _check_dimension(n)
         data: dict[TermKey, CliffordNumber] = {}
-        if terms:
-            for (k0, beta), coeff in terms.items():
-                k0, beta = key = _term_key(n, k0, beta)
-                if not isinstance(coeff, CliffordNumber):
-                    raise TypeError(f"bad coefficient {coeff!r}")
-                if coeff.n != n:
-                    raise DimensionMismatchError(f"coefficient in C_{coeff.n} inside C_{n} polynomial")
-                _check_degree_cap((key,))
-                if key in data:
-                    raise ValueError(f"duplicate term {key}")
-                if coeff:
-                    data[key] = coeff
+        for (k0, beta), coeff in _items("CliffordPolynomial", terms):
+            k0, beta = key = _term_key(n, k0, beta)
+            if not isinstance(coeff, CliffordNumber):
+                raise TypeError(f"bad coefficient {coeff!r}")
+            if coeff.n != n:
+                raise DimensionMismatchError(f"coefficient in C_{coeff.n} inside C_{n} polynomial")
+            _check_degree_cap((key,))
+            if key in data:
+                raise ValueError(f"duplicate term {key}")
+            if coeff:
+                data[key] = coeff
         # scaled to the lcm of reduced denominators, the numerators stay reduced
         self.n = n
         self._den = den = math.lcm(*(coeff._den for coeff in data.values()))
@@ -271,7 +272,7 @@ class CliffordPolynomial:
 
     @classmethod
     def constant(cls, value: CliffordNumber) -> "CliffordPolynomial":
-        n = value.n
+        n = _checked("constant", value, CliffordNumber).n
         return cls(n, {(0, (0,) * n): value})
 
     @classmethod
@@ -281,18 +282,15 @@ class CliffordPolynomial:
             coeff = CliffordNumber.one(n)
         elif not isinstance(coeff, CliffordNumber):
             coeff = CliffordNumber.scalar(n, coeff)
-        return cls(n, {(k0, tuple(beta)): coeff})
+        return cls(n, {_term_key(n, k0, beta): coeff})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "CliffordPolynomial":
         """The coordinate polynomial x_i, with x_0 allowed."""
+        _check_dimension(n)
         if not _is_int(i, 0, n):
             raise ValueError(f"axis {i} out of range [0, {n}]")
-        if i == 0:
-            return cls.monomial(n, 1, (0,) * n)
-        beta = [0] * n
-        beta[i - 1] = 1
-        return cls.monomial(n, 0, beta)
+        return cls.monomial(n, int(i == 0), [int(j == i) for j in range(1, n + 1)])
 
     # -- structure -----------------------------------------------------
 

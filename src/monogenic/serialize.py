@@ -17,15 +17,18 @@ printer call keeps one memo {numerator: text} over that denominator
 gcd, runs once per distinct numerator of the value.  The memo lives for one call and
 stores only texts that printed.  A parser splits each "p/q" into two
 ints, rejects exactly the texts that `str(Fraction(text))` would not
-print back, turns blade lists into masks, and scales every part to the
-lcm of all the part denominators of the value: one lcm per polynomial,
-container or Clifford number, which leaves the numerators reduced.  The
-dimension is refused only once a value has been read, so that a fault
-inside it is reported first; until then a dimension past
+print back, turns blade lists into masks, and hands the parts of the
+whole value to `clifford._over_lcm`, the constructor's rule: one lcm
+per polynomial, container or Clifford number, every part scaled to it
+and the zero pairs and empty terms dropped.  Parts in lowest terms over
+that lcm are already reduced, so the result is adopted as it is
+(`CliffordNumber._raw`, `CliffordPolynomial._adopt`) and no reducer
+runs.  The dimension is refused only once a value has been read, so
+that a fault inside it is reported first; until then a dimension past
 `MAX_DIMENSION` keys each blade by its index tuple instead of a mask of
 up to n bits, so it costs no more memory than its input.  The degree
-cap is checked once, before the value is reduced.  Error messages are
-formatted only when a check fails.
+cap is checked once, on every term read, zero terms included, before
+`_over_lcm` runs.  Error messages are formatted only when a check fails.
 
 Integers and text convert only up to the interpreter's digit limit,
 `sys.get_int_max_str_digits()` (4300 digits by default; this module
@@ -42,7 +45,7 @@ from sys import get_int_max_str_digits
 from typing import Any
 
 from .clifford import (MAX_DIMENSION, CliffordNumber, GaussianRational, _Blades, _blade_masks,
-                       _blade_order, _check_dimension, _is_int, _part_text, _reduce)
+                       _blade_order, _check_dimension, _is_int, _over_lcm, _part_text)
 from .fock import FockElement
 from .poly import CliffordPolynomial, MultiIndex, _check_degree_cap, _sorted_terms
 from .transform import HermiteExpansion
@@ -54,8 +57,9 @@ class SchemaError(ValueError):
 
 _RATIONAL_RE = re.compile(r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
 
-# the parts of one Clifford value: {blade mask: (p_re, q_re, p_im, q_im)}, keyed
-# by index tuples instead while n is past MAX_DIMENSION (the value is then refused)
+# the parts of one Clifford value, as `clifford._over_lcm` reads them:
+# {blade mask: (p_re, q_re, p_im, q_im)}, keyed by index tuples instead
+# while n is past MAX_DIMENSION (the value is then refused)
 _Parts = dict[int, tuple[int, int, int, int]]
 
 
@@ -124,15 +128,6 @@ def _parse_parts(data: Any, n: int) -> _Parts:
     return parts
 
 
-def _over_lcm(values: dict[Any, _Parts]) -> tuple[int, dict[Any, _Blades]]:
-    """(den, {key: numerators}) with den the lcm of every part denominator
-    of every value, which leaves the numerators of reduced parts reduced."""
-    den = lcm(*{q for parts in values.values() for _, qr, _, qi in parts.values() for q in (qr, qi)})
-    return den, {key: {m: (pr * (den // qr), pi * (den // qi))
-                       for m, (pr, qr, pi, qi) in parts.items()}
-                 for key, parts in values.items()}
-
-
 class _Texts(dict):
     """{numerator: its part text over den}, filled by `_part_text` on a
     miss.  A printer keeps one per call, over the shared denominator of the
@@ -166,7 +161,7 @@ def clifford_to_json(value: CliffordNumber) -> list[dict]:
 
 def clifford_from_json(data: Any, n: int) -> CliffordNumber:
     den, num = _over_lcm({0: _parse_parts(data, n)})
-    return CliffordNumber._reduced(n, den, num[0])
+    return CliffordNumber._raw(n, den, num.get(0, {}))
 
 
 # -- polynomials and the multi-index containers -----------------------------
@@ -202,8 +197,8 @@ def _from_json(data: Any, field: str) -> CliffordPolynomial | HermiteExpansion |
         _require((k0, beta) not in terms, duplicate, k0, tuple(beta))
         terms[k0, beta] = _parse_parts(item[keys[-1]], n)
     _check_dimension(n)
-    _check_degree_cap(terms)  # reducing only drops terms: the result is adopted
-    f = CliffordPolynomial._adopt(n, *_reduce(*_over_lcm(terms)))
+    _check_degree_cap(terms)  # zero terms too; `_over_lcm` only drops terms, so its result is adopted
+    f = CliffordPolynomial._adopt(n, *_over_lcm(terms))
     return f if cls is None else cls._of(f)
 
 

@@ -113,6 +113,14 @@ def test_indices_from_mask_is_the_bit_scan():
     ({(1,): 0, frozenset({1}): 2}, ValueError, "duplicate blade frozenset({1})"),
     ({(1,): 2, frozenset({1}): 0}, ValueError, "duplicate blade frozenset({1})"),
     ({(1,): 0, frozenset({1}): 0}, ValueError, "duplicate blade frozenset({1})"),
+    # zeros are dropped only inside `_over_lcm`, after every entry is read:
+    # a repeat of a partly zero value, or of a zero after other zeros, is refused
+    ({(1,): GaussianRational(0, 3), frozenset({1}): GaussianRational(Fraction(1, 2))}, ValueError,
+     "duplicate blade frozenset({1})"),
+    ({(1,): GaussianRational(Fraction(-1, 3), 0), frozenset({1}): GaussianRational(0, 0)}, ValueError,
+     "duplicate blade frozenset({1})"),
+    ({(): 0, (2,): GaussianRational(), (1, 2): 5, frozenset({2}): 0}, ValueError,
+     "duplicate blade frozenset({2})"),
 ])
 def test_constructor_errors_keep_class_message_and_order(coeffs, error, message):
     with pytest.raises(error) as info:
@@ -254,6 +262,15 @@ def test_canonical_zero_pruning():
     lam = CliffordNumber(n, {(1,): 1}) - CliffordNumber(n, {(1,): 1})
     assert lam == CliffordNumber.zero(n)
     assert list(lam.terms()) == []
+    # the constructor drops zero values as it scales the parts: all zero is
+    # the canonical zero over 1, and a zero among nonzero values is not stored
+    for coeffs in ({(): 0}, {(): GaussianRational(), (1,): Fraction(0), (1, 2): GaussianRational(0, 0)}):
+        zero = CliffordNumber(n, coeffs)
+        assert (zero._den, zero._blades) == (1, {}) and zero == CliffordNumber.zero(n)
+    mixed = CliffordNumber(n, {(): 0, (1,): Fraction(1, 6), (2,): GaussianRational(0, Fraction(-1, 4)),
+                               (1, 2): GaussianRational()})
+    assert (mixed._den, mixed._blades) == (12, {1: (2, 0), 2: (0, -3)})
+    assert mixed == CliffordNumber(n, {(1,): Fraction(1, 6), (2,): GaussianRational(0, Fraction(-1, 4))})
 
 
 def test_dimension_bound():

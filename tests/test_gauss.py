@@ -178,12 +178,15 @@ def test_dimension_mismatch():
 # -- the operand contract of every pairing ------------------------------------
 
 # values that are not polynomials over C_2: without a dimension at all, of
-# the same n but another class, or of another n
+# the same n but another class, or of another n.  The argument-contract
+# table of `test_transform` passes each of them to every public argument
 BAD_VALUES = {
     "int": lambda: 3,
     "none": lambda: None,
     "bool": lambda: True,
+    "float": lambda: 1.0,
     "str": lambda: "mu",
+    "iterator": lambda: iter((1, 2)),
     "hermite_expansion": lambda: HermiteExpansion(2, {(1, 0): CliffordNumber.one(2)}),
     "fock_element": lambda: FockElement(2, {(1, 0): CliffordNumber.one(2)}),
     "number_same_n": lambda: CliffordNumber.one(2),

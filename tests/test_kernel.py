@@ -5,10 +5,13 @@ denominator, blade maps that the reducer adopts and values then share,
 the sign-plan kernel of the operators, and the "monogenic by
 construction" mark of `ck_extend`.
 
-Inputs are seeded: n = 1..8, x0 terms, total degree up to the cap, part
+Inputs are seeded: n = 1..16, x0 terms, total degree up to the cap, part
 denominators drawn from the primes up to 97, complex coefficients, and in
 every coefficient the full blade, which holds generators above and below
-each j.  The same inputs, read as Hermite expansions and Fock elements,
+each j (at n = 9..16 a mask above bit 8, whose indices
+`indices_from_mask` reads from the high byte; there the draws keep the
+lowest degrees of each test only, so that the eight more dimensions cost
+little).  The same inputs, read as Hermite expansions and Fock elements,
 check both squared norms, `taylor_map` and `fock_to_function` against
 their one-`Fraction`-per-entry oracles.  Each seeded polynomial also reaches the oracles through
 `restrict`, `partial`, `hermitian_conj`, `+`, `-` and scalar `*`, so
@@ -67,6 +70,16 @@ from oracles import (
 )
 
 
+# the dimensions of the oracle tests: every n the library accepts
+DIMENSIONS = range(1, 17)
+
+
+def _degrees(n, degrees):
+    """The degrees a test draws at n: all of them up to n = 8, and the
+    last two, its lowest, above."""
+    return degrees if n <= 8 else degrees[-2:]
+
+
 def _part(rng):
     return Fraction(rng.randint(-200, 200), rng.choice(PRIMES_TO_97))
 
@@ -106,10 +119,10 @@ def _derived(rng, f, g, x0=True):
             f + g, f - g, f * _scalar(rng), _scalar(rng) * g]
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", DIMENSIONS)
 def test_derivatives_match_oracles(n):
     rng = random.Random(100 + n)
-    for degree in (get_degree_cap(), 9, 7, 5, 3, 1):
+    for degree in _degrees(n, (get_degree_cap(), 9, 7, 5, 3, 1)):
         for f in _derived(rng, _poly(rng, n, degree, terms=4), _poly(rng, n, degree, terms=2)):
             assert f.dirac() == naive_dirac(f)
             assert f.laplacian() == naive_laplacian(f)
@@ -136,10 +149,10 @@ def test_laplacians_are_sums_of_second_partials(n):
     assert with_x0
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", DIMENSIONS)
 def test_heat_and_ck_extend_match_oracles(n):
     rng = random.Random(200 + n)
-    for degree in (get_degree_cap(), 10, 8, 5, 2, 0):
+    for degree in _degrees(n, (get_degree_cap(), 10, 8, 5, 2, 0)):
         f = _poly(rng, n, degree, terms=3, x0=False)
         g = _poly(rng, n, degree, terms=2, x0=False)
         for f in _derived(rng, f, g, x0=False):
@@ -158,12 +171,12 @@ def _from_coefficients(n, data):
     return CliffordPolynomial(n, {key: c for key, c in data.items() if c})
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", DIMENSIONS)
 def test_ring_operations_match_coefficientwise_arithmetic(n):
     # each numerator operation against the same operation on the CliffordNumber
     # coefficients that terms() returns
     rng = random.Random(300 + n)
-    for degree in (6, 3, 0):
+    for degree in _degrees(n, (6, 3, 0)):
         f, g = _poly(rng, n, degree, terms=4), _poly(rng, n, degree, terms=3)
         cf, cg = _coefficients(f), _coefficients(g)
         zero = CliffordNumber.zero(n)
@@ -195,10 +208,10 @@ def test_ring_operations_match_coefficientwise_arithmetic(n):
             assert f.partial(axis) == _from_coefficients(n, expected)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", DIMENSIONS)
 def test_container_maps_match_oracles(n):
     rng = random.Random(300 + n)
-    for degree in (get_degree_cap(), 9, 6, 3, 0):
+    for degree in _degrees(n, (get_degree_cap(), 9, 6, 3, 0)):
         data = {beta: c for _, beta, c in _poly(rng, n, degree, terms=4, x0=False).terms()}
         other = {beta: c for _, beta, c in _poly(rng, n, degree, terms=2, x0=False).terms()}
         alpha, h = FockElement(n, data), HermiteExpansion(n, data)
@@ -238,7 +251,7 @@ def _results(rng, f, g, h):
     ]
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", DIMENSIONS)
 def test_every_result_is_reduced_and_equality_is_termwise(n):
     rng = random.Random(400 + n)
     f, g = _poly(rng, n, 5, terms=4), _poly(rng, n, 4, terms=3)
@@ -339,6 +352,51 @@ def test_reducer_through_both_classes(den, blades, expected):
         g = poly._reduced(2, den, dict(maps))
         assert g._den == den and all(g._num[key] is maps[key] for key in maps)
         assert len(g._num) == len(maps)
+
+
+@pytest.mark.parametrize("n", DIMENSIONS)
+def test_constructor_and_parser_store_the_oracle_reduced_form(n):
+    # both take parts in lowest terms to the stored form through
+    # `clifford._over_lcm` alone, with no reducer after it: the result is
+    # the one that one Fraction per part gives, zero pairs and keys left
+    # without a blade dropped, and gcd(den, every numerator) = 1
+    rng = random.Random(600 + n)
+    values = {}
+    for j in range(4):
+        beta = tuple(j * (i == j % n) for i in range(n))
+        masks = [(1 << n) - 1, *(rng.randrange(1 << n) for _ in range(3))]
+        values[j % 2, beta] = {m: GaussianRational(_part(rng), _part(rng) if rng.random() < 0.7 else 0)
+                               for m in masks}
+    # a zero pair, a pair with one zero part, and a key whose every value is zero
+    first, last = list(values)[0], list(values)[-1]
+    values[first][1] = GaussianRational()
+    values[first][2 % (1 << n)] = GaussianRational(0, Fraction(-3, 97))
+    values[last] = {m: GaussianRational() for m in values[last]}
+    common = math.prod(part.denominator for coeffs in values.values()
+                       for v in coeffs.values() for part in (v.re, v.im))
+
+    def oracle(maps):
+        return naive_reduce(common, {key: {m: (int(v.re * common), int(v.im * common))
+                                           for m, v in coeffs.items()}
+                                     for key, coeffs in maps.items()})
+
+    def wire(coeffs):
+        return [{"blade": list(indices_from_mask(m)), "re": str(v.re), "im": str(v.im)}
+                for m, v in coeffs.items()]
+
+    for coeffs in values.values():
+        den, maps = oracle({0: coeffs})
+        x = CliffordNumber(n, {indices_from_mask(m): v for m, v in coeffs.items()})
+        for value in (x, serialize.clifford_from_json(wire(coeffs), n)):
+            assert (value._den, value._blades) == (den, maps.get(0, {}))
+            pairs = value._blades.values()
+            assert math.gcd(value._den, *(part for pair in pairs for part in pair)) == 1
+            assert all(re or im for re, im in pairs)
+    f = serialize.poly_from_json({"n": n, "terms": [
+        {"x0": k0, "beta": list(beta), "coeff": wire(coeffs)} for (k0, beta), coeffs in values.items()]})
+    assert (f._den, f._num) == oracle(values)
+    assert last not in f._num and _is_reduced(f)
+    assert n <= 8 or any(mask >> 8 for blades in f._num.values() for mask in blades)
 
 
 def test_reducer_stops_at_the_first_unit_gcd(monkeypatch):

@@ -254,6 +254,27 @@ def test_codec_prints_the_oracle_bytes_and_parses_its_values():
         assert type(parsed) is type(value)
         count += 1
     assert count == 246
+    # "0" parts, a zero pair and a term of zero pairs only: the zero pair
+    # and the empty term are dropped as the parts are scaled, and the value
+    # is the one the oracle parses
+    zeros = [{"blade": [1], "re": "0", "im": "0"}, {"blade": [], "re": "0", "im": "0"}]
+    coeff = [zeros[0], {"blade": [2], "re": "1/2", "im": "0"}, {"blade": [1, 2], "re": "0", "im": "-1/3"}]
+    stored = (6, {2: (3, 0), 3: (0, -2)})
+    number = clifford_from_json(coeff, 2)
+    assert (number._den, number._blades) == stored and number == oracle_clifford_from_json(coeff, 2)
+    number = clifford_from_json(zeros, 2)
+    assert (number._den, number._blades) == (1, {}) and number == CliffordNumber.zero(2)
+    for field, parse, oracle in (
+            ("terms", poly_from_json, oracle_poly_from_json),
+            ("coeffs", expansion_from_json, lambda data: oracle_index_map_from_json(data, "coeffs")),
+            ("entries", fock_from_json, lambda data: oracle_index_map_from_json(data, "entries"))):
+        def entry(beta, value):
+            return {"x0": 0, "beta": beta, "coeff": value} if field == "terms" else {"beta": beta, "value": value}
+
+        data = {"n": 2, field: [entry([1, 0], coeff), entry([0, 2], zeros)]}
+        value = parse(data)
+        f = value if field == "terms" else value._poly
+        assert (f._den, f._num) == (stored[0], {(0, (1, 0)): stored[1]}) and value == oracle(data)
 
 
 def test_text_printers_print_the_oracle_bytes():

@@ -152,7 +152,7 @@ def test_codec_builds_no_per_term_objects():
     assert offenders({"parse_fraction", "scalar_to_text", "clifford_from_json"}) == []
     # the scan sees the calls those functions make
     assert offenders(set()) == ["parse_fraction: Fraction(...)",
-                                "clifford_from_json: ._reduced(...)"]
+                                "clifford_from_json: ._raw(...)"]
 
 
 # the value classes whose public constructors the generators of verify skip
@@ -236,6 +236,11 @@ def _calls_of(callee):
     return lambda name, text, tree: [
         node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
         and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def _defs_of(name):
+    return lambda _, text, tree: [node.lineno for node in ast.walk(tree)
+                                  if isinstance(node, ast.FunctionDef) and node.name == name]
 
 
 def _slash_texts(name, text, tree):
@@ -380,6 +385,33 @@ def test_each_numerator_rule_has_one_home():
     assert _enclosing(sources, _zero_pair_tests) == ["clifford.py:_has_zero_pair"]
     assert _enclosing(sources, _calls_of("_has_zero_pair")) == ["clifford.py:_reduce",
                                                                 "clifford.py:_reduced"]
+    # reduced parts become stored numerators in `clifford._over_lcm` only,
+    # which the constructor and the two parsers call and no reducer follows;
+    # serialize takes no lcm of its own but the scalar printer's.  The scans
+    # see a second definition, a second caller, a reducer after it and an
+    # lcm, bare or qualified, in another function
+    probe = {"probe.py": "def _over_lcm(values):\n    return 1, {}\n"
+                         "def clifford_from_json(data, n):\n    den, num = _over_lcm({0: read(data)})\n"
+                         "    return CliffordNumber._reduced(n, den, num[0])\n"
+                         "def parse(terms):\n    return _adopt(2, *_reduce(*_over_lcm(terms)))\n"
+                         "def over(qs):\n    return math.lcm(*qs), lcm(2, 3)\n"}
+    both = {**sources, **probe}
+    assert _enclosing(sources, _defs_of("_over_lcm")) == ["clifford.py:_over_lcm"]
+    assert _enclosing(both, _defs_of("_over_lcm")) == ["clifford.py:_over_lcm", "probe.py:_over_lcm"]
+    callers = ["clifford.py:__init__", "serialize.py:_from_json", "serialize.py:clifford_from_json"]
+    probed = ["probe.py:clifford_from_json", "probe.py:parse"]
+    assert _enclosing(sources, _calls_of("_over_lcm")) == callers
+    assert _enclosing(both, _calls_of("_over_lcm")) == sorted(callers + probed)
+    reducing = set(_enclosing(both, _calls_of("_reduce")) + _enclosing(both, _calls_of("_reduced")))
+    assert sorted(reducing & {*callers, *probed}) == probed
+    serialize = {"serialize.py": sources["serialize.py"]}
+    assert _enclosing(serialize, _calls_of("lcm")) == ["serialize.py:scalar_to_text"]
+    assert _enclosing({**serialize, **probe}, _calls_of("lcm")) == ["probe.py:over",
+                                                                    "serialize.py:scalar_to_text"]
+    # and the `__init__` that calls it is the constructor's
+    number, = [node for node in ast.parse(sources["clifford.py"]).body
+               if isinstance(node, ast.ClassDef) and node.name == "CliffordNumber"]
+    assert _enclosing({"clifford.py": ast.unparse(number)}, _calls_of("_over_lcm")) == ["clifford.py:__init__"]
     # a (weighted) sum of conj(a_A) b_A or |a_A|^2 over blade maps is
     # written once, in `clifford._shared_blade_sum`; the scan sees the
     # forms that loop bodies use, and not the product or a scalar's abs_sq
@@ -530,10 +562,12 @@ def test_key_factorial_and_the_container_check_have_one_home():
         "fock.py:_factorial_weights", "fock.py:taylor_map", "gauss.py:_form", "poly.py:factorial",
         "transform.py:norm_sq"]
     # the container message "<name> takes a <class>, got <type>" is formatted
-    # in `clifford._checked` only, which every operator and Fock map, and
-    # `CliffordNumber.inner`, calls under its own name; the pairings keep
-    # their one guard message.  The scan sees the forms the library used
-    # before, and not another TypeError or a docstring that says "takes a"
+    # in `clifford._checked` only, which every operator and Fock map,
+    # `CliffordNumber.inner` and `CliffordPolynomial.constant` call under
+    # their own names, and `_items` under the name of each constructor that
+    # takes a mapping; the pairings keep their one guard message.  The scan
+    # sees the forms the library used before, and not another TypeError or
+    # a docstring that says "takes a"
     probe = {"probe.py": "def f(name, f):\n    if not isinstance(f, CliffordPolynomial):\n"
                          "        raise TypeError(f'{name} takes a CliffordPolynomial, got {type(f)}')\n"
                          "def g(f):\n    raise TypeError('sb_transform takes a HermiteExpansion or a '\n"
@@ -544,10 +578,10 @@ def test_key_factorial_and_the_container_check_have_one_home():
     assert _enclosing(probe, _container_messages) == ["probe.py:f", "probe.py:g", "probe.py:h"]
     assert _enclosing(sources, _container_messages) == ["clifford.py:_checked"]
     assert _enclosing(sources, _calls_of("_checked")) == [
-        "clifford.py:inner", "fock.py:fock_norm_sq", "fock.py:fock_to_function",
-        "fock.py:fock_to_monogenic", "fock.py:taylor_map", "transform.py:ck_extend",
-        "transform.py:heat", "transform.py:restrict", "transform.py:sb_inverse",
-        "transform.py:sb_transform"]
+        "clifford.py:_items", "clifford.py:inner", "fock.py:fock_norm_sq", "fock.py:fock_to_function",
+        "fock.py:fock_to_monogenic", "fock.py:taylor_map", "poly.py:constant",
+        "transform.py:ck_extend", "transform.py:heat", "transform.py:restrict",
+        "transform.py:sb_inverse", "transform.py:sb_transform"]
     assert _enclosing(sources, _matching(re.compile(r"\b_NOT_POLYNOMIALS\b"))) == [
         "gauss.py:", "gauss.py:_pairing", "gauss.py:gram"]
 

@@ -10,14 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monogenic
 from monogenic import (
     CliffordNumber,
     CliffordPolynomial,
     DegreeCapError,
+    DimensionMismatchError,
     FockElement,
     GaussianRational,
     HermiteExpansion,
+    MultiIndex,
     NotMonogenicError,
+    blade_product,
     ck_extend,
     fock_norm_sq,
     fock_to_function,
@@ -33,6 +37,7 @@ from monogenic import (
     set_degree_cap,
     taylor_map,
 )
+from monogenic.clifford import BoundsError
 from monogenic.transform import _CK, _HEAT, _INVERSE_HEAT, _image
 from monogenic.verify import multi_indices, rand_fock_element, rand_hermite_expansion, rand_poly
 
@@ -120,6 +125,131 @@ def test_operators_take_only_their_own_containers(name, bad):
     alpha = FockElement(1, {(2,): CliffordNumber.scalar(1, 1)})
     assert fock_norm_sq(alpha) == Fraction(1, 2)
     assert fock_to_function(alpha) == var(1, 1) * var(1, 1) * CliffordNumber.scalar(1, Fraction(1, 2))
+
+
+# the argument contract of every public name and constructor: for each kind
+# of argument, the documented class that each bad value of WRONG raises.  A
+# value that the kind accepts has no entry, except an iterator where a
+# sequence is read: it is read once, as its tuple, and must give the same value
+READ_AS_TUPLE = "read as its tuple"
+
+
+def _kind(cls, *accepted, **other):
+    return {**{bad: cls for bad in WRONG if bad not in accepted}, **other}
+
+
+KINDS = {
+    # an int, never a bool or a float: out of its range a dimension raises
+    # BoundsError, every other integer argument ValueError
+    "dimension": _kind(BoundsError, "int"),
+    "int": _kind(ValueError, "int"),
+    # an int or a Fraction; a bool part reads as 0 or 1
+    "rational": _kind(TypeError, "int", "bool"),
+    "flag": _kind(TypeError, "bool"),
+    # a mapping; None is the default, no entries
+    "mapping": _kind(TypeError, "none"),
+    # a CliffordNumber of the n of the value it enters, and for a monomial
+    # also a scalar (None, the default, is 1)
+    "coefficient": _kind(TypeError, "number_same_n", number_other_n=DimensionMismatchError),
+    "scalar": _kind(TypeError, "int", "bool", "none", "number_same_n",
+                    number_other_n=DimensionMismatchError),
+    # a CliffordNumber of any n
+    "number": _kind(TypeError, "number_same_n", "number_other_n"),
+    # the ints of a multi-index or of a blade: a str reads as its characters,
+    # which are no ints
+    "sequence": _kind(TypeError, str=ValueError, iterator=READ_AS_TUPLE),
+    # the coordinates of `evaluate`, which are counted before they are read
+    "coordinates": _kind(TypeError),
+}
+
+# label: (the call with the bad value in the labelled argument, its kind)
+ARGUMENTS = {
+    "CliffordNumber(n)": (lambda v: CliffordNumber(v, {(1,): 1}), "dimension"),
+    "CliffordNumber(coeffs)": (lambda v: CliffordNumber(2, v), "mapping"),
+    "CliffordNumber(value)": (lambda v: CliffordNumber(2, {(1,): v}), "rational"),
+    "CliffordNumber.zero(n)": (lambda v: CliffordNumber.zero(v), "dimension"),
+    "CliffordNumber.one(n)": (lambda v: CliffordNumber.one(v), "dimension"),
+    "CliffordNumber.scalar(n)": (lambda v: CliffordNumber.scalar(v, 1), "dimension"),
+    "CliffordNumber.scalar(value)": (lambda v: CliffordNumber.scalar(2, v), "rational"),
+    "CliffordNumber.blade(n)": (lambda v: CliffordNumber.blade(v, (1,)), "dimension"),
+    "CliffordNumber.blade(indices)": (lambda v: CliffordNumber.blade(2, v), "sequence"),
+    "CliffordNumber.blade(index)": (lambda v: CliffordNumber.blade(2, (v,)), "int"),
+    "CliffordNumber.blade(coeff)": (lambda v: CliffordNumber.blade(2, (1,), v), "rational"),
+    "CliffordNumber.basis(n)": (lambda v: CliffordNumber.basis(v, 1), "dimension"),
+    "CliffordNumber.basis(i)": (lambda v: CliffordNumber.basis(2, v), "int"),
+    "CliffordNumber.coefficient(indices)": (lambda v: CliffordNumber.one(2).coefficient(v), "sequence"),
+    "CliffordNumber.grade(k)": (lambda v: CliffordNumber.one(2).grade(v), "int"),
+    "GaussianRational(re)": (lambda v: GaussianRational(v), "rational"),
+    "GaussianRational(im)": (lambda v: GaussianRational(0, v), "rational"),
+    "blade_product(a)": (lambda v: blade_product(v, (1,), 2), "sequence"),
+    "blade_product(b)": (lambda v: blade_product((1,), v, 2), "sequence"),
+    "blade_product(n)": (lambda v: blade_product((1,), (1,), v), "dimension"),
+    "MultiIndex(entries)": (lambda v: MultiIndex(v), "sequence"),
+    "MultiIndex(entry)": (lambda v: MultiIndex((v, 0)), "int"),
+    "CliffordPolynomial(n)": (lambda v: CliffordPolynomial(v, {(0, (1,)): CliffordNumber.one(1)}),
+                              "dimension"),
+    "CliffordPolynomial(terms)": (lambda v: CliffordPolynomial(2, v), "mapping"),
+    "CliffordPolynomial(coeff)": (lambda v: CliffordPolynomial(2, {(0, (1, 0)): v}), "coefficient"),
+    "CliffordPolynomial.zero(n)": (lambda v: CliffordPolynomial.zero(v), "dimension"),
+    "CliffordPolynomial.constant(value)": (lambda v: CliffordPolynomial.constant(v), "number"),
+    "CliffordPolynomial.monomial(n)": (lambda v: CliffordPolynomial.monomial(v, 0, (1, 0)), "dimension"),
+    "CliffordPolynomial.monomial(k0)": (lambda v: CliffordPolynomial.monomial(2, v, (1, 0)), "int"),
+    "CliffordPolynomial.monomial(beta)": (lambda v: CliffordPolynomial.monomial(2, 0, v), "sequence"),
+    "CliffordPolynomial.monomial(entry)": (lambda v: CliffordPolynomial.monomial(2, 0, (v, 0)), "int"),
+    "CliffordPolynomial.monomial(coeff)": (lambda v: CliffordPolynomial.monomial(2, 0, (1, 0), v),
+                                           "scalar"),
+    "CliffordPolynomial.variable(n)": (lambda v: CliffordPolynomial.variable(v, 1), "dimension"),
+    "CliffordPolynomial.variable(i)": (lambda v: CliffordPolynomial.variable(2, v), "int"),
+    "CliffordPolynomial.coefficient(k0)": (lambda v: hermite(2, (1, 0)).coefficient(v, (1, 0)), "int"),
+    "CliffordPolynomial.coefficient(beta)": (lambda v: hermite(2, (1, 0)).coefficient(0, v), "sequence"),
+    "CliffordPolynomial.partial(i)": (lambda v: hermite(2, (1, 0)).partial(v), "int"),
+    "CliffordPolynomial.evaluate(x0)": (lambda v: hermite(2, (1, 0)).evaluate(v, (1, 0)), "rational"),
+    "CliffordPolynomial.evaluate(xs)": (lambda v: hermite(2, (1, 0)).evaluate(0, v), "coordinates"),
+    "CliffordPolynomial.evaluate(x)": (lambda v: hermite(2, (1, 0)).evaluate(0, (v, 0)), "rational"),
+    "HermiteExpansion(n)": (lambda v: HermiteExpansion(v, {(1,): CliffordNumber.one(1)}), "dimension"),
+    "HermiteExpansion(coeffs)": (lambda v: HermiteExpansion(2, v), "mapping"),
+    "HermiteExpansion(value)": (lambda v: HermiteExpansion(2, {(1, 0): v}), "coefficient"),
+    "FockElement(n)": (lambda v: FockElement(v, {(1,): CliffordNumber.one(1)}), "dimension"),
+    "FockElement(entries)": (lambda v: FockElement(2, v), "mapping"),
+    "FockElement(value)": (lambda v: FockElement(2, {(1, 0): v}), "coefficient"),
+    "FockElement.entry(beta)": (lambda v: FockElement(2).entry(v), "sequence"),
+    "FockElement.grade(k)": (lambda v: FockElement(2).grade(v), "int"),
+    "hermite(n)": (lambda v: hermite(v, (1,)), "dimension"),
+    "hermite(beta)": (lambda v: hermite(2, v), "sequence"),
+    "p_basis(n)": (lambda v: p_basis(v, (1,)), "dimension"),
+    "p_basis(beta)": (lambda v: p_basis(2, v), "sequence"),
+    "heat(inverse)": (lambda v: heat(hermite(2, (1, 0)), v), "flag"),
+    "set_degree_cap(cap)": (lambda v: set_degree_cap(v), "int"),
+}
+
+
+@pytest.mark.parametrize("label, bad", [
+    (label, bad) for label, (_, kind) in ARGUMENTS.items() for bad in KINDS[kind]])
+def test_every_argument_raises_its_documented_class(label, bad):
+    # a constructor handed a list or an iterator for its mapping, and
+    # `CliffordPolynomial.constant` handed a non-number, raised
+    # AttributeError; `variable` of a float or str n raised TypeError; and
+    # an unhashable index, exponent or axis of `blade`, `basis` or
+    # `monomial` raised TypeError from the dict that it keyed
+    call, kind = ARGUMENTS[label]
+    expected = KINDS[kind][bad]
+    if expected is READ_AS_TUPLE:
+        assert call(WRONG[bad]()) == call(tuple(WRONG[bad]()))
+        return
+    with pytest.raises(expected) as info:
+        call(WRONG[bad]())
+    assert type(info.value) is expected
+
+
+def test_the_contract_tables_cover_every_public_name():
+    # every public name that takes an argument has rows in the table above,
+    # in the container table, or in the operand and measure tables of the
+    # pairings (`test_gauss`)
+    tabled = {label.split("(")[0].split(".")[0] for label in ARGUMENTS} | CONTAINERS.keys()
+    pairings = {"clifford_pairing", "gram", "inner_mu", "inner_rho", "moment"}
+    no_arguments = {"DegreeCapError", "DimensionMismatchError", "Measure", "NotMonogenicError",
+                    "get_degree_cap"}
+    assert set(monogenic.__all__) - no_arguments - pairings - tabled == set()
 
 
 def test_heat_rejects_x0():
