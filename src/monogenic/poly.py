@@ -148,6 +148,7 @@ class _MultiIndexMap:
     __slots__ = ("_poly",)
 
     def __init__(self, n: int, data: Mapping[Sequence[int], CliffordNumber] | None = None):
+        _check_dimension(n)  # first, as in the other constructors
         self._poly = CliffordPolynomial(n, {(0, beta): value
                                             for beta, value in _items(type(self).__name__, data)})
 

@@ -278,10 +278,13 @@ def test_dimension_bound():
         CliffordNumber.zero(17)
     with pytest.raises(ValueError):
         CliffordNumber.zero(0)
-    # True and 2.0 compare like 1 and 2, yet are no dimension
-    from monogenic import HermiteExpansion, p_basis
+    # True and 2.0 compare like 1 and 2, yet are no dimension; and each
+    # constructor checks n before its mapping
+    from monogenic import FockElement, HermiteExpansion, p_basis
     for build, n in ((lambda n: p_basis(n, (1,)), True), (HermiteExpansion, True),
-                     (lambda n: CliffordNumber(n, {(1,): 1}), 2.0), (CliffordNumber.zero, True)):
+                     (lambda n: CliffordNumber(n, {(1,): 1}), 2.0), (CliffordNumber.zero, True),
+                     *((lambda n, cls=cls: cls(n, []), 17) for cls in (
+                         CliffordNumber, CliffordPolynomial, HermiteExpansion, FockElement))):
         with pytest.raises(BoundsError, match=fr"dimension must be in \[1, 16\], got {n}$"):
             build(n)
 
