@@ -5,15 +5,17 @@ specs and a compute function, which reads the command's input files and
 returns one result.  `build_parser` adds the entries in table order, each
 followed by the shared --format and --output flags, and `_run` prints a
 result by its type through `_PRINTERS` (polynomial, Fock element or
-scalar); a verify report prints itself and exits 1 when a check failed.
+scalar); a verify report prints itself and exits 1 when a check reports
+fail.  A check whose identity holds at n = 1 only reports known-false at
+n >= 2 and does not fail the run.
 
-Exit codes: 0 success, 1 verification failure, 2 input/schema error,
-an unwritable --output path or a stdout closed by its reader, 3 bounds
-exceeded, 4 domain precondition (non-monogenic input).  A rational past
-the interpreter's int-string digit limit is an input error when read
-and a bound exceeded when a result would print it.  The --output path
-is checked before any work; a command that exits 2-4 leaves an existing
---output file unchanged.
+Exit codes: 0 success, 1 an identity that holds at this n failed,
+2 input/schema error, an unwritable --output path or a stdout closed by
+its reader, 3 bounds exceeded, 4 domain precondition (non-monogenic
+input).  A rational past the interpreter's int-string digit limit is an
+input error when read and a bound exceeded when a result would print it.
+The --output path is checked before any work; a command that exits 2-4
+leaves an existing --output file unchanged.
 The MONOGENIC_MAX_DEGREE environment variable overrides the total-degree cap
 for the duration of one `main` call.
 """
@@ -160,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     """Read and compute through the command's table entry, then print the
-    result by its type; a failed verify report exits 1."""
+    result by its type; a verify report with a failing check exits 1."""
     result = _COMMANDS[args.command][2](args)
     if type(result) in _PRINTERS:
         to_text, to_json = _PRINTERS[type(result)]

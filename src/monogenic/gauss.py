@@ -131,8 +131,6 @@ def _check_measure(measure: Measure) -> bool:
 def moment(measure: Measure, k0: int, beta: Sequence[int]) -> Fraction:
     """Exact moment of x0^k0 * x^beta under the given measure."""
     mu = _check_measure(measure)
-    if not isinstance(beta, (tuple, list)):
-        raise TypeError(f"beta must be a tuple or a list, got {type(beta).__name__}")
     exponents = (k0, *beta)
     for e in exponents:
         if not _is_int(e, 0):

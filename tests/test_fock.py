@@ -22,7 +22,7 @@ from monogenic import (
     p_basis,
     taylor_map,
 )
-from monogenic.verify import multi_indices, rand_fock_element, rand_poly
+from monogenic.verify import _fock_round_trips, multi_indices, rand_fock_element, rand_poly
 
 
 def var(n, i):
@@ -154,10 +154,7 @@ def test_fock_to_monogenic_examples():
 def test_bijection_round_trips():
     rng = random.Random(4)
     for _ in range(25):
-        alpha = rand_fock_element(rng, 2, 4)
-        assert taylor_map(fock_to_monogenic(alpha)) == alpha
-        F = ck_extend(rand_poly(rng, 2, 4))
-        assert fock_to_monogenic(taylor_map(F)) == F
+        assert _fock_round_trips((rand_fock_element(rng, 2, 4), rand_poly(rng, 2, 4))) is None
 
 
 def test_taylor_isometry_holds_at_n1():

@@ -8,7 +8,8 @@ derivative's key shift, for key! and the container check, for the
 pairing forms and the one pairing kernel
 of gauss, its measure check and the canonical zeros, measure members
 read at import only, a reducer gcd that stops at the first unit, bounded
-caches, and the README's list of CLI commands."""
+caches, the README's list of CLI commands, and a call of every verify
+witness in the acceptance criteria."""
 
 import ast
 import importlib
@@ -797,3 +798,23 @@ def test_readme_cli_block_names_every_subcommand():
     shown = [line.split()[1] for line in block.splitlines() if line.startswith("monogenic ")]
     sub, = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(shown) == sorted(sub.choices)
+
+
+def _uncalled_witnesses(source):
+    """The witnesses of `verify._IDENTITIES` that source neither calls nor
+    passes to a call (as to the criteria's `_failures`), by name."""
+    from monogenic.verify import _IDENTITIES
+    called = {getattr(node, "id", getattr(node, "attr", None))
+              for call in ast.walk(ast.parse(source)) if isinstance(call, ast.Call)
+              for node in (call.func, *call.args)}
+    return sorted({witness.__name__ for _, _, witnesses in _IDENTITIES
+                   for witness, _ in witnesses} - called)
+
+
+def test_every_verify_witness_is_applied_by_the_acceptance_criteria():
+    # each identity is stated once, as a witness of verify: the acceptance
+    # criteria call it on their samples instead of restating it
+    acceptance = (Path(__file__).resolve().parent / "test_acceptance.py").read_text()
+    assert _uncalled_witnesses(acceptance) == []
+    # a witness that is imported but no longer applied is caught
+    assert _uncalled_witnesses(acceptance.replace("_failures(_triad,", "_failures(str,")) == ["_triad"]
