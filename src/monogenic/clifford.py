@@ -95,13 +95,15 @@ through `CliffordNumber.scalar`, as it does in `==`, so the constructor
 is the one way from a scalar into C_n.
 `indices_from_mask` reads the indices of a mask of C_16 byte by byte,
 from a 256-entry tuple built at import (`_BYTE_INDICES`) and a bounded
-cache of the high byte's, and scans the bits of a wider mask.  The
-generators of `verify` skip the public constructors and build stored
-numerators directly.  Two argument rules live here for the whole
-library: `_is_int`, the test behind every integer argument, and
-`_checked`, the container check at the entry of every operator and Fock
-map, and (through `_items`) of the mapping that each constructor of a
-value reads, whose TypeError reads "<name> takes a <class>, got <type>".
+cache of the high byte's, and scans the bits of a wider mask; it
+refuses anything but a nonnegative int, a bool included, as
+`mask_from_indices` refuses a bad index.  The generators of `verify`
+skip the public constructors and build stored numerators directly.  Two
+argument rules live here for the whole library: `_is_int`, the test
+behind every integer argument, and `_checked`, the container check at
+the entry of every operator and Fock map, and (through `_items`) of the
+mapping that each constructor of a value reads, whose TypeError reads
+"<name> takes a <class>, got <type>".
 `CliffordNumber.blade` checks its indices before they key a dict.  The
 grade argument of `CliffordNumber.grade` and `FockElement.grade` is
 checked by `_check_grade`.
@@ -342,8 +344,11 @@ def _high_byte_indices(byte: int) -> tuple[int, ...]:
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
     """The increasing generator indices of a blade mask: a lookup per
-    byte for the masks of C_16, a scan of the bits beyond."""
-    if 0 <= mask <= 0xFFFF:
+    byte for the masks of C_16, a scan of the bits beyond.  Anything but
+    a nonnegative int, a bool included, is not a mask (ValueError)."""
+    if not _is_int(mask, 0):
+        raise ValueError(f"blade mask {mask!r} must be a nonnegative int")
+    if mask <= 0xFFFF:
         return _BYTE_INDICES[mask & 0xFF] + _high_byte_indices(mask >> 8)
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 

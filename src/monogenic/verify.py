@@ -33,7 +33,10 @@ restriction mismatch; Fock round trips: the alpha side before the F
 side); the Segal-Bargmann entry has two witnesses, so a round-trip
 failure in any trial comes before an isometry failure.  The entries
 without a draw (the algebra relations and both Gram tables) are checked
-once, with no trial prefix.
+once, with no trial prefix.  The algebra relations are read off the
+blade product table of C_n: each blade pair is multiplied once (4^n
+products), each product must be a signed blade, and the generator
+relations and associativity are conditions on those signs.
 
 Each witness carries its scope: "all n", or "n = 1 only" for the three
 identities that fail for n >= 2 as a mathematical fact (the P_beta
@@ -235,21 +238,35 @@ class VerifyReport:
 # test can replace one of those names.
 
 def _algebra_relations(n: int, max_degree: int) -> str | None:
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            e_i = CliffordNumber.basis(n, i)
-            e_j = CliffordNumber.basis(n, j)
-            anti = e_i * e_j + e_j * e_i
-            expected = CliffordNumber.scalar(n, -2) if i == j else CliffordNumber.zero(n)
-            if anti != expected:
-                return f"e_{i} e_{j} + e_{j} e_{i} = {anti!r}"
-    blades = [CliffordNumber.blade(n, indices_from_mask(m)) for m in range(2 ** n)]
-    for a in blades:
-        for b in blades:
-            ab = a * b
-            for c in blades:
-                if ab * c != a * (b * c):
-                    return f"associativity broken on {a!r}, {b!r}, {c!r}"
+    """The relations of C_n, read off its blade product table.
+
+    Each pair of blades is multiplied once, through the public product:
+    4^n products.  Each e_A e_B must equal s(A, B) e_{A xor B} for a sign
+    s(A, B) = +-1, compared with `==`.  On that sign table the generator
+    relations e_i e_j + e_j e_i = -2 delta_ij read s(e_i, e_i) = -1 and
+    s(e_i, e_j) = -s(e_j, e_i) for i != j, and associativity of blades,
+    (e_A e_B) e_C = e_A (e_B e_C), is the integer cocycle condition
+    s(A, B) s(A xor B, C) = s(B, C) s(A, B xor C) over all triples.  The
+    blades span C_n and the product is bilinear, so associativity of the
+    blades gives associativity on all of C_n.  Bilinearity itself is
+    checked by the tests on signed, non-unit operands.
+    """
+    masks = range(2 ** n)
+    blades = [CliffordNumber.blade(n, indices_from_mask(m)) for m in masks]
+    table = [[a * b for b in blades] for a in blades]
+    # +1 or -1, and 0 for a product that is neither blade nor its negation
+    signs = [[(ab == blades[a ^ b]) - (ab == -blades[a ^ b]) for b, ab in enumerate(row)]
+             for a, row in enumerate(table)]
+    for a, b in itertools.product(masks, repeat=2):
+        if not signs[a][b]:
+            return f"{blades[a]!r} * {blades[b]!r} = {table[a][b]!r}, not +-{blades[a ^ b]!r}"
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        a, b = 1 << (i - 1), 1 << (j - 1)
+        if signs[a][b] + signs[b][a] != (-2 if i == j else 0):
+            return f"e_{i} e_{j} + e_{j} e_{i} = {table[a][b] + table[b][a]!r}"
+    for a, b, c in itertools.product(masks, repeat=3):
+        if signs[a][b] * signs[a ^ b][c] != signs[b][c] * signs[a][b ^ c]:
+            return f"associativity broken on {blades[a]!r}, {blades[b]!r}, {blades[c]!r}"
     return None
 
 

@@ -147,7 +147,7 @@ def gram_oracle():
 
 def test_criterion_1_algebra_relations():
     start = time.perf_counter()
-    failures = [f"n={n}: {detail}" for n in (1, 2, 3) if (detail := _algebra_relations(n, 0))]
+    failures = [f"n={n}: {detail}" for n in range(1, 7) if (detail := _algebra_relations(n, 0))]
     _report(1, "algebra relations and blade associativity", time.perf_counter() - start, 5, failures)
 
 

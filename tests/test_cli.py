@@ -412,8 +412,8 @@ KNOWN_FALSE_AT_N2 = {P_TABLE, SB_CHECK, "taylor map isometry"}
 # a map that an every-n witness reads, by its name in the verify module:
 # the check that fails when the map's result is doubled, and its witness
 SPOILED_AT_N2 = {
-    "CliffordNumber.basis": ("clifford generator relations and associativity",
-                             "e_1 e_1 + e_1 e_1 = -8"),
+    "CliffordNumber.blade": ("clifford generator relations and associativity",
+                             "2 * 2 = 4, not +-2"),
     "CliffordPolynomial.laplacian": ("dirac squared equals minus laplacian", "trial 1: f = "),
     "ck_extend": ("cauchy-kowalevski extension is monogenic and restricts back",
                   "trial 0: restriction mismatch for "),
@@ -439,6 +439,32 @@ def test_verify_round_trip_regression_visible_at_n2(capsys, monkeypatch, name):
     assert statuses == {other: "fail" if other == check else
                         "known-false" if other in KNOWN_FALSE_AT_N2 else "pass" for other in statuses}
     assert report["checks"][list(statuses).index(check)]["witness"].startswith(witness)
+
+
+# a product e_a e_b of one-blade operands, by their masks (a, b), spoiled
+# by setting blade `mask` of the result to `sign` times its true blade,
+# and the witness of the algebra relations at n = 3
+@pytest.mark.parametrize("pair, mask, sign, witness", [
+    ((1, 2), 0, 1, "(1)e{1} * (1)e{2} = 1 + (1)e{1,2}, not +-(1)e{1,2}"),  # two blades
+    ((1, 1), 0, -1, "e_1 e_1 + e_1 e_1 = 2"),  # e_1 e_1 = +1
+    # a generator pair stays intact, so only the cocycle condition fails
+    ((3, 4), 7, -1, "associativity broken on (1)e{1}, (1)e{2}, (1)e{3}"),
+])
+def test_verify_catches_a_spoiled_blade_product(capsys, monkeypatch, pair, mask, sign, witness):
+    product = monogenic.clifford._product_numerators
+
+    def spoiled(acc, left, right):
+        product(acc, left, right)
+        if (*left, *right) == pair:
+            re, im = acc[pair[0] ^ pair[1]]
+            acc[mask] = (sign * re, sign * im)
+
+    monkeypatch.setattr(monogenic.clifford, "_product_numerators", spoiled)
+    assert verify_module._algebra_relations(3, 0) == witness
+    code, out, _ = run(capsys, ["verify", "--n", "3"])
+    check = json.loads(out)["checks"][0]
+    assert (code, check["name"], check["status"], check["witness"]) == (
+        1, "clifford generator relations and associativity", "fail", witness)
 
 
 def test_verify_checks_every_round_trip_at_n2(capsys, monkeypatch):

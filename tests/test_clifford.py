@@ -94,6 +94,13 @@ def test_indices_from_mask_is_the_bit_scan():
     assert type(indices_from_mask(0xFFFF)) is tuple and indices_from_mask(0xFFFF) == tuple(range(1, 17))
 
 
+def test_indices_from_mask_refuses_a_non_mask():
+    # a negative int or a bool would read as a blade, and a float is no mask either
+    for mask in (-1, -5, -(1 << 16), -(1 << 40) | 6, True, False, 1.0):
+        with pytest.raises(ValueError, match=f"^blade mask {mask!r} must be a nonnegative int$"):
+            indices_from_mask(mask)
+
+
 @pytest.mark.parametrize("coeffs, error, message", [
     ({(2, 1): 1}, ValueError, "blade indices must be strictly increasing, got (2, 1)"),
     ({(1, 1): 1}, ValueError, "blade indices must be strictly increasing, got (1, 1)"),
@@ -206,25 +213,6 @@ def test_inner_product_values():
 
 
 # -- algebra laws ------------------------------------------------------------
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_anticommutation_relations(n):
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            e_i, e_j = CliffordNumber.basis(n, i), CliffordNumber.basis(n, j)
-            anti = e_i * e_j + e_j * e_i
-            if i == j:
-                assert anti == CliffordNumber.scalar(n, -2)
-            else:
-                assert anti.is_zero()
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_blade_associativity_exhaustive(n):
-    blades = [CliffordNumber.blade(n, indices_from_mask(m)) for m in range(2 ** n)]
-    for a, b, c in itertools.product(blades, repeat=3):
-        assert (a * b) * c == a * (b * c)
-
 
 @given(clifford_st(3), clifford_st(3), clifford_st(3))
 @settings(max_examples=50)

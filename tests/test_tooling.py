@@ -8,8 +8,9 @@ derivative's key shift, for key! and the container check, for the
 pairing forms and the one pairing kernel
 of gauss, its measure check and the canonical zeros, measure members
 read at import only, a reducer gcd that stops at the first unit, bounded
-caches, the README's list of CLI commands, and a call of every verify
-witness in the acceptance criteria."""
+caches, the README's list of CLI commands, a call of every verify
+witness in the acceptance criteria, and one product per blade pair in
+the algebra witness."""
 
 import ast
 import importlib
@@ -818,3 +819,20 @@ def test_every_verify_witness_is_applied_by_the_acceptance_criteria():
     assert _uncalled_witnesses(acceptance) == []
     # a witness that is imported but no longer applied is caught
     assert _uncalled_witnesses(acceptance.replace("_failures(_triad,", "_failures(str,")) == ["_triad"]
+
+
+def test_algebra_witness_multiplies_each_blade_pair_once(monkeypatch):
+    # the relations of C_n are read off the 4^n blade products, not
+    # checked by multiplying each of the 8^n blade triples
+    from monogenic.verify import CliffordNumber, _algebra_relations
+    product, calls = CliffordNumber.__mul__, []
+
+    def counting(a, b):
+        calls.append(b)
+        return product(a, b)
+
+    monkeypatch.setattr(CliffordNumber, "__mul__", counting)
+    for n in range(1, 5):
+        calls.clear()
+        assert _algebra_relations(n, 0) is None
+        assert len(calls) == 4 ** n
