@@ -94,11 +94,11 @@ def test_indices_from_mask_is_the_bit_scan():
     assert type(indices_from_mask(0xFFFF)) is tuple and indices_from_mask(0xFFFF) == tuple(range(1, 17))
 
 
-def test_indices_from_mask_refuses_a_non_mask():
-    # a negative int or a bool would read as a blade, and a float is no mask either
-    for mask in (-1, -5, -(1 << 16), -(1 << 40) | 6, True, False, 1.0):
-        with pytest.raises(ValueError, match=f"^blade mask {mask!r} must be a nonnegative int$"):
-            indices_from_mask(mask)
+# a negative int or a bool would read as a blade, and a float is no mask either
+@pytest.mark.parametrize("mask", [-1, -5, -(1 << 16), -(1 << 40) | 6, True, False, 1.0])
+def test_indices_from_mask_refuses_a_non_mask(mask):
+    with pytest.raises(ValueError, match=f"^blade mask {mask!r} must be a nonnegative int$"):
+        indices_from_mask(mask)
 
 
 @pytest.mark.parametrize("coeffs, error, message", [

@@ -821,7 +821,8 @@ def test_every_verify_witness_is_applied_by_the_acceptance_criteria():
     assert _uncalled_witnesses(acceptance.replace("_failures(_triad,", "_failures(str,")) == ["_triad"]
 
 
-def test_algebra_witness_multiplies_each_blade_pair_once(monkeypatch):
+@pytest.mark.parametrize("n", range(1, 5))
+def test_algebra_witness_multiplies_each_blade_pair_once(monkeypatch, n):
     # the relations of C_n are read off the 4^n blade products, not
     # checked by multiplying each of the 8^n blade triples
     from monogenic.verify import CliffordNumber, _algebra_relations
@@ -832,7 +833,5 @@ def test_algebra_witness_multiplies_each_blade_pair_once(monkeypatch):
         return product(a, b)
 
     monkeypatch.setattr(CliffordNumber, "__mul__", counting)
-    for n in range(1, 5):
-        calls.clear()
-        assert _algebra_relations(n, 0) is None
-        assert len(calls) == 4 ** n
+    assert _algebra_relations(n, 0) is None
+    assert len(calls) == 4 ** n
