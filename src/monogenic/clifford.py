@@ -46,22 +46,25 @@ numerators of every blade pair into their output blade
 `inner` and `norm_sq` sum conj(a_A) b_A over shared blades
 (`_shared_blade_sum`, which weights each blade map once and also holds
 the squared norms of the Hermite and Fock containers).
-Results that can share a factor with the denominator are reduced once,
-by one rule in two helpers: `_numerator_gcd` takes the gcd of the
-denominator and the numerators of some blade maps pair by pair, and
-stops at the first numerator that makes it 1, so a result with a unit
-gcd is not read to its end; `_divided` rebuilds a map without its zero
-pairs, divided by a gcd above 1 in a plain loop, which costs less than a
-comprehension on the one- and two-blade results that most Clifford
-pairings reduce.  Two reducers call both, and both test a map for a
-zero pair with `_has_zero_pair`.  `CliffordNumber._reduced`
-reduces a number over its own blade map, with no wrapper map around it.
-`_reduce` takes a map {key: blade map} and reduces a polynomial
-(`poly._reduced`) or prunes the operator series of `transform`, with one
-gcd call over all its maps, and it rebuilds only a map that must change.
-A blade map with nothing to divide and no zero pair is adopted as it
-is, so a reduced value can share maps with the value it was read from
-(`restrict`, `terms()`): kernels write only into maps they made.  The
+No blade map ever holds a zero pair (0, 0): each kernel that adds into
+a blade already present (the accumulate branches of `_add_scaled`,
+`_product_numerators`, `_plan_product`, `_plan_pairing` and
+`_generator_product`, and the decode of `_packed_product`) deletes a
+blade whose sum cancels, where the sum is made.  So the reducers only
+divide.  Results that can share a factor with the denominator are
+reduced once, by one rule in two helpers: `_numerator_gcd` takes the gcd
+of the denominator and the numerators of some blade maps pair by pair,
+and stops at the first numerator that makes it 1, so a result with a
+unit gcd is not read to its end; `_divided` rebuilds a map divided by a
+gcd above 1 in a plain loop, which costs less than a comprehension on
+the one- and two-blade results that most Clifford pairings reduce.
+`CliffordNumber._reduced` reduces a number over its own blade map, with
+no wrapper map around it.  `_reduce` takes a map {key: blade map} and
+reduces a polynomial (`poly._reduced`) or prunes the operator series of
+`transform`, with one gcd call over all its maps.  At gcd 1 both adopt
+their input as it is (`_reduce` drops the keys a kernel left without a
+blade), so a reduced value can share maps with the value it was read
+from (`restrict`, `terms()`): kernels write only into maps they made.  The
 full Gaussian pairing of `gauss` caches the left role of a value as
 sign plans, the weighted conjugate of each key's map with its sign
 masks (`_conjugate_plan`), and `_plan_pairing` adds the plans times the
@@ -394,7 +397,8 @@ def blade_product(a: Iterable[int], b: Iterable[int], n: int) -> tuple[int, tupl
 # ---------------------------------------------------------------------------
 
 # {blade mask: (re, im)} with integer parts over a denominator kept beside
-# the map.  Accumulators may hold zero pairs until a reduction drops them.
+# the map.  No map holds a zero pair: the kernels delete a blade whose sum
+# cancels, and the entries drop zero parts (`_over_lcm`).
 _Blades = dict[int, tuple[int, int]]
 
 
@@ -426,13 +430,19 @@ def _scaled(blades: _Blades, c: int) -> _Blades:
 
 
 def _add_scaled(acc: _Blades, blades: _Blades, c: int) -> None:
-    """acc += c * blades, into a map that may already hold the masks."""
+    """acc += c * blades for c != 0, into a map that may already hold the
+    masks; a blade whose sum cancels is deleted."""
     for mask, (re, im) in blades.items():
         prev = acc.get(mask)
         if prev is None:
             acc[mask] = (c * re, c * im)
         else:
-            acc[mask] = (prev[0] + c * re, prev[1] + c * im)
+            re = prev[0] + c * re
+            im = prev[1] + c * im
+            if re or im:
+                acc[mask] = (re, im)
+            else:
+                del acc[mask]
 
 
 def _conjugated(blades: _Blades) -> _Blades:
@@ -476,27 +486,14 @@ def _numerator_gcd(g: int, maps: Iterable[_Blades]) -> int:
 
 
 def _divided(blades: _Blades, g: int) -> _Blades:
-    """A new map of the nonzero pairs of blades, each part divided by g;
-    at g = 1 the pairs themselves.  A plain loop divides: on CPython 3.11 a
-    dict comprehension is a function call, which costs more than the
-    division itself on the one- and two-blade maps of most Gram entries."""
-    if g == 1:
-        return {m: v for m, v in blades.items() if v[0] or v[1]}
-    kept = {}
+    """A new map of the pairs of blades, each part divided by g > 1.  A
+    plain loop divides: on CPython 3.11 a dict comprehension is a function
+    call, which costs more than the division itself on the one- and
+    two-blade maps of most Gram entries."""
+    out = {}
     for m, (re, im) in blades.items():
-        if re or im:
-            kept[m] = (re // g, im // g)
-    return kept
-
-
-def _has_zero_pair(blades: _Blades) -> bool:
-    """Whether a numerator map holds a zero pair (0, 0): the one zero-pair
-    test of both reducers.  A plain loop tests the parts, which read faster
-    than `(0, 0) in blades.values()` on one-blade and on dense maps alike."""
-    for re, im in blades.values():
-        if not re and not im:
-            return True
-    return False
+        out[m] = (re // g, im // g)
+    return out
 
 
 def _over_lcm(values: Mapping) -> tuple[int, dict]:
@@ -521,21 +518,24 @@ def _over_lcm(values: Mapping) -> tuple[int, dict]:
     return den, out
 
 
-def _reduce(den: int, maps: Mapping) -> tuple[int, dict]:
+def _reduce(den: int, maps: dict) -> tuple[int, dict]:
     """(den, maps) reduced: den and every numerator of {key: {mask: (re, im)}}
-    divided by their gcd, zero pairs and then keys left without a blade
-    dropped.  One `_numerator_gcd` call reads the maps in order up to the
-    first numerator that makes the gcd 1.  Then a blade map without a zero
-    pair is adopted as it is, shared with the input, and only a map that
-    must change is rebuilt (`_divided`), so a polynomial with nothing to
-    divide pays no call per key; an all-zero map reduces to (1, {})."""
+    divided by their gcd, and keys left without a blade dropped.  The maps
+    hold no zero pair (the kernels delete a cancelled blade), so only the
+    division is left.  One `_numerator_gcd` call reads the maps in order
+    up to the first numerator that makes the gcd 1; then maps itself is
+    adopted, shared with the input, unless a key is left empty, and at
+    g > 1 each blade map is rebuilt divided (`_divided`).  A map with no
+    blade reduces to (1, {})."""
     g = _numerator_gcd(den, maps.values())
+    if g == 1:
+        if all(maps.values()):
+            return den, maps
+        return den, {key: blades for key, blades in maps.items() if blades}
     out = {}
     for key, blades in maps.items():
-        if g != 1 or _has_zero_pair(blades):
-            blades = _divided(blades, g)
         if blades:
-            out[key] = blades
+            out[key] = _divided(blades, g)
     return den // g, out
 
 
@@ -557,8 +557,7 @@ def _product_numerators(acc: _Blades, left: _Blades, right: _Blades) -> None:
     pair loop below: the real part of each left blade is negated once, so
     that the parity of a pair picks one of two expressions for its signed
     (re, im) with no negation after it, and a blade already in acc is
-    unpacked rather than indexed.  Cancelled blades are left in as zero
-    pairs."""
+    unpacked rather than indexed.  A blade whose sum cancels is deleted."""
     pairs = len(left) * len(right)
     if pairs >= _PACK_MIN_PAIRS:
         width = max(max(left), max(right)).bit_length()
@@ -581,7 +580,12 @@ def _product_numerators(acc: _Blades, left: _Blades, right: _Blades) -> None:
                 acc[mask] = (re, im)
             else:
                 pr, pi = prev
-                acc[mask] = (pr + re, pi + im)
+                re += pr
+                im += pi
+                if re or im:
+                    acc[mask] = (re, im)
+                else:
+                    del acc[mask]
 
 
 def _packed_product(acc: _Blades, left: _Blades, right: _Blades, width: int) -> None:
@@ -601,8 +605,10 @@ def _packed_product(acc: _Blades, left: _Blades, right: _Blades, width: int) -> 
     The sign of a pair picks pa or -pa from a pair built once per left
     blade, so each pair is one indexed multiply-add with no branch.
     The sums live in a list indexed by output mask, which the caller's
-    rule keeps at most a quarter as long as the pair count; a zero sum
-    (a cancelled blade, or one no pair reaches) is not added to acc."""
+    rule keeps at most a quarter as long as the pair count.  A zero sum
+    (one no pair reaches) is not decoded, a sum that decodes to zero (a
+    nonzero multiple of M) is not added, and an entry of acc that the
+    decoded sum cancels is deleted."""
     top = max(map(abs, chain.from_iterable(left.values())))
     top *= max(map(abs, chain.from_iterable(right.values())))
     k = (2 * top * min(len(left), len(right))).bit_length() + 1
@@ -623,7 +629,13 @@ def _packed_product(acc: _Blades, left: _Blades, right: _Blades, width: int) -> 
             re -= h
             im -= h
             prev = acc.get(mask)
-            acc[mask] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+            if prev is not None:
+                re += prev[0]
+                im += prev[1]
+            if re or im:
+                acc[mask] = (re, im)
+            elif prev is not None:
+                del acc[mask]
 
 
 def _sign_plan(terms: Iterable[tuple[object, _Blades]]) -> tuple:
@@ -637,7 +649,7 @@ def _sign_plan(terms: Iterable[tuple[object, _Blades]]) -> tuple:
 def _plan_product(total: dict, plan: tuple, right: _Blades, c: int) -> None:
     """total[key] += c * r e_A * right for every (key, A, q_A, r) of a
     `_sign_plan`: a real blade times a complex numerator map, two
-    multiplications per blade pair, cancelled blades left in as zero pairs."""
+    multiplications per blade pair; a blade whose sum cancels is deleted."""
     items = right.items()
     for key, ma, q, r in plan:
         r *= c
@@ -648,7 +660,15 @@ def _plan_product(total: dict, plan: tuple, right: _Blades, c: int) -> None:
             s = -r if (q & mb).bit_count() & 1 else r
             mask = ma ^ mb
             prev = acc.get(mask)
-            acc[mask] = (s * br, s * bi) if prev is None else (prev[0] + s * br, prev[1] + s * bi)
+            if prev is None:
+                acc[mask] = (s * br, s * bi)
+            else:
+                re = prev[0] + s * br
+                im = prev[1] + s * bi
+                if re or im:
+                    acc[mask] = (re, im)
+                else:
+                    del acc[mask]
 
 
 def _conjugate_plan(blades: _Blades, w: int) -> tuple:
@@ -660,7 +680,7 @@ def _conjugate_plan(blades: _Blades, w: int) -> tuple:
 def _plan_pairing(plans: Mapping, rights: Mapping, keys: Iterable) -> _Blades:
     """The numerators of sum over keys of plans[key] * rights[key], the
     plans from `_conjugate_plan`, in one new map: the plain pair loop
-    with no sign mask per call, cancelled blades left in as zero pairs."""
+    with no sign mask per call; a blade whose sum cancels is deleted."""
     acc: _Blades = {}
     for key in keys:
         items = rights[key].items()
@@ -672,7 +692,15 @@ def _plan_pairing(plans: Mapping, rights: Mapping, keys: Iterable) -> _Blades:
                     re, im = -re, -im
                 mask = ma ^ mb
                 prev = acc.get(mask)
-                acc[mask] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+                if prev is None:
+                    acc[mask] = (re, im)
+                else:
+                    re += prev[0]
+                    im += prev[1]
+                    if re or im:
+                        acc[mask] = (re, im)
+                    else:
+                        del acc[mask]
     return acc
 
 
@@ -683,14 +711,22 @@ _GENERATORS = tuple((1 << j, _sign_mask(1 << j)) for j in range(MAX_DIMENSION))
 
 
 def _generator_product(acc: _Blades, j: int, blades: _Blades, c: int) -> None:
-    """acc += c * e_{j+1} * blades: a signed permutation of the blades,
-    cancelled blades left in as zero pairs."""
+    """acc += c * e_{j+1} * blades for c != 0: a signed permutation of the
+    blades; a blade whose sum cancels is deleted."""
     bit, q = _GENERATORS[j]
     for mask, (re, im) in blades.items():
         s = -c if (q & mask).bit_count() & 1 else c
         target = mask ^ bit
         prev = acc.get(target)
-        acc[target] = (s * re, s * im) if prev is None else (prev[0] + s * re, prev[1] + s * im)
+        if prev is None:
+            acc[target] = (s * re, s * im)
+        else:
+            re = prev[0] + s * re
+            im = prev[1] + s * im
+            if re or im:
+                acc[target] = (re, im)
+            else:
+                del acc[target]
 
 
 # ---------------------------------------------------------------------------
@@ -737,10 +773,10 @@ class CliffordNumber:
     @classmethod
     def _reduced(cls, n: int, den: int, blades: _Blades) -> "CliffordNumber":
         """blades / den in reduced form, by the rule of `_reduce` on one
-        map: blades itself when its gcd with den is 1 and it holds a blade
-        and no zero pair, else a new map (a fresh {} over 1 for a zero)."""
+        map with no zero pair: blades itself when its gcd with den is 1
+        (a zero then has den 1), else a new map divided by the gcd."""
         g = _numerator_gcd(den, (blades,))
-        if g != 1 or not blades or _has_zero_pair(blades):
+        if g != 1:
             den, blades = den // g, _divided(blades, g)
         out = cls.__new__(cls)
         out.n = n

@@ -217,8 +217,9 @@ def _check_degree_cap(keys: Iterable[TermKey]) -> None:
 
 
 # Numerators: {(k0, beta): {blade mask: (re, im)}} with integer re, im over
-# a denominator carried next to the map.  Accumulators may hold zero pairs
-# and empty blade maps until `_reduced` (or `clifford._reduce`) drops them.
+# a denominator carried next to the map.  No blade map holds a zero pair:
+# the kernels delete a blade whose sum cancels.  Accumulators may hold empty
+# blade maps until `_reduced` (or `clifford._reduce`) drops them.
 _Numerators = dict[TermKey, dict[int, tuple[int, int]]]
 
 
@@ -429,9 +430,9 @@ class CliffordPolynomial:
 
     def is_monogenic(self) -> bool:
         """Whether d0 f + D f = 0, always computed (never read off the mark
-        that `ck_extend` leaves)."""
-        return not any(re or im for blades in _cauchy_riemann(self._num).values()
-                       for re, im in blades.values())
+        that `ck_extend` leaves): whether every key of d0 f + D f is left
+        without a blade."""
+        return not any(_cauchy_riemann(self._num).values())
 
     def restrict(self) -> "CliffordPolynomial":
         """Substitute x0 = 0."""
@@ -498,7 +499,7 @@ def _full_laplacian_into(out: _Numerators, data: _Numerators) -> None:
 
 
 def _cauchy_riemann(data: _Numerators) -> _Numerators:
-    """d0 data + D data, unpruned."""
+    """d0 data + D data, keys left without a blade kept."""
     out: _Numerators = {}
     _partial_into(out, data, (0,), 1)
     _dirac_into(out, data)

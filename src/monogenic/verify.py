@@ -117,11 +117,16 @@ def rand_gaussian_rational(rng: random.Random) -> GaussianRational:
 
 def _rand_blades(rng: random.Random, n: int, max_terms: int) -> dict[int, tuple[int, int]]:
     """The numerators over _DEN of a random Clifford number: up to max_terms
-    blades, a blade drawn again keeping its last value, zeros kept."""
+    blades, a blade drawn again keeping its last value, and a blade whose
+    last value is zero left out, as the kernels leave no zero pair."""
     blades = {}
     for _ in range(rng.randint(1, max_terms)):
         mask = rng.randrange(2 ** n)
-        blades[mask] = (_NUMERATORS[_rand_part(rng)], _NUMERATORS[_rand_part(rng)])
+        re, im = _NUMERATORS[_rand_part(rng)], _NUMERATORS[_rand_part(rng)]
+        if re or im:
+            blades[mask] = (re, im)
+        else:
+            blades.pop(mask, None)
     return blades
 
 
@@ -242,7 +247,8 @@ def _algebra_relations(n: int, max_degree: int) -> str | None:
 
     Each pair of blades is multiplied once, through the public product:
     4^n products.  Each e_A e_B must equal s(A, B) e_{A xor B} for a sign
-    s(A, B) = +-1, compared with `==`.  On that sign table the generator
+    s(A, B) = +-1, compared with `==`.  On that sign table the scalar
+    blade 1 = e_{} is the unit, s({}, A) = s(A, {}) = 1, the generator
     relations e_i e_j + e_j e_i = -2 delta_ij read s(e_i, e_i) = -1 and
     s(e_i, e_j) = -s(e_j, e_i) for i != j, and associativity of blades,
     (e_A e_B) e_C = e_A (e_B e_C), is the integer cocycle condition
@@ -260,6 +266,10 @@ def _algebra_relations(n: int, max_degree: int) -> str | None:
     for a, b in itertools.product(masks, repeat=2):
         if not signs[a][b]:
             return f"{blades[a]!r} * {blades[b]!r} = {table[a][b]!r}, not +-{blades[a ^ b]!r}"
+    for a in masks:
+        if signs[0][a] != 1 or signs[a][0] != 1:
+            return (f"1 * {blades[a]!r} = {table[0][a]!r} and {blades[a]!r} * 1 = "
+                    f"{table[a][0]!r}, not both {blades[a]!r}")
     for i, j in itertools.product(range(1, n + 1), repeat=2):
         a, b = 1 << (i - 1), 1 << (j - 1)
         if signs[a][b] + signs[b][a] != (-2 if i == j else 0):

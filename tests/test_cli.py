@@ -441,27 +441,37 @@ def test_verify_round_trip_regression_visible_at_n2(capsys, monkeypatch, name):
     assert report["checks"][list(statuses).index(check)]["witness"].startswith(witness)
 
 
-# a product e_a e_b of one-blade operands, by their masks (a, b), spoiled
-# by setting blade `mask` of the result to `sign` times its true blade,
-# and the witness of the algebra relations at n = 3
-@pytest.mark.parametrize("pair, mask, sign, witness", [
-    ((1, 2), 0, 1, "(1)e{1} * (1)e{2} = 1 + (1)e{1,2}, not +-(1)e{1,2}"),  # two blades
-    ((1, 1), 0, -1, "e_1 e_1 + e_1 e_1 = 2"),  # e_1 e_1 = +1
+# products e_a e_b of one-blade operands at dimension n, by the masks (a, b)
+# of each spoiled pair, each spoiled by setting blade `mask` of its result
+# (the product's own blade a ^ b when None) to `sign` times its true blade,
+# and the witness of the algebra relations
+@pytest.mark.parametrize("n, pairs, mask, sign, witness", [
+    (3, [(1, 2)], 0, 1, "(1)e{1} * (1)e{2} = 1 + (1)e{1,2}, not +-(1)e{1,2}"),  # two blades
+    (3, [(1, 1)], 0, -1, "e_1 e_1 + e_1 e_1 = 2"),  # e_1 e_1 = +1
     # a generator pair stays intact, so only the cocycle condition fails
-    ((3, 4), 7, -1, "associativity broken on (1)e{1}, (1)e{2}, (1)e{3}"),
+    (3, [(3, 4)], 7, -1, "associativity broken on (1)e{1}, (1)e{2}, (1)e{3}"),
+    # 1 x = x 1 = -x: the cocycle condition holds and e_1 e_1 = -1 still,
+    # so only the unit fails
+    (1, [(0, 0), (0, 1), (1, 0)], None, -1, "1 * 1 = -1 and 1 * 1 = -1, not both 1"),
+    # e_3 squares to +1 in every product: the algebra of another signature,
+    # associative with the unit intact, so only the generator relation of
+    # e_3, the last generator, fails
+    (3, [(a, b) for a in range(8) for b in range(8) if a & b & 4], None, -1,
+     "e_3 e_3 + e_3 e_3 = 2"),
 ])
-def test_verify_catches_a_spoiled_blade_product(capsys, monkeypatch, pair, mask, sign, witness):
+def test_verify_catches_a_spoiled_blade_product(capsys, monkeypatch, n, pairs, mask, sign, witness):
     product = monogenic.clifford._product_numerators
 
     def spoiled(acc, left, right):
         product(acc, left, right)
-        if (*left, *right) == pair:
+        pair = (*left, *right)
+        if pair in pairs:
             re, im = acc[pair[0] ^ pair[1]]
-            acc[mask] = (sign * re, sign * im)
+            acc[pair[0] ^ pair[1] if mask is None else mask] = (sign * re, sign * im)
 
     monkeypatch.setattr(monogenic.clifford, "_product_numerators", spoiled)
-    assert verify_module._algebra_relations(3, 0) == witness
-    code, out, _ = run(capsys, ["verify", "--n", "3"])
+    assert verify_module._algebra_relations(n, 0) == witness
+    code, out, _ = run(capsys, ["verify", "--n", str(n)])
     check = json.loads(out)["checks"][0]
     assert (code, check["name"], check["status"], check["witness"]) == (
         1, "clifford generator relations and associativity", "fail", witness)

@@ -47,6 +47,23 @@ def test_real_gaussian_hashes_like_the_equal_rational(value, plain):
     assert len({value, plain}) == 1
 
 
+def test_gaussian_is_zero_only_when_both_parts_are():
+    assert GaussianRational().is_zero() and GaussianRational(Fraction(0), 0).is_zero()
+    assert not GaussianRational(0, Fraction(-1, 3)).is_zero()
+    assert not GaussianRational(2).is_zero()
+
+
+def test_clifford_number_equals_a_scalar_operand():
+    # an int, a Fraction or a GaussianRational compares as the scalar it is
+    assert CliffordNumber.scalar(2, 3) == 3
+    assert CliffordNumber.scalar(2, Fraction(1, 2)) == Fraction(1, 2)
+    assert CliffordNumber.scalar(2, GaussianRational(1, -1)) == GaussianRational(1, -1)
+    assert CliffordNumber.zero(3) == 0
+    assert CliffordNumber.basis(2, 1) != 1
+    assert CliffordNumber(2, {(): 1, (1,): 1}) != 1
+    assert CliffordNumber.scalar(2, 3) != GaussianRational(3, 1)
+
+
 def test_gaussian_hash_separates_conjugates():
     z = GaussianRational(1, 2)
     assert hash(z) == hash(GaussianRational(Fraction(2, 2), Fraction(4, 2)))

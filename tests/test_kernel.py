@@ -280,78 +280,252 @@ def _seeded_maps(seed):
                  for _ in range(rng.randint(0, 40))}
 
 
-@pytest.mark.parametrize("den, blades, expected", [
-    # an all-zero accumulator is the canonical zero, whatever its denominator
-    (6, {0: (0, 0), 3: (0, 0)}, (1, {})),
+_SEEDED = [_seeded_maps(seed) + (None,) for seed in range(12)]
+
+
+def _with_zero_pair(row):
+    return (0, 0) in row[1].values()
+
+
+# (den, blades, expected reduced form), expected None for the seeded rows,
+# which are checked against the oracle alone.  The maps of REDUCER_ROWS
+# hold no zero pair and go to a reducer as they are; each (0, 0) pair of
+# CANCELLED_ROWS is a blade whose pairs a kernel cancels
+# (`test_kernels_delete_the_blades_they_cancel`)
+REDUCER_ROWS = [
+    # an empty map is the canonical zero, whatever its denominator
     (1, {}, (1, {})),
-    # gcd 1: the pairs are kept as they are and zero pairs dropped
-    (6, {0: (5, 0), 1: (0, 0), 3: (2, -3)}, (6, {0: (5, 0), 3: (2, -3)})),
-    # gcd > 1: the denominator and every numerator divided
-    (12, {0: (4, 0), 1: (0, 0), 2: (0, -8), 3: (20, 12)}, (3, {0: (1, 0), 2: (0, -2), 3: (5, 3)})),
-    # gcd 1 at the first pair and no zero pair: the map itself is adopted
+    (6, {}, (1, {})),
+    # gcd 1 at the first pair: the map itself is adopted
     (6, {0: (5, 0), 1: (0, 7), 3: (2, -3)}, (6, {0: (5, 0), 1: (0, 7), 3: (2, -3)})),
     # the gcd reaches 1 only at the last numerator: nothing divided, the map adopted
     (6, {0: (2, 4), 1: (0, 6), 3: (4, 3)}, (6, {0: (2, 4), 1: (0, 6), 3: (4, 3)})),
-    # a gcd > 1 over the first pairs that a later pair breaks: nothing is
-    # divided, and the zero pair after the break is still dropped
-    (12, {0: (4, 8), 1: (6, 0), 2: (0, 9), 3: (0, 0), 5: (8, 4)},
-     (12, {0: (4, 8), 1: (6, 0), 2: (0, 9), 5: (8, 4)})),
-    # the division path, gcd > 1: one scalar blade, the shape of most Gram
-    # entries; a zero pair first or last, dropped while the rest is divided
+    # the division path, gcd > 1: one scalar blade, the shape of most Gram entries
     (24, {0: (18, 0)}, (4, {0: (3, 0)})),
-    (12, {0: (0, 0), 1: (4, 8), 3: (0, -6)}, (6, {1: (2, 4), 3: (0, -3)})),
-    (12, {1: (4, 8), 3: (0, -6), 5: (0, 0)}, (6, {1: (2, 4), 3: (0, -3)})),
     # negative numerators divide exactly
     (10, {0: (-4, -6), 2: (-8, 2)}, (5, {0: (-2, -3), 2: (-4, 1)})),
     # a 4,096-blade map, every pair divided
     (12, {m: (3 * (m % 7 + 1), -3 * m) for m in range(4096)},
      (4, {m: (m % 7 + 1, -m) for m in range(4096)})),
-    # an empty map over den > 1, and zero pairs dropped over den 1
-    (6, {}, (1, {})),
+    *(row for row in _SEEDED if not _with_zero_pair(row)),
+]
+CANCELLED_ROWS = [
+    # every blade cancelled: the canonical zero, whatever the denominator
+    (6, {0: (0, 0), 3: (0, 0)}, (1, {})),
+    # gcd 1: the other pairs are kept as they are
+    (6, {0: (5, 0), 1: (0, 0), 3: (2, -3)}, (6, {0: (5, 0), 3: (2, -3)})),
+    # gcd > 1: the denominator and every numerator divided
+    (12, {0: (4, 0), 1: (0, 0), 2: (0, -8), 3: (20, 12)}, (3, {0: (1, 0), 2: (0, -2), 3: (5, 3)})),
+    # a gcd > 1 over the first pairs that a later pair breaks: nothing is
+    # divided, and the blade cancelled after the break is still gone
+    (12, {0: (4, 8), 1: (6, 0), 2: (0, 9), 3: (0, 0), 5: (8, 4)},
+     (12, {0: (4, 8), 1: (6, 0), 2: (0, 9), 5: (8, 4)})),
+    # a cancelled blade first or last, while the rest is divided
+    (12, {0: (0, 0), 1: (4, 8), 3: (0, -6)}, (6, {1: (2, 4), 3: (0, -3)})),
+    (12, {1: (4, 8), 3: (0, -6), 5: (0, 0)}, (6, {1: (2, 4), 3: (0, -3)})),
+    # two cancelled blades over den 1
     (1, {0: (3, 0), 2: (0, 0), 5: (-2, 7), 6: (0, 0)}, (1, {0: (3, 0), 5: (-2, 7)})),
     # a 2,630-blade map, the size of a large C-K result, whose gcd reaches 1
-    # at its last pair: nothing divided, its one zero pair dropped
+    # at its last pair, with one cancelled blade
     (30, {**{m: (6 * m + 6, -3 * (m % 5)) if m != 1000 else (0, 0) for m in range(2629)},
           2629: (5, 0)},
      (30, {**{m: (6 * m + 6, -3 * (m % 5)) for m in range(2629) if m != 1000}, 2629: (5, 0)})),
-    # seeded maps, checked against the oracle alone
-    *(_seeded_maps(seed) + (None,) for seed in range(12)),
-])
-def test_reducer_through_both_classes(den, blades, expected):
-    # both reducers give the reduced form that one Fraction per part gives
+    *(row for row in _SEEDED if _with_zero_pair(row)),
+]
+
+
+def _oracle_pair(den, blades, expected):
+    """naive_reduce of the one map blades over den, as (den, map), and
+    expected equal to it where a row gives it."""
     oracle_den, oracle_maps = naive_reduce(den, {0: blades})
     oracle = (oracle_den, oracle_maps.get(0, {}))
-    if expected is not None:
-        assert expected == oracle
-    expected = oracle
+    assert expected is None or expected == oracle
+    return oracle
+
+
+@pytest.mark.parametrize("den, blades, expected", REDUCER_ROWS)
+def test_reducer_through_both_classes(den, blades, expected):
+    # both reducers give the reduced form that one Fraction per part gives
+    expected = _oracle_pair(den, blades, expected)
     given = dict(blades)
     x = CliffordNumber._reduced(2, den, given)
     assert (x._den, x._blades) == expected
     key = (0, (1, 0))
-    # keys left without a blade are dropped, whether empty or all zero
+    # keys left without a blade are dropped
     given_f = dict(blades)
-    f = poly._reduced(2, den, {key: given_f, (1, (0, 0)): {1: (0, 0)}, (0, (0, 1)): {}})
+    maps = {key: given_f, (1, (0, 0)): {}, (0, (0, 1)): {}}
+    f = poly._reduced(2, den, maps)
     assert (f._den, f._num) == (expected[0], {key: expected[1]} if expected[1] else {})
-    if expected[0] == den:
+    divided = expected[0] != den
+    if not divided:
         # nothing is divided at gcd 1: the stored pairs are the input's
         for stored in (x._blades, f._num.get(key, {})):
             assert all(stored[m] is blades[m] for m in stored)
-    # a map is adopted whole exactly when nothing is divided or dropped;
-    # a rebuilt map leaves its input as it was
-    adopted = bool(blades) and expected[1] == blades
-    assert (x._blades is given) == (f._num.get(key) is given_f) == adopted
+    # at gcd 1 a number adopts its map, and a polynomial each blade map it
+    # keeps; only an empty key makes a new top-level map, and a map with
+    # no empty key is adopted whole.  A divided map leaves its input as it was
+    assert (x._blades is given) == (not divided)
+    assert (f._num.get(key) is given_f) == (not divided and bool(blades))
+    assert f._num is not maps
+    whole = {key: given_f}
+    assert (poly._reduced(2, den, whole)._num is whole) == (not divided and bool(blades))
     assert given == given_f == blades
-    # the gcd spans every key of a polynomial
-    g = poly._reduced(2, 4, {(0, (1, 0)): {0: (2, 4)}, (0, (0, 1)): {1: (6, 0), 2: (0, 0)}})
+    # the gcd spans every key of a polynomial, and an empty key is dropped
+    # on the division path too
+    g = poly._reduced(2, 4, {(0, (1, 0)): {0: (2, 4)}, (0, (0, 1)): {1: (6, 0)}, (0, (2, 0)): {}})
     assert (g._den, g._num) == (2, {(0, (1, 0)): {0: (1, 2)}, (0, (0, 1)): {1: (3, 0)}})
     # and it stops where it reaches 1: at the last numerator of the last
     # key, or in the first key with every later key divisible; then nothing
-    # is divided and every map is adopted
+    # is divided and the map of maps is adopted
     for den, maps in ((6, {(0, (1, 0)): {0: (2, 4)}, (0, (0, 1)): {1: (6, 0), 2: (0, 3)}}),
                       (4, {(0, (1, 0)): {0: (1, 0)}, (0, (0, 1)): {1: (2, 4)}})):
-        g = poly._reduced(2, den, dict(maps))
+        given_maps = dict(maps)
+        g = poly._reduced(2, den, given_maps)
         assert g._den == den and all(g._num[key] is maps[key] for key in maps)
-        assert len(g._num) == len(maps)
+        assert g._num is given_maps and len(g._num) == len(maps)
+
+
+def _times(left, right):
+    """left * right as a new numerator map, one blade pair at a time and
+    the zero sums dropped: the set-up of the kernel rows, outside the
+    kernels under test."""
+    out = {}
+    for a, (ar, ai) in left.items():
+        q = clifford._sign_mask(a)
+        for b, (br, bi) in right.items():
+            s = -1 if (q & b).bit_count() & 1 else 1
+            re, im = out.get(a ^ b, (0, 0))
+            out[a ^ b] = (re + s * (ar * br - ai * bi), im + s * (ar * bi + ai * br))
+    return {m: v for m, v in out.items() if v != (0, 0)}
+
+
+# (a, c), a > |c|, of a paravector a + c e_j, whose product with a - c e_j
+# is a^2 + c^2, or of a + i c e_j, whose product with a - i c e_j is a^2 - c^2
+_PARAVECTORS = ((2, 1), (3, -1), (3, 2), (4, 1), (3, -2), (5, 2))
+
+
+def _unit_pair(g, imaginary):
+    """(X, Y, N) with X Y = N, a positive integer: X the product of the
+    first g paravectors on e_1 .. e_g, with a blade on every mask below
+    2^g, and Y the product of their conjugates in reverse order.  With
+    imaginary set, c e_j is i c e_j, so that X holds real parts on the
+    even grades and imaginary parts on the odd ones, and a packed sum of
+    its pairs can cancel to a nonzero multiple of the packing modulus."""
+    x = y = {0: (1, 0)}
+    norm = 1
+    for j, (a, c) in enumerate(_PARAVECTORS[:g]):
+        x = _times(x, {0: (a, 0), 1 << j: (0, c) if imaginary else (c, 0)})
+        y = _times({0: (a, 0), 1 << j: (0, -c) if imaginary else (-c, 0)}, y)
+        norm *= a * a - c * c if imaginary else a * a + c * c
+    return x, y, norm
+
+
+def _packs(left, right):
+    """Whether `_product_numerators` sends left * right to `_packed_product`."""
+    width = max(max(left), max(right)).bit_length()
+    return len(left) * len(right) >= max(clifford._PACK_MIN_PAIRS,
+                                         clifford._PACK_PAIRS_PER_BLADE << width)
+
+
+# Each kernel takes (prefill, rest), two maps with no zero pair whose sum
+# is the target map without its zero pairs, every mask of a zero pair in
+# both, with parts that cancel.  It returns (scale, run): run() makes the
+# one kernel call, whose pairs sum to scale * (prefill + rest), and
+# returns the map it accumulated into.  So each zero pair of the target
+# is a blade that the kernel reaches and cancels; the product kernels
+# also cancel, within their one call, every mask they reach outside the
+# target.
+
+def _by_add_scaled(prefill, rest):
+    # prefill - (-1) * rest
+    acc, negated = dict(prefill), clifford._scaled(rest, -1)
+    return 1, lambda: clifford._add_scaled(acc, negated, -1) or acc
+
+
+def _by_generator_product(prefill, rest):
+    # prefill + e_3 (-e_3 rest)
+    acc, shifted = dict(prefill), {}
+    clifford._generator_product(shifted, 2, rest, -1)
+    return 1, lambda: clifford._generator_product(acc, 2, shifted, 1) or acc
+
+
+def _product_inputs(prefill, rest, g, imaginary=True):
+    """(N, X, Y rest, N prefill) for X Y = N over g generators."""
+    x, y, norm = _unit_pair(g, imaginary)
+    return norm, x, _times(y, rest), clifford._scaled(prefill, norm)
+
+
+def _by_pair_loop(prefill, rest):
+    norm, x, right, acc = _product_inputs(prefill, rest, 1)
+    assert not _packs(x, right)
+    return norm, lambda: _product_numerators(acc, x, right) or acc
+
+
+def _by_packed_product(prefill, rest):
+    # X on three generators has all 8 blades of C_3, so every row packs
+    norm, x, right, acc = _product_inputs(prefill, rest, 3)
+    assert _packs(x, right)
+    return norm, lambda: _product_numerators(acc, x, right) or acc
+
+
+def _by_plan_product(prefill, rest):
+    # total[0] += 2 X (Y rest), from a prefill of 2 N prefill
+    norm, x, right, acc = _product_inputs(prefill, rest, 2, imaginary=False)
+    total = {0: clifford._scaled(acc, 2)}
+    plan = _sign_plan([(0, x)])
+    return 2 * norm, lambda: _plan_product(total, plan, right, 2) or total[0]
+
+
+def _by_plan_pairing(prefill, rest):
+    # X (Y rest) + N prefill, in one new map
+    norm, x, right, _ = _product_inputs(prefill, rest, 2)
+    plans = {0: tuple((m, clifford._sign_mask(m), re, im) for m, (re, im) in x.items()),
+             1: ((0, 0, norm, 0),)}
+    return norm, lambda: clifford._plan_pairing(plans, {0: right, 1: prefill}, (0, 1))
+
+
+KERNELS = {"add_scaled": _by_add_scaled, "generator_product": _by_generator_product,
+           "pair_loop": _by_pair_loop, "packed_product": _by_packed_product,
+           "plan_product": _by_plan_product, "plan_pairing": _by_plan_pairing}
+
+
+def _split(target):
+    """(prefill, rest) of a target map: a nonzero prefill pair at each
+    zero pair of the target and at every other of its other masks, rest
+    the target minus prefill; neither holds a zero pair."""
+    prefill = {}
+    for i, (m, pair) in enumerate(target.items()):
+        if pair == (0, 0) or i % 2 and pair != (i, 1):
+            prefill[m] = (i + 1, -i - 2) if pair == (0, 0) else (i, 1)
+    rest = {m: (re - prefill.get(m, (0, 0))[0], im - prefill.get(m, (0, 0))[1])
+            for m, (re, im) in target.items()}
+    return prefill, rest
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("den, blades, expected", CANCELLED_ROWS)
+def test_kernels_delete_the_blades_they_cancel(monkeypatch, kernel, den, blades, expected):
+    # a zero pair of each row is a blade whose pairs cancel in the kernel
+    # call that makes them: the kernel deletes it where the sum is made, so
+    # no zero pair and, after either reducer, no empty key is left, and the
+    # reduced form is the one that one Fraction per part gives
+    expected = _oracle_pair(den, blades, expected)
+    prefill, rest = _split(blades)
+    assert all(re or im for part in (prefill, rest) for re, im in part.values())
+    scale, run = KERNELS[kernel](prefill, rest)
+    packed, original = [], clifford._packed_product
+    monkeypatch.setattr(clifford, "_packed_product",
+                        lambda *args: packed.append(args) or original(*args))
+    acc = run()
+    assert len(packed) == (kernel == "packed_product")
+    # the kernel left the blades of the nonzero pairs, and only those
+    assert (0, 0) not in acc.values() and set(acc) == set(expected[1])
+    x = CliffordNumber._reduced(2, den * scale, dict(acc))
+    assert (x._den, x._blades) == expected
+    key = (0, (1, 0))
+    f = poly._reduced(2, den * scale, {key: dict(acc), (0, (0, 1)): {}})
+    assert (f._den, f._num) == (expected[0], {key: expected[1]} if expected[1] else {})
+    assert _is_reduced(f)
 
 
 @pytest.mark.parametrize("n", DIMENSIONS)
@@ -424,9 +598,10 @@ def test_reducer_stops_at_the_first_unit_gcd(monkeypatch):
 
 def test_reducers_call_their_helpers_only_where_needed(monkeypatch):
     # both reducers take the gcd in one `_numerator_gcd` call and rebuild a
-    # map through `_divided` only when it must change, so a polynomial with
-    # nothing to divide pays no call per key; a number reduces over its own
-    # map, not through `_reduce`
+    # map through `_divided` only when it divides, so a polynomial with
+    # nothing to divide pays no call per key, not even for a blade that its
+    # kernel cancelled or a key it left empty; a number reduces over its
+    # own map, not through `_reduce`
     calls = []
 
     def counted(helper):
@@ -449,16 +624,23 @@ def test_reducers_call_their_helpers_only_where_needed(monkeypatch):
 
     maps = {key: {0: (5, 1), 3: (2, 2)} for key in keys}
     f = reduced_poly(6, maps)
-    assert calls == ["_numerator_gcd"] and all(f._num[key] is maps[key] for key in keys)
+    assert calls == ["_numerator_gcd"] and f._num is maps
     f = reduced_poly(1, maps)
-    assert calls == ["_numerator_gcd"] and all(f._num[key] is maps[key] for key in keys)
-    maps[keys[7]] = {0: (5, 1), 1: (0, 0)}
+    assert calls == ["_numerator_gcd"] and f._num is maps
+    # a blade cancelled where `_add_scaled` made its sum, then a key left empty
+    maps[keys[7]] = {0: (5, 1), 1: (2, 3)}
+    clifford._add_scaled(maps[keys[7]], {1: (2, 3)}, -1)
     f = reduced_poly(6, maps)
-    assert calls == ["_numerator_gcd", "_divided"] and f._num[keys[7]] == {0: (5, 1)}
+    assert calls == ["_numerator_gcd"] and f._num is maps and f._num[keys[7]] == {0: (5, 1)}
+    clifford._add_scaled(maps[keys[7]], {0: (5, 1)}, -1)
+    f = reduced_poly(6, maps)
+    assert calls == ["_numerator_gcd"] and keys[7] not in f._num
+    assert all(f._num[key] is maps[key] for key in keys if key != keys[7])
     # a gcd above 1 reads every map in the one call, and divides each
     f = reduced_poly(4, {key: {0: (2, 6)} for key in keys[:3]})
     assert calls == ["_numerator_gcd"] + ["_divided"] * 3 and f._den == 2
     for den, blades, expected in ((6, {0: (5, 0)}, ["_numerator_gcd"]),
+                                  (1, {}, ["_numerator_gcd"]),
                                   (24, {0: (18, 0)}, ["_numerator_gcd", "_divided"])):
         calls.clear()
         CliffordNumber._reduced(2, den, blades)

@@ -76,6 +76,15 @@ def test_x0_exponent_rejects_bool():
         CliffordPolynomial.monomial(1, True, (2,))
 
 
+def test_constructor_refuses_two_keys_of_one_term():
+    # a tuple and bytes with the same entries are unequal keys of the mapping
+    # that read as one term (0, (1, 2))
+    one = CliffordNumber.one(2)
+    with pytest.raises(ValueError, match=re.escape("duplicate term (0, (1, 2))")):
+        CliffordPolynomial(2, {(0, (1, 2)): one, (0, b"\x01\x02"): one})
+    assert CliffordPolynomial(2, {(0, b"\x01\x02"): one}) == CliffordPolynomial.monomial(2, 0, (1, 2))
+
+
 def test_coefficient_rejects_keys_the_constructor_rejects():
     # a malformed key names no term, so reading it as zero would hide the
     # mistake; True == 1 would even read the x0^1 coefficient
@@ -302,6 +311,22 @@ def test_degree_cap_enforced():
         set_degree_cap(12)
 
 
+def test_degree_cap_zero_admits_constants_only():
+    # 0 is the documented lower end of the cap: a constant builds, and a
+    # monomial of degree 1, in x1 or in x0, is refused until the cap is restored
+    set_degree_cap(0)
+    try:
+        assert get_degree_cap() == 0
+        assert CliffordPolynomial.constant(CliffordNumber.one(2)).total_degree() == 0
+        for k0, beta in ((0, (1, 0)), (1, (0, 0))):
+            with pytest.raises(DegreeCapError, match="total degree 1 exceeds cap 0"):
+                CliffordPolynomial.monomial(2, k0, beta)
+    finally:
+        set_degree_cap(12)
+    assert get_degree_cap() == 12
+    assert CliffordPolynomial.monomial(2, 0, (1, 0)).total_degree() == 1
+
+
 @pytest.mark.parametrize("cap", [True, False, 2.5, 3.0, Fraction(3), "3", -1])
 def test_degree_cap_rejects_non_int(cap):
     # a bool or a non-integer cap would be stored and then printed as "cap 2.5"
@@ -338,3 +363,4 @@ def test_degree_cap_is_per_thread():
 
 def test_zero_degree_convention():
     assert CliffordPolynomial.zero(2).total_degree() == -1
+    assert repr(CliffordPolynomial.zero(2)) == "0"

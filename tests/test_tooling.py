@@ -277,21 +277,26 @@ _blade_sums = _matching(BLADE_SUM)
 
 
 def _zero_pair_tests(name, text, tree):
-    """Lines of a zero-pair test: (0, 0) in or not in a map's values, or
-    `not a and not b` over two plain names."""
+    """Lines of a zero-pair test: (0, 0) in or not in a map's values,
+    `not a and not b`, or `a or b` over two parts, each a plain name or
+    the item 0 or 1 of one."""
     def zero_pair(node):
         return (isinstance(node, ast.Tuple) and len(node.elts) == 2
                 and all(isinstance(e, ast.Constant) and e.value == 0 for e in node.elts))
 
-    def negated_name(node):
-        return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
-                and isinstance(node.operand, ast.Name))
+    def part(node):
+        return isinstance(node, ast.Name) or (
+            isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and isinstance(node.slice, ast.Constant) and node.slice.value in (0, 1))
+
+    def negated_part(node):
+        return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not) and part(node.operand)
 
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Compare) and zero_pair(node.left)
             and isinstance(node.ops[0], (ast.In, ast.NotIn))
-            or isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And)
-            and len(node.values) == 2 and all(map(negated_name, node.values))]
+            or isinstance(node, ast.BoolOp) and len(node.values) == 2
+            and all(map(negated_part if isinstance(node.op, ast.And) else part, node.values))]
 
 
 def _scaling_comprehensions(name, text, tree):
@@ -374,19 +379,28 @@ def test_each_numerator_rule_has_one_home():
               for part in [node.module or "", *(alias.name for alias in node.names)]}
     assert not words & {"os", "environ", "getenv", "contextvars", "ContextVar", "_degree_cap",
                         "argv", "flags"}
-    # whether a blade map holds a zero pair is tested in
-    # `clifford._has_zero_pair` only, which both reducers call; the scan
-    # sees a membership test of (0, 0) and a test of two parts for zero,
-    # and not the filters that keep nonzero pairs or a test of two calls
+    # no blade map holds a zero pair: a pair is tested for zero only where
+    # a kernel makes a sum, in the accumulate branch of each kernel and the
+    # decode of the packed product, which delete a blade whose sum cancels,
+    # and where a pair enters from outside (`_over_lcm`, the draws of
+    # `verify`), which leave a zero one out.  No reducer tests a pair for
+    # zero.  The scan sees a membership test of (0, 0), a test of two
+    # parts for zero or nonzero and a filter that keeps nonzero pairs,
+    # and not a test of two calls or of other items
     probe = {"probe.py": "def f(b):\n    return (0, 0) in b.values()\n"
                          "def g(b):\n    return (0, 0) not in b.values()\n"
                          "def h(b):\n    return any(not re and not im for re, im in b.values())\n"
                          "def k(b):\n    return {m: v for m, v in b.items() if v[0] or v[1]}\n"
-                         "def r(mu, f):\n    return not mu and not f.is_x0_free()\n"}
-    assert _enclosing(probe, _zero_pair_tests) == ["probe.py:f", "probe.py:g", "probe.py:h"]
-    assert _enclosing(sources, _zero_pair_tests) == ["clifford.py:_has_zero_pair"]
-    assert _enclosing(sources, _calls_of("_has_zero_pair")) == ["clifford.py:_reduce",
-                                                                "clifford.py:_reduced"]
+                         "def p(acc, m, re, im):\n    if re or im:\n        acc[m] = (re, im)\n"
+                         "def r(mu, f):\n    return not mu and not f.is_x0_free()\n"
+                         "def s(a, f):\n    return a[5] or f()[5]\n"}
+    assert _enclosing(probe, _zero_pair_tests) == ["probe.py:f", "probe.py:g", "probe.py:h",
+                                                   "probe.py:k", "probe.py:p"]
+    assert _enclosing(sources, _zero_pair_tests) == [
+        "clifford.py:_add_scaled", "clifford.py:_generator_product", "clifford.py:_over_lcm",
+        "clifford.py:_packed_product", "clifford.py:_plan_pairing", "clifford.py:_plan_product",
+        "clifford.py:_product_numerators", "verify.py:_rand_blades"]
+    assert _enclosing(sources, _defs_of("_has_zero_pair")) == []
     # reduced parts become stored numerators in `clifford._over_lcm` only,
     # which the constructor and the two parsers call and no reducer follows;
     # serialize takes no lcm of its own but the scalar printer's.  The scans
