@@ -35,7 +35,8 @@ form has two roles, both integer numerators over one denominator.  The
 right role, built on first use, is the heat image A over its denominator
 den, the frozenset of its keys, and per key the weight key! (times
 2^(T - |key|) under MU_TILDE, T the top degree) over den (times 2^T),
-key! from `poly._key_factorial`, the one home of that Fischer weight.
+key! from `poly._key_factorial`, the one home of that Fischer weight,
+and the lowest and the highest total degree k0 + |beta| of A.
 The left role, each conj(A_key) times its weight as a sign plan
 ((A, q_A, re, im), ...) with the sign mask q_A of each blade
 (`clifford._conjugate_plan`), is built from the right role only when
@@ -46,16 +47,18 @@ a value is paired again, as in `gram`.
 
 One kernel, `_pairing`, serves `clifford_pairing`, `inner_rho` and
 `inner_mu`, one call each, and `gram`, one call per entry.  It checks
-the dimensions, reads both cached forms and tests the two key sets (a
-frozenset keeps each key's hash, so the test hashes no key tuple
-again).  Entries whose heat images share no
-key, such as homogeneous parts of different degree and most entries of a
-Gram table, are then the shared zero of their dimension, built once in
-`clifford` (`_ZEROS`): the same object for every such entry, allocated
-by no pairing.  Otherwise `clifford_pairing` is one call of
-`clifford._plan_pairing`, which adds the left plans times the right
-role's maps over all shared keys into one map, and the result is
-reduced once.  The scalar products `inner_rho` and `inner_mu` need only
+the dimensions, reads both cached forms, and tests first the two degree
+ranges, then the two key sets (a frozenset keeps each key's hash, so the
+test hashes no key tuple again).  Entries whose heat images share no
+total degree, such as homogeneous parts of different degree and most
+entries of a Gram table, or failing that no key, are then the shared
+zero of their dimension, built once in `clifford` (`_ZEROS`): the same
+object for every such entry, allocated by no pairing.  Equal keys have
+equal degree, so the range test is exact for every input, homogeneous
+or not; the key-set test stays for the ranges that overlap.  Otherwise
+`clifford_pairing` is one call of `clifford._plan_pairing`, which adds
+the left plans times the right role's maps over all shared keys into
+one map, and the result is reduced once.  The scalar products `inner_rho` and `inner_mu` need only
 the grade-0 part.  conj(e_A) e_B has a scalar part only when A = B, and
 there it is 1, so they sum conj(a_A) b_A over the shared blades of the
 shared keys of the two right roles, each key with the left operand's
@@ -70,11 +73,13 @@ and "mu", instead of reading it as one of the two.  `_check_measure`
 tests it by identity against the two members, bound once at import, and
 returns the MU_TILDE flag, so no call reads a member through the Enum
 class; the identity tests accept exactly what an isinstance test did,
-with the same message.  `gram` checks it once per table, before any
-row, so a bad measure raises whatever the operands, even with no
-columns.  `moment` takes beta as a tuple or a list, and raises
-TypeError naming beta for anything else before it unpacks it, so a str
-is not read character by character.  Every pairing raises TypeError
+with the same message.  `clifford_pairing`, once per Gram entry, tests
+MU_TILDE itself and calls `_check_measure` for any other measure.
+`gram` checks it once per table, before any row, so a bad measure
+raises whatever the operands, even with no columns.  `moment` takes
+beta as a tuple or a list, and raises TypeError naming beta for
+anything else before it unpacks it, so a str is not read character by
+character.  Every pairing raises TypeError
 for an operand that is not a `CliffordPolynomial`, such as a
 `HermiteExpansion` or a number, after the dimension check: an operand
 of another dimension raises DimensionMismatchError first.  The kernel and `gram`'s row check turn
@@ -157,27 +162,31 @@ def _store(f: CliffordPolynomial, mu: bool, form: tuple) -> tuple:
 
 
 def _form(f: CliffordPolynomial, mu: bool) -> tuple:
-    """(den, A, keys, weights, wden, None): the right role of f under
-    MU_TILDE if mu, else RHO.  A is the heat image of f over den, keys the
-    frozenset of its keys, and weights gives each key its weight over
-    wden: key! 2^(T - |key|) over den 2^T under MU_TILDE (T the top
-    degree), key! over den under RHO.  The last slot is the left role."""
+    """(den, A, keys, weights, wden, None, low, top): the right role of f
+    under MU_TILDE if mu, else RHO.  A is the heat image of f over den,
+    keys the frozenset of its keys, and weights gives each key its weight
+    over wden: key! 2^(T - |key|) over den 2^T under MU_TILDE (T = top,
+    the highest total degree k0 + |beta| of A), key! over den under RHO.
+    Slot 5 is the left role.  low and top bound the total degrees of A
+    (both 0 when A is zero): `_pairing` tests them before the key sets,
+    since equal keys have equal degree."""
     if not mu and not f.is_x0_free():
         raise ValueError("the R^n measure requires x0-free polynomials")
     # a monogenic value is its own MU_TILDE heat image: its full Laplacian is zero
     den, image = ((f._den, f._num) if mu and f._monogenic
                   else _apply(f, _FULL_HEAT if mu else _HEAT))
-    top = max((k0 + sum(beta) for k0, beta in image), default=0)
-    weights = {key: _key_factorial(key) << mu * (top - key[0] - sum(key[1])) for key in image}
-    return _store(f, mu, (den, image, frozenset(image), weights, den << mu * top, None))
+    degrees = [k0 + sum(beta) for k0, beta in image]
+    low, top = min(degrees, default=0), max(degrees, default=0)
+    weights = {key: _key_factorial(key) << mu * (top - d) for key, d in zip(image, degrees)}
+    return _store(f, mu, (den, image, frozenset(image), weights, den << mu * top, None, low, top))
 
 
 def _with_left(f: CliffordPolynomial, form: tuple, mu: bool) -> tuple:
     """form with its left role, the sign plan of weight * conj(A_key) over
-    wden per key (`clifford._conjugate_plan`), in the last slot, cached on
-    f: built the first time `clifford_pairing` needs it."""
+    wden per key (`clifford._conjugate_plan`), in slot 5, cached on f:
+    built the first time `clifford_pairing` needs it."""
     left = {key: _conjugate_plan(blades, form[3][key]) for key, blades in form[1].items()}
-    return _store(f, mu, form[:5] + (left,))
+    return _store(f, mu, form[:5] + (left,) + form[6:])
 
 
 def _pairing(f: CliffordPolynomial, g: CliffordPolynomial, mu: bool,
@@ -185,8 +194,8 @@ def _pairing(f: CliffordPolynomial, g: CliffordPolynomial, mu: bool,
     """Integral of conj(f) * g under MU_TILDE if mu, else RHO: the Clifford
     number if full, else its scalar part.  The one pairing kernel: after the
     dimension check it reads both cached forms (TypeError unless both are
-    polynomials), and operands whose key sets are disjoint pair to the
-    shared zero of their dimension."""
+    polynomials), and operands whose heat images share no total degree,
+    or failing that no key, pair to the shared zero of their dimension."""
     try:
         if f.n != g.n:
             f._check_dim(g)
@@ -194,7 +203,7 @@ def _pairing(f: CliffordPolynomial, g: CliffordPolynomial, mu: bool,
         b = g._fischer[mu] or _form(g, mu)
     except AttributeError:
         raise TypeError(_NOT_POLYNOMIALS) from None
-    if a[2].isdisjoint(b[2]):
+    if a[7] < b[6] or b[7] < a[6] or a[2].isdisjoint(b[2]):
         return _ZEROS[f.n if full else 0]
     if full:
         left = a[5] or _with_left(f, a, mu)[5]
@@ -209,7 +218,7 @@ def clifford_pairing(f: CliffordPolynomial, g: CliffordPolynomial,
                      measure: Measure) -> CliffordNumber:
     """Full Clifford-valued pairing: integral of conj(f) * g, the Clifford
     products over the keys the heat images share."""
-    return _pairing(f, g, _check_measure(measure), True)
+    return _pairing(f, g, measure is _MU_TILDE or _check_measure(measure), True)
 
 
 def gram(fs: Iterable[CliffordPolynomial], gs: Iterable[CliffordPolynomial],

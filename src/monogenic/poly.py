@@ -239,14 +239,16 @@ class CliffordPolynomial:
             if coeff.n != n:
                 raise DimensionMismatchError(f"coefficient in C_{coeff.n} inside C_{n} polynomial")
             _check_degree_cap((key,))
+            # zero coefficients (over 1) are kept until the numerators are
+            # taken, so that a repeated term is refused whatever its values
             if key in data:
                 raise ValueError(f"duplicate term {key}")
-            if coeff:
-                data[key] = coeff
+            data[key] = coeff
         # scaled to the lcm of reduced denominators, the numerators stay reduced
         self.n = n
         self._den = den = math.lcm(*(coeff._den for coeff in data.values()))
-        self._num = {key: _scaled(coeff._blades, den // coeff._den) for key, coeff in data.items()}
+        self._num = {key: _scaled(coeff._blades, den // coeff._den)
+                     for key, coeff in data.items() if coeff}
         self._monogenic = False
         self._fischer = (None, None)
 

@@ -409,34 +409,44 @@ def test_verify_degenerate_degree_zero(capsys):
 P_TABLE = "monogenic basis orthogonality (scalar and full pairing)"
 SB_CHECK = "segal-bargmann isometry and round trip"
 KNOWN_FALSE_AT_N2 = {P_TABLE, SB_CHECK, "taylor map isometry"}
-# a map that an every-n witness reads, by its name in the verify module:
-# the check that fails when the map's result is doubled, and its witness
-SPOILED_AT_N2 = {
-    "CliffordNumber.blade": ("clifford generator relations and associativity",
+# a map that a witness reads, by its name in the verify module: the n at
+# which it is spoiled, the check that fails when the map's result is
+# doubled, and its witness.  A map of an every-n witness is spoiled at
+# n = 2; `inner_mu`, the scalar route of the pairing, at n = 1, the scope
+# of the three checks that read it
+SPOILED = {
+    "CliffordNumber.blade": (2, "clifford generator relations and associativity",
                              "2 * 2 = 4, not +-2"),
-    "CliffordPolynomial.laplacian": ("dirac squared equals minus laplacian", "trial 1: f = "),
-    "ck_extend": ("cauchy-kowalevski extension is monogenic and restricts back",
+    "CliffordPolynomial.laplacian": (2, "dirac squared equals minus laplacian", "trial 1: f = "),
+    "ck_extend": (2, "cauchy-kowalevski extension is monogenic and restricts back",
                   "trial 0: restriction mismatch for "),
-    "hermite": ("hermite orthogonality table", "<H_(0, 0), H_(0, 0)> = 4, expected 1"),
-    "sb_inverse": (SB_CHECK, "trial 0: round trip failed for "),
-    "fock_to_monogenic": ("taylor map round trips in both directions", "trial 0: alpha = "),
-    "fock_norm_sq": ("triad closure: fock norm of transformed input matches source norm", "trial 0: "),
+    "hermite": (2, "hermite orthogonality table", "<H_(0, 0), H_(0, 0)> = 4, expected 1"),
+    "sb_inverse": (2, SB_CHECK, "trial 0: round trip failed for "),
+    "fock_to_monogenic": (2, "taylor map round trips in both directions", "trial 0: alpha = "),
+    "fock_norm_sq": (2, "triad closure: fock norm of transformed input matches source norm",
+                     "trial 0: "),
+    # the full pairing is intact, so only the second branch of the table
+    # fires, at its first diagonal entry
+    "inner_mu": (1, P_TABLE, "scalar pairing disagrees at ((0,), (0,))"),
 }
 
 
-@pytest.mark.parametrize("name", SPOILED_AT_N2)
+@pytest.mark.parametrize("name", SPOILED)
 def test_verify_round_trip_regression_visible_at_n2(capsys, monkeypatch, name):
     # At n = 2 three checks are known false; a regression of an identity
-    # that holds for every n must still fail the run and exit 1.  Seed 4
-    # is one whose first trial already breaks both isometries.
+    # that holds for every n must still fail the run and exit 1.  At n = 1
+    # the spoiled `inner_mu` fails all three, which are the checks that
+    # read it.  Seed 4 is one whose first trial already breaks both isometries.
+    n, check, witness = SPOILED[name]
     original = operator.attrgetter(name)(verify_module)
     monkeypatch.setattr(f"monogenic.verify.{name}", lambda *args: original(*args) * 2)
-    code, out, _ = run(capsys, ["verify", "--n", "2", "--max-degree", "2",
+    code, out, _ = run(capsys, ["verify", "--n", str(n), "--max-degree", "2",
                                 "--trials", "10", "--seed", "4"])
     assert code == 1
-    report, (check, witness) = json.loads(out), SPOILED_AT_N2[name]
+    report = json.loads(out)
     statuses = {c["name"]: c["status"] for c in report["checks"]}
-    assert statuses == {other: "fail" if other == check else
+    failing = {check} if n == 2 else KNOWN_FALSE_AT_N2
+    assert statuses == {other: "fail" if other in failing else
                         "known-false" if other in KNOWN_FALSE_AT_N2 else "pass" for other in statuses}
     assert report["checks"][list(statuses).index(check)]["witness"].startswith(witness)
 

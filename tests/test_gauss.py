@@ -567,6 +567,83 @@ def test_disjoint_overlapping_and_equal_key_sets_match_naive_oracle(n, measure):
     assert any(not f.is_x0_free() for f in polys) == mu
 
 
+def _homogeneous(n, mu, d):
+    """A value whose heat image has the one total degree d: P_beta under
+    MU_TILDE, its own image, or H_beta under RHO, whose image is x^beta,
+    with beta spreading d over the axes."""
+    beta = [d // n + (i < d % n) for i in range(n)]
+    return p_basis(n, beta) if mu else hermite(n, beta)
+
+
+def _meeting(a, b):
+    """How the heat images of two forms meet: in no total degree, in one
+    degree at the end of both ranges, or with overlapping ranges and no
+    key or some key in common."""
+    if a[7] < b[6] or b[7] < a[6]:
+        return "disjoint"
+    if a[7] == b[6] or b[7] == a[6]:
+        return "touching"
+    return "no shared key" if a[2].isdisjoint(b[2]) else "shared key"
+
+
+def _keyless(f, mu):
+    """Replace the key set of f's cached form by None, so that a pairing
+    that reads it raises."""
+    forms = list(f._fischer)
+    forms[mu] = forms[mu][:2] + (None,) + forms[mu][3:]
+    f._fischer = tuple(forms)
+
+
+# the two operands as sums of parts (k, d), each t^k times a value whose
+# heat image has the one total degree d, times a coefficient of its own;
+# t is x0 under MU_TILDE and x1 under RHO, which has no x0 axis.  Then how
+# their heat images meet, the same at every n and under both measures
+RANGE_ROWS = {
+    "disjoint": (((0, 0), (0, 1)), ((0, 2), (0, 3)), "disjoint"),
+    "touching": (((0, 1), (0, 2)), ((0, 2), (0, 3)), "touching"),
+    "overlapping": (((0, 0), (0, 2)), ((0, 1),), "no shared key"),
+    "inhomogeneous": (((0, 1), (0, 3)), ((0, 1), (0, 2)), "shared key"),
+    "zero": ((), ((0, 1), (0, 2)), "disjoint"),
+    "x0 terms": (((2, 0), (0, 3)), ((1, 1),), "shared key"),
+}
+
+
+@pytest.mark.parametrize("measure", [Measure.RHO, Measure.MU_TILDE], ids=["rho", "mu"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("row", RANGE_ROWS)
+def test_degree_ranges_pair_like_the_naive_oracle(row, n, measure):
+    # operands whose heat images share no total degree pair to the shared
+    # zero before their key sets are read; every other pair is paired
+    # through the key sets, even when the ranges only touch
+    mu = measure is Measure.MU_TILDE
+    rng = random.Random(f"{row} {n} {mu}")
+
+    def t(k):
+        return CliffordPolynomial.monomial(n, k, [0] * n) if mu else (
+            CliffordPolynomial.monomial(n, 0, [k] + [0] * (n - 1)))
+
+    f, g = (sum((t(k) * _homogeneous(n, mu, d) * rand_pairing_coeff(rng, n) for k, d in parts),
+                CliffordPolynomial.zero(n)) for parts in RANGE_ROWS[row][:2])
+    assert any(not x.is_x0_free() for x in (f, g)) == mu
+    meeting = RANGE_ROWS[row][2]
+    for a, b in ((f, g), (g, f)):
+        expected = naive_clifford_pairing(a, b, measure)
+        full, scalar = clifford_pairing(a, b, measure), INNER[measure](a, b)
+        assert full == expected and scalar == expected.scalar_part()
+        assert _meeting(a._fischer[mu], b._fischer[mu]) == meeting
+        assert bool(expected) == (meeting in ("touching", "shared key"))
+        if meeting == "disjoint":
+            assert full is _ZEROS[n] and scalar is _ZEROS[0]
+            assert a._fischer[mu][5] is None
+    if meeting == "disjoint":
+        # the degree ranges alone decide: the key sets are not read
+        for x in (f, g):
+            _keyless(x, mu)
+        for a, b in ((f, g), (g, f)):
+            assert clifford_pairing(a, b, measure) is _ZEROS[n]
+            assert INNER[measure](a, b) is _ZEROS[0]
+
+
 # -- the Fischer identity on the oracle side ----------------------------------
 
 @pytest.mark.parametrize("measure", [Measure.RHO, Measure.MU_TILDE], ids=["rho", "mu"])

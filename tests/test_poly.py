@@ -85,6 +85,15 @@ def test_constructor_refuses_two_keys_of_one_term():
     assert CliffordPolynomial(2, {(0, b"\x01\x02"): one}) == CliffordPolynomial.monomial(2, 0, (1, 2))
 
 
+@pytest.mark.parametrize("first, second", [("zero", "one"), ("one", "zero")])
+def test_constructor_refuses_two_keys_of_one_term_whatever_their_values(first, second):
+    # a zero coefficient still names its term, so the refusal does not
+    # depend on which of the two keys holds it
+    values = {"zero": CliffordNumber.zero(2), "one": CliffordNumber.one(2)}
+    with pytest.raises(ValueError, match=re.escape("duplicate term (0, (1, 2))")):
+        CliffordPolynomial(2, {(0, (1, 2)): values[first], (0, b"\x01\x02"): values[second]})
+
+
 def test_coefficient_rejects_keys_the_constructor_rejects():
     # a malformed key names no term, so reading it as zero would hide the
     # mistake; True == 1 would even read the x0^1 coefficient

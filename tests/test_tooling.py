@@ -5,10 +5,11 @@ for each numerator rule (the scaling of a blade map, the monogenic
 precondition, the cap message and the grade check included), for the
 integer-argument test, for the
 derivative's key shift, for key! and the container check, for the
-pairing forms and the one pairing kernel
+pairing forms, their degree range and the one pairing kernel
 of gauss, its measure check and the canonical zeros, measure members
 read at import only, a reducer gcd that stops at the first unit, bounded
-caches, the README's list of CLI commands, a call of every verify
+caches, the README's list of CLI commands, the claim rule of the A/B
+script, a call of every verify
 witness in the acceptance criteria, and one product per blade pair in
 the algebra witness."""
 
@@ -98,6 +99,27 @@ def test_no_private_twin_of_a_traced_function():
         if f"_{attr}" in {node.name for node in body if isinstance(node, ast.FunctionDef)}:
             twins.append(f"{layer}: _{attr} next to {path}")
     assert twins == []
+
+
+AB = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+# ten parent runs: median 1.00, quartiles 0.9775 and 1.0225
+AB_PARENT = [1.00, 0.98, 1.02, 0.99, 1.01, 1.03, 0.97, 1.00, 1.04, 0.96]
+
+
+@pytest.mark.parametrize("change, wins, direction, holds", [
+    ([0.90] * 10, 9, "lower", True),  # nine tenths won, 0.10 past a spread of 0.045
+    ([0.90] * 10, 8, "lower", False),  # eight tenths won
+    ([0.96] * 10, 10, "lower", False),  # every pair won, but 0.04 is inside the spread
+    ([1.10] * 10, 10, "higher", True),
+])
+def test_ab_claim_rule(change, wins, direction, holds):
+    # the rule that tools/ab.py prints per metric: the change wins at least
+    # nine tenths of the pairs, and its median beats the parent's by more
+    # than the distance between the parent's quartiles
+    spec = importlib.util.spec_from_file_location("tools_ab", AB)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    assert ab.claim_holds(AB_PARENT, change, wins, direction) is holds
 
 
 def test_library_imports_only_the_standard_library():
@@ -633,6 +655,13 @@ def _module_tuple_lines(tree):
             for line in range(node.lineno, node.end_lineno + 1)}
 
 
+def _range_reads(name, text, tree):
+    """Lines that read item 6 or 7 of a value: the degree range of a
+    pairing form."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant) and node.slice.value in (6, 7)]
+
+
 def test_pairing_forms_are_built_in_one_place():
     # gauss takes heat images, weights and conjugate copies in its form
     # builders only: the right role (`_form`) holds the image and the
@@ -648,6 +677,16 @@ def test_pairing_forms_are_built_in_one_place():
     assert _enclosing(library, _calls_of("_conjugate_plan")) == ["gauss.py:_with_left"]
     for callee in ("_conjugated", "_scaled"):
         assert _enclosing(sources, _calls_of(callee)) == [], callee
+    # the total-degree range of a heat image is computed in `_form` only
+    # and read in `_pairing` only, as items 6 and 7 of a form; the scan
+    # sees a read of either, and not a slice or a read of the left role
+    for callee in ("min", "max"):
+        assert _enclosing(sources, _calls_of(callee)) == ["gauss.py:_form"], callee
+    assert _enclosing(sources, _range_reads) == ["gauss.py:_pairing"]
+    probe = {"probe.py": "def f(a, b):\n    return a[7] < b[6]\n"
+                         "def g(a):\n    return a[6]\n"
+                         "def h(form, left):\n    return form[:5] + (left,) + form[6:], form[5]\n"}
+    assert _enclosing(probe, _range_reads) == ["probe.py:f", "probe.py:g"]
     # one kernel pairs: the key-set test, the product of the left plans
     # with the right role and the weighted blade sum are called in
     # `_pairing` only, which `clifford_pairing`, `inner_rho` and `inner_mu`

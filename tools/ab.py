@@ -14,8 +14,11 @@ speed does not always favour the same side.  Every run must exit 0 and
 read `correct: true`, or the script stops with exit code 1.  Then it runs
 `perfbench/compare.py DIR/parent DIR/change` and prints, per end-to-end
 metric of BENCHMARK.json, the median over pairs of the change/parent
-ratio and in how many pairs the change was better.  Stdlib only; DIR
-defaults to a new temporary directory.
+ratio, in how many pairs the change was better, each side's median, the
+parent's quartiles and whether the claim rule holds: the change is
+better in at least nine tenths of the pairs, and its median is better
+than the parent's by more than the parent's interquartile range.
+Stdlib only; DIR defaults to a new temporary directory.
 """
 
 from __future__ import annotations
@@ -47,17 +50,31 @@ def run_once(checkout: Path, args: argparse.Namespace, results: Path) -> dict:
     return {name: m["value"] for name, m in out["metrics"].items()}
 
 
-def summary(pairs: list[dict], better: dict) -> list[tuple[str, float, int]]:
-    """(metric, median change/parent ratio, pairs the change won) for each
-    metric of better, {metric: "lower" or "higher"}, over pairs of
-    {"parent": {metric: value}, "change": {metric: value}}."""
+def claim_holds(parent: list[float], change: list[float], wins: int, direction: str) -> bool:
+    """The claim rule on the runs of len(parent) pairs: the change won at
+    least nine tenths of them, and its median beats the parent's, in
+    direction ("lower" or "higher" is better), by more than the distance
+    between the parent's quartiles."""
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    gain = statistics.median(parent) - statistics.median(change)
+    return 10 * wins >= 9 * len(parent) and (gain if direction == "lower" else -gain) > q3 - q1
+
+
+def summary(pairs: list[dict], better: dict) -> list[tuple]:
+    """(metric, median change/parent ratio, pairs the change won, parent
+    median, change median, parent quartiles, claim holds) for each metric
+    of better, {metric: "lower" or "higher"}, over pairs of
+    {"parent": {metric: value}, "change": {metric: value}}, at least two."""
     rows = []
     for name, direction in better.items():
         ratios = [p["change"][name] / p["parent"][name] for p in pairs if p["parent"][name]]
         if not ratios:
             continue
         wins = sum(r < 1 if direction == "lower" else r > 1 for r in ratios)
-        rows.append((name, statistics.median(ratios), wins))
+        parent, change = ([p[side][name] for p in pairs] for side in SIDES)
+        q1, _, q3 = statistics.quantiles(parent, n=4)
+        rows.append((name, statistics.median(ratios), wins, statistics.median(parent),
+                     statistics.median(change), (q1, q3), claim_holds(parent, change, wins, direction)))
     return rows
 
 
@@ -72,6 +89,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="directory for the result files (default: a new temporary one)")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: the claim rule reads the parent's quartiles")
     out = args.out or Path(tempfile.mkdtemp(prefix="ab-"))
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -94,9 +113,11 @@ def main(argv=None) -> int:
                     str(out / "parent"), str(out / "change")], check=True)
     print(f"\n{args.workload}, seed {args.seed}, {args.seconds:g} s runs, "
           f"{len(pairs)} alternating pairs; results in {out}")
-    print(f"{'metric':16s} {'median ratio':>12s} {'change better':>14s}")
-    for name, ratio, wins in summary(pairs, better):
-        print(f"{name:16s} {ratio:12.3f} {wins:>8d} of {len(pairs)}")
+    print(f"{'metric':16s} {'median ratio':>12s} {'change better':>14s} {'parent median':>14s} "
+          f"{'change median':>14s} {'parent quartiles':>23s}  claim")
+    for name, ratio, wins, parent, change, (q1, q3), holds in summary(pairs, better):
+        print(f"{name:16s} {ratio:12.3f} {wins:>8d} of {len(pairs)} {parent:14.6g} {change:14.6g} "
+              f"{q1:11.6g}-{q3:<11.6g}  {'holds' if holds else 'not met'}")
     return 0
 
 
