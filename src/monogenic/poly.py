@@ -36,11 +36,15 @@ product: e_j e_B = +-e_{B xor bit_j}, by the product sign of `clifford`.
 
 Containers.  Hermite expansions and Fock elements share
 `_MultiIndexMap`, which stores one x0-free polynomial sum_beta x^beta
-v_beta in this form (v_beta = w_beta for an expansion, alpha(e^beta)
-for a Fock element, unscaled).  Their maps and norms read its
-numerators in place, and so do their JSON and text printers; their
-entries and repr read its `terms()` and `coefficient()`.  Building one
-checks the degree cap like any polynomial.
+v_beta in this form: v_beta = w_beta for an expansion and
+alpha(e^beta) / beta! for a Fock element, so corresponding elements
+store the same polynomial, and one norm, sum_beta beta! |v_beta|^2,
+serves both.  Their maps and norms read its numerators in place, and so
+do their JSON and text printers (times beta! for a Fock element); their
+entries and repr read its `terms()` and `coefficient()`, times beta! for
+a Fock element, whose constructor divides by beta!
+(`_over_factorials`).  Building one checks the degree cap like any
+polynomial.
 
 The mark.  `ck_extend` and `p_basis` build monogenic polynomials by
 construction and set the private `_monogenic` slot on their results
@@ -141,16 +145,23 @@ class _MultiIndexMap:
 
     It stores one x0-free polynomial sum_beta x^beta v_beta built by the
     `CliffordPolynomial` constructor, which validates the entries, prunes
-    zeros and checks the degree cap; entries are read back through its
-    `terms()` and `coefficient()`.
+    zeros and checks the degree cap.  The entry at beta is v_beta = w_beta
+    for a Hermite expansion, and alpha(e^beta) = beta! v_beta for a Fock
+    element (`_weighted`), so corresponding elements store one polynomial,
+    and sum_beta beta! |v_beta|^2 is both the Gaussian norm of the one
+    and the Fock norm sum_beta |alpha(e^beta)|^2 / beta! of the other.
+    The constructor divides a Fock element's entries by beta!
+    (`_over_factorials`), and `_items` multiplies the stored values of
+    `terms()` by it.
     """
 
     __slots__ = ("_poly",)
+    _weighted = False
 
     def __init__(self, n: int, data: Mapping[Sequence[int], CliffordNumber] | None = None):
         _check_dimension(n)  # first, as in the other constructors
-        self._poly = CliffordPolynomial(n, {(0, beta): value
-                                            for beta, value in _items(type(self).__name__, data)})
+        f = CliffordPolynomial(n, {(0, beta): value for beta, value in _items(type(self).__name__, data)})
+        self._poly = _over_factorials(f) if self._weighted else f
 
     @classmethod
     def _of(cls, f: "CliffordPolynomial"):
@@ -164,9 +175,9 @@ class _MultiIndexMap:
         return self._poly.n
 
     def _items(self) -> Iterator[tuple[MultiIndex, CliffordNumber]]:
-        """(beta, value) pairs sorted by (degree, beta)."""
+        """(beta, entry) pairs sorted by (degree, beta)."""
         for _, beta, value in self._poly.terms():
-            yield beta, value
+            yield beta, value * beta.factorial if self._weighted else value
 
     def is_zero(self) -> bool:
         return not self._poly
@@ -191,9 +202,19 @@ TermKey = tuple[int, tuple[int, ...]]
 
 def _key_factorial(key: TermKey) -> int:
     """key! = k0! * prod(beta_i!) for a term key (k0, beta): the Fischer
-    weight of x0^k0 x^beta, behind beta!, the Gaussian and Fock norms and
-    the Taylor map."""
+    weight of x0^k0 x^beta, behind beta!, the one norm of both containers
+    and the entries of a Fock element."""
     return math.prod(map(math.factorial, key[1]), start=math.factorial(key[0]))
+
+
+def _over_factorials(f: CliffordPolynomial) -> CliffordPolynomial:
+    """sum_beta x^beta c_beta / beta! for an x0-free f = sum_beta x^beta c_beta,
+    the stored polynomial of the Fock element with entries c_beta: each term
+    scaled to the denominator of f times lcm(beta!), then reduced."""
+    weights = {key: _key_factorial(key) for key in f._num}
+    common = math.lcm(*weights.values())
+    return _reduced(f.n, f._den * common,
+                    {key: _scaled(blades, common // weights[key]) for key, blades in f._num.items()})
 
 
 def _term_key(n: int, k0: int, beta: Sequence[int]) -> tuple[int, MultiIndex]:

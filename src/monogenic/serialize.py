@@ -11,24 +11,29 @@ one pass: it sorts the keys of a polynomial or container once (total
 degree, k0, beta) and the blades of each term of more than one blade by
 `clifford._blade_order`, and prints every part from its numerator and
 the value's shared denominator (a scalar's JSON, `scalar_to_json`, each
-part over its own).  Numerators repeat across blades and terms, so each
-printer call keeps one memo {numerator: text} over that denominator
-(`_Texts`), and `clifford._part_text`, which reduces a part with one
-gcd, runs once per distinct numerator of the value.  The memo lives for one call and
-stores only texts that printed.  A parser splits each "p/q" into two
+part over its own).  A Fock element stores alpha(e^beta) / beta!, so its
+printers print beta! times each stored numerator, multiplied part by
+part as it is printed, not in a scaled copy of the value.  Numerators
+repeat across blades and terms, so each printer call keeps one memo
+{numerator: text} over that denominator (`_Texts`), and
+`clifford._part_text`, which reduces a part with one gcd, runs once per
+distinct (weighted) numerator of the value.  The memo lives for one call
+and stores only texts that printed.  A parser splits each "p/q" into two
 ints, rejects exactly the texts that `str(Fraction(text))` would not
 print back, turns blade lists into masks, and hands the parts of the
-whole value to `clifford._over_lcm`, the constructor's rule: one lcm
-per polynomial, container or Clifford number, every part scaled to it
-and the zero pairs and empty terms dropped.  Parts in lowest terms over
-that lcm are already reduced, so the result is adopted as it is
+whole value to `clifford._over_lcm`, the constructor's rule: one lcm per
+polynomial, container or Clifford number, every part scaled to it and
+the zero pairs and empty terms dropped.  Parts in lowest terms over that
+lcm are already reduced, so the result is adopted as it is
 (`CliffordNumber._raw`, `CliffordPolynomial._adopt`) and no reducer
-runs.  The dimension is refused only once a value has been read, so
-that a fault inside it is reported first; until then a dimension past
-`MAX_DIMENSION` keys each blade by its index tuple instead of a mask of
-up to n bits, so it costs no more memory than its input.  The degree
-cap is checked once, on every term read, zero terms included, before
-`_over_lcm` runs.  Error messages are formatted only when a check fails.
+runs; a Fock element's entries are then divided by beta!
+(`poly._over_factorials`), which reduces.  The dimension is refused only
+once a value has been read, so that a fault inside it is reported first;
+until then a dimension past `MAX_DIMENSION` keys each blade by its index
+tuple instead of a mask of up to n bits, so it costs no more memory than
+its input.  The degree cap is checked once, on every term read, zero
+terms included, before `_over_lcm` runs.  Error messages are formatted
+only when a check fails.
 
 Integers and text convert only up to the interpreter's digit limit,
 `sys.get_int_max_str_digits()` (4300 digits by default; this module
@@ -47,7 +52,8 @@ from typing import Any
 from .clifford import (MAX_DIMENSION, CliffordNumber, GaussianRational, _Blades, _blade_masks,
                        _blade_order, _check_dimension, _is_int, _over_lcm, _part_text)
 from .fock import FockElement
-from .poly import CliffordPolynomial, MultiIndex, _check_degree_cap, _sorted_terms
+from .poly import (CliffordPolynomial, MultiIndex, _check_degree_cap, _key_factorial, _over_factorials,
+                   _sorted_terms)
 from .transform import HermiteExpansion
 
 
@@ -109,7 +115,7 @@ def _parse_beta(data: Any, n: int) -> MultiIndex:
              "multi-index must be a list of {} ints, got {!r}", n, data)
     for b in data:
         _require(_is_int(b, 0), "multi-index entry {!r} must be a nonnegative int", b)
-    return MultiIndex(data)
+    return tuple.__new__(MultiIndex, data)  # entries checked above
 
 
 def _parse_parts(data: Any, n: int) -> _Parts:
@@ -145,10 +151,13 @@ class _Texts(dict):
         return text
 
 
-def _blades_json(blades: _Blades, texts: _Texts) -> list[dict]:
+def _blades_json(blades: _Blades, texts: _Texts, w: int = 1) -> list[dict]:
+    """The terms of w * blades over texts.den; w = beta! prints a Fock entry."""
     out = []
     for mask in _blade_masks(blades):
         re, im = blades[mask]
+        if w > 1:
+            re, im = w * re, w * im
         out.append({"blade": list(_blade_order(mask)[1]), "re": texts[re], "im": texts[im]})
     return out
 
@@ -199,7 +208,7 @@ def _from_json(data: Any, field: str) -> CliffordPolynomial | HermiteExpansion |
     _check_dimension(n)
     _check_degree_cap(terms)  # zero terms too; `_over_lcm` only drops terms, so its result is adopted
     f = CliffordPolynomial._adopt(n, *_over_lcm(terms))
-    return f if cls is None else cls._of(f)
+    return f if cls is None else cls._of(_over_factorials(f) if cls._weighted else f)
 
 
 def poly_to_json(f: CliffordPolynomial) -> dict:
@@ -213,10 +222,10 @@ def poly_from_json(data: Any) -> CliffordPolynomial:
 
 
 def _index_map_to_json(container: HermiteExpansion | FockElement, field: str) -> dict:
-    f = container._poly
+    f, weighted = container._poly, container._weighted
     texts = _Texts(f._den)
-    return {"n": f.n, field: [{"beta": list(beta), "value": _blades_json(blades, texts)}
-                              for (_, beta), blades in _sorted_terms(f._num)]}
+    return {"n": f.n, field: [{"beta": list(key[1]), "value": _blades_json(
+        blades, texts, _key_factorial(key) if weighted else 1)} for key, blades in _sorted_terms(f._num)]}
 
 
 def expansion_to_json(f: HermiteExpansion) -> dict:
@@ -255,8 +264,8 @@ def scalar_to_text(value: GaussianRational) -> str:
     return _complex_text(int(value.re * den), int(value.im * den), _Texts(den))
 
 
-def _blades_text(blades: _Blades, texts: _Texts) -> str:
-    return " + ".join(f"({_complex_text(*blades[mask], texts)}) "
+def _blades_text(blades: _Blades, texts: _Texts, w: int = 1) -> str:
+    return " + ".join(f"({_complex_text(w * blades[mask][0], w * blades[mask][1], texts)}) "
                       + ("e" + "".join(map(str, _blade_order(mask)[1])) if mask else "1")
                       for mask in _blade_masks(blades)) or "0"
 
@@ -274,10 +283,12 @@ def _table(rows: list[tuple[str, ...]]) -> str:
                      for row in rows)
 
 
-def _text_rows(f: CliffordPolynomial) -> list[tuple[str, str, str]]:
+def _text_rows(f: CliffordPolynomial, weighted: bool = False) -> list[tuple[str, str, str]]:
+    """One row per term of f, its value times key! when weighted (a Fock
+    element's entries)."""
     texts = _Texts(f._den)
-    return [(str(k0), ",".join(map(str, beta)), _blades_text(blades, texts))
-            for (k0, beta), blades in _sorted_terms(f._num)]
+    return [(str(k0), ",".join(map(str, beta)), _blades_text(blades, texts, _key_factorial(
+        (k0, beta)) if weighted else 1)) for (k0, beta), blades in _sorted_terms(f._num)]
 
 
 def poly_to_text(f: CliffordPolynomial) -> str:
@@ -286,4 +297,4 @@ def poly_to_text(f: CliffordPolynomial) -> str:
 
 
 def fock_to_text(alpha: FockElement) -> str:
-    return _table([("beta", "value")] + [row[1:] for row in _text_rows(alpha._poly)])
+    return _table([("beta", "value")] + [row[1:] for row in _text_rows(alpha._poly, True)])

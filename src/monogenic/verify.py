@@ -71,7 +71,7 @@ from .clifford import (
 )
 from .fock import FockElement, fock_norm_sq, fock_to_monogenic, taylor_map
 from .gauss import _MU_TILDE, _RHO, Measure, gram, inner_mu, inner_rho
-from .poly import CliffordPolynomial, MultiIndex, _check_degree_cap
+from .poly import CliffordPolynomial, MultiIndex, _check_degree_cap, _over_factorials
 from .transform import HermiteExpansion, ck_extend, hermite, p_basis, sb_inverse, sb_transform
 
 
@@ -170,7 +170,9 @@ def rand_hermite_expansion(rng: random.Random, n: int, max_degree: int,
 
 def rand_fock_element(rng: random.Random, n: int, max_degree: int,
                       max_terms: int = 3) -> FockElement:
-    return FockElement._of(_rand_x0_free(rng, n, max_degree, max_terms))
+    """Random Fock element: the entries are a random x0-free polynomial's
+    coefficients, stored over beta!."""
+    return FockElement._of(_over_factorials(_rand_x0_free(rng, n, max_degree, max_terms)))
 
 
 # ---------------------------------------------------------------------------

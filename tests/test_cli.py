@@ -432,7 +432,7 @@ SPOILED = {
 
 
 @pytest.mark.parametrize("name", SPOILED)
-def test_verify_round_trip_regression_visible_at_n2(capsys, monkeypatch, name):
+def test_verify_fails_the_check_of_each_spoiled_map(capsys, monkeypatch, name):
     # At n = 2 three checks are known false; a regression of an identity
     # that holds for every n must still fail the run and exit 1.  At n = 1
     # the spoiled `inner_mu` fails all three, which are the checks that

@@ -13,14 +13,16 @@ from monogenic import (
     FockElement,
     HermiteExpansion,
     NotMonogenicError,
+    ck_extend,
     fock_norm_sq,
     fock_to_function,
     fock_to_monogenic,
     p_basis,
     taylor_map,
 )
-from monogenic.verify import (_fock_round_trips, _taylor_isometry, multi_indices, rand_fock_element,
-                              rand_poly)
+from monogenic.serialize import fock_from_json, fock_to_json
+from monogenic.verify import (_fock_round_trips, _taylor_isometry, multi_indices, rand_clifford,
+                              rand_fock_element, rand_poly)
 
 
 def var(n, i):
@@ -159,3 +161,43 @@ def test_taylor_isometry_holds_at_n1():
     rng = random.Random(5)
     for _ in range(25):
         assert _taylor_isometry(HermiteExpansion._of(rand_poly(rng, 1, 4))) is None
+
+
+# -- the weights beta!, against the definitions ---------------------------------------
+
+def _derivative_at_origin(F, beta):
+    """d^beta F(0, 0), by `partial` and `evaluate`."""
+    for i, b in enumerate(beta, start=1):
+        for _ in range(b):
+            F = F.partial(i)
+    return F.evaluate(0, [0] * F.n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_factorial_weights_match_the_definitions(n):
+    # a Fock element stores alpha(e^beta) / beta!; its public entries, its
+    # norm, its codec and its constructor read alpha(e^beta) itself
+    rng = random.Random(50 + n)
+    tall = (3,) + (0,) * (n - 1)
+    # entries that beta! does not divide: 1 at beta! = 6, 1/5 e1 at 2 and 1
+    odd = FockElement(n, {tall: CliffordNumber.one(n), (0,) * n: CliffordNumber.basis(n, 1),
+                          (2,) + (0,) * (n - 1): CliffordNumber.blade(n, (1,), Fraction(1, 5))})
+    assert odd._poly.coefficient(0, tall) == sc(n, Fraction(1, 6))
+    values = [odd]
+    for _ in range(6):
+        F = ck_extend(rand_poly(rng, n, 4))
+        alpha = taylor_map(F)
+        for beta in multi_indices(n, 4):
+            assert alpha.entry(beta) == _derivative_at_origin(F, beta), beta
+        drawn = {beta: rand_clifford(rng, n) for beta in rng.sample(list(multi_indices(n, 4)), 3)}
+        values += [alpha, rand_fock_element(rng, n, 4), FockElement(n, drawn)]
+        assert dict(values[-1].entries()) == {b: v for b, v in drawn.items() if v}
+    for alpha in values:
+        entries = dict(alpha.entries())
+        assert entries == {beta: alpha.entry(beta) for beta in entries}
+        assert fock_norm_sq(alpha) == sum((v.norm_sq() / beta.factorial for beta, v in entries.items()),
+                                          Fraction(0))
+        assert fock_to_function(alpha) == CliffordPolynomial(n, {
+            (0, beta): v * Fraction(1, beta.factorial) for beta, v in entries.items()})
+        assert fock_from_json(fock_to_json(alpha)) == alpha
+        assert FockElement(n, entries) == alpha

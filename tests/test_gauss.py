@@ -761,7 +761,8 @@ def _zero_entries(n, degree):
         mu = measure is Measure.MU_TILDE
         for f, row in zip(polys, gram(polys, polys, measure)):
             for g, v in zip(polys, row):
-                disjoint = _form(f, mu)[2].isdisjoint(_form(g, mu)[2])
+                # the forms `gram` cached, read as they are: no rebuild drops a left role
+                disjoint = (f._fischer[mu] or _form(f, mu))[2].isdisjoint((g._fischer[mu] or _form(g, mu))[2])
                 s = INNER[measure](f, g)
                 full += [(v, disjoint)] if not v else []
                 scalar += [(s, disjoint)] if not s else []

@@ -674,8 +674,10 @@ def test_values_sharing_maps_leave_their_source_unchanged():
     F = ck_extend(h)
     G = h + CliffordPolynomial.monomial(n, 2, (1, 0, 0), 5)  # restricts to h
     r = G.restrict()
-    # over the denominator 6, its weight-1 part and the entry at (0, 0, 2)
-    # have coprime numerators, so their grades and that entry share maps
+    # alpha stores alpha(e^beta) / beta! over the denominator 12; its
+    # weight-2 part, 1/4 + 1/6 i at (0, 0, 2), has coprime numerators, so
+    # that grade shares its map, and the entry there, twice the stored
+    # value, is a new map
     alpha = FockElement(n, {(1, 0, 0): CliffordNumber.blade(n, (1,), Fraction(1, 2)),
                             (0, 0, 2): CliffordNumber.blade(
                                 n, (2,), GaussianRational(Fraction(1, 2), Fraction(1, 3))),
@@ -687,7 +689,8 @@ def test_values_sharing_maps_leave_their_source_unchanged():
     # the sharing this test is about happens
     assert any(r._num[key] is G._num[key] for key in r._num)
     assert any(g._poly._num[key] is alpha._poly._num[key] for g in grades for key in g._poly._num)
-    assert alpha.entry((0, 0, 2))._blades is alpha._poly._num[0, (0, 0, 2)]
+    assert alpha._poly._den == 12 and alpha._poly._num[0, (0, 0, 2)] == {2: (3, 2)}
+    assert alpha.entry((0, 0, 2))._blades is not alpha._poly._num[0, (0, 0, 2)]
     values = [F, G, r, alpha._poly, *(g._poly for g in grades)]
     before = [copy.deepcopy((f._den, f._num)) for f in values], copy.deepcopy(
         [(c._den, c._blades) for c in coeffs])

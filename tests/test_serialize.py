@@ -30,6 +30,7 @@ from monogenic import (
     FockElement,
     GaussianRational,
     HermiteExpansion,
+    MultiIndex,
     ck_extend,
     p_basis,
 )
@@ -264,10 +265,19 @@ def test_codec_prints_the_oracle_bytes_and_parses_its_values():
     assert (number._den, number._blades) == stored and number == oracle_clifford_from_json(coeff, 2)
     number = clifford_from_json(zeros, 2)
     assert (number._den, number._blades) == (1, {}) and number == CliffordNumber.zero(2)
-    for field, parse, oracle in (
-            ("terms", poly_from_json, oracle_poly_from_json),
-            ("coeffs", expansion_from_json, lambda data: oracle_index_map_from_json(data, "coeffs")),
-            ("entries", fock_from_json, lambda data: oracle_index_map_from_json(data, "entries"))):
+    # each container is the one its constructor builds; a Fock element
+    # stores its entry at [2, 0] over 2!, so its stored numerators there
+    # are those of the number over 2 (and 2 * 6 is the lcm with the [1, 0]
+    # entry's)
+    half = (12, {2: (3, 0), 3: (0, -2)})
+    number = clifford_from_json(coeff, 2)
+    for field, parse, oracle, build, at_20 in (
+            ("terms", poly_from_json, oracle_poly_from_json,
+             lambda d: CliffordPolynomial(2, {(0, b): v for b, v in d.items()}), stored),
+            ("coeffs", expansion_from_json, lambda data: oracle_index_map_from_json(data, "coeffs"),
+             lambda d: HermiteExpansion(2, d), stored),
+            ("entries", fock_from_json, lambda data: oracle_index_map_from_json(data, "entries"),
+             lambda d: FockElement(2, d), half)):
         def entry(beta, value):
             return {"x0": 0, "beta": beta, "coeff": value} if field == "terms" else {"beta": beta, "value": value}
 
@@ -275,6 +285,12 @@ def test_codec_prints_the_oracle_bytes_and_parses_its_values():
         value = parse(data)
         f = value if field == "terms" else value._poly
         assert (f._den, f._num) == (stored[0], {(0, (1, 0)): stored[1]}) and value == oracle(data)
+        assert value == build({(1, 0): number, (0, 2): CliffordNumber.zero(2)})
+        data = {"n": 2, field: [entry([2, 0], coeff), entry([1, 0], coeff)]}
+        value = parse(data)
+        f = value if field == "terms" else value._poly
+        assert (f._den, f._num[0, (2, 0)]) == (at_20[0], at_20[1]) and value == oracle(data)
+        assert value == build({(2, 0): number, (1, 0): number})
 
 
 def test_text_printers_print_the_oracle_bytes():
@@ -415,12 +431,16 @@ def _memo_values():
 
 
 def _numerators(value, text=False):
-    """The distinct numerators that a printer of value turns into text."""
+    """The distinct numerators that a printer of value turns into text: a
+    Fock element's stored numerators times beta!."""
     if isinstance(value, CliffordNumber):
-        maps = [value._blades]
+        maps = [(1, value._blades)]
     else:
-        maps = getattr(value, "_poly", value)._num.values()
-    return {part for blades in maps for re, im in blades.values() for part in (re, abs(im) if text else im)}
+        weighted = isinstance(value, FockElement)
+        maps = [(MultiIndex(beta).factorial if weighted else 1, blades)
+                for (_, beta), blades in getattr(value, "_poly", value)._num.items()]
+    return {w * part for w, blades in maps for re, im in blades.values()
+            for part in (re, abs(im) if text else im)}
 
 
 def _counting_part_text(monkeypatch):

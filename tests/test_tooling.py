@@ -460,7 +460,9 @@ def test_each_numerator_rule_has_one_home():
     assert _enclosing(probe, _blade_sums) == ["probe.py:f", "probe.py:g"]
     assert _enclosing(sources, _blade_sums) == ["clifford.py:_shared_blade_sum"]
     # a blade map is scaled into a new map by `clifford._scaled` only (and
-    # accumulated by `_add_scaled`, a loop); the scan sees the negations and
+    # accumulated by `_add_scaled`, a loop); a Fock element's weights beta!
+    # are divided out where it is built (`poly._over_factorials`), and its
+    # maps scale nothing; the scan sees the negations and
     # the weightings it replaced, bare or nested in a map of maps, and not
     # the conjugation or a pair of parts with a factor each
     probe = {"probe.py": "def f(b):\n    return {m: (-re, -im) for m, (re, im) in b.items()}\n"
@@ -473,8 +475,8 @@ def test_each_numerator_rule_has_one_home():
     assert _enclosing(probe, _scaling_comprehensions) == ["probe.py:f", "probe.py:g", "probe.py:h"]
     assert _enclosing(sources, _scaling_comprehensions) == ["clifford.py:_scaled"]
     assert _enclosing(sources, _calls_of("_scaled")) == [
-        "clifford.py:__neg__", "clifford.py:_conjugate_plan", "fock.py:fock_to_function",
-        "fock.py:taylor_map", "poly.py:__init__", "poly.py:__neg__"]
+        "clifford.py:__neg__", "clifford.py:_conjugate_plan", "poly.py:__init__", "poly.py:__neg__",
+        "poly.py:_over_factorials"]
     # the monogenic precondition, the degree-cap message and the grade
     # check are each written once; the scans see the messages they replaced
     probe = {"probe.py": "def taylor_map(F):\n    if not F.is_monogenic():\n"
@@ -585,8 +587,11 @@ def test_key_factorial_and_the_container_check_have_one_home():
     package = Path(__file__).resolve().parent.parent / "src" / "monogenic"
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     # key! = k0! beta! of a term key is computed in `poly._key_factorial`
-    # only, behind beta!, the Gaussian pairing weights, the Hermite and Fock
-    # norms and the Taylor map; the operator series takes its own K!/k!.
+    # only, behind beta!, the Gaussian pairing weights, the Hermite norm
+    # (which is the Fock norm too) and the boundary of a Fock element: the
+    # one division of its entries by beta! (`poly._over_factorials`, which
+    # the constructor, the parser and the draw of `verify` call) and the
+    # printers' weights; the operator series takes its own K!/k!.
     # The scan sees both spellings and a factorial passed to map, and not
     # the `MultiIndex.factorial` property
     probe = {"probe.py": "def f(beta):\n    return prod(map(factorial, beta))\n"
@@ -597,8 +602,15 @@ def test_key_factorial_and_the_container_check_have_one_home():
     assert _enclosing(probe, _factorials) == ["probe.py:f", "probe.py:g"]
     assert _enclosing(sources, _factorials) == ["poly.py:_key_factorial", "transform.py:_series"]
     assert _enclosing(sources, _calls_of("_key_factorial")) == [
-        "fock.py:_factorial_weights", "fock.py:taylor_map", "gauss.py:_form", "poly.py:factorial",
-        "transform.py:norm_sq"]
+        "gauss.py:_form", "poly.py:_over_factorials", "poly.py:factorial",
+        "serialize.py:_index_map_to_json", "serialize.py:_text_rows", "transform.py:norm_sq"]
+    assert _enclosing(sources, _calls_of("_over_factorials")) == [
+        "poly.py:__init__", "serialize.py:_from_json", "verify.py:rand_fock_element"]
+    # the Fock norm is the Hermite norm of the stored polynomial: one
+    # weighted blade sum, in `HermiteExpansion.norm_sq`
+    assert _enclosing(sources, _calls_of("norm_sq")) == ["fock.py:fock_norm_sq"]
+    assert _enclosing(sources, _calls_of("_shared_blade_sum")) == [
+        "clifford.py:inner", "gauss.py:_pairing", "transform.py:norm_sq"]
     # the container message "<name> takes a <class>, got <type>" is formatted
     # in `clifford._checked` only, which every operator and Fock map,
     # `CliffordNumber.inner` and `CliffordPolynomial.constant` call under
