@@ -52,7 +52,8 @@ class FockElement(_MultiIndexMap):
     def entry(self, beta: Sequence[int]) -> CliffordNumber:
         """alpha(e^beta): the stored value times beta!; a multi-index the
         constructor would reject raises its ValueError."""
-        return self._poly.coefficient(0, beta) * MultiIndex(beta).factorial
+        beta = MultiIndex(beta)
+        return self._poly.coefficient(0, beta) * beta.factorial
 
     def grade(self, k: int) -> "FockElement":
         """The weight-k part: entries with |beta| = k."""

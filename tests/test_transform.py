@@ -215,7 +215,8 @@ ARGUMENTS = {
     "FockElement(n)": (lambda v: FockElement(v, {(1,): CliffordNumber.one(1)}), "dimension"),
     "FockElement(entries)": (lambda v: FockElement(2, v), "mapping"),
     "FockElement(value)": (lambda v: FockElement(2, {(1, 0): v}), "coefficient"),
-    "FockElement.entry(beta)": (lambda v: FockElement(2).entry(v), "sequence"),
+    "FockElement.entry(beta)": (lambda v: FockElement(2, {(1, 2): CliffordNumber.one(2)}).entry(v),
+                                "sequence"),
     "FockElement.grade(k)": (lambda v: FockElement(2).grade(v), "int"),
     "hermite(n)": (lambda v: hermite(v, (1,)), "dimension"),
     "hermite(beta)": (lambda v: hermite(2, v), "sequence"),

@@ -17,7 +17,11 @@ metric of BENCHMARK.json, the median over pairs of the change/parent
 ratio, in how many pairs the change was better, each side's median, the
 parent's quartiles and whether the claim rule holds: the change is
 better in at least nine tenths of the pairs, and its median is better
-than the parent's by more than the parent's interquartile range.
+than the parent's by more than the parent's interquartile range.  It
+also prints the order effect of each side: its median when it ran
+second over its median when it ran first.  On a host that slows the
+later run of a pair, both sides read above 1 for a time metric,
+whichever side is the change.
 Stdlib only; DIR defaults to a new temporary directory.
 """
 
@@ -60,11 +64,22 @@ def claim_holds(parent: list[float], change: list[float], wins: int, direction: 
     return 10 * wins >= 9 * len(parent) and (gain if direction == "lower" else -gain) > q3 - q1
 
 
+def order_effect(pairs: list[dict], name: str, side: str) -> float:
+    """The median of metric name on side over the pairs where that side
+    ran second, divided by its median where it ran first (nan if that
+    median is 0)."""
+    first = statistics.median(p[side][name] for p in pairs if p["first"] == side)
+    second = statistics.median(p[side][name] for p in pairs if p["first"] != side)
+    return second / first if first else float("nan")
+
+
 def summary(pairs: list[dict], better: dict) -> list[tuple]:
     """(metric, median change/parent ratio, pairs the change won, parent
-    median, change median, parent quartiles, claim holds) for each metric
-    of better, {metric: "lower" or "higher"}, over pairs of
-    {"parent": {metric: value}, "change": {metric: value}}, at least two."""
+    median, change median, parent quartiles, claim holds, the order effect
+    of the parent and of the change) for each metric of better, {metric:
+    "lower" or "higher"}, over pairs of {"parent": {metric: value},
+    "change": {metric: value}, "first": the side that ran first}, at least
+    two, each side first in at least one."""
     rows = []
     for name, direction in better.items():
         ratios = [p["change"][name] / p["parent"][name] for p in pairs if p["parent"][name]]
@@ -74,7 +89,8 @@ def summary(pairs: list[dict], better: dict) -> list[tuple]:
         parent, change = ([p[side][name] for p in pairs] for side in SIDES)
         q1, _, q3 = statistics.quantiles(parent, n=4)
         rows.append((name, statistics.median(ratios), wins, statistics.median(parent),
-                     statistics.median(change), (q1, q3), claim_holds(parent, change, wins, direction)))
+                     statistics.median(change), (q1, q3), claim_holds(parent, change, wins, direction),
+                     tuple(order_effect(pairs, name, side) for side in SIDES)))
     return rows
 
 
@@ -101,6 +117,7 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {side: run_once(checkouts[side], args, out / side) for side in order}
+            pair["first"] = order[0]
             pairs.append(pair)
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): "
                   + ", ".join(f"{name} {pair['change'][name] / pair['parent'][name]:.3f}"
@@ -114,10 +131,12 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}, seed {args.seed}, {args.seconds:g} s runs, "
           f"{len(pairs)} alternating pairs; results in {out}")
     print(f"{'metric':16s} {'median ratio':>12s} {'change better':>14s} {'parent median':>14s} "
-          f"{'change median':>14s} {'parent quartiles':>23s}  claim")
-    for name, ratio, wins, parent, change, (q1, q3), holds in summary(pairs, better):
+          f"{'change median':>14s} {'parent quartiles':>23s}  {'claim':7s}  second/first run: "
+          f"parent, change")
+    for name, ratio, wins, parent, change, (q1, q3), holds, order in summary(pairs, better):
         print(f"{name:16s} {ratio:12.3f} {wins:>8d} of {len(pairs)} {parent:14.6g} {change:14.6g} "
-              f"{q1:11.6g}-{q3:<11.6g}  {'holds' if holds else 'not met'}")
+              f"{q1:11.6g}-{q3:<11.6g}  {'holds' if holds else 'not met':7s}  "
+              f"{order[0]:.3f}, {order[1]:.3f}")
     return 0
 
 
